@@ -278,6 +278,9 @@ class FunctorData:
         return (self.source == other.source and self.target == other.target
                 and self.omap == other.omap and self.amap == other.amap)
 
+    def __hash__(self):
+        return hash(self.key())
+
     def __repr__(self):
         return f"FunctorData({self.name}: {self.source.name}->{self.target.name})"
 

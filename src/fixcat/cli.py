@@ -179,12 +179,12 @@ def cmd_wtype(args):
               f"elements")
     else:
         print(f"not stabilized at depth {args.depth}")
-    trees = sorted(stages[-1], key=lambda t: repr(t))
-    if len(trees) <= LIST_THRESHOLD or args.list:
-        for t in trees:
+    last = stages[-1]
+    if len(last) <= LIST_THRESHOLD or args.list:
+        for t in sorted(last, key=repr):
             print(f"  {t}")
     else:
-        print(f"  ({len(trees)} elements; use --list to print them)")
+        print(f"  ({len(last)} elements; use --list to print them)")
     return 0
 
 

@@ -11,7 +11,11 @@ to points One -> A, and three structural witness families:
     unif(s,f,g,y)  : s . f*   =>  g*      given  y : s . f => g . s, s strict
 
 Every law below is checked by evaluating both sides of its pasting through
-the adapter and comparing; no law is derived from another.
+the adapter and comparing; no law is derived from another.  Laws are
+declared per family (`fix_laws`, `dinat_laws`, `unif_laws`) and evaluated
+instance-major by `run_laws`: each corpus instance is evaluated once for
+every law that reads its channel, under a star/compose memo that lives for
+that one instance.
 
 Thin adapters present a 2-cell as a ThinCell: the bare claim that its two
 boundary 1-cells are equal.  Pasting then only composes boundaries, and
@@ -23,8 +27,9 @@ counterexample in a report instead of a crash inside a pasting.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import (BoundaryMismatch, FixcatError, InvalidSquare,
                      NoProducts, NotContractible, TypeMismatch)
@@ -41,16 +46,38 @@ class ThinCell:
         return f"ThinCell({self.source!r} => {self.target!r})"
 
 
+def memoized(method):
+    """Share an adapter method's results by argument value while a memo is
+    open on the adapter (`_memo` is a dict, not None).  The law runner opens
+    one per corpus instance.  A call that raises is not kept; the wrapped
+    methods never return None, which marks a miss."""
+    kind = method.__name__
+
+    @functools.wraps(method)
+    def shared(self, *args):
+        memo = self._memo
+        if memo is None:
+            return method(self, *args)
+        key = (kind, *args)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = method(self, *args)
+        return out
+    return shared
+
+
 class FixpointModel:
     """Adapter contract consumed by the law engine.
 
     Concrete adapters fill in the abstract cell operations; the generic
     horizontal composite and the description hooks have workable defaults.
-    `thin` marks adapters whose 2-cells are ThinCell claims.
+    `thin` marks adapters whose 2-cells are ThinCell claims.  Methods
+    wrapped in `memoized` consult `_memo` while the law engine has one open.
     """
 
     name = "model"
     thin = True
+    _memo = None
 
     # -- objects and 1-cells ------------------------------------------------
     def identity(self, obj):
@@ -266,29 +293,88 @@ class Corpus:
     unif_dinat: list = field(default_factory=list)       # (s, r, f, g, h, k, gamma, rho)
 
 
-def _run_law(law_id, statement, instances, eval_one, describe):
-    tried = 0
-    passes = 0
-    counterexample = None
-    for inst in instances:
-        tried += 1
-        try:
-            ok, left, right = eval_one(inst)
-        except FixcatError as e:
-            ok, left, right = False, "<error>", f"{e.__class__.__name__}: {e}"
-        if ok:
-            passes += 1
-        elif counterexample is None:
-            counterexample = {"inputs": describe(inst), "raw": inst,
-                              "left": left, "right": right}
-    return LawReport(law_id, statement, tried, passes, counterexample,
-                     vacuous=tried == 0)
+class Law(NamedTuple):
+    """One law: the corpus channel it reads and how to judge an instance.
+
+    `evaluate(inst)` returns (ok, left, right).  The two sides stay objects
+    until a counterexample is written: `sides(left, right)` renders them
+    (describe2 of both by default) and `describe(inst)` renders the
+    instance, for the first failing instance only.
+    """
+
+    law_id: str
+    statement: str
+    channel: str
+    evaluate: Callable
+    describe: Callable
+    sides: Optional[Callable] = None
+
+
+def run_laws(m: FixpointModel, corpus: Corpus, laws):
+    """Evaluate `laws` on `corpus`, instance-major.
+
+    Each channel is walked once.  For every instance a fresh star/compose
+    memo is opened on the adapter, every law reading that channel is
+    evaluated under it, and the memo is dropped before the next instance,
+    so it never holds more than one instance's intermediate 1-cells.
+    Reports come back in the order of `laws`.
+    """
+    by_channel = {}
+    tallies = []
+    for law in laws:
+        tally = [law, 0, None]        # law, passes, counterexample
+        tallies.append(tally)
+        by_channel.setdefault(law.channel, []).append(tally)
+    try:
+        for channel, group in by_channel.items():
+            for inst in getattr(corpus, channel):
+                m._memo = {}
+                for tally in group:
+                    law = tally[0]
+                    try:
+                        ok, left, right = law.evaluate(inst)
+                    except FixcatError as e:
+                        ok, left, right = False, None, e
+                    if ok:
+                        tally[1] += 1
+                    elif tally[2] is None:
+                        tally[2] = _counterexample(m, law, inst, left, right)
+    finally:
+        m._memo = None
+    reports = []
+    for law, passes, counterexample in tallies:
+        tried = len(getattr(corpus, law.channel))
+        reports.append(LawReport(law.law_id, law.statement, tried, passes,
+                                 counterexample, vacuous=tried == 0))
+    return reports
+
+
+def _counterexample(m, law, inst, left, right):
+    """The report entry for a failing instance; the only place sides and
+    instances are rendered to text."""
+    if isinstance(right, FixcatError):
+        left, right = "<error>", f"{right.__class__.__name__}: {right}"
+    elif law.sides is None:
+        left, right = m.describe2(left), m.describe2(right)
+    else:
+        left, right = law.sides(left, right)
+    return {"inputs": law.describe(inst), "raw": inst,
+            "left": left, "right": right}
 
 
 # ---------------------------------------------------------------------------
 # Law checks.
 
-def check_fix(m: FixpointModel, corpus: Corpus):
+def _want_cell(m, what):
+    """Sides renderer for a witness checked against its wanted boundary."""
+    def sides(w, want):
+        src, dst = want
+        return (m.describe2(w),
+                f"{what} {m.describe1(src)} => {m.describe1(dst)}")
+    return sides
+
+
+def fix_laws(m: FixpointModel):
     """The fixpoint cell itself and its naturality in the endo argument."""
 
     def d1(x):
@@ -300,26 +386,31 @@ def check_fix(m: FixpointModel, corpus: Corpus):
         want_src = m.compose(f, fs)
         shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), fs)
         ok = shaped and m.cell_ok(w) and m.is_invertible2(w)
-        return ok, m.describe2(w), f"invertible cell {d1(want_src)} => {d1(fs)}"
+        return ok, w, (want_src, fs)
 
     def eval_nat(alpha):
         f, g = m.src2(alpha), m.dst2(alpha)
         astar = m.star_2cell(alpha)
         lhs = m.vcomp2(astar, m.fix_witness(f))
         rhs = m.vcomp2(m.fix_witness(g), m.hcomp2(astar, alpha))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     return [
-        _run_law("fix.cell",
-                 "fix(f) is a well-formed invertible 2-cell f.f* => f*",
-                 corpus.endos, eval_cell, d1),
-        _run_law("fix.naturality",
-                 "star2(a) . fix(f) == fix(g) . hcomp(star2(a), a) for a: f => g",
-                 corpus.endo_cells, eval_nat, m.describe2),
+        Law("fix.cell",
+            "fix(f) is a well-formed invertible 2-cell f.f* => f*",
+            "endos", eval_cell, d1, _want_cell(m, "invertible cell")),
+        Law("fix.naturality",
+            "star2(a) . fix(f) == fix(g) . hcomp(star2(a), a) for a: f => g",
+            "endo_cells", eval_nat, m.describe2),
     ]
 
 
-def check_dinat(m: FixpointModel, corpus: Corpus):
+def check_fix(m: FixpointModel, corpus: Corpus):
+    """Reports of the fix laws on `corpus`, in declaration order."""
+    return run_laws(m, corpus, fix_laws(m))
+
+
+def dinat_laws(m: FixpointModel):
     """The dinaturality cell family and its axioms."""
 
     def d1(x):
@@ -336,27 +427,27 @@ def check_dinat(m: FixpointModel, corpus: Corpus):
         want_dst = m.compose(f, m.star(m.compose(g, f)))
         shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), want_dst)
         ok = shaped and m.cell_ok(w) and m.is_invertible2(w)
-        return ok, m.describe2(w), f"invertible cell {d1(want_src)} => {d1(want_dst)}"
+        return ok, w, (want_src, want_dst)
 
     def eval_unity(f):
         one = m.identity(m.src(f))
         lhs = m.dinat_witness(one, f)
         rhs = m.id2(m.star(f))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     def eval_fix_remark(f):
         # dinat over an identity inner leg determines fix
         one = m.identity(m.src(f))
         lhs = m.vcomp2(m.fix_witness(f), m.dinat_witness(f, one))
         rhs = m.id2(m.star(f))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     def eval_one_nat(inst):
         f, g, h = inst  # f: A->B, g: B->C, h: C->A
         lhs = m.vcomp2(m.whisker_l(g, m.dinat_witness(f, m.compose(h, g))),
                        m.dinat_witness(g, m.compose(f, h)))
         rhs = m.dinat_witness(m.compose(g, f), h)
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     def eval_two_nat(inst):
         alpha, g = inst  # alpha: f => f' with f, f': A->B, g: B->A
@@ -367,7 +458,7 @@ def check_dinat(m: FixpointModel, corpus: Corpus):
             m.whisker_r(alpha, m.star(m.compose(g, f2))),
             m.vcomp2(m.whisker_l(f, m.star_2cell(m.whisker_l(g, alpha))),
                      m.dinat_witness(f, g)))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     def eval_fix_coherence(inst):
         f, g = inst
@@ -376,30 +467,35 @@ def check_dinat(m: FixpointModel, corpus: Corpus):
                          m.dinat_witness(f, g))
         lhs = m.vcomp2(m.fix_witness(fg), paste)
         rhs = m.id2(m.star(fg))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     return [
-        _run_law("dinat.cell",
-                 "dinat(f,g) is a well-formed invertible 2-cell (fg)* => f.(gf)*",
-                 corpus.dinat_pairs, eval_cell, dpair),
-        _run_law("dinat.unity",
-                 "dinat(id, f) == id2(f*)",
-                 corpus.endos, eval_unity, d1),
-        _run_law("dinat.fix_remark",
-                 "fix(f) . dinat(f, id) == id2(f*)",
-                 corpus.endos, eval_fix_remark, d1),
-        _run_law("dinat.one_nat",
-                 "whisker(g, dinat(f, hg)) . dinat(g, fh) == dinat(gf, h)",
-                 corpus.dinat_triples, eval_one_nat,
-                 lambda t: f"(f={d1(t[0])}, g={d1(t[1])}, h={d1(t[2])})"),
-        _run_law("dinat.two_nat",
-                 "dinat(f', g) . star2(a.g) == (a.(gf')*) . (f.star2(g.a)) . dinat(f, g)",
-                 corpus.dinat_cells, eval_two_nat,
-                 lambda t: f"(alpha={m.describe2(t[0])}, g={d1(t[1])})"),
-        _run_law("dinat.fix_coherence",
-                 "fix(fg) . whisker(f, dinat(g, f)) . dinat(f, g) == id2((fg)*)",
-                 corpus.dinat_pairs, eval_fix_coherence, dpair),
+        Law("dinat.cell",
+            "dinat(f,g) is a well-formed invertible 2-cell (fg)* => f.(gf)*",
+            "dinat_pairs", eval_cell, dpair, _want_cell(m, "invertible cell")),
+        Law("dinat.unity",
+            "dinat(id, f) == id2(f*)",
+            "endos", eval_unity, d1),
+        Law("dinat.fix_remark",
+            "fix(f) . dinat(f, id) == id2(f*)",
+            "endos", eval_fix_remark, d1),
+        Law("dinat.one_nat",
+            "whisker(g, dinat(f, hg)) . dinat(g, fh) == dinat(gf, h)",
+            "dinat_triples", eval_one_nat,
+            lambda t: f"(f={d1(t[0])}, g={d1(t[1])}, h={d1(t[2])})"),
+        Law("dinat.two_nat",
+            "dinat(f', g) . star2(a.g) == (a.(gf')*) . (f.star2(g.a)) . dinat(f, g)",
+            "dinat_cells", eval_two_nat,
+            lambda t: f"(alpha={m.describe2(t[0])}, g={d1(t[1])})"),
+        Law("dinat.fix_coherence",
+            "fix(fg) . whisker(f, dinat(g, f)) . dinat(f, g) == id2((fg)*)",
+            "dinat_pairs", eval_fix_coherence, dpair),
     ]
+
+
+def check_dinat(m: FixpointModel, corpus: Corpus):
+    """Reports of the dinat laws on `corpus`, in declaration order."""
+    return run_laws(m, corpus, dinat_laws(m))
 
 
 def require_square(m: FixpointModel, s, f, g, gamma):
@@ -417,7 +513,7 @@ def require_square(m: FixpointModel, s, f, g, gamma):
         raise InvalidSquare(f"square cell is not invertible: {m.describe2(gamma)}")
 
 
-def check_unif(m: FixpointModel, corpus: Corpus):
+def unif_laws(m: FixpointModel):
     """The uniformity cell family, its four axioms, and both coherences."""
 
     def d1(x):
@@ -435,20 +531,20 @@ def check_unif(m: FixpointModel, corpus: Corpus):
         want_dst = m.star(g)
         shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), want_dst)
         ok = shaped and m.cell_ok(w)
-        return ok, m.describe2(w), f"cell {d1(want_src)} => {d1(want_dst)}"
+        return ok, w, (want_src, want_dst)
 
     def eval_invertible(inst):
         s, f, g, gamma = inst
         require_square(m, s, f, g, gamma)
         w = m.unif_witness(s, f, g, gamma)
-        return m.is_invertible2(w), m.describe2(w), "an invertible 2-cell"
+        return m.is_invertible2(w), w, None
 
     def eval_unity(f):
         s = m.identity(m.src(f))
         gamma = m.id2(m.compose(s, f))
         lhs = m.unif_witness(s, f, f, gamma)
         rhs = m.id2(m.star(f))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     def eval_one_nat(inst):
         (s, f, g, gamma), (r, g2, h, rho) = inst
@@ -460,7 +556,7 @@ def check_unif(m: FixpointModel, corpus: Corpus):
         lhs = m.unif_witness(m.compose(r, s), f, h, stacked)
         rhs = m.vcomp2(m.unif_witness(r, g, h, rho),
                        m.whisker_l(r, m.unif_witness(s, f, g, gamma)))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     def eval_two_nat(inst):
         theta, f, g, gamma, rho = inst  # theta: s => r
@@ -477,7 +573,7 @@ def check_unif(m: FixpointModel, corpus: Corpus):
         lhs = m.unif_witness(s, f, g, gamma)
         rhs = m.vcomp2(m.unif_witness(r, f, g, rho),
                        m.whisker_r(theta, m.star(f)))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     def eval_transport(inst):
         s, alpha, beta, gamma, rho = inst  # alpha: f => h, beta: g => k
@@ -492,7 +588,7 @@ def check_unif(m: FixpointModel, corpus: Corpus):
         lhs = m.vcomp2(m.unif_witness(s, h, k, rho),
                        m.whisker_l(s, m.star_2cell(alpha)))
         rhs = m.vcomp2(m.star_2cell(beta), m.unif_witness(s, f, g, gamma))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     def eval_fix_coherence(inst):
         s, f, g, gamma = inst
@@ -503,7 +599,7 @@ def check_unif(m: FixpointModel, corpus: Corpus):
             m.whisker_l(g, w),
             m.vcomp2(m.whisker_r(gamma, m.star(f)),
                      m.whisker_l(s, m.inverse2(m.fix_witness(f)))))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     def eval_dinat_coherence(inst):
         # s: A->C, r: B->D strict; f: A->B, g: B->A, h: C->D, k: D->C;
@@ -521,38 +617,44 @@ def check_unif(m: FixpointModel, corpus: Corpus):
             m.whisker_l(h, m.unif_witness(s, gf, kh, glue_s)),
             m.vcomp2(m.whisker_r(gamma, m.star(gf)),
                      m.whisker_l(r, m.dinat_witness(f, g))))
-        return m.eq2(lhs, rhs), m.describe2(lhs), m.describe2(rhs)
+        return m.eq2(lhs, rhs), lhs, rhs
 
     return [
-        _run_law("unif.cell",
-                 "unif(s,f,g,y) is a well-formed 2-cell s.f* => g*",
-                 corpus.unif_squares, eval_cell, dsq),
-        _run_law("unif.invertible",
-                 "unif(s,f,g,y) is invertible (reported separately from the axioms)",
-                 corpus.unif_squares, eval_invertible, dsq),
-        _run_law("unif.unity",
-                 "unif(id, f, f, id2) == id2(f*)",
-                 corpus.endos, eval_unity, d1),
-        _run_law("unif.one_nat",
-                 "unif(rs, f, h, stack(y, p)) == unif(r, g, h, p) . whisker(r, unif(s, f, g, y))",
-                 corpus.unif_stacks, eval_one_nat,
-                 lambda t: f"({dsq(t[0])} over {dsq(t[1])})"),
-        _run_law("unif.two_nat",
-                 "unif(s, f, g, y) == unif(r, f, g, p) . (theta . f*)",
-                 corpus.unif_thetas, eval_two_nat,
-                 lambda t: f"(theta={m.describe2(t[0])}, f={d1(t[1])}, g={d1(t[2])})"),
-        _run_law("unif.transport",
-                 "unif(s, h, k, p) . (s . star2(a)) == star2(b) . unif(s, f, g, y)",
-                 corpus.unif_transports, eval_transport,
-                 lambda t: f"(s={d1(t[0])}, alpha={m.describe2(t[1])}, beta={m.describe2(t[2])})"),
-        _run_law("unif.fix_coherence",
-                 "inv(fix(g)) . unif == (g . unif) . (y . f*) . (s . inv(fix(f)))",
-                 corpus.unif_squares, eval_fix_coherence, dsq),
-        _run_law("unif.dinat_coherence",
-                 "dinat(h,k) . unif(r, fg, hk) == (h . unif(s, gf, kh)) . (y . (gf)*) . (r . dinat(f,g))",
-                 corpus.unif_dinat, eval_dinat_coherence,
-                 lambda t: f"(s={d1(t[0])}, r={d1(t[1])}, f={d1(t[2])}, g={d1(t[3])})"),
+        Law("unif.cell",
+            "unif(s,f,g,y) is a well-formed 2-cell s.f* => g*",
+            "unif_squares", eval_cell, dsq, _want_cell(m, "cell")),
+        Law("unif.invertible",
+            "unif(s,f,g,y) is invertible (reported separately from the axioms)",
+            "unif_squares", eval_invertible, dsq,
+            lambda w, _: (m.describe2(w), "an invertible 2-cell")),
+        Law("unif.unity",
+            "unif(id, f, f, id2) == id2(f*)",
+            "endos", eval_unity, d1),
+        Law("unif.one_nat",
+            "unif(rs, f, h, stack(y, p)) == unif(r, g, h, p) . whisker(r, unif(s, f, g, y))",
+            "unif_stacks", eval_one_nat,
+            lambda t: f"({dsq(t[0])} over {dsq(t[1])})"),
+        Law("unif.two_nat",
+            "unif(s, f, g, y) == unif(r, f, g, p) . (theta . f*)",
+            "unif_thetas", eval_two_nat,
+            lambda t: f"(theta={m.describe2(t[0])}, f={d1(t[1])}, g={d1(t[2])})"),
+        Law("unif.transport",
+            "unif(s, h, k, p) . (s . star2(a)) == star2(b) . unif(s, f, g, y)",
+            "unif_transports", eval_transport,
+            lambda t: f"(s={d1(t[0])}, alpha={m.describe2(t[1])}, beta={m.describe2(t[2])})"),
+        Law("unif.fix_coherence",
+            "inv(fix(g)) . unif == (g . unif) . (y . f*) . (s . inv(fix(f)))",
+            "unif_squares", eval_fix_coherence, dsq),
+        Law("unif.dinat_coherence",
+            "dinat(h,k) . unif(r, fg, hk) == (h . unif(s, gf, kh)) . (y . (gf)*) . (r . dinat(f,g))",
+            "unif_dinat", eval_dinat_coherence,
+            lambda t: f"(s={d1(t[0])}, r={d1(t[1])}, f={d1(t[2])}, g={d1(t[3])})"),
     ]
+
+
+def check_unif(m: FixpointModel, corpus: Corpus):
+    """Reports of the unif laws on `corpus`, in declaration order."""
+    return run_laws(m, corpus, unif_laws(m))
 
 
 # ---------------------------------------------------------------------------
@@ -600,45 +702,58 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     For each endo the candidate components star1(f) => star2(f) are
     narrowed by the fix-compatibility square; exactly one candidate must
     survive per endo (NotContractible otherwise).  Optional channels check
-    the delta family against naturality cells and dinat pairs.
+    the delta family against naturality cells and dinat pairs; the delta
+    found for an endo is kept by value and reused there.  Every endo, cell
+    and pair is evaluated under its own fresh memo on both adapters.
     """
     m = m1
+    found = {}                  # endo, by value -> its unique delta
     deltas = []
     searched = 0
-    for f in endos:
-        cands = _delta_candidates(m1, m2, f)
-        searched += len(cands)
-        good = []
-        for d in cands:
-            lhs = m.vcomp2(d, m1.fix_witness(f))
-            rhs = m.vcomp2(m2.fix_witness(f), m.whisker_l(f, d))
-            if m.eq2(lhs, rhs):
-                good.append(d)
-        if len(good) != 1:
-            raise NotContractible(
-                len(good),
-                f"{m1.name} vs {m2.name} at {m.describe1(f)}: "
-                f"{len(good)} fix-compatible candidates among {len(cands)}")
-        delta = good[0]
-        deltas.append({"endo": m.describe1(f), "candidates": len(cands),
-                       "delta": m.describe2(delta),
-                       "is_identity": m.eq2(delta, m.id2(m1.star(f)))})
-    for alpha in cells:
-        f, g = m.src2(alpha), m.dst2(alpha)
-        d_f = _delta_for(m1, m2, f)
-        d_g = _delta_for(m1, m2, g)
-        lhs = m.vcomp2(d_g, m1.star_2cell(alpha))
-        rhs = m.vcomp2(m2.star_2cell(alpha), d_f)
-        if not m.eq2(lhs, rhs):
-            raise NotContractible(0, f"delta is not natural at {m.describe2(alpha)}")
-    for (f, g) in pairs:
-        fg, gf = m.compose(f, g), m.compose(g, f)
-        lhs = m.vcomp2(m2.dinat_witness(f, g), _delta_for(m1, m2, fg))
-        rhs = m.vcomp2(m.whisker_l(f, _delta_for(m1, m2, gf)),
-                       m1.dinat_witness(f, g))
-        if not m.eq2(lhs, rhs):
-            raise NotContractible(
-                0, f"delta does not commute with dinat at (f={m.describe1(f)}, g={m.describe1(g)})")
+
+    def delta_for(f):
+        delta = found.get(f)
+        if delta is None:
+            _, good = _fix_compatible(m1, m2, f)
+            if len(good) != 1:
+                raise NotContractible(len(good), f"at {m.describe1(f)}")
+            delta = found[f] = good[0]
+        return delta
+
+    try:
+        for f in endos:
+            m1._memo, m2._memo = {}, {}
+            cands, good = _fix_compatible(m1, m2, f)
+            searched += len(cands)
+            if len(good) != 1:
+                raise NotContractible(
+                    len(good),
+                    f"{m1.name} vs {m2.name} at {m.describe1(f)}: "
+                    f"{len(good)} fix-compatible candidates among {len(cands)}")
+            delta = found[f] = good[0]
+            deltas.append({"endo": m.describe1(f), "candidates": len(cands),
+                           "delta": m.describe2(delta),
+                           "is_identity": m.eq2(delta, m.id2(m1.star(f)))})
+        for alpha in cells:
+            m1._memo, m2._memo = {}, {}
+            f, g = m.src2(alpha), m.dst2(alpha)
+            d_f = delta_for(f)
+            d_g = delta_for(g)
+            lhs = m.vcomp2(d_g, m1.star_2cell(alpha))
+            rhs = m.vcomp2(m2.star_2cell(alpha), d_f)
+            if not m.eq2(lhs, rhs):
+                raise NotContractible(0, f"delta is not natural at {m.describe2(alpha)}")
+        for (f, g) in pairs:
+            m1._memo, m2._memo = {}, {}
+            fg, gf = m.compose(f, g), m.compose(g, f)
+            lhs = m.vcomp2(m2.dinat_witness(f, g), delta_for(fg))
+            rhs = m.vcomp2(m.whisker_l(f, delta_for(gf)),
+                           m1.dinat_witness(f, g))
+            if not m.eq2(lhs, rhs):
+                raise NotContractible(
+                    0, f"delta does not commute with dinat at (f={m.describe1(f)}, g={m.describe1(g)})")
+    finally:
+        m1._memo = m2._memo = None
     identity = all(d["is_identity"] for d in deltas) and bool(deltas)
     certificate = (f"each of {len(deltas)} components unique among "
                    f"{searched} invertible candidates searched")
@@ -646,25 +761,18 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
                          identity, certificate)
 
 
-def _delta_candidates(m1, m2, f):
+def _fix_compatible(m1, m2, f):
+    """The candidate components star1(f) => star2(f), and the ones among
+    them that commute with both fix cells."""
     s1, s2 = m1.star(f), m2.star(f)
     if m1.thin:
-        return [ThinCell(s1, s2)] if m1.eq1(s1, s2) else []
-    return m1.enumerate_invertible_cells(s1, s2)
-
-
-def _delta_for(m1, m2, f):
-    cands = _delta_candidates(m1, m2, f)
-    good = []
-    m = m1
-    for d in cands:
-        lhs = m.vcomp2(d, m1.fix_witness(f))
-        rhs = m.vcomp2(m2.fix_witness(f), m.whisker_l(f, d))
-        if m.eq2(lhs, rhs):
-            good.append(d)
-    if len(good) != 1:
-        raise NotContractible(len(good), f"at {m.describe1(f)}")
-    return good[0]
+        cands = [ThinCell(s1, s2)] if m1.eq1(s1, s2) else []
+    else:
+        cands = m1.enumerate_invertible_cells(s1, s2)
+    good = [d for d in cands
+            if m1.eq2(m1.vcomp2(d, m1.fix_witness(f)),
+                      m1.vcomp2(m2.fix_witness(f), m1.whisker_l(f, d)))]
+    return cands, good
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +781,15 @@ def _delta_for(m1, m2, f):
 def run_suite(jobs, seed=0):
     """Run every law check for each (model, corpus) job; sorted by law id.
 
+    All laws of a job go through one `run_laws` call, so each instance is
+    evaluated once for every law that reads it, under one memo.
     Deterministic for a fixed corpus; the seed is only echoed so reports
     produced from seeded corpora carry their provenance.
     """
     reports = []
     for model, corpus in jobs:
-        for rep in (check_fix(model, corpus) + check_dinat(model, corpus)
-                    + check_unif(model, corpus)):
+        laws = fix_laws(model) + dinat_laws(model) + unif_laws(model)
+        for rep in run_laws(model, corpus, laws):
             rep.law_id = f"{model.name}/{rep.law_id}"
             reports.append(rep)
     return sorted(reports, key=lambda r: r.law_id)

@@ -7,6 +7,9 @@ genuine 2-cells: its star picks the stabilized chain carrier through a
 point functor, fix is the structure arrow, and the dinat/unif witnesses
 are the unique algebra-compatible arrows found by exhaustive search in the
 finite target category.
+
+The thin adapters' star and compose are `memoized`: while the law engine
+evaluates one corpus instance, calls with equal arguments share one result.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from . import cat, poset, rel
 from .algebra import initial_algebra_mediator, lambek_chain
 from .errors import (InvalidSquare, TypeMismatch, UniquenessViolation,
                      ValidationError)
-from .laws import FixpointModel, ThinCell, ThinModel, require_square
+from .laws import (FixpointModel, ThinCell, ThinModel, memoized,
+                   require_square)
 
 
 class PosetModel(ThinModel):
@@ -30,6 +34,7 @@ class PosetModel(ThinModel):
     def identity(self, obj):
         return poset.identity_map(obj)
 
+    @memoized
     def compose(self, g, f):
         return poset.compose_maps(g, f)
 
@@ -56,6 +61,7 @@ class PosetModel(ThinModel):
             return poset.kleene_star(f)
         return poset.bifree_star(f)
 
+    @memoized
     def star(self, f):
         if f.source != f.target:
             raise TypeMismatch("star needs an endomap")
@@ -129,6 +135,7 @@ class RelModel(ThinModel):
     def identity(self, obj):
         return rel.mrel_identity(obj)
 
+    @memoized
     def compose(self, g, f):
         return rel.mrel_compose(g, f)
 
@@ -153,6 +160,7 @@ class RelModel(ThinModel):
     def is_strict(self, s):
         return all(rel.mset_size(m) == 1 for (m, _) in s.pairs)
 
+    @memoized
     def star(self, f):
         if not self.eq_obj(f.source, f.target):
             raise TypeMismatch("star needs an endo-relation")
@@ -210,6 +218,7 @@ class ScottModel(ThinModel):
     def identity(self, obj):
         return rel.scott_identity(obj)
 
+    @memoized
     def compose(self, g, f):
         return rel.scott_compose(g, f)
 
@@ -231,6 +240,7 @@ class ScottModel(ThinModel):
     def is_strict(self, s):
         return all(len(u) == 1 for (u, _) in s.pairs)
 
+    @memoized
     def star(self, f):
         return rel.scott_star(f)
 

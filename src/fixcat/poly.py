@@ -175,8 +175,18 @@ def wtype_enumerate(P: Polynomial, depth: int):
     there (stage depth equal to stage depth+1), making the stage the full
     initial algebra."""
     stage = wtype_stages(P, depth)[-1]
-    stabilized = _apply_trees(P, stage) == stage
-    return sorted(stage, key=_skey), stabilized
+    return sorted(stage, key=_skey), _stage_is_fixed(P, stage)
+
+
+def _stage_is_fixed(P: Polynomial, stage) -> bool:
+    """F(X) == X for a chain stage X, decided without building F(X).
+
+    Along the chain X is contained in F(X), and distinct (constructor,
+    choice) pairs give distinct trees, so |F(X)| = sum_b |X|^arity(b) and
+    F(X) == X exactly when that sum is |X|.
+    """
+    n = len(stage)
+    return sum(n ** len(P.fiber(b)) for b in set(P.B)) == n
 
 
 # --- M-types: finite-state coalgebra systems --------------------------------------

@@ -24,13 +24,17 @@ class PointedPoset:
     Elements are arbitrary hashable values (strings in documents, tuples
     for internally built carriers).  `leq` is stored as a set of pairs and
     must be reflexive, antisymmetric, transitive, with bottom below all.
+    Posets are immutable; equality and the (cached) hash ignore the name.
     """
+
+    __slots__ = ("name", "elements", "leq_pairs", "bottom", "_hash")
 
     def __init__(self, elements, leq, bottom, name="P", _validate=True):
         self.name = name
         self.elements = tuple(elements)
         self.leq_pairs = frozenset(leq)
         self.bottom = bottom
+        self._hash = None
         if _validate:
             problems = self.validate()
             if problems:
@@ -63,11 +67,19 @@ class PointedPoset:
         return (x, y) in self.leq_pairs
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PointedPoset):
             return NotImplemented
         return (set(self.elements) == set(other.elements)
                 and self.leq_pairs == other.leq_pairs
                 and self.bottom == other.bottom)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((frozenset(self.elements), self.leq_pairs,
+                               self.bottom))
+        return self._hash
 
     def __repr__(self):
         return f"PointedPoset({self.name}: {len(self.elements)} elements)"
@@ -79,8 +91,11 @@ class MonotoneMap:
     `strict` is a declared flag: construction rejects a strict-flagged map
     that fails to send bottom to bottom.  Equality compares boundaries and
     the assignment only; strictness of an assignment can always be re-tested
-    with `is_bottom_preserving`.
+    with `is_bottom_preserving`.  Maps are immutable; the hash matches
+    equality and is cached.
     """
+
+    __slots__ = ("source", "target", "assignment", "strict", "name", "_hash")
 
     def __init__(self, source: PointedPoset, target: PointedPoset, assignment,
                  strict=False, name="f", _validate=True):
@@ -89,6 +104,7 @@ class MonotoneMap:
         self.assignment = dict(assignment)
         self.strict = strict
         self.name = name
+        self._hash = None
         if _validate:
             problems = self.validate()
             if problems:
@@ -117,10 +133,18 @@ class MonotoneMap:
         return self.assignment[self.source.bottom] == self.target.bottom
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, MonotoneMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and self.assignment == other.assignment)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.source, self.target,
+                               frozenset(self.assignment.items())))
+        return self._hash
 
     def __repr__(self):
         return f"MonotoneMap({self.name}: {self.source.name}->{self.target.name})"

@@ -61,13 +61,20 @@ def mset_map(fn, m) -> Tuple:
 
 
 class MultisetRel:
-    """A finite multiset relation between finite carriers."""
+    """A finite multiset relation between finite carriers.
+
+    Relations are immutable; equality and the (cached) hash ignore the name
+    and the order of the carriers.
+    """
+
+    __slots__ = ("source", "target", "pairs", "name", "_hash")
 
     def __init__(self, source, target, pairs, name="r", _validate=True):
         self.source = tuple(source)
         self.target = tuple(target)
         self.pairs = frozenset(pairs)
         self.name = name
+        self._hash = None
         if _validate:
             problems = self.validate()
             if problems:
@@ -86,6 +93,8 @@ class MultisetRel:
         return problems
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, MultisetRel):
             return NotImplemented
         return (set(self.source) == set(other.source)
@@ -93,7 +102,10 @@ class MultisetRel:
                 and self.pairs == other.pairs)
 
     def __hash__(self):
-        return hash((frozenset(self.source), frozenset(self.target), self.pairs))
+        if self._hash is None:
+            self._hash = hash((frozenset(self.source), frozenset(self.target),
+                               self.pairs))
+        return self._hash
 
     def __repr__(self):
         return f"MultisetRel({self.name}: {len(self.pairs)} pairs)"
@@ -239,12 +251,18 @@ def mrel_terminal_map(carrier) -> MultisetRel:
 # Preorders and ideal relations.
 
 class Preorder:
-    """A finite preorder: reflexive and transitive, no antisymmetry required."""
+    """A finite preorder: reflexive and transitive, no antisymmetry required.
+
+    Preorders are immutable; equality and the (cached) hash ignore the name.
+    """
+
+    __slots__ = ("name", "elements", "leq_pairs", "_hash")
 
     def __init__(self, elements, leq, name="P", _validate=True):
         self.name = name
         self.elements = tuple(elements)
         self.leq_pairs = frozenset(leq)
+        self._hash = None
         if _validate:
             problems = self.validate()
             if problems:
@@ -269,10 +287,17 @@ class Preorder:
         return (x, y) in self.leq_pairs
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Preorder):
             return NotImplemented
         return (set(self.elements) == set(other.elements)
                 and self.leq_pairs == other.leq_pairs)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((frozenset(self.elements), self.leq_pairs))
+        return self._hash
 
     def __repr__(self):
         return f"Preorder({self.name}: {len(self.elements)} elements)"
@@ -359,7 +384,10 @@ class IdealRel:
     Pairs (u, b) with u a canonical input set and b an output; each pair
     stands for every (u', b') with u below-dominating u' and b' below b.
     Construction normalizes, so structural equality is semantic equality.
+    Relations are immutable; the hash matches equality and is cached.
     """
+
+    __slots__ = ("source", "target", "pairs", "name", "_hash")
 
     def __init__(self, source: Preorder, target: Preorder, pairs, name="r",
                  _validate=True):
@@ -369,6 +397,7 @@ class IdealRel:
                  for (u, b) in pairs}
         self.pairs = normalize_pairs(source, target, canon)
         self.name = name
+        self._hash = None
         if _validate:
             problems = self.validate()
             if problems:
@@ -391,14 +420,17 @@ class IdealRel:
                    for p in self.pairs)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, IdealRel):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and self.pairs == other.pairs)
 
     def __hash__(self):
-        return hash((frozenset(self.source.elements),
-                     frozenset(self.target.elements), self.pairs))
+        if self._hash is None:
+            self._hash = hash((self.source, self.target, self.pairs))
+        return self._hash
 
     def __repr__(self):
         return f"IdealRel({self.name}: {len(self.pairs)} pairs)"

@@ -197,6 +197,15 @@ def test_compare_closure_tree_identity(rel_corpus):
     assert all(d["candidates"] == 1 for d in rep.deltas)
 
 
+def test_compare_cat_with_itself(cat_corpus):
+    # the non-thin path: deltas are enumerated natural isos, kept by functor
+    rep = compare_operators(CatModel(), CatModel(), cat_corpus.endos,
+                            cells=cat_corpus.endo_cells,
+                            pairs=cat_corpus.dinat_pairs)
+    assert rep.identity
+    assert rep.instances == len(cat_corpus.endos)
+
+
 def test_compare_disagreeing_operators_not_contractible(poset_corpus):
     with pytest.raises(NotContractible):
         compare_operators(PosetModel("kleene"), BrokenPosetModel(),
@@ -258,3 +267,89 @@ def test_unif_law_on_random_closure_squares(seed):
     s, f, g2, gamma = corpora.poset_closure_square(g)
     w = m.unif_witness(s, f, g2, gamma)
     assert m.cell_ok(w)
+
+
+# --- instance-major evaluation under a per-instance memo ---------------------
+
+def test_memo_closed_after_run_suite_and_compare(poset_corpus, rel_corpus):
+    pm, rm = PosetModel(), RelModel()
+    run_suite([(pm, poset_corpus), (rm, rel_corpus)])
+    assert pm._memo is None and rm._memo is None
+    m1, m2 = RelModel("closure"), RelModel("tree")
+    compare_operators(m1, m2, rel_corpus.endos, cells=rel_corpus.endo_cells,
+                      pairs=rel_corpus.dinat_pairs[::50])
+    assert m1._memo is None and m2._memo is None
+
+
+def test_memo_closed_after_compare_raises(poset_corpus):
+    m1, m2 = PosetModel("kleene"), BrokenPosetModel()
+    with pytest.raises(NotContractible):
+        compare_operators(m1, m2, poset_corpus.endos)
+    assert m1._memo is None and m2._memo is None
+
+
+def test_memo_shares_equal_arguments():
+    m = PosetModel()
+    m._memo = {}
+    same = poset.MonotoneMap(CHAIN2, CHAIN2, dict(UP.assignment), name="up2")
+    assert m.star(UP) is m.star(same)
+    assert m.compose(UP, DOWN) is m.compose(same, DOWN)
+    m._memo = None
+    assert m.star(UP) is not m.star(UP)
+
+
+def test_memo_keeps_no_failed_call():
+    m = RelModel()
+    f = rel.MultisetRel(("a",), ("a", "b"), {(rel.mset(["a"]), "b")})
+    m._memo = {}
+    for _ in range(2):
+        with pytest.raises(TypeMismatch):
+            m.star(f)
+    assert m._memo == {}
+
+
+def test_broken_adapter_counterexample_unchanged():
+    # the first fix.cell counterexample of `fixcat laws suite_broken.json`
+    reports = check_fix(BrokenPosetModel(), corpora.poset_corpus(draws=0))
+    ce = reports[0].counterexample
+    assert reports[0].law_id == "fix.cell"
+    assert (reports[0].passes, reports[0].instances) == (13, 25)
+    assert ce["inputs"] == "P2_0->P2_0{'b'>'b', 'e0'>'b'}"
+    assert ce["left"] == "1->P2_0{'*'>'b'} => 1->P2_0{'*'>'e0'}"
+    assert ce["right"] == ("invertible cell 1->P2_0{'*'>'b'} => "
+                           "1->P2_0{'*'>'e0'}")
+
+
+@pytest.mark.parametrize("make", [PosetModel, BrokenPosetModel, ScottModel])
+def test_direct_checks_match_run_suite(make):
+    corpus = (corpora.scott_corpus(draws=6) if make is ScottModel
+              else corpora.poset_corpus(draws=6))
+    direct = all_reports(make(), corpus)
+    suite = run_suite([(make(), corpus)])
+    name = make().name
+    for r in suite:
+        r.law_id = r.law_id.removeprefix(f"{name}/")
+    assert sorted(direct, key=lambda r: r.law_id) == suite
+
+
+def test_memo_is_per_instance_and_shared_across_laws():
+    m = PosetModel()
+    corpus = Corpus(endos=[UP, DOWN, UP])
+    seen = []
+
+    def first(f):
+        seen.append(("first", len(m._memo)))
+        m.star(f)
+        return True, None, None
+
+    def second(f):
+        seen.append(("second", len(m._memo)))
+        return True, None, None
+
+    reports = laws.run_laws(m, corpus, [
+        laws.Law("a", "", "endos", first, m.describe1),
+        laws.Law("b", "", "endos", second, m.describe1)])
+    assert [r.passes for r in reports] == [3, 3]
+    # each instance starts from an empty memo; the second law sees the first's
+    assert seen == [("first", 0), ("second", 1)] * 3
+    assert m._memo is None

@@ -25,6 +25,7 @@ from fixcat.poly import (
     stream_poly,
     wtype_enumerate,
     wtype_stages,
+    _apply_trees,
     _small_systems,
 )
 
@@ -403,3 +404,22 @@ def test_rolling_stream_wrap_around_binary():
     assert report["partial"] and report["holds"]
     assert report["stage_counts"]["composite_gf"] == (0, 1, 2, 5)
     assert report["stage_counts"]["composite_fg"] == (0, 1, 2, 5)
+
+
+@pytest.mark.parametrize("P, stabilizes", [
+    (constant_poly(["b1", "b2"]), True),
+    (AB_STREAM, True),
+    (IDP, True),
+    (endo_poly({}), True),
+    (endo_poly({"z": 0, "s": 1}), False),
+    (BIN, False),
+], ids=["constant", "stream", "identity", "empty", "nat", "bintree"])
+def test_wtype_stability_from_counts_matches_built_stage(P, stabilizes):
+    # the count-based answer against building stage depth+1 and comparing
+    answers = []
+    for depth in range(5):
+        trees, stable = wtype_enumerate(P, depth)
+        stage = frozenset(trees)
+        assert stable == (_apply_trees(P, stage) == stage)
+        answers.append(stable)
+    assert any(answers) == stabilizes
