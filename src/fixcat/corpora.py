@@ -14,6 +14,7 @@ dinat-pair, and uniformity-square channels.
 """
 
 import itertools
+import math
 import random
 
 from . import cat, poset, rel
@@ -24,13 +25,37 @@ STACK_CAP = 400         # stacked uniformity squares per model
 DERIVED_CAP = 200       # theta / transport / dinat-square channels per model
 
 
+def _stride_indices(total, cap):
+    """The indices a stride sample keeps out of range(total): every step-th
+    one, step = ceil(total / cap), at most cap of them."""
+    if total <= cap:
+        return range(total)
+    return range(0, total, -(-total // cap))[:cap]
+
+
 def _stride_sample(items, cap):
     """Deterministic spread sample: every k-th item, at most cap of them."""
     items = list(items)
-    if len(items) <= cap:
-        return items
-    step = len(items) // cap + (1 if len(items) % cap else 0)
-    return items[::step][:cap]
+    return [items[i] for i in _stride_indices(len(items), cap)]
+
+
+def _stride_sample_products(blocks, cap):
+    """_stride_sample of the concatenated itertools.product(*factors) over
+    blocks, without building the products: each kept index is decoded in
+    mixed radix, last factor fastest, inside the block it falls in."""
+    sizes = [math.prod(map(len, factors)) for factors in blocks]
+    out = []
+    block = start = 0
+    for i in _stride_indices(sum(sizes), cap):
+        while i >= start + sizes[block]:
+            start += sizes[block]
+            block += 1
+        rest, picked = i - start, []
+        for factor in reversed(blocks[block]):
+            rest, j = divmod(rest, len(factor))
+            picked.append(factor[j])
+        out.append(tuple(reversed(picked)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +245,9 @@ def poset_corpus(draws=1000, seed=0):
             for f in maps_of(a, b):
                 for g in maps_of(b, a):
                     c.dinat_pairs.append((f, g))
-    triples = []
-    for a in posets:
-        for b in posets:
-            for cc in posets:
-                triples.extend(itertools.product(
-                    maps_of(a, b), maps_of(b, cc), maps_of(cc, a)))
-    c.dinat_triples = _stride_sample(triples, TRIPLE_CAP)
+    c.dinat_triples = _stride_sample_products(
+        [(maps_of(a, b), maps_of(b, cc), maps_of(cc, a))
+         for a, b, cc in itertools.product(posets, repeat=3)], TRIPLE_CAP)
     c.dinat_cells = [(ThinCell(f, f), g)
                      for (f, g) in _stride_sample(c.dinat_pairs, DERIVED_CAP)]
     c.unif_squares = _poset_square_search(posets, maps_of)
@@ -240,8 +261,8 @@ def poset_corpus(draws=1000, seed=0):
     for sq2 in c.unif_squares:
         r, g2, h, rho = sq2
         key = (id(r.source), tuple(sorted(g2.assignment.items())))
-        stacks.extend((sq1, sq2) for sq1 in by_middle.get(key, ()))
-    c.unif_stacks = _stride_sample(stacks, STACK_CAP)
+        stacks.append((by_middle.get(key, ()), (sq2,)))
+    c.unif_stacks = _stride_sample_products(stacks, STACK_CAP)
 
     sample_squares = _stride_sample(c.unif_squares, DERIVED_CAP)
     c.unif_thetas = [(ThinCell(s, s), f, g, gamma, gamma)
@@ -382,11 +403,9 @@ def rel_corpus(draws=1000, seed=0):
             for f in rel_partial_graphs(a, b):
                 for g in rel_partial_graphs(b, a):
                     c.dinat_pairs.append((f, g))
-    triples = []
-    for a in carriers:
-        graphs = rel_partial_graphs(a, a)
-        triples.extend(itertools.product(graphs, graphs, graphs))
-    c.dinat_triples = _stride_sample(triples, TRIPLE_CAP)
+    endo_graphs = [rel_partial_graphs(a, a) for a in carriers]
+    c.dinat_triples = _stride_sample_products(
+        [(gs, gs, gs) for gs in endo_graphs], TRIPLE_CAP)
     c.dinat_cells = [(ThinCell(f, f), g)
                      for (f, g) in _stride_sample(c.dinat_pairs, DERIVED_CAP)]
     c.unif_squares = _rel_square_search(
@@ -399,9 +418,9 @@ def rel_corpus(draws=1000, seed=0):
     stacks = []
     for sq2 in c.unif_squares:
         r, g2, h, rho = sq2
-        stacks.extend((sq1, sq2)
-                      for sq1 in by_middle.get((frozenset(r.source), g2.pairs), ()))
-    c.unif_stacks = _stride_sample(stacks, STACK_CAP)
+        stacks.append((by_middle.get((frozenset(r.source), g2.pairs), ()),
+                       (sq2,)))
+    c.unif_stacks = _stride_sample_products(stacks, STACK_CAP)
 
     sample_squares = _stride_sample(c.unif_squares, DERIVED_CAP)
     c.unif_thetas = [(ThinCell(s, s), f, g, gamma, gamma)
@@ -598,11 +617,9 @@ def scott_corpus(draws=1000, seed=0):
     for p in big3:
         fns = _scott_function_rels(p)
         c.dinat_pairs.extend(itertools.product(fns, fns))
-    triples = []
-    for p in small:
-        graphs = scott_partial_graphs(p, p)
-        triples.extend(itertools.product(graphs, graphs, graphs))
-    c.dinat_triples = _stride_sample(triples, TRIPLE_CAP)
+    endo_graphs = [scott_partial_graphs(p, p) for p in small]
+    c.dinat_triples = _stride_sample_products(
+        [(gs, gs, gs) for gs in endo_graphs], TRIPLE_CAP)
     c.dinat_cells = [(ThinCell(f, f), g)
                      for (f, g) in _stride_sample(c.dinat_pairs, DERIVED_CAP)]
 
@@ -637,8 +654,8 @@ def scott_corpus(draws=1000, seed=0):
     for sq2 in squares:
         r, g2, h, rho = sq2
         key = (frozenset(r.source.elements), r.source.leq_pairs, g2.pairs)
-        stacks.extend((sq1, sq2) for sq1 in by_middle.get(key, ()))
-    c.unif_stacks = _stride_sample(stacks, STACK_CAP)
+        stacks.append((by_middle.get(key, ()), (sq2,)))
+    c.unif_stacks = _stride_sample_products(stacks, STACK_CAP)
 
     sample_squares = _stride_sample(squares, DERIVED_CAP)
     c.unif_thetas = [(ThinCell(s, s), f, g, gamma, gamma)

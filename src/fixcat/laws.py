@@ -705,6 +705,8 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     the delta family against naturality cells and dinat pairs; the delta
     found for an endo is kept by value and reused there.  Every endo, cell
     and pair is evaluated under its own fresh memo on both adapters.
+    Each `deltas` record keeps the endo and its delta as objects; only
+    error messages are rendered with describe1/describe2.
     """
     m = m1
     found = {}                  # endo, by value -> its unique delta
@@ -731,8 +733,8 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
                     f"{m1.name} vs {m2.name} at {m.describe1(f)}: "
                     f"{len(good)} fix-compatible candidates among {len(cands)}")
             delta = found[f] = good[0]
-            deltas.append({"endo": m.describe1(f), "candidates": len(cands),
-                           "delta": m.describe2(delta),
+            deltas.append({"endo": f, "candidates": len(cands),
+                           "delta": delta,
                            "is_identity": m.eq2(delta, m.id2(m1.star(f)))})
         for alpha in cells:
             m1._memo, m2._memo = {}, {}

@@ -28,6 +28,11 @@ def _skey(x):
     return (x.__class__.__name__, repr(x))
 
 
+def _is_int(v):
+    # bool is an int subclass, but true is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _need(doc, key, types, kind):
     if key not in doc:
         raise SchemaError(f"{kind}: missing field {key!r}")
@@ -35,6 +40,15 @@ def _need(doc, key, types, kind):
     if not isinstance(v, types):
         raise SchemaError(f"{kind}: field {key!r} has the wrong shape")
     return v
+
+
+def _atoms(values, kind, what):
+    """Carrier elements and the like: JSON scalars, so they can be hashed."""
+    for v in values:
+        if isinstance(v, (list, dict)):
+            raise SchemaError(f"{kind}: {what} must be strings or numbers, "
+                              f"not {json.dumps(v)}")
+    return values
 
 
 def _pairs(doc, key, kind, width=2):
@@ -85,8 +99,10 @@ def load_document(path, validate=True):
 
 
 def _parse_poset(doc, validate):
-    elements = _need(doc, "elements", list, "poset")
-    leq = _pairs(doc, "leq", "poset")
+    elements = _atoms(_need(doc, "elements", list, "poset"), "poset",
+                      "elements")
+    leq = [_atoms(p, "poset", "leq entries")
+           for p in _pairs(doc, "leq", "poset")]
     bottom = _need(doc, "bottom", (str, int), "poset")
     return poset.PointedPoset(elements, leq, bottom,
                               name=doc.get("name", "P"), _validate=validate)
@@ -95,7 +111,8 @@ def _parse_poset(doc, validate):
 def _parse_monotone_map(doc, validate):
     src = _parse_poset(_need(doc, "source", dict, "monotone-map"), validate)
     tgt = _parse_poset(_need(doc, "target", dict, "monotone-map"), validate)
-    assignment = dict(_pairs(doc, "assignment", "monotone-map"))
+    assignment = dict(_atoms(p, "monotone-map", "assignment entries")
+                      for p in _pairs(doc, "assignment", "monotone-map"))
     return poset.MonotoneMap(src, tgt, assignment,
                              name=doc.get("name", "f"), _validate=validate)
 
@@ -105,21 +122,26 @@ def _parse_finite_set(doc, validate):
 
 
 def _parse_mrel(doc, validate):
-    source = tuple(_need(doc, "source", list, "multiset-relation"))
-    target = tuple(_need(doc, "target", list, "multiset-relation"))
+    source = tuple(_atoms(_need(doc, "source", list, "multiset-relation"),
+                          "multiset-relation", "source elements"))
+    target = tuple(_atoms(_need(doc, "target", list, "multiset-relation"),
+                          "multiset-relation", "target elements"))
     pairs = set()
     for entry in _need(doc, "pairs", list, "multiset-relation"):
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError("multiset-relation: pairs entries must be "
                               "[multiset, output]")
         m, b = entry
+        _atoms([b], "multiset-relation", "outputs")
         if not isinstance(m, list):
             raise SchemaError("multiset-relation: premise must be a list of "
                               "(element, multiplicity) pairs")
         items = []
         for cell in m:
-            if not isinstance(cell, list) or len(cell) != 2 or cell[1] < 1:
+            if not isinstance(cell, list) or len(cell) != 2 \
+                    or not _is_int(cell[1]) or cell[1] < 1:
                 raise SchemaError("multiset-relation: bad multiplicity entry")
+            _atoms(cell[:1], "multiset-relation", "premise elements")
             items.extend([cell[0]] * cell[1])
         pairs.add((rel.mset(items), b))
     r = rel.MultisetRel(source, target, pairs, name=doc.get("name", "R"),
@@ -128,8 +150,10 @@ def _parse_mrel(doc, validate):
 
 
 def _parse_preorder(doc, validate):
-    return rel.Preorder(_need(doc, "elements", list, "preorder"),
-                        _pairs(doc, "leq", "preorder"),
+    return rel.Preorder(_atoms(_need(doc, "elements", list, "preorder"),
+                               "preorder", "elements"),
+                        [_atoms(p, "preorder", "leq entries")
+                         for p in _pairs(doc, "leq", "preorder")],
                         name=doc.get("name", "Q"), _validate=validate)
 
 
@@ -142,6 +166,7 @@ def _parse_ideal(doc, validate):
                 or not isinstance(entry[0], list):
             raise SchemaError("ideal-relation: pairs entries must be "
                               "[input-set, output]")
+        _atoms([*entry[0], entry[1]], "ideal-relation", "pairs elements")
         pairs.add((rel.uset(entry[0]), entry[1]))
     return rel.IdealRel(src, tgt, pairs, name=doc.get("name", "R"),
                         _validate=validate)
@@ -222,9 +247,9 @@ def _parse_suite_config(doc, validate):
     draws = doc.get("draws", 60)
     seed = doc.get("seed", 0)
     categories = doc.get("categories", [])
-    if not isinstance(draws, int) or draws < 0:
+    if not _is_int(draws) or draws < 0:
         raise SchemaError("suite-config: draws must be a nonnegative integer")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise SchemaError("suite-config: seed must be an integer")
     if not isinstance(categories, list):
         raise SchemaError("suite-config: categories must be a list of paths")

@@ -1,7 +1,10 @@
 """End-to-end tests that drive cli.main(argv) in process."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -227,3 +230,51 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# --- malformed input: exit 2 with a one-line message, never a traceback -----
+
+SRC = pathlib.Path(cli.__file__).resolve().parent.parent
+CHAIN2 = {"kind": "poset", "elements": ["b", "t"],
+          "leq": [["b", "b"], ["b", "t"], ["t", "t"]], "bottom": "b"}
+STEP = {"kind": "preorder", "elements": ["x", "y"],
+        "leq": [["x", "x"], ["x", "y"], ["y", "y"]]}
+
+MALFORMED = {
+    "mrel-multiplicity-not-int": (
+        {"kind": "multiset-relation", "source": ["a0"], "target": ["a0"],
+         "pairs": [[[["a0", "x"]], "a0"]]}, ["star", "--model", "rel"]),
+    "mrel-list-element": (
+        {"kind": "multiset-relation", "source": [["a0"]], "target": ["a0"],
+         "pairs": []}, ["star", "--model", "rel"]),
+    "poset-list-element": (
+        {"kind": "monotone-map", "assignment": [["b", "b"]],
+         "source": dict(CHAIN2, elements=[["t"], "b"]), "target": CHAIN2},
+        ["star", "--model", "poset"]),
+    "preorder-list-element": (
+        {"kind": "ideal-relation", "pairs": [],
+         "source": dict(STEP, elements=["x", ["y"]]), "target": STEP},
+        ["star", "--model", "scott"]),
+    "suite-draws-true": (
+        {"kind": "suite-config", "models": ["poset"], "draws": True},
+        ["laws"]),
+    "suite-seed-true": (
+        {"kind": "suite-config", "models": ["poset"], "draws": 0,
+         "seed": True}, ["laws"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two_without_traceback(tmp_path, case):
+    doc, argv = MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    cmd = [sys.executable, "-m", "fixcat.cli", argv[0], str(path), *argv[1:]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1

@@ -1,12 +1,16 @@
 """Corpus builders: enumeration counts, square validity, determinism."""
 
 import random
+import tracemalloc
+from itertools import chain as concat, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixcat import corpora, laws, models, poset, rel
 from fixcat.corpora import (
+    _stride_sample,
+    _stride_sample_products,
     cat_corpus,
     monotone_endomaps,
     monotone_maps,
@@ -181,3 +185,28 @@ def test_cat_corpus_has_non_identity_cells():
     assert any(any(not gamma.source.target.is_identity_arrow(a)
                    for a in gamma.components.values())
                for (_, _, _, gamma) in c.unif_squares)
+
+
+# --- stride samples of products, decoded by index ---------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.lists(st.integers(0, 9), max_size=5),
+                         min_size=1, max_size=3), max_size=4),
+       st.integers(1, 50))
+def test_stride_sample_products_matches_materialized_sample(blocks, cap):
+    built = list(concat.from_iterable(product(*b) for b in blocks))
+    assert _stride_sample_products(blocks, cap) == _stride_sample(built, cap)
+
+
+def test_rel_corpus_build_peak_within_twice_retained():
+    # the sampled channels must not materialize their candidate lists
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        corpus = rel_corpus(draws=12, seed=0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert corpus.dinat_triples
+    assert peak - base <= 2 * (retained - base)

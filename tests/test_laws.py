@@ -353,3 +353,25 @@ def test_memo_is_per_instance_and_shared_across_laws():
     # each instance starts from an empty memo; the second law sees the first's
     assert seen == [("first", 0), ("second", 1)] * 3
     assert m._memo is None
+
+
+def test_compare_renders_no_describe_strings_when_passing(poset_corpus):
+    calls = []
+
+    class Counting(PosetModel):
+        def describe1(self, f):
+            calls.append(f)
+            return super().describe1(f)
+
+        def describe2(self, t):
+            calls.append(t)
+            return super().describe2(t)
+
+    rep = compare_operators(Counting("kleene"), Counting("bifree"),
+                            poset_corpus.endos,
+                            cells=poset_corpus.endo_cells,
+                            pairs=poset_corpus.dinat_pairs)
+    assert rep.identity
+    assert calls == []
+    # the records keep the endo and its delta as objects
+    assert [d["endo"] for d in rep.deltas] == list(poset_corpus.endos)
