@@ -168,56 +168,6 @@ def validate_category(c: FinCategory):
     return problems
 
 
-def category_from_generators(name, objects, gen_arrows, relations=None, max_arrows=64):
-    """Close a generating graph under composition.
-
-    gen_arrows: list of (id, src, dst).  relations: optional map from a
-    composite-word tuple (g, f) to an existing arrow id, used to identify
-    composites with named arrows.  New composites get ids "g.f".  Intended
-    for hand-building small categories; raises if closure exceeds max_arrows.
-    """
-    relations = dict(relations or {})
-    arrows = {}
-    identity = {}
-    for x in objects:
-        i = f"id_{x}"
-        arrows[i] = Arrow(i, x, x)
-        identity[x] = i
-    for aid, s, d in gen_arrows:
-        arrows[aid] = Arrow(aid, s, d)
-    table = {}
-
-    def set_comp(g, f, h):
-        table[(g, f)] = h
-
-    changed = True
-    while changed:
-        changed = False
-        pairs = [(g, f) for f in list(arrows) for g in list(arrows)
-                 if arrows[f].dst == arrows[g].src and (g, f) not in table]
-        for g, f in pairs:
-            if arrows[f].src == arrows[f].dst and identity[arrows[f].src] == f:
-                set_comp(g, f, g)
-                changed = True
-                continue
-            if arrows[g].src == arrows[g].dst and identity[arrows[g].src] == g:
-                set_comp(g, f, f)
-                changed = True
-                continue
-            if (g, f) in relations:
-                set_comp(g, f, relations[(g, f)])
-                changed = True
-                continue
-            h = f"{g}.{f}"
-            if h not in arrows:
-                arrows[h] = Arrow(h, arrows[f].src, arrows[g].dst)
-                if len(arrows) > max_arrows:
-                    raise SizeCap(f"{name}: composite closure exceeded {max_arrows} arrows")
-            set_comp(g, f, h)
-            changed = True
-    return FinCategory(objects, arrows.values(), identity, table, name=name)
-
-
 def discrete_category(name, objects) -> FinCategory:
     arrows = [Arrow(f"id_{x}", x, x) for x in objects]
     identity = {x: f"id_{x}" for x in objects}

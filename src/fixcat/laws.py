@@ -31,8 +31,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
-from .errors import (BoundaryMismatch, FixcatError, InvalidSquare,
-                     NoProducts, NotContractible, TypeMismatch)
+from .errors import (BoundaryMismatch, InvalidSquare, NoProducts,
+                     NotContractible, TypeMismatch)
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,9 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
                     law = tally[0]
                     try:
                         ok, left, right = law.evaluate(inst)
-                    except FixcatError as e:
+                    except Exception as e:
+                        # an adapter crash is this law's counterexample,
+                        # not the end of the run
                         ok, left, right = False, None, e
                     if ok:
                         tally[1] += 1
@@ -352,7 +354,7 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
 def _counterexample(m, law, inst, left, right):
     """The report entry for a failing instance; the only place sides and
     instances are rendered to text."""
-    if isinstance(right, FixcatError):
+    if isinstance(right, Exception):
         left, right = "<error>", f"{right.__class__.__name__}: {right}"
     elif law.sides is None:
         left, right = m.describe2(left), m.describe2(right)

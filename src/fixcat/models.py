@@ -149,7 +149,7 @@ class RelModel(ThinModel):
         return f == g
 
     def eq_obj(self, a, b):
-        return set(a) == set(b)
+        return rel._same_carrier(a, b)
 
     def terminal_obj(self):
         return rel.EMPTY_CARRIER

@@ -222,16 +222,6 @@ def comult(p: PointedPoset) -> MonotoneMap:
     return MonotoneMap(lp, llp, assignment, strict=True, name=f"delta_{p.name}")
 
 
-@dataclass(frozen=True)
-class ComonadStructure:
-    """The lifting comonad, bundled: carrier/map action plus counit and comult."""
-
-    on_objects = staticmethod(lift)
-    on_maps = staticmethod(lift_map)
-    counit = staticmethod(counit)
-    comult = staticmethod(comult)
-
-
 def strictify(f: MonotoneMap) -> MonotoneMap:
     """The strict extension lift(source) -> target sending fresh bottom to bottom."""
     ls = lift(f.source)

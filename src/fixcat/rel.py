@@ -27,6 +27,11 @@ def _skey(x):
     return (x.__class__.__name__, repr(x))
 
 
+def _same_carrier(a, b):
+    """Carrier tuples name the same set; equal tuples need no set built."""
+    return a == b or set(a) == set(b)
+
+
 # ---------------------------------------------------------------------------
 # Multisets as sorted ((elem, count), ...) tuples.
 
@@ -97,8 +102,8 @@ class MultisetRel:
             return True
         if not isinstance(other, MultisetRel):
             return NotImplemented
-        return (set(self.source) == set(other.source)
-                and set(self.target) == set(other.target)
+        return (_same_carrier(self.source, other.source)
+                and _same_carrier(self.target, other.target)
                 and self.pairs == other.pairs)
 
     def __hash__(self):
@@ -123,14 +128,24 @@ def mrel_from_function(source, target, fn, name="J") -> MultisetRel:
 
 
 def mrel_compose(g: MultisetRel, f: MultisetRel) -> MultisetRel:
-    """g after f: one f-derivation per occurrence in each g-premise."""
-    if set(f.target) != set(g.source):
+    """g after f: one f-derivation per occurrence in each g-premise.
+
+    A premise with no occurrence, or with a single one, needs no union: the
+    f-premises are canonical already, so each is its own composite premise.
+    """
+    if not _same_carrier(f.target, g.source):
         raise TypeMismatch("relation boundaries do not match")
     by_target = {}
     for (m, b) in f.pairs:
         by_target.setdefault(b, []).append(m)
     out = set()
     for (n, c) in g.pairs:
+        if not n:
+            out.add((EMPTY_MSET, c))
+            continue
+        if len(n) == 1 and n[0][1] == 1:
+            out.update((m, c) for m in by_target.get(n[0][0], ()))
+            continue
         slots = []
         feasible = True
         for (b, k) in n:
@@ -157,11 +172,12 @@ def mrel_star(f: MultisetRel) -> MultisetRel:
     Iterates the one-step derivability operator from the empty set; the
     result is the least S with S = {b : some (m, b) in f has support inside S}.
     """
-    if set(f.source) != set(f.target):
+    if not _same_carrier(f.source, f.target):
         raise TypeMismatch("mrel_star needs an endo-relation")
+    supports = [(mset_support(m), b) for (m, b) in f.pairs]
     s = frozenset()
     for _ in range(len(f.target) + 1):
-        nxt = frozenset(b for (m, b) in f.pairs if mset_support(m) <= s)
+        nxt = frozenset(b for (u, b) in supports if u <= s)
         if nxt == s:
             break
         s = nxt
@@ -183,12 +199,13 @@ class TreeStar:
 
 def tree_star(f: MultisetRel, depth: int) -> TreeStar:
     """Stage d+1 derives b when some pair (m, b) has all its support at stage d."""
-    if set(f.source) != set(f.target):
+    if not _same_carrier(f.source, f.target):
         raise TypeMismatch("tree_star needs an endo-relation")
-    stages = [frozenset(b for (m, b) in f.pairs if m == EMPTY_MSET)]
+    supports = [(mset_support(m), b) for (m, b) in f.pairs]
+    stages = [frozenset(b for (u, b) in supports if not u)]
     for _ in range(depth + 1):
         prev = stages[-1]
-        stages.append(frozenset(b for (m, b) in f.pairs if mset_support(m) <= prev))
+        stages.append(frozenset(b for (u, b) in supports if u <= prev))
     return TreeStar(stages, stabilized=stages[-1] == stages[-2])
 
 
@@ -254,15 +271,17 @@ class Preorder:
     """A finite preorder: reflexive and transitive, no antisymmetry required.
 
     Preorders are immutable; equality and the (cached) hash ignore the name.
+    The class representatives are filled in on first use (`_class_rep`).
     """
 
-    __slots__ = ("name", "elements", "leq_pairs", "_hash")
+    __slots__ = ("name", "elements", "leq_pairs", "_hash", "_reps")
 
     def __init__(self, elements, leq, name="P", _validate=True):
         self.name = name
         self.elements = tuple(elements)
         self.leq_pairs = frozenset(leq)
         self._hash = None
+        self._reps = None
         if _validate:
             problems = self.validate()
             if problems:
@@ -329,8 +348,14 @@ def _subsumes(src: Preorder, tgt: Preorder, p, q) -> bool:
 
 def _class_rep(pre: Preorder, x):
     """Least-keyed member of x's equivalence class, or x itself if foreign."""
-    cls = [y for y in pre.elements if pre.leq(x, y) and pre.leq(y, x)]
-    return min(cls, key=_skey) if cls else x
+    reps = pre._reps
+    if reps is None:
+        reps = pre._reps = {}
+        for y in pre.elements:
+            cls = [z for z in pre.elements if pre.leq(y, z) and pre.leq(z, y)]
+            if cls:
+                reps[y] = min(cls, key=_skey)
+    return reps.get(x, x)
 
 
 def canon_uset(pre: Preorder, u) -> Tuple:
@@ -341,6 +366,9 @@ def canon_uset(pre: Preorder, u) -> Tuple:
     sets are Hoare-equivalent exactly when they canonicalize identically.
     """
     u0 = uset(u)
+    if len(u0) < 2:
+        # nothing to dominate, and a single representative is sorted already
+        return tuple(_class_rep(pre, x) for x in u0)
     kept = []
     for x in u0:
         dominated = False
@@ -358,8 +386,9 @@ def canon_uset(pre: Preorder, u) -> Tuple:
 def normalize_pairs(src: Preorder, tgt: Preorder, pairs) -> frozenset:
     """Drop subsumed pairs; mutually subsuming classes keep their least
     representative under the canonical sort key."""
+    keys = {p: _skey(p) for p in pairs}
     keep = []
-    for p in sorted(pairs, key=_skey):
+    for p in sorted(pairs, key=keys.__getitem__):
         dominated = False
         for q in pairs:
             if q == p:
@@ -367,7 +396,7 @@ def normalize_pairs(src: Preorder, tgt: Preorder, pairs) -> frozenset:
             if _subsumes(src, tgt, q, p):
                 if _subsumes(src, tgt, p, q):
                     # mutual: keep only the least-keyed member of the class
-                    if _skey(q) < _skey(p):
+                    if keys[q] < keys[p]:
                         dominated = True
                         break
                 else:

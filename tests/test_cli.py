@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fixcat import cli
+from fixcat import cli, models
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -106,6 +106,35 @@ def test_laws_empty_models(tmp_path, capsys):
     code, _, err = run(capsys, "laws", str(cfg))
     assert code == 2
     assert "empty model list" in err
+
+
+def law_ids(out):
+    return [line.split("] ", 1)[1].split(":")[0]
+            for line in out.splitlines() if line.startswith("[")]
+
+
+def test_laws_adapter_crash_exits_one_with_every_law_reported(
+        tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "poset.json"
+    cfg.write_text(json.dumps({"kind": "suite-config", "models": ["poset"],
+                               "draws": 2, "seed": 0}))
+    code, sound, _ = run(capsys, "laws", str(cfg))
+    assert code == 0
+    lfp = models.PosetModel._lfp
+
+    def crashing(self, f):
+        if len(f.source.elements) == 3:
+            raise KeyError("boom")
+        return lfp(self, f)
+
+    monkeypatch.setattr(models.PosetModel, "_lfp", crashing)
+    code, out, err = run(capsys, "laws", str(cfg))
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert law_ids(out) == law_ids(sound)
+    failing = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failing
+    assert all("<error> != KeyError: 'boom'" in line for line in failing)
 
 
 def test_laws_missing_config(capsys):

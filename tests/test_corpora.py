@@ -1,5 +1,8 @@
 """Corpus builders: enumeration counts, square validity, determinism."""
 
+import dataclasses
+import hashlib
+import json
 import random
 import tracemalloc
 from itertools import chain as concat, product
@@ -36,6 +39,7 @@ from fixcat.corpora import (
     scott_corpus,
     strict_orders_upto_iso,
 )
+from fixcat.serialize import to_document
 
 
 def chain(n):
@@ -210,3 +214,38 @@ def test_rel_corpus_build_peak_within_twice_retained():
         tracemalloc.stop()
     assert corpus.dinat_triples
     assert peak - base <= 2 * (retained - base)
+
+
+# --- value fingerprints of the relational corpora ----------------------------
+
+def _fingerprint_value(x):
+    if isinstance(x, laws.ThinCell):
+        return ["cell", _fingerprint_value(x.source),
+                _fingerprint_value(x.target)]
+    if isinstance(x, (tuple, list)):
+        return [_fingerprint_value(y) for y in x]
+    return to_document(x)
+
+
+def corpus_fingerprint(corpus):
+    """sha256 over every channel, in channel and instance order."""
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(corpus):
+        items = getattr(corpus, f.name)
+        doc = [f.name, [_fingerprint_value(x) for x in items]]
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+# Captured before the relational kernels were tuned; any change to a kernel
+# must leave every corpus instance, its order and its names as they were.
+REL_CORPUS_SHA256 = (
+    "7a2e447f7fe79595876b740be4bd0f1a610df66a4773c41513da2156826e49f1")
+SCOTT_CORPUS_SHA256 = (
+    "1b58453e5337d26ce4ea98754ac26ba62925ee6e9a8043def6bb0f370d70be67")
+
+
+def test_relational_corpus_fingerprints_are_pinned():
+    assert corpus_fingerprint(rel_corpus(draws=12, seed=0)) == REL_CORPUS_SHA256
+    assert (corpus_fingerprint(scott_corpus(draws=12, seed=0))
+            == SCOTT_CORPUS_SHA256)

@@ -320,6 +320,29 @@ def test_broken_adapter_counterexample_unchanged():
                            "1->P2_0{'*'>'e0'}")
 
 
+class CrashingPosetModel(PosetModel):
+    """An adapter whose star hits a non-fixcat error on 3-element posets."""
+
+    def _lfp(self, f):
+        if len(f.source.elements) == 3:
+            raise KeyError("boom")
+        return super()._lfp(f)
+
+
+def test_adapter_crash_is_reported_as_error_counterexample():
+    corpus = corpora.poset_corpus(draws=2, seed=0)
+    reports = run_suite([(CrashingPosetModel(), corpus)])
+    sound = run_suite([(PosetModel(), corpus)])
+    assert [r.law_id for r in reports] == [r.law_id for r in sound]
+    failed = [r for r in reports if r.failed]
+    assert failed
+    # the walk went on past the crashing instances
+    assert any(r.passes for r in failed)
+    for r in failed:
+        assert r.counterexample["left"] == "<error>"
+        assert r.counterexample["right"] == "KeyError: 'boom'"
+
+
 @pytest.mark.parametrize("make", [PosetModel, BrokenPosetModel, ScottModel])
 def test_direct_checks_match_run_suite(make):
     corpus = (corpora.scott_corpus(draws=6) if make is ScottModel

@@ -46,6 +46,7 @@ from fixcat.rel import (
     tree_star,
     uset,
 )
+from fixcat.rel import _class_rep, _skey
 
 
 # --- multisets ----------------------------------------------------------------
@@ -418,3 +419,99 @@ def test_scott_swap_and_cross():
     fg = scott_cross(f, g)
     assert scott_compose(scott_proj1(P_CHAIN, T_CHAIN), fg) == \
         scott_compose(f, scott_proj1(P_CHAIN, T_CHAIN))
+
+
+# --- kernel equivalence ------------------------------------------------------------
+
+def reference_compose(g, f):
+    """g after f by the general loop: every premise through combinations
+    and a multiset union, with no shortcut for small premises."""
+    by_target = {}
+    for (m, b) in f.pairs:
+        by_target.setdefault(b, []).append(m)
+    out = set()
+    for (n, c) in g.pairs:
+        slots = []
+        feasible = True
+        for (b, k) in n:
+            cands = by_target.get(b, [])
+            if not cands:
+                feasible = False
+                break
+            slots.append(list(itertools.combinations_with_replacement(cands, k)))
+        if not feasible:
+            continue
+        for choice in itertools.product(*slots):
+            ms = [m for group in choice for m in group]
+            out.add((mset_union(*ms), c))
+    return out
+
+
+def random_mrel_pairs(data, source, target):
+    premise = (st.dictionaries(st.sampled_from(source), st.integers(1, 2),
+                               max_size=2)
+               if source else st.just({}))
+    pair = st.tuples(premise, st.sampled_from(target))
+    drawn = data.draw(st.lists(pair, max_size=6)) if target else []
+    return {(mset(x for (x, k) in counts.items() for _ in range(k)), b)
+            for (counts, b) in drawn}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_mrel_compose_matches_general_loop(na, nb, nc, data):
+    a = tuple(f"a{i}" for i in range(na))
+    b = tuple(range(nb))
+    c = tuple(f"c{i}" for i in range(nc))
+    f = MultisetRel(a, b, random_mrel_pairs(data, a, b))
+    g = MultisetRel(b, c, random_mrel_pairs(data, b, c))
+    gf = mrel_compose(g, f)
+    assert gf.validate() == []
+    assert gf.pairs == reference_compose(g, f)
+    assert (gf.source, gf.target) == (f.source, g.target)
+
+
+def test_permuted_carriers_compare_hash_and_compose_equal():
+    pairs = {(mset(["a"]), "b"), (EMPTY_MSET, "a")}
+    r = MultisetRel(("a", "b"), ("a", "b"), pairs)
+    r_perm = MultisetRel(("b", "a"), ("b", "a"), pairs)
+    assert r == r_perm and hash(r) == hash(r_perm)
+    assert mrel_compose(r_perm, r) == mrel_compose(r, r)
+    assert mrel_compose(r, r_perm) == mrel_compose(r, r)
+    assert mrel_star(r_perm) == mrel_star(r)
+    assert tree_star(r_perm, 3).final == tree_star(r, 3).final
+
+
+def test_different_carriers_differ_and_refuse_to_compose():
+    r = MultisetRel(("a", "b"), ("a", "b"), {(mset(["a"]), "b")})
+    wider = MultisetRel(("a", "b", "c"), ("a", "b", "c"), {(mset(["a"]), "b")})
+    assert r != wider
+    with pytest.raises(TypeMismatch):
+        mrel_compose(wider, r)
+    lopsided = MultisetRel(("a", "b"), ("a",), {(mset(["b"]), "a")})
+    for star in (mrel_star, lambda x: tree_star(x, 2)):
+        with pytest.raises(TypeMismatch):
+            star(lopsided)
+
+
+MIXED_ELEMENTS = [0, "0", 1, "b", "a", ("t", 1), 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(MIXED_ELEMENTS), unique=True, max_size=5),
+       st.data())
+def test_class_rep_matches_brute_force(elements, data):
+    edges = data.draw(st.sets(st.tuples(st.sampled_from(elements),
+                                        st.sampled_from(elements)))
+                      if elements else st.just(set()))
+    leq = {(x, x) for x in elements} | edges
+    while True:
+        step = {(x, z) for (x, y) in leq for (y2, z) in leq if y == y2}
+        if step <= leq:
+            break
+        leq |= step
+    pre = Preorder(elements, leq)
+    for x in elements:
+        cls = [y for y in elements if (x, y) in leq and (y, x) in leq]
+        assert _class_rep(pre, x) == min(cls, key=_skey)
+    assert _class_rep(pre, "foreign") == "foreign"
