@@ -488,7 +488,12 @@ def preorders_upto_iso(max_size=3):
 
 def scott_fragment_endos(pre):
     """Premise-size <= 1 endos: the full space at size <= 2, the axiom-set
-    by partial-graph fragment at size 3 (the full space is out of reach)."""
+    by partial-graph fragment at size 3 (the full space is out of reach).
+
+    At size 3 an axiom ((), b) subsumes every (u, b), so only the outputs
+    that are not axioms get a premise choice.  A choice with None in every
+    axiom position comes first in product order among those it stands for,
+    so each distinct relation keeps the place of its first occurrence."""
     elems = pre.elements
     seen, out = set(), []
 
@@ -508,8 +513,9 @@ def scott_fragment_endos(pre):
             itertools.combinations(elems, r) for r in range(len(elems) + 1))
         for axioms in axiom_sets:
             ax = {((), b) for b in axioms}
-            for combo in itertools.product(opts, repeat=len(elems)):
-                push(ax | {(u, b) for u, b in zip(combo, elems)
+            free = [b for b in elems if b not in axioms]
+            for combo in itertools.product(opts, repeat=len(free)):
+                push(ax | {(u, b) for u, b in zip(combo, free)
                            if u is not None})
     return out
 
@@ -605,8 +611,9 @@ def scott_corpus(draws=1000, seed=0):
     small = [p for p in pres if len(p.elements) <= 2]
     big3 = [p for p in pres if len(p.elements) == 3]
     c = Corpus()
+    frags = {p: scott_fragment_endos(p) for p in pres}
     for p in pres:
-        c.endos.extend(scott_fragment_endos(p))
+        c.endos.extend(frags[p])
     c.endo_cells = [ThinCell(f, f)
                     for f in _stride_sample(c.endos, 4 * DERIVED_CAP)]
     for a in small:
@@ -625,9 +632,9 @@ def scott_corpus(draws=1000, seed=0):
 
     squares = []
     for a in small:
-        frag_a = scott_fragment_endos(a)
+        frag_a = frags[a]
         for b in small:
-            frag_b = scott_fragment_endos(b)
+            frag_b = frags[b]
             for s in scott_partial_graphs(a, b):
                 if not all(len(u) == 1 for (u, _) in s.pairs):
                     continue

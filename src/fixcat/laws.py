@@ -15,7 +15,10 @@ the adapter and comparing; no law is derived from another.  Laws are
 declared per family (`fix_laws`, `dinat_laws`, `unif_laws`) and evaluated
 instance-major by `run_laws`: each corpus instance is evaluated once for
 every law that reads its channel, under a star/compose memo that lives for
-that one instance.
+that one instance.  A fixpoint is a function of its endo's value alone, so
+stars (and the cat adapter's chains) are also kept in a run table that
+lives for one channel walk of `run_laws`, or for one `compare_operators`
+call; composites are not.
 
 Thin adapters present a 2-cell as a ThinCell: the bare claim that its two
 boundary 1-cells are equal.  Pasting then only composes boundaries, and
@@ -46,11 +49,20 @@ class ThinCell:
         return f"ThinCell({self.source!r} => {self.target!r})"
 
 
-def memoized(method):
+def memoized(method=None, *, run_scoped=False):
     """Share an adapter method's results by argument value while a memo is
     open on the adapter (`_memo` is a dict, not None).  The law runner opens
-    one per corpus instance.  A call that raises is not kept; the wrapped
-    methods never return None, which marks a miss."""
+    one per corpus instance.
+
+    A `run_scoped` method (`@memoized(run_scoped=True)`) is a function of
+    its arguments' values alone, like a fixpoint of its endo.  When the
+    instance memo misses, it is looked up in the adapter's run table
+    (`_run`), which `run_laws` keeps open for a channel walk and
+    `compare_operators` for a whole call, and the result is written through
+    to both.  A call that raises is kept in neither; the wrapped methods
+    never return None, which marks a miss."""
+    if method is None:
+        return functools.partial(memoized, run_scoped=run_scoped)
     kind = method.__name__
 
     @functools.wraps(method)
@@ -61,7 +73,14 @@ def memoized(method):
         key = (kind, *args)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = method(self, *args)
+            run = self._run if run_scoped else None
+            if run is not None:
+                out = run.get(key)
+            if out is None:
+                out = method(self, *args)
+                if run is not None:
+                    run[key] = out
+            memo[key] = out
         return out
     return shared
 
@@ -72,12 +91,15 @@ class FixpointModel:
     Concrete adapters fill in the abstract cell operations; the generic
     horizontal composite and the description hooks have workable defaults.
     `thin` marks adapters whose 2-cells are ThinCell claims.  Methods
-    wrapped in `memoized` consult `_memo` while the law engine has one open.
+    wrapped in `memoized` consult `_memo` (one corpus instance) while the
+    law engine has one open, and run-scoped ones also `_run` (one channel
+    walk, or one operator comparison).
     """
 
     name = "model"
     thin = True
     _memo = None
+    _run = None
 
     # -- objects and 1-cells ------------------------------------------------
     def identity(self, obj):
@@ -316,7 +338,18 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
     Each channel is walked once.  For every instance a fresh star/compose
     memo is opened on the adapter, every law reading that channel is
     evaluated under it, and the memo is dropped before the next instance,
-    so it never holds more than one instance's intermediate 1-cells.
+    so it never holds more than one instance's intermediate 1-cells.  The
+    run table of the run-scoped methods (stars, cat chains) stays open for
+    the whole walk of a channel, so each distinct fixpoint is computed once
+    per channel.  It is renewed between channels, because on a corpus that
+    shares little a table kept across channels would hold a star, and the
+    endo that keys it, for nearly every instance.
+
+    Value-equal 1-cells may carry different names, and a star shared
+    through the run table carries the names of the instance that computed
+    it first.  So a failing instance is replayed, under a fresh memo with
+    the run table off, before its counterexample is rendered: the text is
+    the one an evaluation of that instance alone gives.
     Reports come back in the order of `laws`.
     """
     by_channel = {}
@@ -327,28 +360,49 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
         by_channel.setdefault(law.channel, []).append(tally)
     try:
         for channel, group in by_channel.items():
+            m._run = {}
             for inst in getattr(corpus, channel):
                 m._memo = {}
-                for tally in group:
-                    law = tally[0]
-                    try:
-                        ok, left, right = law.evaluate(inst)
-                    except Exception as e:
-                        # an adapter crash is this law's counterexample,
-                        # not the end of the run
-                        ok, left, right = False, None, e
-                    if ok:
+                fresh = []            # laws failing here for the first time
+                for i, tally in enumerate(group):
+                    if _evaluate(tally[0], inst)[0]:
                         tally[1] += 1
                     elif tally[2] is None:
-                        tally[2] = _counterexample(m, law, inst, left, right)
+                        fresh.append(i)
+                if fresh:
+                    _replay_counterexamples(m, group, inst, fresh)
     finally:
-        m._memo = None
+        m._memo = m._run = None
     reports = []
     for law, passes, counterexample in tallies:
         tried = len(getattr(corpus, law.channel))
         reports.append(LawReport(law.law_id, law.statement, tried, passes,
                                  counterexample, vacuous=tried == 0))
     return reports
+
+
+def _evaluate(law, inst):
+    """(ok, left, right) of `law` at `inst`; an adapter crash is this law's
+    counterexample, not the end of the run."""
+    try:
+        return law.evaluate(inst)
+    except Exception as e:
+        return False, None, e
+
+
+def _replay_counterexamples(m, group, inst, fresh):
+    """Write the counterexamples of the laws `group[i]`, i in `fresh`, at
+    `inst`.  The group is replayed up to its last failing law under a fresh
+    memo with the run table off, as if `inst` were the only instance, so
+    the rendered sides carry `inst`'s own names."""
+    run, m._run, m._memo = m._run, None, {}
+    try:
+        for i, tally in enumerate(group[:fresh[-1] + 1]):
+            _, left, right = _evaluate(tally[0], inst)
+            if i in fresh:
+                tally[2] = _counterexample(m, tally[0], inst, left, right)
+    finally:
+        m._run = run
 
 
 def _counterexample(m, law, inst, left, right):
@@ -706,7 +760,8 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     survive per endo (NotContractible otherwise).  Optional channels check
     the delta family against naturality cells and dinat pairs; the delta
     found for an endo is kept by value and reused there.  Every endo, cell
-    and pair is evaluated under its own fresh memo on both adapters.
+    and pair is evaluated under its own fresh memo on both adapters; each
+    adapter's run table keeps its stars for the whole call.
     Each `deltas` record keeps the endo and its delta as objects; only
     error messages are rendered with describe1/describe2.
     """
@@ -724,6 +779,7 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
             delta = found[f] = good[0]
         return delta
 
+    m1._run, m2._run = {}, {}
     try:
         for f in endos:
             m1._memo, m2._memo = {}, {}
@@ -757,7 +813,7 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
                 raise NotContractible(
                     0, f"delta does not commute with dinat at (f={m.describe1(f)}, g={m.describe1(g)})")
     finally:
-        m1._memo = m2._memo = None
+        m1._memo = m2._memo = m1._run = m2._run = None
     identity = all(d["is_identity"] for d in deltas) and bool(deltas)
     certificate = (f"each of {len(deltas)} components unique among "
                    f"{searched} invertible candidates searched")
@@ -786,7 +842,8 @@ def run_suite(jobs, seed=0):
     """Run every law check for each (model, corpus) job; sorted by law id.
 
     All laws of a job go through one `run_laws` call, so each instance is
-    evaluated once for every law that reads it, under one memo.
+    evaluated once for every law that reads it, under one memo, and each
+    distinct star is computed once per channel.
     Deterministic for a fixed corpus; the seed is only echoed so reports
     produced from seeded corpora carry their provenance.
     """

@@ -10,6 +10,9 @@ finite target category.
 
 The thin adapters' star and compose are `memoized`: while the law engine
 evaluates one corpus instance, calls with equal arguments share one result.
+Stars, and the cat adapter's chains, are run-scoped: a fixpoint depends on
+its endo's value alone, so a walk of one corpus channel, or one operator
+comparison, computes each distinct one once.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class PosetModel(ThinModel):
             return poset.kleene_star(f)
         return poset.bifree_star(f)
 
-    @memoized
+    @memoized(run_scoped=True)
     def star(self, f):
         if f.source != f.target:
             raise TypeMismatch("star needs an endomap")
@@ -160,7 +163,7 @@ class RelModel(ThinModel):
     def is_strict(self, s):
         return all(rel.mset_size(m) == 1 for (m, _) in s.pairs)
 
-    @memoized
+    @memoized(run_scoped=True)
     def star(self, f):
         if not self.eq_obj(f.source, f.target):
             raise TypeMismatch("star needs an endo-relation")
@@ -240,7 +243,7 @@ class ScottModel(ThinModel):
     def is_strict(self, s):
         return all(len(u) == 1 for (u, _) in s.pairs)
 
-    @memoized
+    @memoized(run_scoped=True)
     def star(self, f):
         return rel.scott_star(f)
 
@@ -302,7 +305,6 @@ class CatModel(FixpointModel):
     def __init__(self, max_steps=16, bound=cat.DEFAULT_BOUND):
         self.max_steps = max_steps
         self.bound = bound
-        self._chains = {}
 
     def identity(self, obj):
         return cat.identity_functor(obj)
@@ -330,16 +332,14 @@ class CatModel(FixpointModel):
         targets = set(s.target.initial_objects())
         return all(s.on_obj(x) in targets for x in initials)
 
+    @memoized(run_scoped=True)
     def _chain(self, f):
-        key = f.key()
-        if key not in self._chains:
-            chain = lambek_chain(f, max_steps=self.max_steps)
-            if not chain.stabilized:
-                raise ValidationError(
-                    f"chain for {self.describe1(f)} did not stabilize "
-                    f"within {self.max_steps} steps")
-            self._chains[key] = chain
-        return self._chains[key]
+        chain = lambek_chain(f, max_steps=self.max_steps)
+        if not chain.stabilized:
+            raise ValidationError(
+                f"chain for {self.describe1(f)} did not stabilize "
+                f"within {self.max_steps} steps")
+        return chain
 
     def star(self, f):
         if f.source != f.target:

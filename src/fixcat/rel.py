@@ -271,10 +271,11 @@ class Preorder:
     """A finite preorder: reflexive and transitive, no antisymmetry required.
 
     Preorders are immutable; equality and the (cached) hash ignore the name.
-    The class representatives are filled in on first use (`_class_rep`).
+    The class representatives (`_class_rep`) and the down-set bit masks
+    (`_masks`) are filled in on first use.
     """
 
-    __slots__ = ("name", "elements", "leq_pairs", "_hash", "_reps")
+    __slots__ = ("name", "elements", "leq_pairs", "_hash", "_reps", "_masks")
 
     def __init__(self, elements, leq, name="P", _validate=True):
         self.name = name
@@ -282,6 +283,7 @@ class Preorder:
         self.leq_pairs = frozenset(leq)
         self._hash = None
         self._reps = None
+        self._masks = None
         if _validate:
             problems = self.validate()
             if problems:
@@ -335,9 +337,47 @@ def uset(items) -> Tuple:
     return tuple(sorted(set(items), key=_skey))
 
 
+def _masks(pre: Preorder):
+    """Each element's down-set as an int mask, bit i standing for
+    `pre.elements[i]`.  Reflexivity puts x's own bit in its mask, so x is
+    below y exactly when x's mask lies inside y's.  A foreign element has
+    no mask: it is below nothing, not even itself."""
+    down = pre._masks
+    if down is None:
+        bit = {x: 1 << i for i, x in enumerate(pre.elements)}
+        down = dict.fromkeys(bit, 0)
+        for (x, y) in pre.leq_pairs:
+            if x in bit and y in bit:
+                down[y] |= bit[x]
+        pre._masks = down
+    return down
+
+
+def _need(down, u) -> int:
+    """The down-closure of u as a mask, or -1, a superset of every mask,
+    when u holds a foreign element, which nothing dominates."""
+    out = 0
+    for x in u:
+        d = down.get(x)
+        if d is None:
+            return -1
+        out |= d
+    return out
+
+
+def _have(down, v) -> int:
+    """The down-closure of v as a mask; a foreign element adds nothing."""
+    out = 0
+    for y in v:
+        out |= down.get(y, 0)
+    return out
+
+
 def hoare_leq(pre: Preorder, u, v) -> bool:
     """u below v when every element of u is dominated by one of v."""
-    return all(any(pre.leq(x, y) for y in v) for x in u)
+    down = _masks(pre)
+    need = _need(down, u)
+    return need & _have(down, v) == need
 
 
 def _subsumes(src: Preorder, tgt: Preorder, p, q) -> bool:
@@ -385,24 +425,25 @@ def canon_uset(pre: Preorder, u) -> Tuple:
 
 def normalize_pairs(src: Preorder, tgt: Preorder, pairs) -> frozenset:
     """Drop subsumed pairs; mutually subsuming classes keep their least
-    representative under the canonical sort key."""
-    keys = {p: _skey(p) for p in pairs}
+    representative under the canonical sort key.
+
+    Each pair (u, b) is read once into masks (`_need`/`_have` of u in
+    `src`, of b in `tgt`).  q = (u', b') subsumes p = (u, b) when u' lies
+    below u and b below b'."""
+    sdown, tdown = _masks(src), _masks(tgt)
+    # key, pair, need and have of u, need and have of b
+    rows = sorted(((_skey(p), p, _need(sdown, p[0]), _have(sdown, p[0]),
+                    tdown.get(p[1], -1), tdown.get(p[1], 0)) for p in pairs),
+                  key=lambda row: row[0])
     keep = []
-    for p in sorted(pairs, key=keys.__getitem__):
-        dominated = False
-        for q in pairs:
-            if q == p:
-                continue
-            if _subsumes(src, tgt, q, p):
-                if _subsumes(src, tgt, p, q):
-                    # mutual: keep only the least-keyed member of the class
-                    if keys[q] < keys[p]:
-                        dominated = True
-                        break
-                else:
-                    dominated = True
-                    break
-        if not dominated:
+    for (kp, p, up, uhp, bp, bhp) in rows:
+        for (kq, q, uq, uhq, bq, bhq) in rows:
+            if q is p or uq & uhp != uq or bp & bhq != bp:
+                continue            # q does not subsume p
+            # mutual subsumption keeps only the least-keyed member
+            if up & uhq != up or bq & bhp != bq or kq < kp:
+                break
+        else:
             keep.append(p)
     return frozenset(keep)
 
@@ -516,15 +557,18 @@ def scott_star_set(f: IdealRel) -> frozenset:
     if f.source != f.target:
         raise TypeMismatch("scott_star needs an endo-relation")
     pre = f.source
-    x = frozenset()
+    down = _masks(pre)
+    rules = [(_need(down, u), down.get(b0, 0)) for (u, b0) in f.pairs]
+    x = 0
     for _ in range(len(pre.elements) + 1):
-        nxt = frozenset(b for b in pre.elements
-                        for (u, b0) in f.pairs
-                        if set(u) <= x and pre.leq(b, b0))
+        nxt = 0
+        for (need, below) in rules:
+            if need & x == need:
+                nxt |= below
         if nxt == x:
             break
         x = nxt
-    return x
+    return frozenset(e for e, d in down.items() if d & x == d)
 
 
 def scott_star(f: IdealRel) -> IdealRel:

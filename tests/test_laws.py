@@ -275,10 +275,12 @@ def test_memo_closed_after_run_suite_and_compare(poset_corpus, rel_corpus):
     pm, rm = PosetModel(), RelModel()
     run_suite([(pm, poset_corpus), (rm, rel_corpus)])
     assert pm._memo is None and rm._memo is None
+    assert pm._run is None and rm._run is None
     m1, m2 = RelModel("closure"), RelModel("tree")
     compare_operators(m1, m2, rel_corpus.endos, cells=rel_corpus.endo_cells,
                       pairs=rel_corpus.dinat_pairs[::50])
     assert m1._memo is None and m2._memo is None
+    assert m1._run is None and m2._run is None
 
 
 def test_memo_closed_after_compare_raises(poset_corpus):
@@ -286,6 +288,7 @@ def test_memo_closed_after_compare_raises(poset_corpus):
     with pytest.raises(NotContractible):
         compare_operators(m1, m2, poset_corpus.endos)
     assert m1._memo is None and m2._memo is None
+    assert m1._run is None and m2._run is None
 
 
 def test_memo_shares_equal_arguments():
@@ -398,3 +401,113 @@ def test_compare_renders_no_describe_strings_when_passing(poset_corpus):
     assert calls == []
     # the records keep the endo and its delta as objects
     assert [d["endo"] for d in rep.deltas] == list(poset_corpus.endos)
+
+
+# --- the run table: each distinct star computed once per law run -------------
+
+OTHER2 = poset.PointedPoset(["b", "t"], [("b", "b"), ("t", "t"), ("b", "t")],
+                            "b", name="other")
+DOWN_OTHER = poset.MonotoneMap(OTHER2, OTHER2, {"b": "b", "t": "b"},
+                               name="down_other")
+
+
+def star_law(m):
+    def evaluate(f):
+        m.star(f)
+        return True, None, None
+    return laws.Law("star", "", "endos", evaluate, m.describe1)
+
+
+@pytest.mark.parametrize("make, module, kernel", [
+    (lambda: PosetModel("kleene"), poset, "kleene_star"),
+    (lambda: PosetModel("bifree"), poset, "bifree_star"),
+    (lambda: RelModel("closure"), rel, "mrel_star"),
+    (lambda: RelModel("tree"), rel, "tree_star"),
+], ids=["poset-kleene", "poset-bifree", "rel-closure", "rel-tree"])
+def test_run_table_shares_value_equal_stars_across_instances(
+        monkeypatch, make, module, kernel):
+    calls = []
+    real = getattr(module, kernel)
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(module, kernel, counting)
+    m = make()
+    if module is poset:
+        f, twin = DOWN, DOWN_OTHER
+    else:
+        f = rel.MultisetRel(("a", "b"), ("a", "b"),
+                            {(rel.EMPTY_MSET, "a"), (rel.mset(["a"]), "b")})
+        twin = rel.MultisetRel(("b", "a"), ("b", "a"), f.pairs, name="twin")
+    assert f == twin and f is not twin
+    reports = laws.run_laws(m, Corpus(endos=[f, twin]), [star_law(m)])
+    assert reports[0].passes == 2
+    assert len(calls) == 1
+    assert m._run is None
+    # a second run opens a table of its own
+    laws.run_laws(m, Corpus(endos=[twin]), [star_law(m)])
+    assert len(calls) == 2
+
+
+def test_run_table_renewed_between_channels(monkeypatch):
+    calls = []
+    real = poset.kleene_star
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(poset, "kleene_star", counting)
+    m = PosetModel()
+
+    def cell_star(alpha):
+        m.star(m.src2(alpha))
+        return True, None, None
+
+    corpus = Corpus(endos=[UP, UP], endo_cells=[ThinCell(UP, UP)] * 2)
+    laws.run_laws(m, corpus, [
+        star_law(m), laws.Law("cell", "", "endo_cells", cell_star,
+                              m.describe2)])
+    assert len(calls) == 2
+
+
+def test_run_table_keeps_no_failed_star():
+    m = RelModel()
+    f = rel.MultisetRel(("a",), ("a", "b"), {(rel.mset(["a"]), "b")})
+    m._memo, m._run = {}, {}
+    for _ in range(2):
+        with pytest.raises(TypeMismatch):
+            m.star(f)
+    assert m._memo == {} and m._run == {}
+    m._memo = m._run = None
+
+
+def test_run_table_writes_through_to_instance_memo():
+    m = PosetModel()
+    m._memo, m._run = {}, {}
+    shared = m.star(UP)
+    m._memo = {}
+    assert m.star(UP) is shared
+    assert list(m._memo.values()) == [shared]
+    m._memo = m._run = None
+
+
+def test_counterexample_rendered_from_replay_without_run_table():
+    # DOWN and DOWN_OTHER are equal by value on posets named "two" and
+    # "other".  The dinat pair warms the run table with DOWN's star, named
+    # after "two"; fix.cell then fails on DOWN_OTHER, and its counterexample
+    # must read as if DOWN_OTHER had been evaluated on its own.
+    m = BrokenPosetModel()
+    corpus = Corpus(endos=[DOWN_OTHER], dinat_pairs=[(DOWN, IDC)])
+    cell = laws.fix_laws(m)[0]
+    reports = laws.run_laws(m, corpus, laws.dinat_laws(m)[:1] + [cell])
+    got = reports[1].counterexample
+    assert m._memo is None and m._run is None
+    ok, left, right = cell.evaluate(DOWN_OTHER)
+    assert not ok
+    want = laws._counterexample(m, cell, DOWN_OTHER, left, right)
+    assert got == want
+    assert "two" not in got["left"] + got["right"]
+    assert got["left"] == "1->other{'*'>'b'} => 1->other{'*'>'t'}"

@@ -2,8 +2,8 @@
 
 import pytest
 
-from fixcat import corpora, laws, poset, rel
-from fixcat.cat import identity_functor
+from fixcat import corpora, laws, models, poset, rel
+from fixcat.cat import FunctorData, identity_functor
 from fixcat.corpora import (
     AUT, COLLAPSE_X, E_CELL, F_AUT, F_IDEM, F_WALK, IDEM, JOIN_ONE, SUCC3,
     THREE, TWO, WALK, WALK_SWAP,
@@ -184,12 +184,28 @@ def test_cat_has_no_products():
     assert not m.has_products()
 
 
-def test_cat_chain_cache_reused():
+def test_cat_chain_computed_once_per_run(monkeypatch):
+    # the run table keeps each endo's chain for a channel walk, across
+    # instances and across value-equal functors, and is dropped at the end
+    chain = models.lambek_chain
+    calls = []
+
+    def counting(f, max_steps=16):
+        calls.append(f)
+        return chain(f, max_steps=max_steps)
+
+    monkeypatch.setattr(models, "lambek_chain", counting)
     m = CatModel()
-    m.star(F_AUT)
-    first = dict(m._chains)
-    m.star(F_AUT)
-    assert dict(m._chains) == first
+    twin = FunctorData(F_AUT.source, F_AUT.target, F_AUT.omap, F_AUT.amap,
+                       name="aut_twin")
+    corpus = laws.Corpus(endos=[F_AUT, twin, F_AUT])
+    every = laws.fix_laws(m) + laws.dinat_laws(m) + laws.unif_laws(m)
+    reports = laws.run_laws(m, corpus, every)
+    assert all(r.passes == 3 for r in reports if r.instances == 3)
+    assert calls == [F_AUT]
+    laws.run_laws(m, corpus, every)
+    assert len(calls) == 2
+    assert m._run is None and m._memo is None
 
 
 def test_thin_cell_ops():

@@ -1,6 +1,7 @@
 """Multiset relations and ideal relations: composition, stars, products."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from fixcat.rel import (
     mset_map,
     mset_support,
     mset_union,
+    normalize_pairs,
     preorder_disjoint_union,
     scott_compose,
     scott_cross,
@@ -515,3 +517,87 @@ def test_class_rep_matches_brute_force(elements, data):
         cls = [y for y in elements if (x, y) in leq and (y, x) in leq]
         assert _class_rep(pre, x) == min(cls, key=_skey)
     assert _class_rep(pre, "foreign") == "foreign"
+
+
+# --- bit-mask kernels against their brute-force definitions -----------------
+
+FOREIGN = ["foreign", 3, ("t", 2)]
+
+
+def brute_hoare_leq(pre, u, v):
+    return all(any(pre.leq(x, y) for y in v) for x in u)
+
+
+def brute_normalize_pairs(src, tgt, pairs):
+    def subsumes(p, q):
+        (u0, b0), (u, b) = p, q
+        return brute_hoare_leq(src, u0, u) and tgt.leq(b, b0)
+
+    keep = []
+    for p in sorted(pairs, key=_skey):
+        dominated = False
+        for q in pairs:
+            if q == p:
+                continue
+            if subsumes(q, p):
+                if not subsumes(p, q) or _skey(q) < _skey(p):
+                    dominated = True
+                    break
+        if not dominated:
+            keep.append(p)
+    return frozenset(keep)
+
+
+def brute_scott_star_set(f):
+    pre = f.source
+    x = frozenset()
+    for _ in range(len(pre.elements) + 1):
+        nxt = frozenset(b for b in pre.elements
+                        for (u, b0) in f.pairs
+                        if set(u) <= x and pre.leq(b, b0))
+        if nxt == x:
+            break
+        x = nxt
+    return x
+
+
+@st.composite
+def mixed_preorders(draw):
+    elements = draw(st.lists(st.sampled_from(MIXED_ELEMENTS), unique=True,
+                             max_size=5))
+    edges = draw(st.sets(st.tuples(st.sampled_from(elements),
+                                   st.sampled_from(elements)))
+                 if elements else st.just(set()))
+    leq = {(x, x) for x in elements} | edges
+    while True:
+        step = {(x, z) for (x, y) in leq for (y2, z) in leq if y == y2}
+        if step <= leq:
+            break
+        leq |= step
+    return Preorder(elements, leq)
+
+
+def input_sets(pre):
+    # carrier elements mixed with elements outside the preorder
+    return st.lists(st.sampled_from(list(pre.elements) + FOREIGN),
+                    max_size=3).map(uset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_preorders(), mixed_preorders(), st.data())
+def test_mask_kernels_match_brute_force(src, tgt, data):
+    u, v = data.draw(input_sets(src)), data.draw(input_sets(src))
+    assert hoare_leq(src, u, v) == brute_hoare_leq(src, u, v)
+    assert hoare_leq(src, u, u) == all(x in src.elements for x in u)
+
+    outputs = st.sampled_from(list(tgt.elements) + FOREIGN)
+    pairs = data.draw(st.sets(st.tuples(input_sets(src), outputs),
+                              max_size=6))
+    assert (normalize_pairs(src, tgt, pairs)
+            == brute_normalize_pairs(src, tgt, pairs))
+
+    rules = data.draw(st.sets(st.tuples(
+        input_sets(src), st.sampled_from(list(src.elements) + FOREIGN)),
+        max_size=6))
+    endo = SimpleNamespace(source=src, target=src, pairs=frozenset(rules))
+    assert scott_star_set(endo) == brute_scott_star_set(endo)
