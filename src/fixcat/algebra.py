@@ -27,22 +27,20 @@ from typing import Optional
 
 from .cat import (
     Arrow,
-    Atom,
     DEFAULT_BOUND,
     FinCategory,
     FunctorData,
     NatTransfData,
     SearchBound,
-    VComp,
-    WhiskerL,
-    WhiskerR,
     compose_functors,
     enumerate_nat_transfs,
     enumerate_functors,
-    eval_2cell,
     identity_transf,
     is_invertible_transf,
     point_functor,
+    vcomp,
+    whisker_left,
+    whisker_right,
 )
 from .errors import (
     NoInitialObject,
@@ -304,8 +302,8 @@ def unique_algebra_2cell(chain: ChainResult, first: AlgebraOneCell,
     for phi in enumerate_nat_transfs(first.u, second.u, bound):
         if not is_invertible_transf(phi):
             continue
-        lhs = eval_2cell(VComp(WhiskerL(g, Atom(phi)), Atom(first.mu)))
-        rhs = eval_2cell(VComp(Atom(second.mu), WhiskerR(Atom(phi), real.shift)))
+        lhs = vcomp(whisker_left(g, phi), first.mu)
+        rhs = vcomp(second.mu, whisker_right(phi, real.shift))
         if lhs == rhs:
             survivors.append(phi)
     if len(survivors) != 1:
@@ -343,13 +341,13 @@ def adjoint_equivalence_from_initial(chain: ChainResult) -> AdjointEquivalence:
     left = NatTransfData(p_carrier, p_image, {"*": a_inv}, name="structure_inv")
     unit = identity_transf(p_carrier)
     counit = identity_transf(p_image)
-    if eval_2cell(VComp(Atom(right), Atom(left))) != unit:
+    if vcomp(right, left) != unit:
         raise NotInvertible("unit is not the identity composite")
-    if eval_2cell(VComp(Atom(left), Atom(right))) != counit:
+    if vcomp(left, right) != counit:
         raise NotInvertible("counit is not the identity composite")
-    if eval_2cell(VComp(Atom(right), VComp(Atom(left), Atom(right)))) != right:
+    if vcomp(right, vcomp(left, right)) != right:
         raise NotInvertible("first triangle identity fails")
-    if eval_2cell(VComp(VComp(Atom(left), Atom(right)), Atom(left))) != left:
+    if vcomp(vcomp(left, right), left) != left:
         raise NotInvertible("second triangle identity fails")
     return AdjointEquivalence(right, left, unit, counit)
 

@@ -4,14 +4,14 @@ Objects and arrows are opaque string ids.  A category carries its full
 composition table, so every law check here is a finite table lookup;
 functors and natural transformations are likewise explicit dictionaries.
 2-cell calculus (vertical/horizontal composition, whiskering) is evaluated
-componentwise, and a small expression tree lets callers compare pastings
-built in syntactically different ways.
+componentwise, so two pastings are compared by the transformations they
+evaluate to.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, NotInvertible, SizeCap, TypeMismatch, ValidationError
 
@@ -400,52 +400,6 @@ def hcomp(first: NatTransfData, second: NatTransfData) -> NatTransfData:
         raise BoundaryMismatch("horizontal composite boundary mismatch")
     return vcomp(whisker_left(second.target, first),
                  whisker_right(second, first.source))
-
-
-# ---------------------------------------------------------------------------
-# 2-cell expression trees, compared by evaluation only.
-
-@dataclass(frozen=True)
-class Id2:
-    on: FunctorData
-
-
-@dataclass(frozen=True)
-class Atom:
-    cell: NatTransfData
-
-
-@dataclass(frozen=True)
-class VComp:
-    after: object
-    before: object
-
-
-@dataclass(frozen=True)
-class WhiskerL:
-    functor: FunctorData
-    expr: object
-
-
-@dataclass(frozen=True)
-class WhiskerR:
-    expr: object
-    functor: FunctorData
-
-
-def eval_2cell(expr) -> NatTransfData:
-    """Evaluate an expression tree to componentwise NatTransfData."""
-    if isinstance(expr, Id2):
-        return identity_transf(expr.on)
-    if isinstance(expr, Atom):
-        return expr.cell
-    if isinstance(expr, VComp):
-        return vcomp(eval_2cell(expr.after), eval_2cell(expr.before))
-    if isinstance(expr, WhiskerL):
-        return whisker_left(expr.functor, eval_2cell(expr.expr))
-    if isinstance(expr, WhiskerR):
-        return whisker_right(eval_2cell(expr.expr), expr.functor)
-    raise BoundaryMismatch(f"not a 2-cell expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------------

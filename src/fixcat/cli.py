@@ -11,9 +11,8 @@ import argparse
 import os
 import sys
 
-from . import algebra, cat, corpora, laws, models, poly, poset, rel, serialize
-from .errors import (FixcatError, NoProducts, NotContractible, SchemaError,
-                     TypeMismatch, ValidationError)
+from . import algebra, cat, laws, models, poly, poset, rel, serialize
+from .errors import FixcatError, NoProducts, NotContractible, SchemaError
 
 LIST_THRESHOLD = 24
 
@@ -31,51 +30,16 @@ def _search_bound():
     return cat.SearchBound(max_objects=cap, max_arrows=cap)
 
 
-def _make_model(spec, max_steps=16):
-    if spec in ("poset", "poset:kleene"):
-        return models.PosetModel("kleene")
-    if spec == "poset:bifree":
-        return models.PosetModel("bifree")
-    if spec == "poset:broken":
-        return models.BrokenPosetModel()
-    if spec in ("rel", "rel:closure"):
-        return models.RelModel("closure")
-    if spec == "rel:tree":
-        return models.RelModel("tree")
-    if spec == "scott":
-        return models.ScottModel()
-    if spec == "cat":
-        return models.CatModel(max_steps=max_steps, bound=_search_bound())
-    raise SchemaError(f"unknown model {spec!r}")
-
-
-def _corpus_for(spec, draws, seed):
-    if spec.startswith("poset"):
-        return corpora.poset_corpus(draws=draws, seed=seed)
-    if spec.startswith("rel"):
-        return corpora.rel_corpus(draws=draws, seed=seed)
-    if spec == "scott":
-        return corpora.scott_corpus(draws=draws, seed=seed)
-    return corpora.cat_corpus()
-
-
 def _expect(obj, types, what):
     if not isinstance(obj, types):
         raise SchemaError(f"expected a {what} document")
     return obj
 
 
-STAR_KINDS = {
-    "poset": (poset.MonotoneMap, "monotone-map"),
-    "rel": (rel.MultisetRel, "multiset-relation"),
-    "scott": (rel.IdealRel, "ideal-relation"),
-    "cat": (cat.FunctorData, "functor"),
-}
-
-
 def cmd_star(args):
-    want, kind_name = STAR_KINDS[args.model]
-    f = _expect(serialize.load_document(args.input), want, kind_name)
+    entry = models.REGISTRY[args.model]
+    f = _expect(serialize.load_document(args.input), entry.doc_type,
+                entry.kind_name)
     if args.model == "cat":
         chain = algebra.lambek_chain(f, max_steps=args.max_steps)
         if args.trace:
@@ -86,25 +50,21 @@ def cmd_star(args):
         print(f"fix: carrier {chain.carrier}, structure {chain.structure} "
               f"(stabilized at index {chain.index})")
         return 0
-    m = _make_model(args.model)
-    star = m.star(f)
+    star = entry.make().star(f)
     if args.model == "poset":
         if args.trace:
             print("trace: " + " -> ".join(str(x) for x in poset.iterates(f)))
         print(f"fix: {star.assignment['*']}")
-    elif args.model == "rel":
-        if args.trace:
-            ts = rel.tree_star(f, len(f.target) + 1)
-            sizes = ", ".join(str(len(s)) for s in ts.stages)
-            print(f"trace: stage sizes {sizes}")
-        derivable = sorted(b for (_, b) in star.pairs)
-        print("star: {" + ", ".join(str(b) for b in derivable) + "}")
-    else:
-        if args.trace:
-            full = sorted(rel.scott_star_set(f))
-            print("trace: closure " + "{" + ", ".join(map(str, full)) + "}")
-        derivable = sorted(b for (_, b) in star.pairs)
-        print("star: {" + ", ".join(str(b) for b in derivable) + "}")
+        return 0
+    if args.trace and args.model == "rel":
+        ts = rel.tree_star(f, len(f.target) + 1)
+        sizes = ", ".join(str(len(s)) for s in ts.stages)
+        print(f"trace: stage sizes {sizes}")
+    elif args.trace:
+        full = sorted(rel.scott_star_set(f))
+        print("trace: closure " + "{" + ", ".join(map(str, full)) + "}")
+    derivable = sorted(b for (_, b) in star.pairs)
+    print("star: {" + ", ".join(str(b) for b in derivable) + "}")
     return 0
 
 
@@ -130,10 +90,12 @@ def cmd_laws(args):
         else:
             print(f"category {c.name}: table valid")
 
-    jobs = []
-    for spec in cfg.models:
-        jobs.append((_make_model(spec, max_steps=args.max_steps),
-                     _corpus_for(spec, cfg.draws, seed)))
+    # every adapter first, so a bad chain option fails before any corpus
+    entries = [models.REGISTRY[spec] for spec in cfg.models]
+    adapters = [e.make(max_steps=args.max_steps, bound=_search_bound())
+                if spec == "cat" else e.make()
+                for spec, e in zip(cfg.models, entries)]
+    jobs = [(m, e.corpus(cfg.draws, seed)) for m, e in zip(adapters, entries)]
     reports = laws.run_suite(jobs, seed=seed)
     for r in reports:
         print(r.line())
@@ -211,30 +173,16 @@ def cmd_bisim(args):
     return 0
 
 
-DINAT_KINDS = {
-    "poset": (poset.MonotoneMap, "monotone-map"),
-    "rel": (rel.MultisetRel, "multiset-relation"),
-    "scott": (rel.IdealRel, "ideal-relation"),
-}
-
-
 def cmd_dinat_product(args):
-    if args.model not in DINAT_KINDS:
+    entry = models.REGISTRY[args.model]
+    if not entry.products:
         raise NoProducts(f"model {args.model} does not support products")
-    want, kind_name = DINAT_KINDS[args.model]
-    f = _expect(serialize.load_document(args.f), want, kind_name)
-    g = _expect(serialize.load_document(args.g), want, kind_name)
-    m = _make_model(args.model)
-    a, b = m.src(f), m.dst(f)
-    if not (m.eq_obj(a, m.dst(g)) and m.eq_obj(b, m.src(g))):
-        raise TypeMismatch("need f: A -> B and g: B -> A")
-    p1 = m.proj1(a, b)
-    p2 = m.proj2(a, b)
-    h = m.compose(m.swap_cell(b, a),
-                  m.pair(m.compose(f, p1), m.compose(g, p2)))
-    sh = m.star(h)
-    left = m.compose(p1, sh)
-    right = m.compose(p2, sh)
+    f = _expect(serialize.load_document(args.f), entry.doc_type,
+                entry.kind_name)
+    g = _expect(serialize.load_document(args.g), entry.doc_type,
+                entry.kind_name)
+    m = entry.make()
+    left, right = laws.product_route(m, f, g)
     gf_star = m.star(m.compose(g, f))
     fg_star = m.star(m.compose(f, g))
     print(f"(gf)*:    {m.describe1(gf_star)}")
@@ -248,15 +196,12 @@ def cmd_dinat_product(args):
 
 def cmd_compare(args):
     print(f"seed: {args.seed}")
-    if args.model == "poset":
-        m1, m2 = models.PosetModel("kleene"), models.PosetModel("bifree")
-        corpus = corpora.poset_corpus(draws=args.draws, seed=args.seed)
-    elif args.model == "rel":
-        m1, m2 = models.RelModel("closure"), models.RelModel("tree")
-        corpus = corpora.rel_corpus(draws=args.draws, seed=args.seed)
-    else:
+    entry = models.REGISTRY[args.model]
+    if entry.second is None:
         raise SchemaError(f"no second operator shipped for model "
                           f"{args.model!r}")
+    m1, m2 = entry.make(), entry.second()
+    corpus = entry.corpus(args.draws, args.seed)
     report = laws.compare_operators(m1, m2, corpus.endos,
                                     cells=corpus.endo_cells,
                                     pairs=corpus.dinat_pairs)
@@ -267,7 +212,7 @@ def cmd_compare(args):
     return 0 if report.identity else 1
 
 
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="fixcat",
         description="Fixpoint operators in finite models, with checked laws.")
@@ -275,7 +220,7 @@ def main(argv=None):
 
     p = sub.add_parser("star", help="iterate an endo-1-cell to its fixpoint")
     p.add_argument("input")
-    p.add_argument("--model", required=True, choices=list(STAR_KINDS))
+    p.add_argument("--model", required=True, choices=models.FAMILIES)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--max-steps", type=int, default=16)
     p.set_defaults(fn=cmd_star)
@@ -312,17 +257,20 @@ def main(argv=None):
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--model", required=True,
-                   choices=["poset", "rel", "scott", "cat"])
+                   choices=models.FAMILIES)
     p.set_defaults(fn=cmd_dinat_product)
 
     p = sub.add_parser("compare", help="compare two fixpoint operators")
     p.add_argument("--model", required=True,
-                   choices=["poset", "rel", "scott", "cat"])
+                   choices=models.FAMILIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=int, default=40)
     p.set_defaults(fn=cmd_compare)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except NotContractible as e:

@@ -10,7 +10,9 @@ endofunctor chains stabilize.
 
 Corpus builders take (draws, seed); draws is the exact number of random
 instances added on top of the exhaustive layer, split between the endo,
-dinat-pair, and uniformity-square channels.
+dinat-pair, and uniformity-square channels, and may not be negative.  The
+thin builders list endos, pairs, triples and squares; `derive_channels`
+builds the stacks, cells, thetas, transports and dinat squares from those.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import math
 import random
 
 from . import cat, poset, rel
+from .errors import ValidationError
 from .laws import Corpus, ThinCell
 
 TRIPLE_CAP = 900        # dinat one-naturality triples per model
@@ -56,6 +59,45 @@ def _stride_sample_products(blocks, cap):
             picked.append(factor[j])
         out.append(tuple(reversed(picked)))
     return out
+
+
+def _draw_counts(draws):
+    """The random endos, dinat pairs and squares `draws` splits into."""
+    if draws < 0:
+        raise ValidationError(f"draws must be nonnegative, got {draws}")
+    return (draws + 2) // 3, (draws + 1) // 3, draws // 3
+
+
+def derive_channels(m, c, middle_key):
+    """Fill the channels of thin corpus `c` that are derived from its
+    dinat pairs and uniformity squares, with `m`'s identity and compose.
+
+    A stack puts a square (s, f, g, y) under one (r, g', h, p) whose
+    middle endo is g; `middle_key(obj, endo)` keys an endo on the object it
+    sits on, s's target or r's source.  Thetas and transports are identity
+    cells over a stride sample of the squares, and the dinat squares are
+    identity squares over a stride sample of the pairs."""
+    pair_sample = _stride_sample(c.dinat_pairs, DERIVED_CAP)
+    c.dinat_cells = [(ThinCell(f, f), g) for (f, g) in pair_sample]
+
+    by_middle = {}              # lower squares, by g on s's target
+    for sq in c.unif_squares:
+        by_middle.setdefault(middle_key(sq[0].target, sq[2]), []).append(sq)
+    c.unif_stacks = _stride_sample_products(   # under each (r, g, ...)
+        [(by_middle.get(middle_key(sq[0].source, sq[1]), ()), (sq,))
+         for sq in c.unif_squares], STACK_CAP)
+
+    sample_squares = _stride_sample(c.unif_squares, DERIVED_CAP)
+    c.unif_thetas = [(ThinCell(s, s), f, g, gamma, gamma)
+                     for (s, f, g, gamma) in sample_squares]
+    c.unif_transports = [(s, ThinCell(f, f), ThinCell(g, g), gamma, gamma)
+                         for (s, f, g, gamma) in sample_squares]
+    for (f, g) in pair_sample:
+        ida, idb = m.identity(f.source), m.identity(f.target)
+        c.unif_dinat.append(
+            (ida, idb, f, g, f, g,
+             ThinCell(m.compose(idb, f), m.compose(f, ida)),
+             ThinCell(m.compose(ida, g), m.compose(g, idb))))
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +164,6 @@ def monotone_maps(p, q):
 
 def monotone_endomaps(p):
     return monotone_maps(p, p)
-
-
-def strict_monotone_maps(p, q):
-    return [m for m in monotone_maps(p, q) if m.is_bottom_preserving()]
 
 
 def random_pointed_poset(rng, size, name):
@@ -227,6 +265,8 @@ def _poset_square_search(posets, maps_of):
 
 
 def poset_corpus(draws=1000, seed=0):
+    from .models import PosetModel   # models imports corpora for its registry
+    n_endo, n_pair, n_square = _draw_counts(draws)
     posets = pointed_posets(3)
     maps_cache = {}
 
@@ -248,39 +288,11 @@ def poset_corpus(draws=1000, seed=0):
     c.dinat_triples = _stride_sample_products(
         [(maps_of(a, b), maps_of(b, cc), maps_of(cc, a))
          for a, b, cc in itertools.product(posets, repeat=3)], TRIPLE_CAP)
-    c.dinat_cells = [(ThinCell(f, f), g)
-                     for (f, g) in _stride_sample(c.dinat_pairs, DERIVED_CAP)]
     c.unif_squares = _poset_square_search(posets, maps_of)
-
-    by_middle = {}
-    for sq in c.unif_squares:
-        s, f, g, gamma = sq
-        key = (id(s.target), tuple(sorted(g.assignment.items())))
-        by_middle.setdefault(key, []).append(sq)
-    stacks = []
-    for sq2 in c.unif_squares:
-        r, g2, h, rho = sq2
-        key = (id(r.source), tuple(sorted(g2.assignment.items())))
-        stacks.append((by_middle.get(key, ()), (sq2,)))
-    c.unif_stacks = _stride_sample_products(stacks, STACK_CAP)
-
-    sample_squares = _stride_sample(c.unif_squares, DERIVED_CAP)
-    c.unif_thetas = [(ThinCell(s, s), f, g, gamma, gamma)
-                     for (s, f, g, gamma) in sample_squares]
-    c.unif_transports = [(s, ThinCell(f, f), ThinCell(g, g), gamma, gamma)
-                         for (s, f, g, gamma) in sample_squares]
-    for (f, g) in _stride_sample(c.dinat_pairs, DERIVED_CAP):
-        ida = poset.identity_map(f.source)
-        idb = poset.identity_map(f.target)
-        c.unif_dinat.append(
-            (ida, idb, f, g, f, g,
-             ThinCell(poset.compose_maps(idb, f), poset.compose_maps(f, ida)),
-             ThinCell(poset.compose_maps(ida, g), poset.compose_maps(g, idb))))
+    derive_channels(PosetModel(), c, lambda obj, g: (
+        id(obj), tuple(sorted(g.assignment.items()))))
 
     rng = random.Random(seed)
-    n_endo = (draws + 2) // 3
-    n_pair = (draws + 1) // 3
-    n_square = draws // 3
     for i in range(n_endo):
         p = random_pointed_poset(rng, 4 + i % 2, f"R{i}")
         c.endos.append(random_monotone_endomap(rng, p))
@@ -393,6 +405,8 @@ def _rel_square_search(carriers, endo_frag):
 
 
 def rel_corpus(draws=1000, seed=0):
+    from .models import RelModel
+    n_endo, n_pair, n_square = _draw_counts(draws)
     carriers = [rel_carrier(n) for n in (1, 2, 3)]
     c = Corpus()
     for a in carriers:
@@ -406,40 +420,12 @@ def rel_corpus(draws=1000, seed=0):
     endo_graphs = [rel_partial_graphs(a, a) for a in carriers]
     c.dinat_triples = _stride_sample_products(
         [(gs, gs, gs) for gs in endo_graphs], TRIPLE_CAP)
-    c.dinat_cells = [(ThinCell(f, f), g)
-                     for (f, g) in _stride_sample(c.dinat_pairs, DERIVED_CAP)]
     c.unif_squares = _rel_square_search(
         carriers, lambda a: rel_partial_graphs(a, a))
-
-    by_middle = {}
-    for sq in c.unif_squares:
-        s, f, g, gamma = sq
-        by_middle.setdefault((frozenset(s.target), g.pairs), []).append(sq)
-    stacks = []
-    for sq2 in c.unif_squares:
-        r, g2, h, rho = sq2
-        stacks.append((by_middle.get((frozenset(r.source), g2.pairs), ()),
-                       (sq2,)))
-    c.unif_stacks = _stride_sample_products(stacks, STACK_CAP)
-
-    sample_squares = _stride_sample(c.unif_squares, DERIVED_CAP)
-    c.unif_thetas = [(ThinCell(s, s), f, g, gamma, gamma)
-                     for (s, f, g, gamma) in sample_squares]
-    c.unif_transports = [(s, ThinCell(f, f), ThinCell(g, g), gamma, gamma)
-                         for (s, f, g, gamma) in sample_squares]
-    for (f, g) in _stride_sample(c.dinat_pairs, DERIVED_CAP):
-        ida = rel.mrel_identity(f.source)
-        idb = rel.mrel_identity(f.target)
-        c.unif_dinat.append(
-            (ida, idb, f, g, f, g,
-             ThinCell(rel.mrel_compose(idb, f), rel.mrel_compose(f, ida)),
-             ThinCell(rel.mrel_compose(ida, g), rel.mrel_compose(g, idb))))
+    derive_channels(RelModel(), c, lambda obj, g: (frozenset(obj), g.pairs))
 
     rng = random.Random(seed)
     big = {4: rel_carrier(4), 5: rel_carrier(5)}
-    n_endo = (draws + 2) // 3
-    n_pair = (draws + 1) // 3
-    n_square = draws // 3
     for i in range(n_endo):
         a = big[4 + i % 2]
         c.endos.append(random_mrel(rng, a, a))
@@ -607,6 +593,8 @@ def _scott_function_rels(pre):
 
 
 def scott_corpus(draws=1000, seed=0):
+    from .models import ScottModel
+    n_endo, n_pair, n_square = _draw_counts(draws)
     pres = preorders_upto_iso(3)
     small = [p for p in pres if len(p.elements) <= 2]
     big3 = [p for p in pres if len(p.elements) == 3]
@@ -627,8 +615,6 @@ def scott_corpus(draws=1000, seed=0):
     endo_graphs = [scott_partial_graphs(p, p) for p in small]
     c.dinat_triples = _stride_sample_products(
         [(gs, gs, gs) for gs in endo_graphs], TRIPLE_CAP)
-    c.dinat_cells = [(ThinCell(f, f), g)
-                     for (f, g) in _stride_sample(c.dinat_pairs, DERIVED_CAP)]
 
     squares = []
     for a in small:
@@ -651,36 +637,10 @@ def scott_corpus(draws=1000, seed=0):
         for f in _stride_sample(_scott_function_rels(p), 40):
             squares.append(scott_conjugation_square(f, f"t{len(squares)}_"))
     c.unif_squares = squares
-
-    by_middle = {}
-    for sq in squares:
-        s, f, g, gamma = sq
-        key = (frozenset(s.target.elements), s.target.leq_pairs, g.pairs)
-        by_middle.setdefault(key, []).append(sq)
-    stacks = []
-    for sq2 in squares:
-        r, g2, h, rho = sq2
-        key = (frozenset(r.source.elements), r.source.leq_pairs, g2.pairs)
-        stacks.append((by_middle.get(key, ()), (sq2,)))
-    c.unif_stacks = _stride_sample_products(stacks, STACK_CAP)
-
-    sample_squares = _stride_sample(squares, DERIVED_CAP)
-    c.unif_thetas = [(ThinCell(s, s), f, g, gamma, gamma)
-                     for (s, f, g, gamma) in sample_squares]
-    c.unif_transports = [(s, ThinCell(f, f), ThinCell(g, g), gamma, gamma)
-                         for (s, f, g, gamma) in sample_squares]
-    for (f, g) in _stride_sample(c.dinat_pairs, DERIVED_CAP):
-        ida = rel.scott_identity(f.source)
-        idb = rel.scott_identity(f.target)
-        c.unif_dinat.append(
-            (ida, idb, f, g, f, g,
-             ThinCell(rel.scott_compose(idb, f), rel.scott_compose(f, ida)),
-             ThinCell(rel.scott_compose(ida, g), rel.scott_compose(g, idb))))
+    derive_channels(ScottModel(), c, lambda obj, g: (
+        frozenset(obj.elements), obj.leq_pairs, g.pairs))
 
     rng = random.Random(seed)
-    n_endo = (draws + 2) // 3
-    n_pair = (draws + 1) // 3
-    n_square = draws // 3
     for i in range(n_endo):
         p = random_preorder(rng, 4 + i % 2, f"R{i}")
         c.endos.append(random_ideal_rel(rng, p, p))

@@ -109,13 +109,13 @@ class FixpointModel:
         raise NotImplementedError
 
     def src(self, f):
-        raise NotImplementedError
+        return f.source
 
     def dst(self, f):
-        raise NotImplementedError
+        return f.target
 
     def eq1(self, f, g) -> bool:
-        raise NotImplementedError
+        return f == g
 
     def eq_obj(self, a, b) -> bool:
         return a == b
@@ -217,7 +217,14 @@ class FixpointModel:
 
 
 class ThinModel(FixpointModel):
-    """Shared 2-cell calculus for locally discrete adapters."""
+    """The 2-cell calculus and the witnesses of every locally discrete adapter.
+
+    With at most one 2-cell between parallel 1-cells, the paper's operator
+    is the 1-categorical one of Simpson & Plotkin: fix, dinat and unif are
+    the claims f.f* = f*, (fg)* = f.(gf)* and s.f* = g*, the same for every
+    thin model.  An adapter supplies 1-cells, compose, star, strictness and
+    products; the calculus here only composes boundaries and compares them.
+    """
 
     thin = True
 
@@ -263,6 +270,20 @@ class ThinModel(FixpointModel):
 
     def star_2cell(self, alpha):
         return ThinCell(self.star(alpha.source), self.star(alpha.target))
+
+    # -- witnesses: the 1-cell equations of Simpson & Plotkin's operator -------
+    def fix_witness(self, f):
+        fs = self.star(f)
+        return ThinCell(self.compose(f, fs), fs)
+
+    def dinat_witness(self, f, g):
+        _require_opposed(self, f, g)
+        return ThinCell(self.star(self.compose(f, g)),
+                        self.compose(f, self.star(self.compose(g, f))))
+
+    def unif_witness(self, s, f, g, gamma):
+        require_square(self, s, f, g, gamma)
+        return ThinCell(self.compose(s, self.star(f)), self.star(g))
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +590,11 @@ def require_square(m: FixpointModel, s, f, g, gamma):
         raise InvalidSquare(f"square cell is not invertible: {m.describe2(gamma)}")
 
 
+def _require_opposed(m: FixpointModel, f, g):
+    if not (m.eq_obj(m.src(f), m.dst(g)) and m.eq_obj(m.dst(f), m.src(g))):
+        raise TypeMismatch("dinat needs f: A -> B and g: B -> A")
+
+
 def unif_laws(m: FixpointModel):
     """The uniformity cell family, its four axioms, and both coherences."""
 
@@ -716,17 +742,11 @@ def check_unif(m: FixpointModel, corpus: Corpus):
 # ---------------------------------------------------------------------------
 # Dinaturality from products, and operator comparison.
 
-def build_dinat_via_products(m: FixpointModel, f, g):
-    """Construct the dinat cell for (f, g) out of the star of sw . (f x g).
-
-    Returns (cell, agreement): the constructed 2-cell (fg)-star-side to
-    f-then-(gf)-star-side, and whether it coincides with the adapter's own
-    dinat witness.  Only product-bearing (thin) adapters support this.
-    """
+def product_route(m: FixpointModel, f, g):
+    """(pi1(h*), pi2(h*)) for h = sw . (f x g): A x B -> A x B, the
+    product-route constructions of (gf)* and (fg)*."""
     if not m.has_products():
         raise NoProducts(f"{m.name} does not supply products")
-    if not m.thin:
-        raise TypeMismatch("product route is only implemented for thin models")
     a, b = m.src(f), m.dst(f)
     if not (m.eq_obj(a, m.dst(g)) and m.eq_obj(b, m.src(g))):
         raise TypeMismatch("need f: A -> B and g: B -> A")
@@ -735,8 +755,19 @@ def build_dinat_via_products(m: FixpointModel, f, g):
     fxg = m.pair(m.compose(f, p1), m.compose(g, p2))   # A x B -> B x A
     h = m.compose(m.swap_cell(b, a), fxg)              # A x B -> A x B
     sh = m.star(h)
-    left = m.compose(p1, sh)                           # expected: (gf)*
-    right = m.compose(p2, sh)                          # expected: (fg)*
+    return m.compose(p1, sh), m.compose(p2, sh)        # (gf)*, (fg)* expected
+
+
+def build_dinat_via_products(m: FixpointModel, f, g):
+    """Construct the dinat cell for (f, g) out of the product route.
+
+    Returns (cell, agreement): the constructed 2-cell (fg)-star-side to
+    f-then-(gf)-star-side, and whether it coincides with the adapter's own
+    dinat witness.  Only product-bearing (thin) adapters support this.
+    """
+    left, right = product_route(m, f, g)
+    if not m.thin:
+        raise TypeMismatch("product route is only implemented for thin models")
     built = ThinCell(right, m.compose(f, left))
     agreement = m.eq2(built, m.dinat_witness(f, g))
     return built, agreement

@@ -1,27 +1,36 @@
-"""Adapters plugging the concrete settings into the law engine.
+"""Adapters plugging the concrete settings into the law engine, and the
+registry of the suite specs that name them.
 
-Thin adapters (posets, multiset relations, ideal relations) inherit the
-locally discrete 2-cell calculus; their witnesses are ThinCell claims whose
-truth is the corresponding 1-cell equation.  The category adapter carries
-genuine 2-cells: its star picks the stabilized chain carrier through a
-point functor, fix is the structure arrow, and the dinat/unif witnesses
-are the unique algebra-compatible arrows found by exhaustive search in the
-finite target category.
+Thin adapters (posets, multiset relations, ideal relations) supply their
+1-cells, compose, star, strictness and products; the locally discrete
+2-cell calculus and the fix/dinat/unif witnesses are inherited from
+`laws.ThinModel`.  The category adapter carries genuine 2-cells: its star
+picks the stabilized chain carrier through a point functor, fix is the
+structure arrow, and the dinat/unif witnesses are the unique
+algebra-compatible arrows found by exhaustive search in the finite target
+category.
 
 The thin adapters' star and compose are `memoized`: while the law engine
 evaluates one corpus instance, calls with equal arguments share one result.
 Stars, and the cat adapter's chains, are run-scoped: a fixpoint depends on
 its endo's value alone, so a walk of one corpus channel, or one operator
 comparison, computes each distinct one once.
+
+`REGISTRY` maps every suite spec to its adapter factory, its family's
+corpus builder, the document kind its 1-cells are read from, whether it
+has products, and the adapter with its family's second star construction,
+where one ships.
 """
 
 from __future__ import annotations
 
-from . import cat, poset, rel
+from functools import partial
+from typing import Callable, NamedTuple, Optional
+
+from . import cat, corpora, poset, rel
 from .algebra import initial_algebra_mediator, lambek_chain
-from .errors import (InvalidSquare, TypeMismatch, UniquenessViolation,
-                     ValidationError)
-from .laws import (FixpointModel, ThinCell, ThinModel, memoized,
+from .errors import TypeMismatch, UniquenessViolation, ValidationError
+from .laws import (FixpointModel, ThinModel, _require_opposed, memoized,
                    require_square)
 
 
@@ -40,15 +49,6 @@ class PosetModel(ThinModel):
     @memoized
     def compose(self, g, f):
         return poset.compose_maps(g, f)
-
-    def src(self, f):
-        return f.source
-
-    def dst(self, f):
-        return f.target
-
-    def eq1(self, f, g):
-        return f == g
 
     def terminal_obj(self):
         return poset.ONE_POINT
@@ -69,19 +69,6 @@ class PosetModel(ThinModel):
         if f.source != f.target:
             raise TypeMismatch("star needs an endomap")
         return poset.point_map(f.source, self._lfp(f))
-
-    def fix_witness(self, f):
-        fs = self.star(f)
-        return ThinCell(self.compose(f, fs), fs)
-
-    def dinat_witness(self, f, g):
-        _require_opposed(self, f, g)
-        return ThinCell(self.star(self.compose(f, g)),
-                        self.compose(f, self.star(self.compose(g, f))))
-
-    def unif_witness(self, s, f, g, gamma):
-        require_square(self, s, f, g, gamma)
-        return ThinCell(self.compose(s, self.star(f)), self.star(g))
 
     # products
     def has_products(self):
@@ -142,15 +129,6 @@ class RelModel(ThinModel):
     def compose(self, g, f):
         return rel.mrel_compose(g, f)
 
-    def src(self, f):
-        return f.source
-
-    def dst(self, f):
-        return f.target
-
-    def eq1(self, f, g):
-        return f == g
-
     def eq_obj(self, a, b):
         return rel._same_carrier(a, b)
 
@@ -175,19 +153,6 @@ class RelModel(ThinModel):
         return rel.MultisetRel(rel.EMPTY_CARRIER, f.target,
                                {(rel.EMPTY_MSET, b) for b in stages.final},
                                name=f"{f.name}*", _validate=False)
-
-    def fix_witness(self, f):
-        fs = self.star(f)
-        return ThinCell(self.compose(f, fs), fs)
-
-    def dinat_witness(self, f, g):
-        _require_opposed(self, f, g)
-        return ThinCell(self.star(self.compose(f, g)),
-                        self.compose(f, self.star(self.compose(g, f))))
-
-    def unif_witness(self, s, f, g, gamma):
-        require_square(self, s, f, g, gamma)
-        return ThinCell(self.compose(s, self.star(f)), self.star(g))
 
     # products (tagged disjoint unions)
     def has_products(self):
@@ -225,15 +190,6 @@ class ScottModel(ThinModel):
     def compose(self, g, f):
         return rel.scott_compose(g, f)
 
-    def src(self, f):
-        return f.source
-
-    def dst(self, f):
-        return f.target
-
-    def eq1(self, f, g):
-        return f == g
-
     def terminal_obj(self):
         return rel.EMPTY_PREORDER
 
@@ -246,19 +202,6 @@ class ScottModel(ThinModel):
     @memoized(run_scoped=True)
     def star(self, f):
         return rel.scott_star(f)
-
-    def fix_witness(self, f):
-        fs = self.star(f)
-        return ThinCell(self.compose(f, fs), fs)
-
-    def dinat_witness(self, f, g):
-        _require_opposed(self, f, g)
-        return ThinCell(self.star(self.compose(f, g)),
-                        self.compose(f, self.star(self.compose(g, f))))
-
-    def unif_witness(self, s, f, g, gamma):
-        require_square(self, s, f, g, gamma)
-        return ThinCell(self.compose(s, self.star(f)), self.star(g))
 
     # products (tagged disjoint unions of preorders)
     def has_products(self):
@@ -284,11 +227,6 @@ class ScottModel(ThinModel):
         return f"ideal({f.source.name}->{f.target.name}: {pairs})"
 
 
-def _require_opposed(m, f, g):
-    if not (m.eq_obj(m.src(f), m.dst(g)) and m.eq_obj(m.dst(f), m.src(g))):
-        raise TypeMismatch("dinat needs f: A -> B and g: B -> A")
-
-
 class CatModel(FixpointModel):
     """Finite categories, functors, and natural transformations.
 
@@ -303,6 +241,8 @@ class CatModel(FixpointModel):
     name = "cat"
 
     def __init__(self, max_steps=16, bound=cat.DEFAULT_BOUND):
+        if max_steps < 1:
+            raise ValidationError("max_steps must be at least 1")
         self.max_steps = max_steps
         self.bound = bound
 
@@ -311,15 +251,6 @@ class CatModel(FixpointModel):
 
     def compose(self, g, f):
         return cat.compose_functors(g, f)
-
-    def src(self, f):
-        return f.source
-
-    def dst(self, f):
-        return f.target
-
-    def eq1(self, f, g):
-        return f == g
 
     def terminal_obj(self):
         return cat.TERMINAL_CATEGORY
@@ -438,3 +369,48 @@ class CatModel(FixpointModel):
         comps = ", ".join(f"{x}:{a}" for (x, a) in sorted(t.components.items()))
         return (f"[{self.describe1(t.source)} => {self.describe1(t.target)}"
                 f" | {comps}]")
+
+
+# ---------------------------------------------------------------------------
+# The registry of suite specs.
+
+class ModelSpec(NamedTuple):
+    """One suite spec.  `make()` builds its adapter (cat's also takes
+    max_steps and bound); `corpus(draws, seed)` builds its family's corpus;
+    its 1-cells are `doc_type` documents of kind `kind_name`; `second()`
+    builds the adapter with the family's other star construction."""
+
+    make: Callable
+    corpus: Callable
+    doc_type: type
+    kind_name: str
+    products: bool = True
+    second: Optional[Callable] = None
+
+
+# The builders are looked up in `corpora` per call, not bound here, so a
+# wrapper installed on that module (perfbench's tracer) sees every build.
+_POSET = (lambda draws, seed: corpora.poset_corpus(draws, seed),
+          poset.MonotoneMap, "monotone-map")
+_REL = (lambda draws, seed: corpora.rel_corpus(draws, seed),
+        rel.MultisetRel, "multiset-relation")
+
+REGISTRY = {
+    "poset": ModelSpec(partial(PosetModel, "kleene"), *_POSET,
+                       second=partial(PosetModel, "bifree")),
+    "poset:kleene": ModelSpec(partial(PosetModel, "kleene"), *_POSET),
+    "poset:bifree": ModelSpec(partial(PosetModel, "bifree"), *_POSET),
+    "poset:broken": ModelSpec(BrokenPosetModel, *_POSET),
+    "rel": ModelSpec(partial(RelModel, "closure"), *_REL,
+                     second=partial(RelModel, "tree")),
+    "rel:closure": ModelSpec(partial(RelModel, "closure"), *_REL),
+    "rel:tree": ModelSpec(partial(RelModel, "tree"), *_REL),
+    "scott": ModelSpec(ScottModel,
+                       lambda draws, seed: corpora.scott_corpus(draws, seed),
+                       rel.IdealRel, "ideal-relation"),
+    "cat": ModelSpec(CatModel, lambda draws, seed: corpora.cat_corpus(),
+                     cat.FunctorData, "functor", products=False),
+}
+
+# The specs the command line's --model takes: one per family.
+FAMILIES = tuple(spec for spec in REGISTRY if ":" not in spec)

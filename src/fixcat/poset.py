@@ -4,11 +4,8 @@ Endomaps get their least fixpoint two ways: direct iteration from bottom
 (`kleene_star`) and evaluation of the canonical map out of the successor
 chain-with-top at its top point (`bifree_star` via `mediating_map`).  The
 chain-with-top itself stays symbolic: elements are ("fin", n) and ("top",),
-and only the mediating map ever consumes them.
-
-The lifting comonad (freshly added bottom) is spelled out far enough to
-cross-check that composition of maps between the underlying posets agrees
-with the explicit composite through lifted carriers.
+and only the mediating map ever consumes them.  Binary products, their
+pairing and the symmetry serve the product route to dinaturality.
 """
 
 from __future__ import annotations
@@ -176,79 +173,6 @@ def unique_map_to_one(p: PointedPoset) -> MonotoneMap:
 def point_map(p: PointedPoset, x) -> MonotoneMap:
     """The map from the one-point poset picking out x."""
     return MonotoneMap(ONE_POINT, p, {"*": x}, name=f"pt_{x!r}")
-
-
-# ---------------------------------------------------------------------------
-# Lifting comonad.
-
-def _fresh_bottom(p: PointedPoset):
-    k = 0
-    elems = set(p.elements)
-    while ("bot", k) in elems:
-        k += 1
-    return ("bot", k)
-
-
-def lift(p: PointedPoset) -> PointedPoset:
-    """Add one fresh element below everything; it becomes the new bottom."""
-    fresh = _fresh_bottom(p)
-    elems = (fresh,) + p.elements
-    leq = set(p.leq_pairs) | {(fresh, x) for x in elems}
-    return PointedPoset(elems, leq, fresh, name=f"lift({p.name})", _validate=False)
-
-
-def lift_map(f: MonotoneMap) -> MonotoneMap:
-    """Lifted maps send the fresh bottom to the fresh bottom."""
-    ls, lt = lift(f.source), lift(f.target)
-    assignment = {ls.bottom: lt.bottom}
-    assignment.update(f.assignment)
-    return MonotoneMap(ls, lt, assignment, strict=True,
-                       name=f"lift({f.name})", _validate=False)
-
-
-def counit(p: PointedPoset) -> MonotoneMap:
-    """lift(p) -> p: collapse the fresh bottom onto p's own bottom."""
-    lp = lift(p)
-    assignment = {x: x for x in p.elements}
-    assignment[lp.bottom] = p.bottom
-    return MonotoneMap(lp, p, assignment, strict=True, name=f"eps_{p.name}")
-
-
-def comult(p: PointedPoset) -> MonotoneMap:
-    """lift(p) -> lift(lift(p)): fresh bottom to the doubly fresh bottom."""
-    lp, llp = lift(p), lift(lift(p))
-    assignment = {x: x for x in p.elements}
-    assignment[lp.bottom] = llp.bottom
-    return MonotoneMap(lp, llp, assignment, strict=True, name=f"delta_{p.name}")
-
-
-def strictify(f: MonotoneMap) -> MonotoneMap:
-    """The strict extension lift(source) -> target sending fresh bottom to bottom."""
-    ls = lift(f.source)
-    assignment = {ls.bottom: f.target.bottom}
-    assignment.update(f.assignment)
-    return MonotoneMap(ls, f.target, assignment, strict=True,
-                       name=f"strict({f.name})", _validate=False)
-
-
-def cokleisli_compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
-    """Composition in the co-Kleisli presentation.
-
-    Under the isomorphism with plain monotone maps this is ordinary
-    composition; tests cross-check it against the explicit composite
-    strictify(g) . lift(strictify(f)) . comult restricted back to the carrier.
-    """
-    return compose_maps(g, f)
-
-
-def cokleisli_compose_explicit(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
-    """The same composite spelled out through the lifted carriers."""
-    if f.target != g.source:
-        raise TypeMismatch("map boundaries do not match")
-    sf, sg = strictify(f), strictify(g)
-    through = compose_maps(sg, compose_maps(lift_map(sf), comult(f.source)))
-    assignment = {x: through.assignment[x] for x in f.source.elements}
-    return MonotoneMap(f.source, g.target, assignment, name=f"{g.name}(.){f.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,12 @@ as sorted pair lists.
 import json
 from dataclasses import dataclass, field
 
-from . import cat, poly, poset, rel
+from . import cat, models, poly, poset, rel
 from .errors import SchemaError
 
 KINDS = ("poset", "monotone-map", "finite-set", "multiset-relation",
          "preorder", "ideal-relation", "category", "functor", "nat-transf",
          "polynomial", "coalgebra-system", "suite-config")
-
-MODEL_NAMES = ("poset", "poset:kleene", "poset:bifree", "poset:broken",
-               "rel", "rel:closure", "rel:tree", "scott", "cat")
 
 
 def _skey(x):
@@ -240,9 +237,9 @@ def _parse_system(doc, validate):
 
 
 def _parse_suite_config(doc, validate):
-    models = _need(doc, "models", list, "suite-config")
-    for m in models:
-        if m not in MODEL_NAMES:
+    specs = _need(doc, "models", list, "suite-config")
+    for m in specs:
+        if not isinstance(m, str) or m not in models.REGISTRY:
             raise SchemaError(f"suite-config: unknown model {m!r}")
     draws = doc.get("draws", 60)
     seed = doc.get("seed", 0)
@@ -253,7 +250,7 @@ def _parse_suite_config(doc, validate):
         raise SchemaError("suite-config: seed must be an integer")
     if not isinstance(categories, list):
         raise SchemaError("suite-config: categories must be a list of paths")
-    return SuiteConfig(models=list(models), draws=draws, seed=seed,
+    return SuiteConfig(models=list(specs), draws=draws, seed=seed,
                        categories=list(categories))
 
 

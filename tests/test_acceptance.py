@@ -105,13 +105,9 @@ def test_criterion_2_thin_model_law_suite(capsys):
 
 
 def _product_route_holds(m, f, g):
-    a, b = m.src(f), m.dst(f)
-    p1, p2 = m.proj1(a, b), m.proj2(a, b)
-    h = m.compose(m.swap_cell(b, a),
-                  m.pair(m.compose(f, p1), m.compose(g, p2)))
-    sh = m.star(h)
-    return (m.eq1(m.compose(p1, sh), m.star(m.compose(g, f)))
-            and m.eq1(m.compose(p2, sh), m.star(m.compose(f, g))))
+    left, right = laws.product_route(m, f, g)
+    return (m.eq1(left, m.star(m.compose(g, f)))
+            and m.eq1(right, m.star(m.compose(f, g))))
 
 
 def test_criterion_3_product_route_identity(capsys):

@@ -7,9 +7,9 @@ import itertools
 import pytest
 
 from fixcat.cat import (
-    Arrow, Atom, FinCategory, FunctorData, Id2, NatTransfData, SearchBound, VComp,
-    WhiskerL, WhiskerR, compose_functors, constant_functor, discrete_category,
-    enumerate_functors, enumerate_nat_transfs, eval_2cell, hcomp, identity_functor,
+    Arrow, FinCategory, FunctorData, NatTransfData, SearchBound,
+    compose_functors, constant_functor, discrete_category,
+    enumerate_functors, enumerate_nat_transfs, hcomp, identity_functor,
     identity_transf, inverse_transf, is_invertible_transf, preorder_category,
     point_functor, validate_category, vcomp, whisker_left, whisker_right,
     TERMINAL_CATEGORY,
@@ -223,27 +223,29 @@ def test_whiskering_agrees_with_hcomp_with_identity():
             assert whisker_right(t, k) == hcomp(identity_transf(k), t)
 
 
-def test_eval_2cell_compares_pastings_by_value():
+def test_vcomp_compares_pastings_by_value():
     f = point_functor(WALKING_ISO, "x")
     g = point_functor(WALKING_ISO, "y")
     i = NatTransfData(f, g, {"*": "i"})
     j = NatTransfData(g, f, {"*": "j"})
-    round_trip = eval_2cell(VComp(Atom(j), Atom(i)))
+    round_trip = vcomp(j, i)
     assert round_trip == identity_transf(f)
-    assert eval_2cell(VComp(Atom(i), Id2(f))) == i
+    assert vcomp(i, identity_transf(f)) == i
     with pytest.raises(BoundaryMismatch):
-        eval_2cell(VComp(Atom(i), Atom(i)))
+        vcomp(i, i)
 
 
-def test_eval_2cell_whisker_nodes():
+def test_whiskers_evaluate_componentwise():
     f = point_functor(WALKING_ISO, "x")
     g = point_functor(WALKING_ISO, "y")
     i = NatTransfData(f, g, {"*": "i"})
     h = identity_functor(WALKING_ISO)
-    assert eval_2cell(WhiskerL(h, Atom(i))) == whisker_left(h, i)
+    left = whisker_left(h, i)
+    assert left.components == {"*": "i"}
+    assert (left.source, left.target) == (compose_functors(h, f),
+                                          compose_functors(h, g))
     const = constant_functor(DISC2, TERMINAL_CATEGORY, "*")
-    assert eval_2cell(WhiskerR(Atom(i), const)).components == \
-        {"a": "i", "b": "i"}
+    assert whisker_right(i, const).components == {"a": "i", "b": "i"}
 
 
 def test_invertibility_helpers():

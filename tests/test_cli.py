@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from fixcat import cli, models
+from fixcat import cli, models, serialize
+from fixcat.errors import SchemaError
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -231,6 +232,41 @@ def test_compare_scott_unsupported(capsys):
     code, _, err = run(capsys, "compare", "--model", "scott")
     assert code == 2
     assert "no second operator" in err
+
+
+def test_compare_negative_draws_exits_two(capsys):
+    code, _, err = run(capsys, "compare", "--model", "rel", "--draws", "-3")
+    assert code == 2
+    assert err == "error: draws must be nonnegative, got -3\n"
+
+
+def test_laws_bad_max_steps_is_an_input_error(capsys):
+    code, out, err = run(capsys, "laws", sample("suite_small.json"),
+                         "--max-steps", "-5")
+    assert code == 2
+    assert "[FAIL]" not in out
+    assert err == "error: max_steps must be at least 1\n"
+
+
+def test_model_choices_come_from_the_registry():
+    """--model offers one spec per family, and a suite config accepts
+    exactly the registry's specs."""
+    families = [s for s in models.REGISTRY if ":" not in s]
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    for command in ("star", "dinat-product", "compare"):
+        model = next(a for a in sub.choices[command]._actions
+                     if a.dest == "model")
+        assert list(model.choices) == families
+
+    def suite(spec):
+        return json.dumps({"kind": "suite-config", "models": [spec]})
+
+    for spec in models.REGISTRY:
+        assert serialize.parse_document(suite(spec)).models == [spec]
+    for spec in ("poset:", "Rel", "cat:kleene", ["cat"]):
+        with pytest.raises(SchemaError):
+            serialize.parse_document(suite(spec))
 
 
 @pytest.fixture

@@ -39,6 +39,7 @@ from fixcat.corpora import (
     scott_corpus,
     strict_orders_upto_iso,
 )
+from fixcat.errors import ValidationError
 from fixcat.serialize import to_document
 
 
@@ -243,9 +244,24 @@ REL_CORPUS_SHA256 = (
     "7a2e447f7fe79595876b740be4bd0f1a610df66a4773c41513da2156826e49f1")
 SCOTT_CORPUS_SHA256 = (
     "1b58453e5337d26ce4ea98754ac26ba62925ee6e9a8043def6bb0f370d70be67")
+# Captured before the derived channels of the three thin corpora were built
+# by one `derive_channels`.
+POSET_CORPUS_SHA256 = (
+    "ee127fc8aca5bf75eba69be84acc8936a03cd8b879a2b70c67ee4258fc20fc8e")
 
 
 def test_relational_corpus_fingerprints_are_pinned():
     assert corpus_fingerprint(rel_corpus(draws=12, seed=0)) == REL_CORPUS_SHA256
     assert (corpus_fingerprint(scott_corpus(draws=12, seed=0))
             == SCOTT_CORPUS_SHA256)
+
+
+def test_poset_corpus_fingerprint_is_pinned():
+    assert (corpus_fingerprint(poset_corpus(draws=12, seed=0))
+            == POSET_CORPUS_SHA256)
+
+
+@pytest.mark.parametrize("build", [poset_corpus, rel_corpus, scott_corpus])
+def test_negative_draws_rejected(build):
+    with pytest.raises(ValidationError):
+        build(draws=-1, seed=0)

@@ -1,9 +1,12 @@
-"""`fixcat laws` and `fixcat compare` output, pinned byte for byte.
+"""`fixcat laws`, `compare`, `star` and `dinat-product` output, pinned
+byte for byte.
 
 The files under tests/golden/ hold the stdout and exit code each sample
 suite gave before law evaluation was reordered and memoized, and each
 `compare` run gave before stars were shared across a run; a run now must
-print exactly the same, counterexample text included.
+print exactly the same, counterexample text included.  The `star`,
+`dinat-product` and unsupported-`compare` runs were captured before the
+command line read its models from one registry, stderr included.
 """
 
 import pathlib
@@ -34,3 +37,37 @@ def test_compare_output_matches_golden(capsys, model):
     want = (GOLDEN / f"compare_{model}.stdout").read_text(encoding="utf-8")
     assert out == want
     assert code == int((GOLDEN / f"compare_{model}.exit").read_text())
+
+
+S = ROOT / "sample_inputs"
+CLI_GOLDENS = {
+    "star_poset": ["star", S / "poset_climb.json", "--model", "poset",
+                   "--trace"],
+    "star_rel": ["star", S / "rel_grow.json", "--model", "rel", "--trace"],
+    "star_scott": ["star", S / "scott_emit.json", "--model", "scott",
+                   "--trace"],
+    "star_cat": ["star", S / "functor_twist.json", "--model", "cat",
+                 "--trace"],
+    "dinat_product_rel": ["dinat-product", S / "rel_fwd.json",
+                          S / "rel_bwd.json", "--model", "rel"],
+    "dinat_product_scott": ["dinat-product", S / "scott_emit.json",
+                            S / "scott_emit.json", "--model", "scott"],
+    "dinat_product_poset": ["dinat-product", S / "poset_climb.json",
+                            S / "poset_climb.json", "--model", "poset"],
+    "dinat_product_cat": ["dinat-product", S / "rel_fwd.json",
+                          S / "rel_bwd.json", "--model", "cat"],
+    "compare_scott": ["compare", "--model", "scott"],
+    "compare_cat": ["compare", "--model", "cat"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_cli_output_matches_golden(capsys, name):
+    code = cli.main([str(a) for a in CLI_GOLDENS[name]])
+    captured = capsys.readouterr()
+    stderr = GOLDEN / f"{name}.stderr"
+    assert captured.out == (GOLDEN / f"{name}.stdout").read_text(
+        encoding="utf-8")
+    assert captured.err == (stderr.read_text(encoding="utf-8")
+                            if stderr.exists() else "")
+    assert code == int((GOLDEN / f"{name}.exit").read_text())

@@ -1,4 +1,4 @@
-"""Pointed posets: fixpoints two ways, the lifting comonad, and products."""
+"""Pointed posets: fixpoints two ways, and products."""
 
 import itertools
 
@@ -12,23 +12,16 @@ from fixcat.poset import (
     PointedPoset,
     all_fixpoints,
     bifree_star,
-    cokleisli_compose,
-    cokleisli_compose_explicit,
     compose_maps,
-    comult,
-    counit,
     fin,
     identity_map,
     iterates,
     kleene_star,
-    lift,
-    lift_map,
     mediating_map,
     omega_bar_leq,
     omega_bar_successor,
     point_map,
     product,
-    strictify,
     swap,
     TOP,
     unique_map_to_one,
@@ -198,69 +191,6 @@ def test_omega_bar_order_shape():
     assert omega_bar_leq(TOP, TOP)
     assert omega_bar_successor(fin(4)) == fin(5)
     assert omega_bar_successor(TOP) == TOP
-
-
-# --- the lifting comonad -----------------------------------------------------
-
-def test_lift_adds_fresh_bottom():
-    lp = lift(C2)
-    assert lp.bottom == ("bot", 0)
-    assert set(lp.elements) == {("bot", 0), 0, 1}
-    assert all(lp.leq(lp.bottom, x) for x in lp.elements)
-    assert not lp.validate()
-
-
-def test_lift_avoids_name_collisions():
-    p = PointedPoset([("bot", 0), "x"],
-                     [(("bot", 0), ("bot", 0)), ("x", "x"), (("bot", 0), "x")],
-                     ("bot", 0))
-    assert lift(p).bottom == ("bot", 1)
-
-
-@pytest.mark.parametrize("p", FIXTURES, ids=lambda p: p.name)
-def test_comonad_laws(p):
-    lp = lift(p)
-    eps, delta = counit(p), comult(p)
-    assert not eps.validate() and not delta.validate()
-    # both counit laws and coassociativity, on every element
-    assert compose_maps(lift_map(eps), delta) == identity_map(lp)
-    assert compose_maps(counit(lp), delta) == identity_map(lp)
-    lhs = compose_maps(comult(lp), delta)
-    rhs = compose_maps(lift_map(delta), delta)
-    assert lhs.assignment == rhs.assignment
-
-
-def test_comonad_naturality():
-    # the comonad acts on strict maps only, so quantify over those
-    strict_maps = [f for f in maps_between(C2, DIAMOND) + maps_between(DIAMOND, C2)
-                   if f.is_bottom_preserving()]
-    assert strict_maps
-    for f in strict_maps:
-        p, q = f.source, f.target
-        nat_eps = compose_maps(f, counit(p)).assignment == \
-            compose_maps(counit(q), lift_map(f)).assignment
-        nat_delta = compose_maps(lift_map(lift_map(f)), comult(p)).assignment == \
-            compose_maps(comult(q), lift_map(f)).assignment
-        assert nat_eps and nat_delta
-
-
-def test_strictify_extends_by_bottom():
-    f = MonotoneMap(C2, C3, {0: 1, 1: 2})
-    sf = strictify(f)
-    assert sf.strict and sf.is_bottom_preserving()
-    assert sf.assignment[sf.source.bottom] == 0
-    assert all(sf.assignment[x] == f.assignment[x] for x in C2.elements)
-
-
-def test_cokleisli_composition_agrees_with_explicit_route():
-    pairs = [(f, g) for f in maps_between(C2, DIAMOND)
-             for g in maps_between(DIAMOND, C3)]
-    assert pairs
-    for f, g in pairs:
-        quick = cokleisli_compose(g, f)
-        slow = cokleisli_compose_explicit(g, f)
-        assert quick.assignment == slow.assignment
-        assert (quick.source, quick.target) == (slow.source, slow.target)
 
 
 # --- products ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from fixcat import poly, poset, rel, serialize
+from fixcat import models, poly, poset, rel, serialize
 from fixcat.errors import SchemaError, ValidationError
 from fixcat.serialize import (SuiteConfig, load_document, parse_document,
                               print_document, to_document)
@@ -149,7 +149,7 @@ def test_to_document_rejects_unknown():
 
 
 def test_model_names_cover_cli_specs():
-    assert "poset:bifree" in serialize.MODEL_NAMES
-    assert "rel:tree" in serialize.MODEL_NAMES
-    assert "scott" in serialize.MODEL_NAMES
-    assert "cat" in serialize.MODEL_NAMES
+    assert "poset:bifree" in models.REGISTRY
+    assert "rel:tree" in models.REGISTRY
+    assert "scott" in models.REGISTRY
+    assert "cat" in models.REGISTRY
