@@ -350,28 +350,3 @@ def adjoint_equivalence_from_initial(chain: ChainResult) -> AdjointEquivalence:
     if vcomp(vcomp(left, right), left) != left:
         raise NotInvertible("second triangle identity fails")
     return AdjointEquivalence(right, left, unit, counit)
-
-
-# --- the double-application composite --------------------------------------------
-
-def freyd_composite_check(endo: FunctorData, max_steps: int = 16) -> dict:
-    """Check that the chain for F.F stabilizes onto F's carrier with
-    structure a . F(a), up to a unique invertible algebra morphism."""
-    validate_endofunctor(endo)
-    chain = lambek_chain(endo, max_steps)
-    double = compose_functors(endo, endo)
-    double_chain = lambek_chain(double, max_steps)
-    out = {"single_stabilized": chain.stabilized,
-           "double_stabilized": double_chain.stabilized, "holds": False}
-    if not (chain.stabilized and double_chain.stabilized):
-        return out
-    c = chain.category
-    composite = c.compose(chain.structure, endo.on_arrow(chain.structure))
-    forward = algebra_morphisms(double_chain, chain.carrier, composite)
-    out["forward_count"] = len(forward)
-    if len(forward) != 1:
-        return out
-    iso = forward[0]
-    out["iso"] = iso
-    out["holds"] = c.is_iso(iso)
-    return out

@@ -175,13 +175,13 @@ def cmd_bisim(args):
 
 def cmd_dinat_product(args):
     entry = models.REGISTRY[args.model]
-    if not entry.products:
+    m = entry.make()
+    if not m.has_products():
         raise NoProducts(f"model {args.model} does not support products")
     f = _expect(serialize.load_document(args.f), entry.doc_type,
                 entry.kind_name)
     g = _expect(serialize.load_document(args.g), entry.doc_type,
                 entry.kind_name)
-    m = entry.make()
     left, right = laws.product_route(m, f, g)
     gf_star = m.star(m.compose(g, f))
     fg_star = m.star(m.compose(f, g))

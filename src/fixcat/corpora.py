@@ -10,9 +10,13 @@ endofunctor chains stabilize.
 
 Corpus builders take (draws, seed); draws is the exact number of random
 instances added on top of the exhaustive layer, split between the endo,
-dinat-pair, and uniformity-square channels, and may not be negative.  The
-thin builders list endos, pairs, triples and squares; `derive_channels`
-builds the stacks, cells, thetas, transports and dinat squares from those.
+dinat-pair, and uniformity-square channels, and may not be negative.  A
+thin builder lists only its exhaustive layers: endos, dinat pairs and
+triples, and the endos and strict 1-cells its squares range over.
+`_square_search` finds those uniformity squares, `derive_channels` builds
+the stacks, cells, thetas, transports and dinat squares from the exhaustive
+pairs and squares, and `_random_tail` appends the seeded random endos,
+pairs and squares.
 """
 
 import itertools
@@ -66,6 +70,60 @@ def _draw_counts(draws):
     if draws < 0:
         raise ValidationError(f"draws must be nonnegative, got {draws}")
     return (draws + 2) // 3, (draws + 1) // 3, draws // 3
+
+
+def _transitive_closure(pairs):
+    """The least transitive relation containing `pairs`, as a set."""
+    closed = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (x, y) in list(closed):
+            for (y2, z) in list(closed):
+                if y2 == y and (x, z) not in closed:
+                    closed.add((x, z))
+                    changed = True
+    return closed
+
+
+def _square_search(objs, endos, strict_maps, compose):
+    """Every uniformity square (s, f, g, s.f => g.s) with s in
+    strict_maps(a, b) and f, g in endos(a), endos(b), over objs.  Each s
+    buckets the endos g by g.s; each s.f then finds its g's by value."""
+    squares = []
+    for a in objs:
+        endos_a = endos(a)
+        for b in objs:
+            endos_b = endos(b)
+            for s in strict_maps(a, b):
+                left = {}
+                for g in endos_b:
+                    left.setdefault(compose(g, s), []).append(g)
+                for f in endos_a:
+                    sf = compose(s, f)
+                    for g in left.get(sf, ()):
+                        squares.append((s, f, g, ThinCell(sf, compose(g, s))))
+    return squares
+
+
+def _random_tail(c, seed, counts, obj, mp, conj, closure):
+    """Append the seeded random layer to thin corpus `c`: counts[0] endos,
+    counts[1] dinat pairs and counts[2] squares, at sizes 4 and 5.
+    `obj(rng, size, name)` draws an object, `mp(rng, a, b)` a 1-cell a -> b;
+    even squares are `conj(rng, g, i)`, odd ones `closure(g)`."""
+    n_endo, n_pair, n_square = counts
+    rng = random.Random(seed)
+    for i in range(n_endo):
+        a = obj(rng, 4 + i % 2, f"R{i}")
+        c.endos.append(mp(rng, a, a))
+    for i in range(n_pair):
+        a = obj(rng, 4 + i % 2, f"Ra{i}")
+        b = obj(rng, 5 - i % 2, f"Rb{i}")
+        c.dinat_pairs.append((mp(rng, a, b), mp(rng, b, a)))
+    for i in range(n_square):
+        a = obj(rng, 4 + i % 2, f"Rs{i}")
+        g = mp(rng, a, a)
+        c.unif_squares.append(conj(rng, g, i) if i % 2 == 0 else closure(g))
 
 
 def derive_channels(m, c, middle_key):
@@ -168,19 +226,8 @@ def monotone_endomaps(p):
 
 def random_pointed_poset(rng, size, name):
     k = size - 1
-    up = set()
-    for i in range(k):
-        for j in range(i + 1, k):
-            if rng.random() < 0.4:
-                up.add((i, j))
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(up):
-            for (j2, l) in list(up):
-                if j2 == j and (i, l) not in up:
-                    up.add((i, l))
-                    changed = True
+    up = _transitive_closure((i, j) for i in range(k) for j in range(i + 1, k)
+                             if rng.random() < 0.4)
     elements = ["b"] + [f"e{i}" for i in range(k)]
     leq = {(x, x) for x in elements} | {("b", x) for x in elements} | \
           {(f"e{i}", f"e{j}") for (i, j) in up}
@@ -240,33 +287,9 @@ def poset_closure_square(g):
     return (s, f, g, gamma)
 
 
-def _poset_square_search(posets, maps_of):
-    """All (s, f, g) with s strict and s.f == g.s over the given posets."""
-    squares = []
-    for a in posets:
-        endos_a = maps_of(a, a)
-        for b in posets:
-            endos_b = maps_of(b, b)
-            for s in maps_of(a, b):
-                if not s.is_bottom_preserving():
-                    continue
-                left = {}
-                for g in endos_b:
-                    key = tuple(sorted(
-                        poset.compose_maps(g, s).assignment.items()))
-                    left.setdefault(key, []).append(g)
-                for f in endos_a:
-                    sf = poset.compose_maps(s, f)
-                    key = tuple(sorted(sf.assignment.items()))
-                    for g in left.get(key, ()):
-                        gamma = ThinCell(sf, poset.compose_maps(g, s))
-                        squares.append((s, f, g, gamma))
-    return squares
-
-
 def poset_corpus(draws=1000, seed=0):
     from .models import PosetModel   # models imports corpora for its registry
-    n_endo, n_pair, n_square = _draw_counts(draws)
+    counts = _draw_counts(draws)
     posets = pointed_posets(3)
     maps_cache = {}
 
@@ -288,26 +311,15 @@ def poset_corpus(draws=1000, seed=0):
     c.dinat_triples = _stride_sample_products(
         [(maps_of(a, b), maps_of(b, cc), maps_of(cc, a))
          for a, b, cc in itertools.product(posets, repeat=3)], TRIPLE_CAP)
-    c.unif_squares = _poset_square_search(posets, maps_of)
+    c.unif_squares = _square_search(
+        posets, lambda p: maps_of(p, p),
+        lambda a, b: [s for s in maps_of(a, b) if s.is_bottom_preserving()],
+        poset.compose_maps)
     derive_channels(PosetModel(), c, lambda obj, g: (
         id(obj), tuple(sorted(g.assignment.items()))))
-
-    rng = random.Random(seed)
-    for i in range(n_endo):
-        p = random_pointed_poset(rng, 4 + i % 2, f"R{i}")
-        c.endos.append(random_monotone_endomap(rng, p))
-    for i in range(n_pair):
-        a = random_pointed_poset(rng, 4 + i % 2, f"Ra{i}")
-        b = random_pointed_poset(rng, 5 - i % 2, f"Rb{i}")
-        c.dinat_pairs.append((random_monotone_map(rng, a, b),
-                              random_monotone_map(rng, b, a)))
-    for i in range(n_square):
-        p = random_pointed_poset(rng, 4 + i % 2, f"Rs{i}")
-        g = random_monotone_endomap(rng, p)
-        if i % 2 == 0:
-            c.unif_squares.append(poset_conjugation_square(g, f"c{i}_"))
-        else:
-            c.unif_squares.append(poset_closure_square(g))
+    _random_tail(c, seed, counts, random_pointed_poset, random_monotone_map,
+                 lambda rng, g, i: poset_conjugation_square(g, f"c{i}_"),
+                 poset_closure_square)
     return c
 
 
@@ -386,27 +398,9 @@ def rel_closure_square(g):
     return (s, f, g, gamma)
 
 
-def _rel_square_search(carriers, endo_frag):
-    squares = []
-    for a in carriers:
-        fs = endo_frag(a)
-        for b in carriers:
-            gs = endo_frag(b)
-            for s in rel_function_rels(a, b):
-                left = {}
-                for g in gs:
-                    left.setdefault(rel.mrel_compose(g, s).pairs, []).append(g)
-                for f in fs:
-                    sf = rel.mrel_compose(s, f)
-                    for g in left.get(sf.pairs, ()):
-                        squares.append((s, f, g,
-                                        ThinCell(sf, rel.mrel_compose(g, s))))
-    return squares
-
-
 def rel_corpus(draws=1000, seed=0):
     from .models import RelModel
-    n_endo, n_pair, n_square = _draw_counts(draws)
+    counts = _draw_counts(draws)
     carriers = [rel_carrier(n) for n in (1, 2, 3)]
     c = Corpus()
     for a in carriers:
@@ -417,28 +411,16 @@ def rel_corpus(draws=1000, seed=0):
             for f in rel_partial_graphs(a, b):
                 for g in rel_partial_graphs(b, a):
                     c.dinat_pairs.append((f, g))
-    endo_graphs = [rel_partial_graphs(a, a) for a in carriers]
+    endo_graphs = {a: rel_partial_graphs(a, a) for a in carriers}
     c.dinat_triples = _stride_sample_products(
-        [(gs, gs, gs) for gs in endo_graphs], TRIPLE_CAP)
-    c.unif_squares = _rel_square_search(
-        carriers, lambda a: rel_partial_graphs(a, a))
+        [(gs, gs, gs) for gs in endo_graphs.values()], TRIPLE_CAP)
+    c.unif_squares = _square_search(carriers, endo_graphs.__getitem__,
+                                    rel_function_rels, rel.mrel_compose)
     derive_channels(RelModel(), c, lambda obj, g: (frozenset(obj), g.pairs))
-
-    rng = random.Random(seed)
     big = {4: rel_carrier(4), 5: rel_carrier(5)}
-    for i in range(n_endo):
-        a = big[4 + i % 2]
-        c.endos.append(random_mrel(rng, a, a))
-    for i in range(n_pair):
-        a, b = big[4 + i % 2], big[5 - i % 2]
-        c.dinat_pairs.append((random_mrel(rng, a, b), random_mrel(rng, b, a)))
-    for i in range(n_square):
-        a = big[4 + i % 2]
-        g = random_mrel(rng, a, a)
-        if i % 2 == 0:
-            c.unif_squares.append(rel_conjugation_square(rng, g, f"q{i}_"))
-        else:
-            c.unif_squares.append(rel_closure_square(g))
+    _random_tail(c, seed, counts, lambda rng, n, name: big[n], random_mrel,
+                 lambda rng, g, i: rel_conjugation_square(rng, g, f"q{i}_"),
+                 rel_closure_square)
     return c
 
 
@@ -520,19 +502,9 @@ def scott_partial_graphs(a, b):
 
 def random_preorder(rng, size, name):
     elems = [f"s{i}" for i in range(size)]
-    leq = {(x, x) for x in elems}
-    for x in elems:
-        for y in elems:
-            if x != y and rng.random() < 0.3:
-                leq.add((x, y))
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(leq):
-            for (y2, z) in list(leq):
-                if y2 == y and (x, z) not in leq:
-                    leq.add((x, z))
-                    changed = True
+    leq = _transitive_closure(
+        [(x, x) for x in elems]
+        + [(x, y) for x in elems for y in elems if x != y and rng.random() < 0.3])
     return rel.Preorder(elems, leq, name=name, _validate=False)
 
 
@@ -594,7 +566,7 @@ def _scott_function_rels(pre):
 
 def scott_corpus(draws=1000, seed=0):
     from .models import ScottModel
-    n_endo, n_pair, n_square = _draw_counts(draws)
+    counts = _draw_counts(draws)
     pres = preorders_upto_iso(3)
     small = [p for p in pres if len(p.elements) <= 2]
     big3 = [p for p in pres if len(p.elements) == 3]
@@ -616,46 +588,20 @@ def scott_corpus(draws=1000, seed=0):
     c.dinat_triples = _stride_sample_products(
         [(gs, gs, gs) for gs in endo_graphs], TRIPLE_CAP)
 
-    squares = []
-    for a in small:
-        frag_a = frags[a]
-        for b in small:
-            frag_b = frags[b]
-            for s in scott_partial_graphs(a, b):
-                if not all(len(u) == 1 for (u, _) in s.pairs):
-                    continue
-                left = {}
-                for g in frag_b:
-                    left.setdefault(rel.scott_compose(g, s).pairs,
-                                    []).append(g)
-                for f in frag_a:
-                    sf = rel.scott_compose(s, f)
-                    for g in left.get(sf.pairs, ()):
-                        squares.append((s, f, g,
-                                        ThinCell(sf, rel.scott_compose(g, s))))
+    squares = _square_search(
+        small, frags.__getitem__,
+        lambda a, b: [s for s in scott_partial_graphs(a, b)
+                      if all(len(u) == 1 for (u, _) in s.pairs)],
+        rel.scott_compose)
     for p in big3:
         for f in _stride_sample(_scott_function_rels(p), 40):
             squares.append(scott_conjugation_square(f, f"t{len(squares)}_"))
     c.unif_squares = squares
     derive_channels(ScottModel(), c, lambda obj, g: (
         frozenset(obj.elements), obj.leq_pairs, g.pairs))
-
-    rng = random.Random(seed)
-    for i in range(n_endo):
-        p = random_preorder(rng, 4 + i % 2, f"R{i}")
-        c.endos.append(random_ideal_rel(rng, p, p))
-    for i in range(n_pair):
-        a = random_preorder(rng, 4 + i % 2, f"Ra{i}")
-        b = random_preorder(rng, 5 - i % 2, f"Rb{i}")
-        c.dinat_pairs.append((random_ideal_rel(rng, a, b),
-                              random_ideal_rel(rng, b, a)))
-    for i in range(n_square):
-        p = random_preorder(rng, 4 + i % 2, f"Rs{i}")
-        g = random_ideal_rel(rng, p, p)
-        if i % 2 == 0:
-            c.unif_squares.append(scott_conjugation_square(g, f"c{i}_"))
-        else:
-            c.unif_squares.append(scott_closure_square(g))
+    _random_tail(c, seed, counts, random_preorder, random_ideal_rel,
+                 lambda rng, g, i: scott_conjugation_square(g, f"c{i}_"),
+                 scott_closure_square)
     return c
 
 
@@ -789,33 +735,33 @@ def cat_instances():
             ("idem/collapse", IDEM, F_IDEM)]
 
 
-def _ident_cell(f, g, name="sq"):
-    # identity-component 2-cell between structurally equal composites
-    comps = {x: f.target.identity[f.omap[x]] for x in f.source.objects}
-    return cat.NatTransfData(f, g, comps, name=name)
+def _cell(s, f, g):
+    """The identity-component 2-cell s.f => g.s of a strictly commuting
+    square."""
+    sf = cat.compose_functors(s, f)
+    comps = {x: sf.target.identity[sf.omap[x]] for x in sf.source.objects}
+    return cat.NatTransfData(sf, cat.compose_functors(g, s), comps, name="sq")
 
 
-def _id_square(ambient, f):
-    s = cat.identity_functor(ambient)
-    gamma = _ident_cell(cat.compose_functors(s, f),
-                        cat.compose_functors(f, s))
-    return (s, f, f, gamma)
+def _square(s, f, g):
+    return (s, f, g, _cell(s, f, g))
 
 
 def cat_corpus():
     c = Corpus()
-    pools = []
+    pools = []                  # (identity, identity squares of its endos)
     for label, ambient, end in cat_instances():
-        pool = [cat.identity_functor(ambient), end]
-        pools.append((ambient, pool))
+        ident = cat.identity_functor(ambient)
+        pool = [ident, end]
+        squares = [_square(ident, f, f) for f in pool]
+        pools.append((ident, squares))
         c.endos.extend(pool)
         c.endo_cells.extend(cat.identity_transf(f) for f in pool)
         c.dinat_pairs.extend(itertools.product(pool, pool))
         c.dinat_triples.extend(itertools.product(pool, pool, pool))
         c.dinat_cells.extend((cat.identity_transf(f), g)
                              for f in pool for g in pool)
-        for f in pool:
-            c.unif_squares.append(_id_square(ambient, f))
+        c.unif_squares.extend(squares)
     c.endo_cells.append(E_CELL)
     c.dinat_cells.append((E_CELL, cat.identity_functor(AUT)))
     c.dinat_cells.append((E_CELL, F_AUT))
@@ -823,96 +769,56 @@ def cat_corpus():
     c.dinat_pairs.append((V32, U23))
     c.dinat_triples.append((U23, V32, cat.identity_functor(TWO)))
 
+    def swapped(f):
+        return cat.compose_functors(cat.compose_functors(WALK_SWAP, f),
+                                    WALK_SWAP)
+
     # conjugation of the walking-iso cycle by the x/y swap automorphism
-    g1 = cat.compose_functors(cat.compose_functors(WALK_SWAP, F_WALK),
-                              WALK_SWAP)
-    c.unif_squares.append(
-        (WALK_SWAP, F_WALK, g1,
-         _ident_cell(cat.compose_functors(WALK_SWAP, F_WALK),
-                     cat.compose_functors(g1, WALK_SWAP))))
+    g1 = swapped(F_WALK)
+    swap_sq = _square(WALK_SWAP, F_WALK, g1)
     # strict inclusion of the 2-chain into the 3-chain
-    c.unif_squares.append(
-        (U23, JOIN_ONE, CONST2,
-         _ident_cell(cat.compose_functors(U23, JOIN_ONE),
-                     cat.compose_functors(CONST2, U23))))
+    incl_sq = _square(U23, JOIN_ONE, CONST2)
     # non-identity square cell on the involution category
     id_aut = cat.identity_functor(AUT)
-    e_square = cat.NatTransfData(cat.compose_functors(id_aut, F_AUT),
-                                 cat.compose_functors(F_AUT, id_aut),
-                                 {"0": "e", "z": "e"}, name="twist_sq")
-    c.unif_squares.append((id_aut, F_AUT, F_AUT, e_square))
+    twist_sq = (id_aut, F_AUT, F_AUT,
+                cat.NatTransfData(cat.compose_functors(id_aut, F_AUT),
+                                  cat.compose_functors(F_AUT, id_aut),
+                                  {"0": "e", "z": "e"}, name="twist_sq"))
+    c.unif_squares.extend((swap_sq, incl_sq, twist_sq))
 
-    for ambient, pool in pools:
-        for f in pool:
-            sq = _id_square(ambient, f)
-            c.unif_stacks.append((sq, _id_square(ambient, f)))
-    c.unif_stacks.append((
-        (WALK_SWAP, F_WALK, g1,
-         _ident_cell(cat.compose_functors(WALK_SWAP, F_WALK),
-                     cat.compose_functors(g1, WALK_SWAP))),
-        (WALK_SWAP, g1, F_WALK,
-         _ident_cell(cat.compose_functors(WALK_SWAP, g1),
-                     cat.compose_functors(F_WALK, WALK_SWAP)))))
-    aut_sq = (id_aut, F_AUT, F_AUT,
-              cat.NatTransfData(cat.compose_functors(id_aut, F_AUT),
-                                cat.compose_functors(F_AUT, id_aut),
-                                {"0": "e", "z": "e"}, name="twist_sq"))
-    c.unif_stacks.append((aut_sq, aut_sq))
+    for _, squares in pools:
+        c.unif_stacks.extend((sq, sq) for sq in squares)
+    c.unif_stacks.append((swap_sq, _square(WALK_SWAP, g1, F_WALK)))
+    c.unif_stacks.append((twist_sq, twist_sq))
 
-    for ambient, pool in pools:
-        s = cat.identity_functor(ambient)
-        theta = cat.identity_transf(s)
-        for f in pool:
-            gamma = _ident_cell(cat.compose_functors(s, f),
-                                cat.compose_functors(f, s))
-            c.unif_thetas.append((theta, f, f, gamma, gamma))
-    gamma_x = _ident_cell(cat.compose_functors(S_X, JOIN_ONE),
-                          cat.compose_functors(COLLAPSE_X, S_X))
+    for ident, squares in pools:
+        theta = cat.identity_transf(ident)
+        c.unif_thetas.extend((theta, f, f, gamma, gamma)
+                             for (_, f, _, gamma) in squares)
     rho_y = cat.NatTransfData(cat.compose_functors(S_Y, JOIN_ONE),
                               cat.compose_functors(COLLAPSE_X, S_Y),
                               {"0": "j", "1": "j"}, name="steer_sq")
-    c.unif_thetas.append((THETA_XY, JOIN_ONE, COLLAPSE_X, gamma_x, rho_y))
+    c.unif_thetas.append((THETA_XY, JOIN_ONE, COLLAPSE_X,
+                          _cell(S_X, JOIN_ONE, COLLAPSE_X), rho_y))
 
-    for ambient, pool in pools:
-        s = cat.identity_functor(ambient)
-        for f in pool:
-            gamma = _ident_cell(cat.compose_functors(s, f),
-                                cat.compose_functors(f, s))
-            rho = _ident_cell(cat.compose_functors(s, f),
-                              cat.compose_functors(f, s))
-            c.unif_transports.append(
-                (s, cat.identity_transf(f), cat.identity_transf(f),
-                 gamma, rho))
-    gamma_e = _ident_cell(cat.compose_functors(id_aut, F_AUT),
-                          cat.compose_functors(F_AUT, id_aut))
-    rho_e = _ident_cell(cat.compose_functors(id_aut, F_AUT),
-                        cat.compose_functors(F_AUT, id_aut))
-    c.unif_transports.append((id_aut, E_CELL, E_CELL, gamma_e, rho_e))
+    for ident, squares in pools:
+        c.unif_transports.extend(
+            (ident, cat.identity_transf(f), cat.identity_transf(f),
+             gamma, gamma) for (_, f, _, gamma) in squares)
+    gamma_e = _cell(id_aut, F_AUT, F_AUT)
+    c.unif_transports.append((id_aut, E_CELL, E_CELL, gamma_e, gamma_e))
 
-    for ambient, pool in pools:
-        s = cat.identity_functor(ambient)
-        for f, g in itertools.product(pool, pool):
-            c.unif_dinat.append(
-                (s, s, f, g, f, g,
-                 _ident_cell(cat.compose_functors(s, f),
-                             cat.compose_functors(f, s)),
-                 _ident_cell(cat.compose_functors(s, g),
-                             cat.compose_functors(g, s))))
-    id_walk = cat.identity_functor(WALK)
-    for f, g in ((F_WALK, id_walk), (F_WALK, F_WALK)):
-        h = cat.compose_functors(cat.compose_functors(WALK_SWAP, f), WALK_SWAP)
-        k = cat.compose_functors(cat.compose_functors(WALK_SWAP, g), WALK_SWAP)
-        c.unif_dinat.append(
-            (WALK_SWAP, WALK_SWAP, f, g, h, k,
-             _ident_cell(cat.compose_functors(WALK_SWAP, f),
-                         cat.compose_functors(h, WALK_SWAP)),
-             _ident_cell(cat.compose_functors(WALK_SWAP, g),
-                         cat.compose_functors(k, WALK_SWAP))))
-    c.unif_dinat.append(
-        (U23, U23, JOIN_ONE, cat.identity_functor(TWO),
-         CONST2, cat.identity_functor(THREE),
-         _ident_cell(cat.compose_functors(U23, JOIN_ONE),
-                     cat.compose_functors(CONST2, U23)),
-         _ident_cell(cat.compose_functors(U23, cat.identity_functor(TWO)),
-                     cat.compose_functors(cat.identity_functor(THREE), U23))))
+    for ident, squares in pools:
+        c.unif_dinat.extend(
+            (ident, ident, f, g, f, g, gamma_f, gamma_g)
+            for (_, f, _, gamma_f), (_, g, _, gamma_g)
+            in itertools.product(squares, squares))
+    for g in (cat.identity_functor(WALK), F_WALK):
+        k = swapped(g)
+        c.unif_dinat.append((WALK_SWAP, WALK_SWAP, F_WALK, g, g1, k,
+                             swap_sq[3], _cell(WALK_SWAP, g, k)))
+    id_two = cat.identity_functor(TWO)
+    id_three = cat.identity_functor(THREE)
+    c.unif_dinat.append((U23, U23, JOIN_ONE, id_two, CONST2, id_three,
+                         incl_sq[3], _cell(U23, id_two, id_three)))
     return c

@@ -88,8 +88,12 @@ def memoized(method=None, *, run_scoped=False):
 class FixpointModel:
     """Adapter contract consumed by the law engine.
 
-    Concrete adapters fill in the abstract cell operations; the generic
-    horizontal composite and the description hooks have workable defaults.
+    Every adapter supplies identity, compose, strictness, star and the three
+    witnesses; a non-thin one also supplies the 2-cell operations and
+    `enumerate_invertible_cells`.  Products are optional: an adapter whose
+    `has_products()` holds supplies proj1, proj2, pair and swap_cell, which
+    only the product route reads.  The generic horizontal composite and the
+    description hooks have workable defaults.
     `thin` marks adapters whose 2-cells are ThinCell claims.  Methods
     wrapped in `memoized` consult `_memo` (one corpus instance) while the
     law engine has one open, and run-scoped ones also `_run` (one channel
@@ -119,13 +123,6 @@ class FixpointModel:
 
     def eq_obj(self, a, b) -> bool:
         return a == b
-
-    def terminal_obj(self):
-        raise NotImplementedError
-
-    def bang(self, obj):
-        """The unique 1-cell obj -> terminal."""
-        raise NotImplementedError
 
     def is_strict(self, s) -> bool:
         raise NotImplementedError
@@ -190,9 +187,6 @@ class FixpointModel:
     # -- optional products ----------------------------------------------------
     def has_products(self) -> bool:
         return False
-
-    def product_obj(self, a, b):
-        raise NoProducts(f"{self.name} has no products")
 
     def proj1(self, a, b):
         raise NoProducts(f"{self.name} has no products")

@@ -17,9 +17,9 @@ its endo's value alone, so a walk of one corpus channel, or one operator
 comparison, computes each distinct one once.
 
 `REGISTRY` maps every suite spec to its adapter factory, its family's
-corpus builder, the document kind its 1-cells are read from, whether it
-has products, and the adapter with its family's second star construction,
-where one ships.
+corpus builder, the document kind its 1-cells are read from, and the
+adapter with its family's second star construction, where one ships.
+Whether a family has products is its adapter's `has_products()`.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ class PosetModel(ThinModel):
     def compose(self, g, f):
         return poset.compose_maps(g, f)
 
-    def terminal_obj(self):
-        return poset.ONE_POINT
-
-    def bang(self, obj):
-        return poset.unique_map_to_one(obj)
-
     def is_strict(self, s):
         return s.is_bottom_preserving()
 
@@ -73,9 +67,6 @@ class PosetModel(ThinModel):
     # products
     def has_products(self):
         return True
-
-    def product_obj(self, a, b):
-        return poset.product(a, b).poset
 
     def proj1(self, a, b):
         return poset.product(a, b).proj1
@@ -132,12 +123,6 @@ class RelModel(ThinModel):
     def eq_obj(self, a, b):
         return rel._same_carrier(a, b)
 
-    def terminal_obj(self):
-        return rel.EMPTY_CARRIER
-
-    def bang(self, obj):
-        return rel.mrel_terminal_map(obj)
-
     def is_strict(self, s):
         return all(rel.mset_size(m) == 1 for (m, _) in s.pairs)
 
@@ -157,9 +142,6 @@ class RelModel(ThinModel):
     # products (tagged disjoint unions)
     def has_products(self):
         return True
-
-    def product_obj(self, a, b):
-        return rel.disjoint_union(a, b)
 
     def proj1(self, a, b):
         return rel.mrel_proj1(a, b)
@@ -190,12 +172,6 @@ class ScottModel(ThinModel):
     def compose(self, g, f):
         return rel.scott_compose(g, f)
 
-    def terminal_obj(self):
-        return rel.EMPTY_PREORDER
-
-    def bang(self, obj):
-        return rel.scott_terminal_map(obj)
-
     def is_strict(self, s):
         return all(len(u) == 1 for (u, _) in s.pairs)
 
@@ -206,9 +182,6 @@ class ScottModel(ThinModel):
     # products (tagged disjoint unions of preorders)
     def has_products(self):
         return True
-
-    def product_obj(self, a, b):
-        return rel.preorder_disjoint_union(a, b)
 
     def proj1(self, a, b):
         return rel.scott_proj1(a, b)
@@ -251,12 +224,6 @@ class CatModel(FixpointModel):
 
     def compose(self, g, f):
         return cat.compose_functors(g, f)
-
-    def terminal_obj(self):
-        return cat.TERMINAL_CATEGORY
-
-    def bang(self, obj):
-        return cat.constant_functor(obj, cat.TERMINAL_CATEGORY, "*")
 
     def is_strict(self, s):
         initials = s.source.initial_objects()
@@ -384,7 +351,6 @@ class ModelSpec(NamedTuple):
     corpus: Callable
     doc_type: type
     kind_name: str
-    products: bool = True
     second: Optional[Callable] = None
 
 
@@ -409,7 +375,7 @@ REGISTRY = {
                        lambda draws, seed: corpora.scott_corpus(draws, seed),
                        rel.IdealRel, "ideal-relation"),
     "cat": ModelSpec(CatModel, lambda draws, seed: corpora.cat_corpus(),
-                     cat.FunctorData, "functor", products=False),
+                     cat.FunctorData, "functor"),
 }
 
 # The specs the command line's --model takes: one per family.

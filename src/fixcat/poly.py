@@ -1,8 +1,8 @@
 """Polynomial functors on finite sets.
 
-A polynomial I <- E -> B -> J induces a functor sending an I-indexed family
-to the J-indexed family of tagged tuples (constructor, slot assignment).
-For endo-polynomials over a single index this file builds initial algebras
+A polynomial I <- E -> B -> J has constructors B, each with its fiber of
+slots in E.  For endo-polynomials over a single index this file builds
+initial algebras
 as stabilizing chains of finite tree sets (wtype_enumerate), presents
 points of the final coalgebra as finite-state systems with bisimilarity
 decided exactly by partition refinement, and checks two transport laws:
@@ -103,30 +103,6 @@ def identity_poly() -> Polynomial:
 def is_span(P: Polynomial) -> bool:
     """p: E -> B a bijection: exactly one slot per constructor."""
     return len(P.E) == len(P.B) and set(P.p.values()) == set(P.B)
-
-
-def is_monomial(P: Polynomial) -> bool:
-    return len(P.B) == 1
-
-
-def apply_polynomial(P: Polynomial, family: dict) -> dict:
-    """The induced action on an I-indexed family of finite sets.
-
-    Returns the J-indexed family of tagged tuples (b, ((slot, value), ...)),
-    one value per slot of b drawn from the family at the slot's input sort.
-    """
-    if set(family) != set(P.I):
-        raise ValidationError(f"family must be indexed exactly by {P.I}")
-    out = {}
-    for j in P.J:
-        elems = []
-        for b in P.constructors_at(j):
-            slots = P.fiber(b)
-            pools = [sorted(family[P.s[e]], key=_skey) for e in slots]
-            for choice in itertools.product(*pools):
-                elems.append((b, tuple(zip(slots, choice))))
-        out[j] = tuple(sorted(elems, key=_skey))
-    return out
 
 
 # --- W-types: chain stages of tree sets -------------------------------------------

@@ -245,23 +245,10 @@ def mrel_pairing(f: MultisetRel, g: MultisetRel) -> MultisetRel:
                        name=f"<{f.name},{g.name}>", _validate=False)
 
 
-def mrel_cross(f: MultisetRel, g: MultisetRel) -> MultisetRel:
-    """f x g on tagged unions, as the pairing of the two composites with
-    the projections."""
-    p1 = mrel_proj1(f.source, g.source)
-    p2 = mrel_proj2(f.source, g.source)
-    return mrel_pairing(mrel_compose(f, p1), mrel_compose(g, p2))
-
-
 def mrel_swap(a_carrier, b_carrier) -> MultisetRel:
     p1 = mrel_proj1(a_carrier, b_carrier)
     p2 = mrel_proj2(a_carrier, b_carrier)
     return mrel_pairing(p2, p1)
-
-
-def mrel_terminal_map(carrier) -> MultisetRel:
-    """The unique relation into the empty carrier."""
-    return MultisetRel(carrier, EMPTY_CARRIER, set(), name="!", _validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -606,15 +593,5 @@ def scott_pairing(f: IdealRel, g: IdealRel) -> IdealRel:
                     pairs, name=f"<{f.name},{g.name}>", _validate=False)
 
 
-def scott_cross(f: IdealRel, g: IdealRel) -> IdealRel:
-    p1 = scott_proj1(f.source, g.source)
-    p2 = scott_proj2(f.source, g.source)
-    return scott_pairing(scott_compose(f, p1), scott_compose(g, p2))
-
-
 def scott_swap(a: Preorder, b: Preorder) -> IdealRel:
     return scott_pairing(scott_proj2(a, b), scott_proj1(a, b))
-
-
-def scott_terminal_map(pre: Preorder) -> IdealRel:
-    return IdealRel(pre, EMPTY_PREORDER, set(), name="!", _validate=False)

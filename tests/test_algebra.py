@@ -9,7 +9,6 @@ from fixcat.algebra import (
     algebra_morphisms,
     chain_realization,
     cocone_mediator,
-    freyd_composite_check,
     initial_algebra_mediator,
     lambek_chain,
     pseudo_initial_mediator,
@@ -436,25 +435,3 @@ def test_adjoint_equivalence_rejects_corrupt_certificate():
         adjoint_equivalence_from_initial(corrupt)
     with pytest.raises(ValidationError):
         adjoint_equivalence_from_initial(lambek_chain(SUCC4, max_steps=2))
-
-
-# --- double application ------------------------------------------------------------
-
-@pytest.mark.parametrize("endo", INSTANCES, ids=lambda f: f.name)
-def test_double_application_lands_on_same_carrier(endo):
-    out = freyd_composite_check(endo)
-    assert out["single_stabilized"] and out["double_stabilized"]
-    assert out["forward_count"] == 1
-    assert out["holds"] is True
-
-
-def test_double_application_iso_is_nontrivial_for_walking_iso():
-    out = freyd_composite_check(F_WALK)
-    # the double chain stops at y, one iso away from the single carrier x
-    assert out["iso"] == "j"
-
-
-def test_double_application_reports_nonstabilizing_chain():
-    out = freyd_composite_check(SUCC4, max_steps=2)
-    assert not out["single_stabilized"]
-    assert out["holds"] is False

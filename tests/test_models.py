@@ -70,7 +70,7 @@ def test_poset_witnesses_hold():
 
 def test_poset_products_project():
     m = PosetModel()
-    p = m.product_obj(CHAIN3, CHAIN3)
+    p = poset.product(CHAIN3, CHAIN3).poset
     assert len(p.elements) == 9
     fxg = m.pair(CLIMB, CLIMB)
     assert m.eq1(m.compose(m.proj1(CHAIN3, CHAIN3), fxg), CLIMB)
@@ -180,7 +180,7 @@ def test_cat_rejects_non_strict_square():
 def test_cat_has_no_products():
     m = CatModel()
     with pytest.raises(NoProducts):
-        m.product_obj(TWO, TWO)
+        m.proj1(TWO, TWO)
     assert not m.has_products()
 
 

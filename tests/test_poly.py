@@ -10,7 +10,6 @@ from fixcat.poly import (
     PolyMorphism,
     Polynomial,
     WTree,
-    apply_polynomial,
     binary_tree_poly,
     bisimilar,
     constant_poly,
@@ -18,7 +17,6 @@ from fixcat.poly import (
     freyd_dinat_check,
     identity_poly,
     identity_poly_morphism,
-    is_monomial,
     is_span,
     mtype_unfold,
     span_uniformity_check,
@@ -55,72 +53,12 @@ def test_validation_catches_partial_maps():
 
 
 def test_span_and_monomial_predicates():
-    assert is_span(IDP) and is_monomial(IDP)
-    assert is_span(AB_STREAM) and not is_monomial(AB_STREAM)
-    assert not is_span(BIN) and not is_monomial(BIN)
+    assert is_span(IDP)
+    assert is_span(AB_STREAM)
+    assert not is_span(BIN)
     squaring = endo_poly({"q": 2})
-    assert is_monomial(squaring) and not is_span(squaring)
-    assert is_monomial(constant_poly(["b"])) and not is_span(constant_poly(["b"]))
-
-
-def test_apply_constant_gives_one_element_per_constructor():
-    # empty product: a single tuple regardless of the input family
-    P = Polynomial(("i",), (), ("b",), ("j1", "j2"),
-                   {}, {}, {"b": "j1"})
-    out = apply_polynomial(P, {"i": ("x", "y")})
-    assert out["j1"] == (("b", ()),)
-    assert out["j2"] == ()
-
-
-def test_apply_binary_node_count():
-    out = apply_polynomial(BIN, {POINT: (0, 1, 2)})
-    tagged = out[POINT]
-    assert sum(1 for el in tagged if el[0] == "node") == 9
-    assert sum(1 for el in tagged if el[0] == "leaf") == 1
-
-
-def test_apply_empty_family_keeps_only_constants():
-    P = endo_poly({"c": 0, "n": 2})
-    out = apply_polynomial(P, {POINT: ()})
-    assert out[POINT] == (("c", ()),)
-
-
-def test_apply_rejects_wrong_index_set():
-    with pytest.raises(ValidationError):
-        apply_polynomial(BIN, {"not_the_index": ()})
-
-
-@st.composite
-def general_polynomials(draw):
-    I = tuple(f"i{k}" for k in range(draw(st.integers(1, 2))))
-    J = tuple(f"j{k}" for k in range(draw(st.integers(1, 2))))
-    B = tuple(f"b{k}" for k in range(draw(st.integers(1, 3))))
-    t = {b: draw(st.sampled_from(J)) for b in B}
-    E, s, p = [], {}, {}
-    for b in B:
-        for k in range(draw(st.integers(0, 2))):
-            e = (b, k)
-            E.append(e)
-            s[e] = draw(st.sampled_from(I))
-            p[e] = b
-    return Polynomial(I, tuple(E), B, J, s, p, t)
-
-
-@settings(max_examples=120, deadline=None)
-@given(general_polynomials(), st.data())
-def test_apply_matches_cardinality_formula(P, data):
-    family = {i: tuple(f"{i}_{k}" for k in range(data.draw(st.integers(0, 3))))
-              for i in P.I}
-    out = apply_polynomial(P, family)
-    for j in P.J:
-        expected = 0
-        for b in P.constructors_at(j):
-            prod = 1
-            for e in P.fiber(b):
-                prod *= len(family[P.s[e]])
-            expected += prod
-        assert len(out[j]) == expected
-        assert len(set(out[j])) == len(out[j])
+    assert not is_span(squaring)
+    assert not is_span(constant_poly(["b"]))
 
 
 # --- W-type chains -----------------------------------------------------------------
@@ -352,7 +290,7 @@ def test_uniformity_check_monomial_morphism():
     f, g = endo_poly({"q": 2}), endo_poly({"r": 2})
     m = PolyMorphism(f, g, {"q": "r"},
                      {("q", ("r", 0)): ("q", 1), ("q", ("r", 1)): ("q", 0)})
-    assert is_monomial(f) and is_monomial(g)
+    assert len(f.B) == 1 and len(g.B) == 1   # both monomials
     report = span_uniformity_check(m, f, g, depth=3)
     assert report["holds"]
 

@@ -18,7 +18,6 @@ from fixcat.rel import (
     disjoint_union,
     hoare_leq,
     mrel_compose,
-    mrel_cross,
     mrel_from_function,
     mrel_identity,
     mrel_pairing,
@@ -26,7 +25,6 @@ from fixcat.rel import (
     mrel_proj2,
     mrel_star,
     mrel_swap,
-    mrel_terminal_map,
     mset,
     mset_map,
     mset_support,
@@ -34,7 +32,6 @@ from fixcat.rel import (
     normalize_pairs,
     preorder_disjoint_union,
     scott_compose,
-    scott_cross,
     scott_from_function,
     scott_identity,
     scott_pairing,
@@ -227,17 +224,13 @@ def test_mrel_swap_and_cross():
     assert (mset([tag_left("a1")]), tag_right("a1")) in s.pairs
     f = MultisetRel(a, a, {(mset(["a1"]), "a2")})
     g = MultisetRel(b, b, {(EMPTY_MSET, "b1")})
-    fg = mrel_cross(f, g)
+    # f x g: the pairing of the two composites with the projections
+    p1, p2 = mrel_proj1(a, b), mrel_proj2(a, b)
+    fg = mrel_pairing(mrel_compose(f, p1), mrel_compose(g, p2))
     assert mrel_compose(mrel_proj1(a, b), fg) == \
         mrel_compose(f, mrel_proj1(a, b))
     assert mrel_compose(mrel_proj2(a, b), fg) == \
         mrel_compose(g, mrel_proj2(a, b))
-
-
-def test_mrel_terminal():
-    t = mrel_terminal_map(("a", "b"))
-    assert t.pairs == frozenset()
-    assert t.target == EMPTY_CARRIER
 
 
 def test_mrel_from_function():
@@ -418,7 +411,9 @@ def test_scott_swap_and_cross():
         scott_identity(preorder_disjoint_union(P_CHAIN, T_CHAIN))
     f = IdealRel(P_CHAIN, P_CHAIN, {(("p",), "q")})
     g = IdealRel(T_CHAIN, T_CHAIN, {((), "x")})
-    fg = scott_cross(f, g)
+    # f x g: the pairing of the two composites with the projections
+    fg = scott_pairing(scott_compose(f, scott_proj1(P_CHAIN, T_CHAIN)),
+                       scott_compose(g, scott_proj2(P_CHAIN, T_CHAIN)))
     assert scott_compose(scott_proj1(P_CHAIN, T_CHAIN), fg) == \
         scott_compose(f, scott_proj1(P_CHAIN, T_CHAIN))
 
