@@ -244,10 +244,6 @@ def random_monotone_map(rng, p, q, tries=300):
                              _validate=False)
 
 
-def random_monotone_endomap(rng, p, tries=300):
-    return random_monotone_map(rng, p, p, tries=tries)
-
-
 def relabeled_poset_iso(p, tag):
     """A renamed copy of p with the renaming iso and its inverse."""
     mapping = {x: f"{tag}{i}" for i, x in enumerate(p.elements)}

@@ -18,7 +18,9 @@ every law that reads its channel, under a star/compose memo that lives for
 that one instance.  A fixpoint is a function of its endo's value alone, so
 stars (and the cat adapter's chains) are also kept in a run table that
 lives for one channel walk of `run_laws`, or for one `compare_operators`
-call; composites are not.
+call; composites are not.  A composite does not depend on the star
+construction, so the two adapters of a comparison share one memo and
+compose each composite once; their stars stay apart.
 
 Thin adapters present a 2-cell as a ThinCell: the bare claim that its two
 boundary 1-cells are equal.  Pasting then only composes boundaries, and
@@ -52,25 +54,30 @@ class ThinCell:
 def memoized(method=None, *, run_scoped=False):
     """Share an adapter method's results by argument value while a memo is
     open on the adapter (`_memo` is a dict, not None).  The law runner opens
-    one per corpus instance.
+    one per corpus instance; `compare_operators` opens one per instance and
+    hands it to both of its adapters.
 
-    A `run_scoped` method (`@memoized(run_scoped=True)`) is a function of
-    its arguments' values alone, like a fixpoint of its endo.  When the
-    instance memo misses, it is looked up in the adapter's run table
-    (`_run`), which `run_laws` keeps open for a channel walk and
+    A plain entry is keyed by the function that computes it and the
+    argument values, so two adapters sharing a memo share it only where
+    they run the same code: a subclass that overrides `compose` gets its
+    own entries.  A `run_scoped` method (`@memoized(run_scoped=True)`)
+    reads adapter state (`star_impl`, `max_steps`), so its key also holds
+    the adapter object: two operators never see each other's stars.  It is
+    a function of its arguments' values alone, like a fixpoint of its endo.
+    When the instance memo misses, it is looked up in the adapter's run
+    table (`_run`), which `run_laws` keeps open for a channel walk and
     `compare_operators` for a whole call, and the result is written through
     to both.  A call that raises is kept in neither; the wrapped methods
     never return None, which marks a miss."""
     if method is None:
         return functools.partial(memoized, run_scoped=run_scoped)
-    kind = method.__name__
 
     @functools.wraps(method)
     def shared(self, *args):
         memo = self._memo
         if memo is None:
             return method(self, *args)
-        key = (kind, *args)
+        key = (method, self, *args) if run_scoped else (method, *args)
         out = memo.get(key)
         if out is None:
             run = self._run if run_scoped else None
@@ -95,9 +102,10 @@ class FixpointModel:
     only the product route reads.  The generic horizontal composite and the
     description hooks have workable defaults.
     `thin` marks adapters whose 2-cells are ThinCell claims.  Methods
-    wrapped in `memoized` consult `_memo` (one corpus instance) while the
-    law engine has one open, and run-scoped ones also `_run` (one channel
-    walk, or one operator comparison).
+    wrapped in `memoized` consult `_memo` (one corpus instance, shared by
+    both adapters of an operator comparison) while the law engine has one
+    open, and run-scoped ones also `_run` (one channel walk, or one
+    operator comparison; never shared).
     """
 
     name = "model"
@@ -785,8 +793,11 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     survive per endo (NotContractible otherwise).  Optional channels check
     the delta family against naturality cells and dinat pairs; the delta
     found for an endo is kept by value and reused there.  Every endo, cell
-    and pair is evaluated under its own fresh memo on both adapters; each
-    adapter's run table keeps its stars for the whole call.
+    and pair is evaluated under its own fresh memo, one dict handed to both
+    adapters: a composite such as a dinat pair's fg, gf or f.(gf)* is
+    computed once for the two of them, while their stars, keyed by adapter,
+    stay apart.  Each adapter's run table keeps its own stars for the whole
+    call.
     Each `deltas` record keeps the endo and its delta as objects; only
     error messages are rendered with describe1/describe2.
     """
@@ -807,7 +818,7 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     m1._run, m2._run = {}, {}
     try:
         for f in endos:
-            m1._memo, m2._memo = {}, {}
+            m1._memo = m2._memo = {}
             cands, good = _fix_compatible(m1, m2, f)
             searched += len(cands)
             if len(good) != 1:
@@ -820,7 +831,7 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
                            "delta": delta,
                            "is_identity": m.eq2(delta, m.id2(m1.star(f)))})
         for alpha in cells:
-            m1._memo, m2._memo = {}, {}
+            m1._memo = m2._memo = {}
             f, g = m.src2(alpha), m.dst2(alpha)
             d_f = delta_for(f)
             d_g = delta_for(g)
@@ -829,7 +840,7 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
             if not m.eq2(lhs, rhs):
                 raise NotContractible(0, f"delta is not natural at {m.describe2(alpha)}")
         for (f, g) in pairs:
-            m1._memo, m2._memo = {}, {}
+            m1._memo = m2._memo = {}
             fg, gf = m.compose(f, g), m.compose(g, f)
             lhs = m.vcomp2(m2.dinat_witness(f, g), delta_for(fg))
             rhs = m.vcomp2(m.whisker_l(f, delta_for(gf)),

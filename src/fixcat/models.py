@@ -14,7 +14,8 @@ The thin adapters' star and compose are `memoized`: while the law engine
 evaluates one corpus instance, calls with equal arguments share one result.
 Stars, and the cat adapter's chains, are run-scoped: a fixpoint depends on
 its endo's value alone, so a walk of one corpus channel, or one operator
-comparison, computes each distinct one once.
+comparison, computes each distinct one once.  The two operators of a
+comparison share their composites, never their stars.
 
 `REGISTRY` maps every suite spec to its adapter factory, its family's
 corpus builder, the document kind its 1-cells are read from, and the
@@ -126,10 +127,7 @@ class RelModel(ThinModel):
     def is_strict(self, s):
         return all(rel.mset_size(m) == 1 for (m, _) in s.pairs)
 
-    @memoized(run_scoped=True)
-    def star(self, f):
-        if not self.eq_obj(f.source, f.target):
-            raise TypeMismatch("star needs an endo-relation")
+    def _lfp(self, f):
         if self.star_impl == "closure":
             return rel.mrel_star(f)
         stages = rel.tree_star(f, len(f.target) + 1)
@@ -138,6 +136,12 @@ class RelModel(ThinModel):
         return rel.MultisetRel(rel.EMPTY_CARRIER, f.target,
                                {(rel.EMPTY_MSET, b) for b in stages.final},
                                name=f"{f.name}*", _validate=False)
+
+    @memoized(run_scoped=True)
+    def star(self, f):
+        if not self.eq_obj(f.source, f.target):
+            raise TypeMismatch("star needs an endo-relation")
+        return self._lfp(f)
 
     # products (tagged disjoint unions)
     def has_products(self):

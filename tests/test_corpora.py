@@ -23,7 +23,7 @@ from fixcat.corpora import (
     poset_corpus,
     preorders_upto_iso,
     random_ideal_rel,
-    random_monotone_endomap,
+    random_monotone_map,
     random_mrel,
     random_pointed_poset,
     random_preorder,
@@ -123,7 +123,7 @@ def test_constructed_squares_are_valid():
     mp = models.PosetModel()
     for i in range(8):
         p = random_pointed_poset(rng, 5, f"t{i}")
-        g = random_monotone_endomap(rng, p)
+        g = random_monotone_map(rng, p, p)
         laws.require_square(mp, *poset_conjugation_square(g, f"x{i}_"))
         laws.require_square(mp, *poset_closure_square(g))
     mr = models.RelModel()
@@ -146,7 +146,7 @@ def test_random_poset_is_valid(seed, size):
     rng = random.Random(seed)
     p = random_pointed_poset(rng, size, "h")
     assert p.validate() == []
-    f = random_monotone_endomap(rng, p)
+    f = random_monotone_map(rng, p, p)
     assert f.validate() == []
 
 
