@@ -10,24 +10,32 @@ to points One -> A, and three structural witness families:
     dinat(f, g)    : (fg)*    =>  f . (gf)*
     unif(s,f,g,y)  : s . f*   =>  g*      given  y : s . f => g . s, s strict
 
-Every law below is checked by evaluating both sides of its pasting through
-the adapter and comparing; no law is derived from another.  Laws are
-declared per family (`fix_laws`, `dinat_laws`, `unif_laws`) and evaluated
-instance-major by `run_laws`: each corpus instance is evaluated once for
-every law that reads its channel, under a star/compose memo that lives for
-that one instance.  A fixpoint is a function of its endo's value alone, so
-stars (and the cat adapter's chains) are also kept in a run table that
-lives for one channel walk of `run_laws`, or for one `compare_operators`
-call; composites are not.  A composite does not depend on the star
-construction, so the two adapters of a comparison share one memo and
-compose each composite once; their stars stay apart.
+Laws are data: each is declared once, in `FIX_LAWS`, `DINAT_LAWS` and
+`UNIF_LAWS`, as functions of the adapter and one instance, and no law is
+derived from another.  They are evaluated instance-major by `run_laws`:
+each corpus instance is evaluated once for every law that reads its
+channel, under a star/compose memo that lives for that one instance.  A
+fixpoint is a function of its endo's value alone, so stars (and the cat
+adapter's chains) are also kept in a run table that lives for one channel
+walk of `run_laws`, or for one `compare_operators` call; composites are
+not.  A composite does not depend on the star construction, so the two
+adapters of a comparison share one memo and compose each composite once;
+their stars stay apart.
 
 Thin adapters present a 2-cell as a ThinCell: the bare claim that its two
 boundary 1-cells are equal.  Pasting then only composes boundaries, and
 each law degenerates to the chain of 1-cell equalities it means in a
 locally discrete setting.  The claim is tested when a cell is consumed
 (cell_ok / eq2), not at construction, so a violated law surfaces as a
-counterexample in a report instead of a crash inside a pasting.
+counterexample in a report instead of a crash inside a pasting.  On a
+thin adapter `run_laws` does not paste at all where it need not: it runs
+the laws of a channel once on a recording adapter, which lists the
+1-cells they build and the equations they test, and checks each instance
+against that list.  Only an instance on which some equation fails, or a
+1-cell cannot be built, is evaluated law by law, both sides of every
+pasting, to find the failing laws and render their counterexamples.  The
+cat adapter, whose 2-cells are not determined by their boundaries, is
+always evaluated law by law.
 """
 
 from __future__ import annotations
@@ -225,7 +233,11 @@ class ThinModel(FixpointModel):
     is the 1-categorical one of Simpson & Plotkin: fix, dinat and unif are
     the claims f.f* = f*, (fg)* = f.(gf)* and s.f* = g*, the same for every
     thin model.  An adapter supplies 1-cells, compose, star, strictness and
-    products; the calculus here only composes boundaries and compares them.
+    products; the calculus here only composes boundaries and compares them,
+    through identity, compose, src, dst, star, eq1, eq_obj and is_strict
+    alone.  That is what lets `run_laws` record the laws once as 1-cell
+    obligations; an adapter that overrides a method of the calculus is
+    evaluated law by law instead.
     """
 
     thin = True
@@ -341,10 +353,12 @@ class Corpus:
 class Law(NamedTuple):
     """One law: the corpus channel it reads and how to judge an instance.
 
-    `evaluate(inst)` returns (ok, left, right).  The two sides stay objects
-    until a counterexample is written: `sides(left, right)` renders them
-    (describe2 of both by default) and `describe(inst)` renders the
-    instance, for the first failing instance only.
+    A law is data: its functions take the adapter as their first argument,
+    so one law runs on any adapter, the recorder of `_program` included.
+    `evaluate(m, inst)` returns (ok, left, right).  The two sides stay
+    objects until a counterexample is written: `sides(m, left, right)`
+    renders them (describe2 of both by default) and `describe(m, inst)`
+    renders the instance, for the first failing instance only.
     """
 
     law_id: str
@@ -368,6 +382,13 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
     shares little a table kept across channels would hold a star, and the
     endo that keys it, for nearly every instance.
 
+    On a thin adapter the laws of a channel are first recorded as one
+    straight-line program of 1-cell operations and the equations they
+    test (`_program`).  An instance on which the program holds passes
+    every law of the channel without any 2-cell being built; any other
+    instance, and every channel without a program, is evaluated law by
+    law.
+
     Value-equal 1-cells may carry different names, and a star shared
     through the run table carries the names of the instance that computed
     it first.  So a failing instance is replayed, under a fresh memo with
@@ -383,12 +404,19 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
         by_channel.setdefault(law.channel, []).append(tally)
     try:
         for channel, group in by_channel.items():
+            insts = getattr(corpus, channel)
             m._run = {}
-            for inst in getattr(corpus, channel):
+            program = (_program(m, [t[0] for t in group], insts[0])
+                       if insts else None)
+            for inst in insts:
                 m._memo = {}
+                if program is not None and program.holds(inst):
+                    for tally in group:
+                        tally[1] += 1
+                    continue
                 fresh = []            # laws failing here for the first time
                 for i, tally in enumerate(group):
-                    if _evaluate(tally[0], inst)[0]:
+                    if _evaluate(m, tally[0], inst)[0]:
                         tally[1] += 1
                     elif tally[2] is None:
                         fresh.append(i)
@@ -404,11 +432,11 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
     return reports
 
 
-def _evaluate(law, inst):
+def _evaluate(m, law, inst):
     """(ok, left, right) of `law` at `inst`; an adapter crash is this law's
     counterexample, not the end of the run."""
     try:
-        return law.evaluate(inst)
+        return law.evaluate(m, inst)
     except Exception as e:
         return False, None, e
 
@@ -421,7 +449,7 @@ def _replay_counterexamples(m, group, inst, fresh):
     run, m._run, m._memo = m._run, None, {}
     try:
         for i, tally in enumerate(group[:fresh[-1] + 1]):
-            _, left, right = _evaluate(tally[0], inst)
+            _, left, right = _evaluate(m, tally[0], inst)
             if i in fresh:
                 tally[2] = _counterexample(m, tally[0], inst, left, right)
     finally:
@@ -436,145 +464,315 @@ def _counterexample(m, law, inst, left, right):
     elif law.sides is None:
         left, right = m.describe2(left), m.describe2(right)
     else:
-        left, right = law.sides(left, right)
-    return {"inputs": law.describe(inst), "raw": inst,
+        left, right = law.sides(m, left, right)
+    return {"inputs": law.describe(m, inst), "raw": inst,
             "left": left, "right": right}
+
+
+# ---------------------------------------------------------------------------
+# Thin laws as recorded 1-cell obligations.
+
+# The ThinModel methods a recorded program stands in for: an adapter that
+# overrides any of them is evaluated law by law.
+_CALCULUS = ("id2", "vcomp2", "whisker_l", "whisker_r", "hcomp2", "src2",
+             "dst2", "eq2", "cell_ok", "is_invertible2", "inverse2",
+             "star_2cell", "fix_witness", "dinat_witness", "unif_witness")
+
+
+class _Recorder(ThinModel):
+    """A thin adapter whose 1-cells and objects are slots of a program.
+
+    Slots 0..inputs-1 hold an instance's leaf 1-cells.  `identity`,
+    `compose`, `src`, `dst` and `star` append a step computing a new slot,
+    unless a structurally equal one was recorded already; `eq1`, `eq_obj`
+    and `is_strict` record a test and answer True, so a law runs down the
+    path on which every one of its checks holds.  The 2-cell calculus and
+    the witnesses are ThinModel's own, unchanged.
+    """
+
+    def __init__(self, inputs):
+        self.inputs = inputs
+        self.steps = []               # (method name, *argument slots)
+        self.tests = {}               # (method name, *argument slots), ordered
+        self._slots = {}
+
+    def _step(self, *key):
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = self.inputs + len(self.steps)
+            self.steps.append(key)
+        return slot
+
+    def _test(self, *key):
+        self.tests[key] = None
+        return True
+
+    def identity(self, obj):
+        return self._step("identity", obj)
+
+    def compose(self, g, f):
+        return self._step("compose", g, f)
+
+    def src(self, f):
+        return self._step("src", f)
+
+    def dst(self, f):
+        return self._step("dst", f)
+
+    def star(self, f):
+        return self._step("star", f)
+
+    def eq1(self, f, g):
+        return self._test("eq1", f, g)
+
+    def eq_obj(self, a, b):
+        return self._test("eq_obj", a, b)
+
+    def is_strict(self, s):
+        return self._test("is_strict", s)
+
+
+def _mirror(x, leaves):
+    """`x` with each leaf 1-cell replaced by its input slot: tuples and
+    ThinCells are kept, and the leaves, collected in `leaves`, are
+    numbered in order."""
+    if isinstance(x, tuple):
+        return tuple(_mirror(y, leaves) for y in x)
+    if isinstance(x, ThinCell):
+        return ThinCell(_mirror(x.source, leaves), _mirror(x.target, leaves))
+    leaves.append(x)
+    return len(leaves) - 1
+
+
+def _leaves(shape, x, out):
+    """Append the leaf 1-cells of instance `x` to `out` in slot order;
+    False when `x` is not shaped like the mirror `shape`."""
+    if type(shape) is int:
+        if isinstance(x, (tuple, ThinCell)):
+            return False
+        out.append(x)
+        return True
+    if type(shape) is ThinCell:
+        return (isinstance(x, ThinCell) and _leaves(shape.source, x.source, out)
+                and _leaves(shape.target, x.target, out))
+    return (isinstance(x, tuple) and len(x) == len(shape)
+            and all(_leaves(s, y, out) for s, y in zip(shape, x)))
+
+
+class _Program:
+    """The 1-cell obligations of a group of laws, bound to one adapter:
+    each step and test is (method, first slot, second slot or None)."""
+
+    def __init__(self, m, shape, steps, tests):
+        self.shape = shape
+        self.steps = _bind(m, steps)
+        self.tests = _bind(m, tests)
+
+    def holds(self, inst):
+        """Whether every law of the group passes at `inst`, judged from
+        its 1-cells alone.  False means only that the program cannot
+        vouch for `inst`: the laws must be evaluated there."""
+        vals = []
+        if not _leaves(self.shape, inst, vals):
+            return False
+        try:
+            for fn, a, b in self.steps:
+                vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
+            for fn, a, b in self.tests:
+                if not (fn(vals[a]) if b is None else fn(vals[a], vals[b])):
+                    return False
+        except Exception:
+            return False
+        return True
+
+
+def _bind(m, records):
+    return [(getattr(m, name), args[0], args[1] if len(args) > 1 else None)
+            for name, *args in records]
+
+
+def _program(m, laws, first):
+    """The program of `laws` on adapter `m`, recorded on an instance
+    shaped like `first`; None when the laws must be evaluated one by one.
+
+    In a locally discrete model every law is a chain of 1-cell equations,
+    and a declared law, run on the recorder, lists the 1-cells it builds
+    and the equations, strictness and object checks it tests.  When all
+    of those hold at an instance, evaluating the law there takes the same
+    path and returns ok; when one fails or a step raises, the law fails
+    too, and the instance goes law by law to find which one.  That holds
+    for the declared laws on ThinModel's own calculus, so a group holding
+    any other law, and an adapter that is not thin or overrides the
+    calculus, get no program.
+    """
+    if not isinstance(m, ThinModel) or any(
+            getattr(type(m), name) is not getattr(ThinModel, name)
+            for name in _CALCULUS):
+        return None
+    if not all(law in _DECLARED for law in laws):
+        return None
+    leaves = []
+    shape = _mirror(first, leaves)
+    rec = _Recorder(len(leaves))
+    for law in laws:
+        try:
+            ok = law.evaluate(rec, shape)[0]
+        except Exception:
+            return None
+        if not ok:
+            return None
+    return _Program(m, shape, rec.steps, rec.tests)
 
 
 # ---------------------------------------------------------------------------
 # Law checks.
 
-def _want_cell(m, what):
+def _d1(m, x):
+    return m.describe1(x)
+
+
+def _d2(m, t):
+    return m.describe2(t)
+
+
+def _dpair(m, inst):
+    f, g = inst
+    return f"(f={m.describe1(f)}, g={m.describe1(g)})"
+
+
+def _dsq(m, inst):
+    s, f, g, gamma = inst
+    return f"(s={m.describe1(s)}, f={m.describe1(f)}, g={m.describe1(g)})"
+
+
+def _want_cell(what):
     """Sides renderer for a witness checked against its wanted boundary."""
-    def sides(w, want):
+    def sides(m, w, want):
         src, dst = want
         return (m.describe2(w),
                 f"{what} {m.describe1(src)} => {m.describe1(dst)}")
     return sides
 
 
-def fix_laws(m: FixpointModel):
-    """The fixpoint cell itself and its naturality in the endo argument."""
+# -- fix: the fixpoint cell itself and its naturality in the endo argument ----
 
-    def d1(x):
-        return m.describe1(x)
+def _fix_cell(m, f):
+    w = m.fix_witness(f)
+    fs = m.star(f)
+    want_src = m.compose(f, fs)
+    shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), fs)
+    ok = shaped and m.cell_ok(w) and m.is_invertible2(w)
+    return ok, w, (want_src, fs)
 
-    def eval_cell(f):
-        w = m.fix_witness(f)
-        fs = m.star(f)
-        want_src = m.compose(f, fs)
-        shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), fs)
-        ok = shaped and m.cell_ok(w) and m.is_invertible2(w)
-        return ok, w, (want_src, fs)
 
-    def eval_nat(alpha):
-        f, g = m.src2(alpha), m.dst2(alpha)
-        astar = m.star_2cell(alpha)
-        lhs = m.vcomp2(astar, m.fix_witness(f))
-        rhs = m.vcomp2(m.fix_witness(g), m.hcomp2(astar, alpha))
-        return m.eq2(lhs, rhs), lhs, rhs
+def _fix_nat(m, alpha):
+    f, g = m.src2(alpha), m.dst2(alpha)
+    astar = m.star_2cell(alpha)
+    lhs = m.vcomp2(astar, m.fix_witness(f))
+    rhs = m.vcomp2(m.fix_witness(g), m.hcomp2(astar, alpha))
+    return m.eq2(lhs, rhs), lhs, rhs
 
-    return [
-        Law("fix.cell",
-            "fix(f) is a well-formed invertible 2-cell f.f* => f*",
-            "endos", eval_cell, d1, _want_cell(m, "invertible cell")),
-        Law("fix.naturality",
-            "star2(a) . fix(f) == fix(g) . hcomp(star2(a), a) for a: f => g",
-            "endo_cells", eval_nat, m.describe2),
-    ]
+
+FIX_LAWS = (
+    Law("fix.cell",
+        "fix(f) is a well-formed invertible 2-cell f.f* => f*",
+        "endos", _fix_cell, _d1, _want_cell("invertible cell")),
+    Law("fix.naturality",
+        "star2(a) . fix(f) == fix(g) . hcomp(star2(a), a) for a: f => g",
+        "endo_cells", _fix_nat, _d2),
+)
 
 
 def check_fix(m: FixpointModel, corpus: Corpus):
     """Reports of the fix laws on `corpus`, in declaration order."""
-    return run_laws(m, corpus, fix_laws(m))
+    return run_laws(m, corpus, FIX_LAWS)
 
 
-def dinat_laws(m: FixpointModel):
-    """The dinaturality cell family and its axioms."""
+# -- dinat: the dinaturality cell family and its axioms -----------------------
 
-    def d1(x):
-        return m.describe1(x)
+def _dinat_cell(m, inst):
+    f, g = inst
+    w = m.dinat_witness(f, g)
+    want_src = m.star(m.compose(f, g))
+    want_dst = m.compose(f, m.star(m.compose(g, f)))
+    shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), want_dst)
+    ok = shaped and m.cell_ok(w) and m.is_invertible2(w)
+    return ok, w, (want_src, want_dst)
 
-    def dpair(inst):
-        f, g = inst
-        return f"(f={d1(f)}, g={d1(g)})"
 
-    def eval_cell(inst):
-        f, g = inst
-        w = m.dinat_witness(f, g)
-        want_src = m.star(m.compose(f, g))
-        want_dst = m.compose(f, m.star(m.compose(g, f)))
-        shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), want_dst)
-        ok = shaped and m.cell_ok(w) and m.is_invertible2(w)
-        return ok, w, (want_src, want_dst)
+def _dinat_unity(m, f):
+    one = m.identity(m.src(f))
+    lhs = m.dinat_witness(one, f)
+    rhs = m.id2(m.star(f))
+    return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_unity(f):
-        one = m.identity(m.src(f))
-        lhs = m.dinat_witness(one, f)
-        rhs = m.id2(m.star(f))
-        return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_fix_remark(f):
-        # dinat over an identity inner leg determines fix
-        one = m.identity(m.src(f))
-        lhs = m.vcomp2(m.fix_witness(f), m.dinat_witness(f, one))
-        rhs = m.id2(m.star(f))
-        return m.eq2(lhs, rhs), lhs, rhs
+def _dinat_fix_remark(m, f):
+    # dinat over an identity inner leg determines fix
+    one = m.identity(m.src(f))
+    lhs = m.vcomp2(m.fix_witness(f), m.dinat_witness(f, one))
+    rhs = m.id2(m.star(f))
+    return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_one_nat(inst):
-        f, g, h = inst  # f: A->B, g: B->C, h: C->A
-        lhs = m.vcomp2(m.whisker_l(g, m.dinat_witness(f, m.compose(h, g))),
-                       m.dinat_witness(g, m.compose(f, h)))
-        rhs = m.dinat_witness(m.compose(g, f), h)
-        return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_two_nat(inst):
-        alpha, g = inst  # alpha: f => f' with f, f': A->B, g: B->A
-        f, f2 = m.src2(alpha), m.dst2(alpha)
-        lhs = m.vcomp2(m.dinat_witness(f2, g),
-                       m.star_2cell(m.whisker_r(alpha, g)))
-        rhs = m.vcomp2(
-            m.whisker_r(alpha, m.star(m.compose(g, f2))),
-            m.vcomp2(m.whisker_l(f, m.star_2cell(m.whisker_l(g, alpha))),
-                     m.dinat_witness(f, g)))
-        return m.eq2(lhs, rhs), lhs, rhs
+def _dinat_one_nat(m, inst):
+    f, g, h = inst  # f: A->B, g: B->C, h: C->A
+    lhs = m.vcomp2(m.whisker_l(g, m.dinat_witness(f, m.compose(h, g))),
+                   m.dinat_witness(g, m.compose(f, h)))
+    rhs = m.dinat_witness(m.compose(g, f), h)
+    return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_fix_coherence(inst):
-        f, g = inst
-        fg = m.compose(f, g)
-        paste = m.vcomp2(m.whisker_l(f, m.dinat_witness(g, f)),
-                         m.dinat_witness(f, g))
-        lhs = m.vcomp2(m.fix_witness(fg), paste)
-        rhs = m.id2(m.star(fg))
-        return m.eq2(lhs, rhs), lhs, rhs
 
-    return [
-        Law("dinat.cell",
-            "dinat(f,g) is a well-formed invertible 2-cell (fg)* => f.(gf)*",
-            "dinat_pairs", eval_cell, dpair, _want_cell(m, "invertible cell")),
-        Law("dinat.unity",
-            "dinat(id, f) == id2(f*)",
-            "endos", eval_unity, d1),
-        Law("dinat.fix_remark",
-            "fix(f) . dinat(f, id) == id2(f*)",
-            "endos", eval_fix_remark, d1),
-        Law("dinat.one_nat",
-            "whisker(g, dinat(f, hg)) . dinat(g, fh) == dinat(gf, h)",
-            "dinat_triples", eval_one_nat,
-            lambda t: f"(f={d1(t[0])}, g={d1(t[1])}, h={d1(t[2])})"),
-        Law("dinat.two_nat",
-            "dinat(f', g) . star2(a.g) == (a.(gf')*) . (f.star2(g.a)) . dinat(f, g)",
-            "dinat_cells", eval_two_nat,
-            lambda t: f"(alpha={m.describe2(t[0])}, g={d1(t[1])})"),
-        Law("dinat.fix_coherence",
-            "fix(fg) . whisker(f, dinat(g, f)) . dinat(f, g) == id2((fg)*)",
-            "dinat_pairs", eval_fix_coherence, dpair),
-    ]
+def _dinat_two_nat(m, inst):
+    alpha, g = inst  # alpha: f => f' with f, f': A->B, g: B->A
+    f, f2 = m.src2(alpha), m.dst2(alpha)
+    lhs = m.vcomp2(m.dinat_witness(f2, g),
+                   m.star_2cell(m.whisker_r(alpha, g)))
+    rhs = m.vcomp2(
+        m.whisker_r(alpha, m.star(m.compose(g, f2))),
+        m.vcomp2(m.whisker_l(f, m.star_2cell(m.whisker_l(g, alpha))),
+                 m.dinat_witness(f, g)))
+    return m.eq2(lhs, rhs), lhs, rhs
+
+
+def _dinat_fix_coherence(m, inst):
+    f, g = inst
+    fg = m.compose(f, g)
+    paste = m.vcomp2(m.whisker_l(f, m.dinat_witness(g, f)),
+                     m.dinat_witness(f, g))
+    lhs = m.vcomp2(m.fix_witness(fg), paste)
+    rhs = m.id2(m.star(fg))
+    return m.eq2(lhs, rhs), lhs, rhs
+
+
+DINAT_LAWS = (
+    Law("dinat.cell",
+        "dinat(f,g) is a well-formed invertible 2-cell (fg)* => f.(gf)*",
+        "dinat_pairs", _dinat_cell, _dpair, _want_cell("invertible cell")),
+    Law("dinat.unity",
+        "dinat(id, f) == id2(f*)",
+        "endos", _dinat_unity, _d1),
+    Law("dinat.fix_remark",
+        "fix(f) . dinat(f, id) == id2(f*)",
+        "endos", _dinat_fix_remark, _d1),
+    Law("dinat.one_nat",
+        "whisker(g, dinat(f, hg)) . dinat(g, fh) == dinat(gf, h)",
+        "dinat_triples", _dinat_one_nat,
+        lambda m, t: (f"(f={m.describe1(t[0])}, g={m.describe1(t[1])}, "
+                      f"h={m.describe1(t[2])})")),
+    Law("dinat.two_nat",
+        "dinat(f', g) . star2(a.g) == (a.(gf')*) . (f.star2(g.a)) . dinat(f, g)",
+        "dinat_cells", _dinat_two_nat,
+        lambda m, t: f"(alpha={m.describe2(t[0])}, g={m.describe1(t[1])})"),
+    Law("dinat.fix_coherence",
+        "fix(fg) . whisker(f, dinat(g, f)) . dinat(f, g) == id2((fg)*)",
+        "dinat_pairs", _dinat_fix_coherence, _dpair),
+)
 
 
 def check_dinat(m: FixpointModel, corpus: Corpus):
     """Reports of the dinat laws on `corpus`, in declaration order."""
-    return run_laws(m, corpus, dinat_laws(m))
+    return run_laws(m, corpus, DINAT_LAWS)
 
 
 def require_square(m: FixpointModel, s, f, g, gamma):
@@ -597,148 +795,155 @@ def _require_opposed(m: FixpointModel, f, g):
         raise TypeMismatch("dinat needs f: A -> B and g: B -> A")
 
 
-def unif_laws(m: FixpointModel):
-    """The uniformity cell family, its four axioms, and both coherences."""
+# -- unif: the uniformity cell family, its four axioms, and both coherences ---
 
-    def d1(x):
-        return m.describe1(x)
+def _unif_cell(m, inst):
+    s, f, g, gamma = inst
+    require_square(m, s, f, g, gamma)
+    w = m.unif_witness(s, f, g, gamma)
+    want_src = m.compose(s, m.star(f))
+    want_dst = m.star(g)
+    shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), want_dst)
+    ok = shaped and m.cell_ok(w)
+    return ok, w, (want_src, want_dst)
 
-    def dsq(inst):
-        s, f, g, gamma = inst
-        return f"(s={d1(s)}, f={d1(f)}, g={d1(g)})"
 
-    def eval_cell(inst):
-        s, f, g, gamma = inst
-        require_square(m, s, f, g, gamma)
-        w = m.unif_witness(s, f, g, gamma)
-        want_src = m.compose(s, m.star(f))
-        want_dst = m.star(g)
-        shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), want_dst)
-        ok = shaped and m.cell_ok(w)
-        return ok, w, (want_src, want_dst)
+def _unif_invertible(m, inst):
+    s, f, g, gamma = inst
+    require_square(m, s, f, g, gamma)
+    w = m.unif_witness(s, f, g, gamma)
+    return m.is_invertible2(w), w, None
 
-    def eval_invertible(inst):
-        s, f, g, gamma = inst
-        require_square(m, s, f, g, gamma)
-        w = m.unif_witness(s, f, g, gamma)
-        return m.is_invertible2(w), w, None
 
-    def eval_unity(f):
-        s = m.identity(m.src(f))
-        gamma = m.id2(m.compose(s, f))
-        lhs = m.unif_witness(s, f, f, gamma)
-        rhs = m.id2(m.star(f))
-        return m.eq2(lhs, rhs), lhs, rhs
+def _unif_unity(m, f):
+    s = m.identity(m.src(f))
+    gamma = m.id2(m.compose(s, f))
+    lhs = m.unif_witness(s, f, f, gamma)
+    rhs = m.id2(m.star(f))
+    return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_one_nat(inst):
-        (s, f, g, gamma), (r, g2, h, rho) = inst
-        if not m.eq1(g, g2):
-            raise InvalidSquare("stacked squares do not share the middle endo")
-        require_square(m, s, f, g, gamma)
-        require_square(m, r, g, h, rho)
-        stacked = m.vcomp2(m.whisker_r(rho, s), m.whisker_l(r, gamma))
-        lhs = m.unif_witness(m.compose(r, s), f, h, stacked)
-        rhs = m.vcomp2(m.unif_witness(r, g, h, rho),
-                       m.whisker_l(r, m.unif_witness(s, f, g, gamma)))
-        return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_two_nat(inst):
-        theta, f, g, gamma, rho = inst  # theta: s => r
-        s, r = m.src2(theta), m.dst2(theta)
-        if not (m.is_strict(s) and m.is_strict(r) and m.cell_ok(theta)
-                and m.is_invertible2(theta)):
-            raise InvalidSquare("theta is not an invertible cell between strict 1-cells")
-        require_square(m, s, f, g, gamma)
-        require_square(m, r, f, g, rho)
-        pre_l = m.vcomp2(m.whisker_l(g, theta), gamma)
-        pre_r = m.vcomp2(rho, m.whisker_r(theta, f))
-        if not m.eq2(pre_l, pre_r):
-            raise InvalidSquare("theta does not relate the two squares")
-        lhs = m.unif_witness(s, f, g, gamma)
-        rhs = m.vcomp2(m.unif_witness(r, f, g, rho),
-                       m.whisker_r(theta, m.star(f)))
-        return m.eq2(lhs, rhs), lhs, rhs
+def _unif_one_nat(m, inst):
+    (s, f, g, gamma), (r, g2, h, rho) = inst
+    if not m.eq1(g, g2):
+        raise InvalidSquare("stacked squares do not share the middle endo")
+    require_square(m, s, f, g, gamma)
+    require_square(m, r, g, h, rho)
+    stacked = m.vcomp2(m.whisker_r(rho, s), m.whisker_l(r, gamma))
+    lhs = m.unif_witness(m.compose(r, s), f, h, stacked)
+    rhs = m.vcomp2(m.unif_witness(r, g, h, rho),
+                   m.whisker_l(r, m.unif_witness(s, f, g, gamma)))
+    return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_transport(inst):
-        s, alpha, beta, gamma, rho = inst  # alpha: f => h, beta: g => k
-        f, h = m.src2(alpha), m.dst2(alpha)
-        g, k = m.src2(beta), m.dst2(beta)
-        require_square(m, s, f, g, gamma)
-        require_square(m, s, h, k, rho)
-        pre_l = m.vcomp2(rho, m.whisker_l(s, alpha))
-        pre_r = m.vcomp2(m.whisker_r(beta, s), gamma)
-        if not m.eq2(pre_l, pre_r):
-            raise InvalidSquare("alpha/beta do not relate the two squares")
-        lhs = m.vcomp2(m.unif_witness(s, h, k, rho),
-                       m.whisker_l(s, m.star_2cell(alpha)))
-        rhs = m.vcomp2(m.star_2cell(beta), m.unif_witness(s, f, g, gamma))
-        return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_fix_coherence(inst):
-        s, f, g, gamma = inst
-        require_square(m, s, f, g, gamma)
-        w = m.unif_witness(s, f, g, gamma)
-        lhs = m.vcomp2(m.inverse2(m.fix_witness(g)), w)
-        rhs = m.vcomp2(
-            m.whisker_l(g, w),
-            m.vcomp2(m.whisker_r(gamma, m.star(f)),
-                     m.whisker_l(s, m.inverse2(m.fix_witness(f)))))
-        return m.eq2(lhs, rhs), lhs, rhs
+def _unif_two_nat(m, inst):
+    theta, f, g, gamma, rho = inst  # theta: s => r
+    s, r = m.src2(theta), m.dst2(theta)
+    if not (m.is_strict(s) and m.is_strict(r) and m.cell_ok(theta)
+            and m.is_invertible2(theta)):
+        raise InvalidSquare("theta is not an invertible cell between strict 1-cells")
+    require_square(m, s, f, g, gamma)
+    require_square(m, r, f, g, rho)
+    pre_l = m.vcomp2(m.whisker_l(g, theta), gamma)
+    pre_r = m.vcomp2(rho, m.whisker_r(theta, f))
+    if not m.eq2(pre_l, pre_r):
+        raise InvalidSquare("theta does not relate the two squares")
+    lhs = m.unif_witness(s, f, g, gamma)
+    rhs = m.vcomp2(m.unif_witness(r, f, g, rho),
+                   m.whisker_r(theta, m.star(f)))
+    return m.eq2(lhs, rhs), lhs, rhs
 
-    def eval_dinat_coherence(inst):
-        # s: A->C, r: B->D strict; f: A->B, g: B->A, h: C->D, k: D->C;
-        # gamma: r.f => h.s, rho: s.g => k.r
-        s, r, f, g, h, k, gamma, rho = inst
-        glue_r = m.vcomp2(m.whisker_l(h, rho), m.whisker_r(gamma, g))
-        glue_s = m.vcomp2(m.whisker_l(k, gamma), m.whisker_r(rho, f))
-        fg, gf = m.compose(f, g), m.compose(g, f)
-        hk, kh = m.compose(h, k), m.compose(k, h)
-        require_square(m, r, fg, hk, glue_r)
-        require_square(m, s, gf, kh, glue_s)
-        lhs = m.vcomp2(m.dinat_witness(h, k),
-                       m.unif_witness(r, fg, hk, glue_r))
-        rhs = m.vcomp2(
-            m.whisker_l(h, m.unif_witness(s, gf, kh, glue_s)),
-            m.vcomp2(m.whisker_r(gamma, m.star(gf)),
-                     m.whisker_l(r, m.dinat_witness(f, g))))
-        return m.eq2(lhs, rhs), lhs, rhs
 
-    return [
-        Law("unif.cell",
-            "unif(s,f,g,y) is a well-formed 2-cell s.f* => g*",
-            "unif_squares", eval_cell, dsq, _want_cell(m, "cell")),
-        Law("unif.invertible",
-            "unif(s,f,g,y) is invertible (reported separately from the axioms)",
-            "unif_squares", eval_invertible, dsq,
-            lambda w, _: (m.describe2(w), "an invertible 2-cell")),
-        Law("unif.unity",
-            "unif(id, f, f, id2) == id2(f*)",
-            "endos", eval_unity, d1),
-        Law("unif.one_nat",
-            "unif(rs, f, h, stack(y, p)) == unif(r, g, h, p) . whisker(r, unif(s, f, g, y))",
-            "unif_stacks", eval_one_nat,
-            lambda t: f"({dsq(t[0])} over {dsq(t[1])})"),
-        Law("unif.two_nat",
-            "unif(s, f, g, y) == unif(r, f, g, p) . (theta . f*)",
-            "unif_thetas", eval_two_nat,
-            lambda t: f"(theta={m.describe2(t[0])}, f={d1(t[1])}, g={d1(t[2])})"),
-        Law("unif.transport",
-            "unif(s, h, k, p) . (s . star2(a)) == star2(b) . unif(s, f, g, y)",
-            "unif_transports", eval_transport,
-            lambda t: f"(s={d1(t[0])}, alpha={m.describe2(t[1])}, beta={m.describe2(t[2])})"),
-        Law("unif.fix_coherence",
-            "inv(fix(g)) . unif == (g . unif) . (y . f*) . (s . inv(fix(f)))",
-            "unif_squares", eval_fix_coherence, dsq),
-        Law("unif.dinat_coherence",
-            "dinat(h,k) . unif(r, fg, hk) == (h . unif(s, gf, kh)) . (y . (gf)*) . (r . dinat(f,g))",
-            "unif_dinat", eval_dinat_coherence,
-            lambda t: f"(s={d1(t[0])}, r={d1(t[1])}, f={d1(t[2])}, g={d1(t[3])})"),
-    ]
+def _unif_transport(m, inst):
+    s, alpha, beta, gamma, rho = inst  # alpha: f => h, beta: g => k
+    f, h = m.src2(alpha), m.dst2(alpha)
+    g, k = m.src2(beta), m.dst2(beta)
+    require_square(m, s, f, g, gamma)
+    require_square(m, s, h, k, rho)
+    pre_l = m.vcomp2(rho, m.whisker_l(s, alpha))
+    pre_r = m.vcomp2(m.whisker_r(beta, s), gamma)
+    if not m.eq2(pre_l, pre_r):
+        raise InvalidSquare("alpha/beta do not relate the two squares")
+    lhs = m.vcomp2(m.unif_witness(s, h, k, rho),
+                   m.whisker_l(s, m.star_2cell(alpha)))
+    rhs = m.vcomp2(m.star_2cell(beta), m.unif_witness(s, f, g, gamma))
+    return m.eq2(lhs, rhs), lhs, rhs
+
+
+def _unif_fix_coherence(m, inst):
+    s, f, g, gamma = inst
+    require_square(m, s, f, g, gamma)
+    w = m.unif_witness(s, f, g, gamma)
+    lhs = m.vcomp2(m.inverse2(m.fix_witness(g)), w)
+    rhs = m.vcomp2(
+        m.whisker_l(g, w),
+        m.vcomp2(m.whisker_r(gamma, m.star(f)),
+                 m.whisker_l(s, m.inverse2(m.fix_witness(f)))))
+    return m.eq2(lhs, rhs), lhs, rhs
+
+
+def _unif_dinat_coherence(m, inst):
+    # s: A->C, r: B->D strict; f: A->B, g: B->A, h: C->D, k: D->C;
+    # gamma: r.f => h.s, rho: s.g => k.r
+    s, r, f, g, h, k, gamma, rho = inst
+    glue_r = m.vcomp2(m.whisker_l(h, rho), m.whisker_r(gamma, g))
+    glue_s = m.vcomp2(m.whisker_l(k, gamma), m.whisker_r(rho, f))
+    fg, gf = m.compose(f, g), m.compose(g, f)
+    hk, kh = m.compose(h, k), m.compose(k, h)
+    require_square(m, r, fg, hk, glue_r)
+    require_square(m, s, gf, kh, glue_s)
+    lhs = m.vcomp2(m.dinat_witness(h, k),
+                   m.unif_witness(r, fg, hk, glue_r))
+    rhs = m.vcomp2(
+        m.whisker_l(h, m.unif_witness(s, gf, kh, glue_s)),
+        m.vcomp2(m.whisker_r(gamma, m.star(gf)),
+                 m.whisker_l(r, m.dinat_witness(f, g))))
+    return m.eq2(lhs, rhs), lhs, rhs
+
+
+UNIF_LAWS = (
+    Law("unif.cell",
+        "unif(s,f,g,y) is a well-formed 2-cell s.f* => g*",
+        "unif_squares", _unif_cell, _dsq, _want_cell("cell")),
+    Law("unif.invertible",
+        "unif(s,f,g,y) is invertible (reported separately from the axioms)",
+        "unif_squares", _unif_invertible, _dsq,
+        lambda m, w, _: (m.describe2(w), "an invertible 2-cell")),
+    Law("unif.unity",
+        "unif(id, f, f, id2) == id2(f*)",
+        "endos", _unif_unity, _d1),
+    Law("unif.one_nat",
+        "unif(rs, f, h, stack(y, p)) == unif(r, g, h, p) . whisker(r, unif(s, f, g, y))",
+        "unif_stacks", _unif_one_nat,
+        lambda m, t: f"({_dsq(m, t[0])} over {_dsq(m, t[1])})"),
+    Law("unif.two_nat",
+        "unif(s, f, g, y) == unif(r, f, g, p) . (theta . f*)",
+        "unif_thetas", _unif_two_nat,
+        lambda m, t: (f"(theta={m.describe2(t[0])}, f={m.describe1(t[1])}, "
+                      f"g={m.describe1(t[2])})")),
+    Law("unif.transport",
+        "unif(s, h, k, p) . (s . star2(a)) == star2(b) . unif(s, f, g, y)",
+        "unif_transports", _unif_transport,
+        lambda m, t: (f"(s={m.describe1(t[0])}, alpha={m.describe2(t[1])}, "
+                      f"beta={m.describe2(t[2])})")),
+    Law("unif.fix_coherence",
+        "inv(fix(g)) . unif == (g . unif) . (y . f*) . (s . inv(fix(f)))",
+        "unif_squares", _unif_fix_coherence, _dsq),
+    Law("unif.dinat_coherence",
+        "dinat(h,k) . unif(r, fg, hk) == (h . unif(s, gf, kh)) . (y . (gf)*) . (r . dinat(f,g))",
+        "unif_dinat", _unif_dinat_coherence,
+        lambda m, t: (f"(s={m.describe1(t[0])}, r={m.describe1(t[1])}, "
+                      f"f={m.describe1(t[2])}, g={m.describe1(t[3])})")),
+)
 
 
 def check_unif(m: FixpointModel, corpus: Corpus):
     """Reports of the unif laws on `corpus`, in declaration order."""
-    return run_laws(m, corpus, unif_laws(m))
+    return run_laws(m, corpus, UNIF_LAWS)
+
+
+# The laws a recorded program may stand in for.
+_DECLARED = frozenset(FIX_LAWS + DINAT_LAWS + UNIF_LAWS)
 
 
 # ---------------------------------------------------------------------------
@@ -885,8 +1090,7 @@ def run_suite(jobs, seed=0):
     """
     reports = []
     for model, corpus in jobs:
-        laws = fix_laws(model) + dinat_laws(model) + unif_laws(model)
-        for rep in run_laws(model, corpus, laws):
+        for rep in run_laws(model, corpus, FIX_LAWS + DINAT_LAWS + UNIF_LAWS):
             rep.law_id = f"{model.name}/{rep.law_id}"
             reports.append(rep)
     return sorted(reports, key=lambda r: r.law_id)

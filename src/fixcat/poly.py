@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NotCartesian, TypeMismatch, ValidationError
+from .errors import NotCartesian, SizeCap, TypeMismatch, ValidationError
 
 
 def _skey(x):
@@ -134,14 +134,25 @@ def _apply_trees(P: Polynomial, trees) -> frozenset:
     return frozenset(out)
 
 
+# The most trees one chain stage may hold.  Each stage's size is counted
+# before the stage is built, so a chain that outgrows this stops with
+# SizeCap instead of filling memory.
+MAX_STAGE_TREES = 1_000_000
+
+
 def wtype_stages(P: Polynomial, depth: int) -> list:
     """Stages 0..depth of the chain from the empty set; each stage contains
-    the previous one."""
+    the previous one.  Raises SizeCap before building a stage of more than
+    MAX_STAGE_TREES trees."""
     _require_endo(P)
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     stages = [frozenset()]
-    for _ in range(depth):
+    for k in range(1, depth + 1):
+        size = _next_stage_size(P, len(stages[-1]))
+        if size > MAX_STAGE_TREES:
+            raise SizeCap(f"{P.name}: W-type stage {k} would hold {size} "
+                          f"trees, over the bound of {MAX_STAGE_TREES}")
         stages.append(_apply_trees(P, stages[-1]))
     return stages
 
@@ -154,15 +165,18 @@ def wtype_enumerate(P: Polynomial, depth: int):
     return sorted(stage, key=_skey), _stage_is_fixed(P, stage)
 
 
-def _stage_is_fixed(P: Polynomial, stage) -> bool:
-    """F(X) == X for a chain stage X, decided without building F(X).
+def _next_stage_size(P: Polynomial, n: int) -> int:
+    """|F(X)| for a chain stage X of n trees, counted without building it:
+    distinct (constructor, choice) pairs give distinct trees, so
+    |F(X)| = sum_b n^arity(b)."""
+    return sum(n ** len(P.fiber(b)) for b in set(P.B))
 
-    Along the chain X is contained in F(X), and distinct (constructor,
-    choice) pairs give distinct trees, so |F(X)| = sum_b |X|^arity(b) and
-    F(X) == X exactly when that sum is |X|.
-    """
-    n = len(stage)
-    return sum(n ** len(P.fiber(b)) for b in set(P.B)) == n
+
+def _stage_is_fixed(P: Polynomial, stage) -> bool:
+    """F(X) == X for a chain stage X, decided without building F(X): along
+    the chain X is contained in F(X), so they are equal exactly when they
+    have the same size."""
+    return _next_stage_size(P, len(stage)) == len(stage)
 
 
 # --- M-types: finite-state coalgebra systems --------------------------------------

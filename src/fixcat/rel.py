@@ -108,8 +108,7 @@ class MultisetRel:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((frozenset(self.source), frozenset(self.target),
-                               self.pairs))
+            self._hash = hash(self.pairs)
         return self._hash
 
     def __repr__(self):

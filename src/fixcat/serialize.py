@@ -48,13 +48,17 @@ def _atoms(values, kind, what):
     return values
 
 
-def _pairs(doc, key, kind, width=2):
+def _pairs(doc, key, kind, width=2, atoms=True):
+    """The `width`-element entries of list field `key`, as tuples; with
+    `atoms`, every entry item must be a JSON scalar."""
     raw = _need(doc, key, list, kind)
     out = []
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != width:
             raise SchemaError(f"{kind}: {key!r} entries must be "
                               f"{width}-element lists")
+        if atoms:
+            _atoms(entry, kind, f"{key} entries")
         out.append(tuple(entry))
     return out
 
@@ -98,8 +102,7 @@ def load_document(path, validate=True):
 def _parse_poset(doc, validate):
     elements = _atoms(_need(doc, "elements", list, "poset"), "poset",
                       "elements")
-    leq = [_atoms(p, "poset", "leq entries")
-           for p in _pairs(doc, "leq", "poset")]
+    leq = _pairs(doc, "leq", "poset")
     bottom = _need(doc, "bottom", (str, int), "poset")
     return poset.PointedPoset(elements, leq, bottom,
                               name=doc.get("name", "P"), _validate=validate)
@@ -108,8 +111,7 @@ def _parse_poset(doc, validate):
 def _parse_monotone_map(doc, validate):
     src = _parse_poset(_need(doc, "source", dict, "monotone-map"), validate)
     tgt = _parse_poset(_need(doc, "target", dict, "monotone-map"), validate)
-    assignment = dict(_atoms(p, "monotone-map", "assignment entries")
-                      for p in _pairs(doc, "assignment", "monotone-map"))
+    assignment = dict(_pairs(doc, "assignment", "monotone-map"))
     return poset.MonotoneMap(src, tgt, assignment,
                              name=doc.get("name", "f"), _validate=validate)
 
@@ -149,8 +151,7 @@ def _parse_mrel(doc, validate):
 def _parse_preorder(doc, validate):
     return rel.Preorder(_atoms(_need(doc, "elements", list, "preorder"),
                                "preorder", "elements"),
-                        [_atoms(p, "preorder", "leq entries")
-                         for p in _pairs(doc, "leq", "preorder")],
+                        _pairs(doc, "leq", "preorder"),
                         name=doc.get("name", "Q"), _validate=validate)
 
 
@@ -175,7 +176,8 @@ def _parse_category(doc, validate):
     identity = dict(_pairs(doc, "identity", "category"))
     table = {(g, f): gf
              for (g, f, gf) in _pairs(doc, "table", "category", width=3)}
-    return cat.FinCategory(_need(doc, "objects", list, "category"),
+    return cat.FinCategory(_atoms(_need(doc, "objects", list, "category"),
+                                  "category", "objects"),
                            arrows, identity, table,
                            name=doc.get("name", "C"), _validate=validate)
 
@@ -198,40 +200,61 @@ def _parse_nat_transf(doc, validate):
                              _validate=validate)
 
 
-def _detuple(x):
-    # slot ids built by the library are tuples; JSON carries them as lists
-    if isinstance(x, list):
-        return tuple(_detuple(i) for i in x)
-    return x
+def _slot_id(v, kind):
+    """A slot id: a JSON scalar, or a list of slot ids read as a tuple (slot
+    ids built by the library are tuples; JSON carries them as lists)."""
+    if isinstance(v, list):
+        return tuple(_slot_id(x, kind) for x in v)
+    _atoms([v], kind, "slot ids")
+    return v
 
 
 def _parse_polynomial(doc, validate):
-    slots = [_detuple(e) for e in _need(doc, "slots", list, "polynomial")]
-    s = {_detuple(k): v for (k, v) in _pairs(doc, "slot_input", "polynomial")}
-    p = {_detuple(k): v
-         for (k, v) in _pairs(doc, "slot_constructor", "polynomial")}
-    return poly.Polynomial(_need(doc, "inputs", list, "polynomial"),
+    kind = "polynomial"
+    slots = [_slot_id(e, kind) for e in _need(doc, "slots", list, kind)]
+    s = {_slot_id(e, kind): i
+         for (e, i) in _pairs(doc, "slot_input", kind, atoms=False)}
+    p = {_slot_id(e, kind): b
+         for (e, b) in _pairs(doc, "slot_constructor", kind, atoms=False)}
+    _atoms(s.values(), kind, "slot inputs")
+    _atoms(p.values(), kind, "slot constructors")
+    return poly.Polynomial(_atoms(_need(doc, "inputs", list, kind), kind,
+                                  "inputs"),
                            slots,
-                           _need(doc, "constructors", list, "polynomial"),
-                           _need(doc, "outputs", list, "polynomial"),
+                           _atoms(_need(doc, "constructors", list, kind), kind,
+                                  "constructors"),
+                           _atoms(_need(doc, "outputs", list, kind), kind,
+                                  "outputs"),
                            s, p,
-                           dict(_pairs(doc, "constructor_output", "polynomial")),
+                           dict(_pairs(doc, "constructor_output", kind)),
                            name=doc.get("name", "P"), _validate=validate)
 
 
 def _parse_system(doc, validate):
-    p = _parse_polynomial(_need(doc, "polynomial", dict, "coalgebra-system"),
-                          validate)
+    kind = "coalgebra-system"
+    p = _parse_polynomial(_need(doc, "polynomial", dict, kind), validate)
     step = {}
-    for entry in _need(doc, "step", list, "coalgebra-system"):
+    for entry in _need(doc, "step", list, kind):
         if not isinstance(entry, list) or len(entry) != 3 \
                 or not isinstance(entry[2], list):
             raise SchemaError("coalgebra-system: step entries must be "
                               "[state, constructor, successor-pairs]")
         x, b, nxt = entry
-        step[x] = (b, {_detuple(e): v for (e, v) in nxt})
-    return poly.CoalgebraSystem(p, _need(doc, "states", list,
-                                         "coalgebra-system"),
+        _atoms([x, b], kind, "states and constructors")
+        succ = {}
+        for pair in nxt:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise SchemaError("coalgebra-system: successor entries must "
+                                  "be [slot, state] pairs")
+            e, y = pair
+            _atoms([y], kind, "states")
+            succ[_slot_id(e, kind)] = y
+        step[x] = (b, succ)
+    if not p.is_endo():
+        raise SchemaError("coalgebra-system: polynomial must be an "
+                          "endo-polynomial over one index")
+    return poly.CoalgebraSystem(p, _atoms(_need(doc, "states", list, kind),
+                                          kind, "states"),
                                 step, name=doc.get("name", "S"),
                                 _validate=validate)
 

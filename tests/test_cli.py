@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fixcat import cli, models, serialize
+from fixcat import cli, models, poly, serialize
 from fixcat.errors import SchemaError
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -168,6 +168,18 @@ def test_wtype_list_flag(capsys):
                 if ln.startswith("  ")]) == 26
 
 
+def test_wtype_stage_over_budget_exits_two(capsys, tmp_path):
+    # a 5-ary node: stage 4 would hold 39,135,394 trees
+    doc = tmp_path / "wide.json"
+    doc.write_text(serialize.print_document(
+        poly.endo_poly({"leaf": 0, "node": 5}, name="wide")))
+    code, out, err = run(capsys, "wtype", str(doc), "--depth", "5")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: wide: W-type stage 4 would hold 39135394 trees, "
+                   "over the bound of 1000000\n")
+
+
 def test_wtype_constant_stabilizes(capsys):
     code, out, _ = run(capsys, "wtype", sample("poly_const.json"))
     assert code == 0
@@ -320,6 +332,20 @@ MALFORMED = {
         {"kind": "ideal-relation", "pairs": [],
          "source": dict(STEP, elements=["x", ["y"]]), "target": STEP},
         ["star", "--model", "scott"]),
+    "polynomial-list-constructor": (
+        {"kind": "polynomial", "inputs": ["*"], "outputs": ["*"],
+         "constructors": [["leaf"], "node"], "slots": [],
+         "slot_input": [], "slot_constructor": [],
+         "constructor_output": [["node", "*"]]}, ["wtype"]),
+    "system-successor-not-a-pair": (
+        {"kind": "coalgebra-system", "states": ["s"],
+         "step": [["s", "*", [5]]],
+         "polynomial": {"kind": "polynomial", "inputs": ["*"],
+                        "outputs": ["*"], "constructors": ["*"],
+                        "slots": [["*", 0]],
+                        "slot_input": [[["*", 0], "*"]],
+                        "slot_constructor": [[["*", 0], "*"]],
+                        "constructor_output": [["*", "*"]]}}, ["mtype"]),
     "suite-draws-true": (
         {"kind": "suite-config", "models": ["poset"], "draws": True},
         ["laws"]),

@@ -413,18 +413,18 @@ def test_memo_is_per_instance_and_shared_across_laws():
     corpus = Corpus(endos=[UP, DOWN, UP])
     seen = []
 
-    def first(f):
+    def first(m, f):
         seen.append(("first", len(m._memo)))
         m.star(f)
         return True, None, None
 
-    def second(f):
+    def second(m, f):
         seen.append(("second", len(m._memo)))
         return True, None, None
 
     reports = laws.run_laws(m, corpus, [
-        laws.Law("a", "", "endos", first, m.describe1),
-        laws.Law("b", "", "endos", second, m.describe1)])
+        laws.Law("a", "", "endos", first, describe1),
+        laws.Law("b", "", "endos", second, describe1)])
     assert [r.passes for r in reports] == [3, 3]
     # each instance starts from an empty memo; the second law sees the first's
     assert seen == [("first", 0), ("second", 1)] * 3
@@ -461,11 +461,20 @@ DOWN_OTHER = poset.MonotoneMap(OTHER2, OTHER2, {"b": "b", "t": "b"},
                                name="down_other")
 
 
-def star_law(m):
-    def evaluate(f):
-        m.star(f)
-        return True, None, None
-    return laws.Law("star", "", "endos", evaluate, m.describe1)
+def describe1(m, f):
+    return m.describe1(f)
+
+
+def describe2(m, t):
+    return m.describe2(t)
+
+
+def _star(m, f):
+    m.star(f)
+    return True, None, None
+
+
+STAR_LAW = laws.Law("star", "", "endos", _star, describe1)
 
 
 @pytest.mark.parametrize("make, module, kernel", [
@@ -492,12 +501,12 @@ def test_run_table_shares_value_equal_stars_across_instances(
                             {(rel.EMPTY_MSET, "a"), (rel.mset(["a"]), "b")})
         twin = rel.MultisetRel(("b", "a"), ("b", "a"), f.pairs, name="twin")
     assert f == twin and f is not twin
-    reports = laws.run_laws(m, Corpus(endos=[f, twin]), [star_law(m)])
+    reports = laws.run_laws(m, Corpus(endos=[f, twin]), [STAR_LAW])
     assert reports[0].passes == 2
     assert len(calls) == 1
     assert m._run is None
     # a second run opens a table of its own
-    laws.run_laws(m, Corpus(endos=[twin]), [star_law(m)])
+    laws.run_laws(m, Corpus(endos=[twin]), [STAR_LAW])
     assert len(calls) == 2
 
 
@@ -512,14 +521,14 @@ def test_run_table_renewed_between_channels(monkeypatch):
     monkeypatch.setattr(poset, "kleene_star", counting)
     m = PosetModel()
 
-    def cell_star(alpha):
+    def cell_star(m, alpha):
         m.star(m.src2(alpha))
         return True, None, None
 
     corpus = Corpus(endos=[UP, UP], endo_cells=[ThinCell(UP, UP)] * 2)
     laws.run_laws(m, corpus, [
-        star_law(m), laws.Law("cell", "", "endo_cells", cell_star,
-                              m.describe2)])
+        STAR_LAW, laws.Law("cell", "", "endo_cells", cell_star,
+                              describe2)])
     assert len(calls) == 2
 
 
@@ -551,11 +560,11 @@ def test_counterexample_rendered_from_replay_without_run_table():
     # must read as if DOWN_OTHER had been evaluated on its own.
     m = BrokenPosetModel()
     corpus = Corpus(endos=[DOWN_OTHER], dinat_pairs=[(DOWN, IDC)])
-    cell = laws.fix_laws(m)[0]
-    reports = laws.run_laws(m, corpus, laws.dinat_laws(m)[:1] + [cell])
+    cell = laws.FIX_LAWS[0]
+    reports = laws.run_laws(m, corpus, [laws.DINAT_LAWS[0], cell])
     got = reports[1].counterexample
     assert m._memo is None and m._run is None
-    ok, left, right = cell.evaluate(DOWN_OTHER)
+    ok, left, right = cell.evaluate(m, DOWN_OTHER)
     assert not ok
     want = laws._counterexample(m, cell, DOWN_OTHER, left, right)
     assert got == want

@@ -199,7 +199,7 @@ def test_cat_chain_computed_once_per_run(monkeypatch):
     twin = FunctorData(F_AUT.source, F_AUT.target, F_AUT.omap, F_AUT.amap,
                        name="aut_twin")
     corpus = laws.Corpus(endos=[F_AUT, twin, F_AUT])
-    every = laws.fix_laws(m) + laws.dinat_laws(m) + laws.unif_laws(m)
+    every = laws.FIX_LAWS + laws.DINAT_LAWS + laws.UNIF_LAWS
     reports = laws.run_laws(m, corpus, every)
     assert all(r.passes == 3 for r in reports if r.instances == 3)
     assert calls == [F_AUT]

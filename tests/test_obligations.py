@@ -1,0 +1,224 @@
+"""Thin laws as recorded 1-cell obligations.
+
+`run_laws` records the laws of a channel once as a straight-line program of
+1-cell operations and tests, and evaluates law by law only the instances
+on which that program does not hold.  These tests check that the program
+gives exactly the verdicts of a full evaluation, on the thin corpora and
+under mutant adapters, and that it is used only where it may be.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fixcat import corpora, laws, poset, rel
+from fixcat.errors import ValidationError
+from fixcat.laws import Corpus, ThinCell, ThinModel
+from fixcat.models import (BrokenPosetModel, CatModel, PosetModel, RelModel,
+                           ScottModel)
+
+ALL_LAWS = laws.FIX_LAWS + laws.DINAT_LAWS + laws.UNIF_LAWS
+
+
+class GreatestRelModel(RelModel):
+    """Mutant: star picks the greatest fixpoint of an endo-relation."""
+
+    def __init__(self):
+        super().__init__("closure")
+        self.name = "rel[greatest]"
+
+    def _lfp(self, f):
+        alive = set(f.target)
+        while True:
+            keep = {b for (m, b) in f.pairs if rel.mset_support(m) <= alive}
+            if keep == alive:
+                break
+            alive = keep
+        return rel.MultisetRel(rel.EMPTY_CARRIER, f.target,
+                               {(rel.EMPTY_MSET, b) for b in alive},
+                               name=f"{f.name}*", _validate=False)
+
+
+class PickyPosetModel(PosetModel):
+    """Mutant: star raises on the endos of three-element posets."""
+
+    def __init__(self):
+        super().__init__("kleene")
+        self.name = "poset[picky]"
+
+    def _lfp(self, f):
+        if len(f.source.elements) == 3:
+            raise ValidationError("no star on three elements")
+        return super()._lfp(f)
+
+
+def groups(law_list=ALL_LAWS):
+    by_channel = {}
+    for law in law_list:
+        by_channel.setdefault(law.channel, []).append(law)
+    return by_channel
+
+
+def full_law_run(monkeypatch, m, corpus, law_list=ALL_LAWS):
+    """`run_laws` with no program: every instance law by law."""
+    with monkeypatch.context() as mp:
+        mp.setattr(laws, "_program", lambda *args: None)
+        return laws.run_laws(m, corpus, law_list)
+
+
+ADAPTERS = {
+    "poset": (PosetModel, corpora.poset_corpus),
+    "poset-broken": (BrokenPosetModel, corpora.poset_corpus),
+    "poset-picky": (PickyPosetModel, corpora.poset_corpus),
+    "rel": (RelModel, corpora.rel_corpus),
+    "rel-greatest": (GreatestRelModel, corpora.rel_corpus),
+    "scott": (ScottModel, corpora.scott_corpus),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(ADAPTERS)), seed=st.integers(0, 10_000),
+       draws=st.integers(1, 12), offset=st.integers(0, 10_000))
+def test_program_verdicts_equal_full_evaluation(name, seed, draws, offset):
+    # per instance: the program holds exactly when every law of the channel
+    # passes when evaluated law by law
+    make, build = ADAPTERS[name]
+    m = make()
+    corpus = build(draws=draws, seed=seed)
+    try:
+        for channel, group in groups().items():
+            insts = getattr(corpus, channel)
+            program = laws._program(m, group, insts[0])
+            assert program is not None
+            # the seeded random tail, and a stride through the exhaustive layer
+            step = max(1, len(insts) // 40)
+            chosen = insts[-draws:] + insts[offset % step::step]
+            m._run = {}
+            for inst in chosen:
+                m._memo = {}
+                fast = program.holds(inst)
+                m._memo = {}
+                full = all(laws._evaluate(m, law, inst)[0] for law in group)
+                assert fast == full, (name, channel, inst)
+    finally:
+        m._memo = m._run = None
+
+
+@pytest.mark.parametrize("name", ["poset-broken", "poset-picky",
+                                  "rel-greatest"])
+def test_mutant_reports_equal_full_evaluation(monkeypatch, name):
+    # the mutants fail laws; counts and counterexample text must not move
+    make, build = ADAPTERS[name]
+    full = build(draws=8, seed=3)
+    # every channel thinned to at most 300 instances, the random tail kept
+    corpus = Corpus(**{ch: insts[:-8:max(1, len(insts) // 300)] + insts[-8:]
+                       for ch, insts in vars(full).items()})
+    got = laws.run_laws(make(), corpus, ALL_LAWS)
+    want = full_law_run(monkeypatch, make(), corpus)
+    assert got == want
+    assert any(r.failed for r in got)
+
+
+def test_picky_star_errors_are_reported():
+    reports = laws.run_laws(PickyPosetModel(), corpora.poset_corpus(draws=0),
+                            laws.FIX_LAWS)
+    cell = reports[0]
+    assert cell.failed and cell.counterexample["left"] == "<error>"
+    assert cell.counterexample["right"] == (
+        "ValidationError: no star on three elements")
+
+
+# --- where the program is used, and where it is not -----------------------------
+
+CHAIN2 = poset.PointedPoset(["b", "t"], [("b", "b"), ("t", "t"), ("b", "t")],
+                            "b", name="two")
+UP = poset.MonotoneMap(CHAIN2, CHAIN2, {"b": "t", "t": "t"}, name="up")
+DOWN = poset.MonotoneMap(CHAIN2, CHAIN2, {"b": "b", "t": "b"}, name="down")
+
+
+@pytest.fixture
+def witness_calls(monkeypatch):
+    """Adapter types on which ThinModel's dinat_witness or vcomp2 ran; the
+    recorder's own calls are left out."""
+    calls = []
+    for name in ("dinat_witness", "vcomp2"):
+        real = getattr(ThinModel, name)
+
+        def counting(self, *args, _real=real):
+            if not isinstance(self, laws._Recorder):
+                calls.append(type(self))
+            return _real(self, *args)
+
+        monkeypatch.setattr(ThinModel, name, counting)
+    return calls
+
+
+def test_fast_path_builds_no_2cell_on_a_passing_channel(witness_calls):
+    m = PosetModel()
+    corpus = corpora.poset_corpus(draws=4, seed=1)
+    reports = laws.run_laws(m, corpus, laws.DINAT_LAWS)
+    assert all(r.ok for r in reports)
+    assert witness_calls == []
+
+
+def test_custom_law_runs_the_group_law_by_law(witness_calls):
+    m = PosetModel()
+    corpus = Corpus(dinat_pairs=[(UP, DOWN), (DOWN, UP)])
+    custom = laws.Law("custom", "", "dinat_pairs",
+                      lambda m, inst: (True, None, None),
+                      lambda m, inst: "")
+    group = [laws.DINAT_LAWS[0], custom]
+    assert laws._program(m, group, corpus.dinat_pairs[0]) is None
+    assert laws._program(m, group[:1], corpus.dinat_pairs[0]) is not None
+    reports = laws.run_laws(m, corpus, group)
+    assert [r.passes for r in reports] == [2, 2]
+    assert PosetModel in witness_calls
+
+
+def test_adapter_overriding_a_witness_runs_law_by_law(witness_calls):
+    class Witnessed(PosetModel):
+        def fix_witness(self, f):
+            return super().fix_witness(f)
+
+    m = Witnessed()
+    assert laws._program(m, laws.DINAT_LAWS, UP) is None
+    reports = laws.run_laws(m, Corpus(endos=[UP, DOWN],
+                                      dinat_pairs=[(UP, DOWN)]),
+                            laws.DINAT_LAWS)
+    assert all(r.passes == r.instances for r in reports)
+    assert Witnessed in witness_calls
+
+
+def test_cat_runs_law_by_law(monkeypatch):
+    m = CatModel()
+    corpus = corpora.cat_corpus()
+    assert laws._program(m, laws.FIX_LAWS[:1], corpus.endos[0]) is None
+    calls = []
+    real = CatModel.dinat_witness
+
+    def counting(self, f, g):
+        calls.append(f)
+        return real(self, f, g)
+
+    monkeypatch.setattr(CatModel, "dinat_witness", counting)
+    reports = laws.run_laws(m, corpus, laws.DINAT_LAWS)
+    assert all(not r.failed for r in reports)
+    assert calls
+
+
+def test_instance_of_another_shape_is_evaluated_law_by_law(monkeypatch):
+    # the program is recorded on a ThinCell; a bare 1-cell where its s/t
+    # steps expect one, or a tuple of another length, is never judged by it
+    m = PosetModel()
+    cells = [ThinCell(UP, UP), UP, (UP, UP), ThinCell(DOWN, DOWN)]
+    program = laws._program(m, laws.FIX_LAWS[1:], cells[0])
+    assert program.holds(cells[0])
+    assert not program.holds(cells[1]) and not program.holds(cells[2])
+    assert not laws._leaves(program.shape, cells[1], [])
+    assert not laws._leaves(program.shape, cells[2], [])
+    corpus = Corpus(endo_cells=cells)
+    got = laws.run_laws(m, corpus, laws.FIX_LAWS)
+    assert got == full_law_run(monkeypatch, m, corpus, laws.FIX_LAWS)
+    naturality = got[1]
+    assert naturality.passes == 2 and naturality.failed
+    assert naturality.counterexample["left"] == "<error>"
+

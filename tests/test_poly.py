@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcat.errors import NotCartesian, TypeMismatch, ValidationError
+from fixcat import poly
+from fixcat.errors import NotCartesian, SizeCap, TypeMismatch, ValidationError
 from fixcat.poly import (
     POINT,
     CoalgebraSystem,
@@ -102,6 +103,33 @@ def test_wtype_argument_errors():
                           {}, {}, {"b": "i"})
     with pytest.raises(TypeMismatch):
         wtype_enumerate(not_endo, 1)
+
+
+def test_wtype_stage_budget_trips_before_building_the_stage(monkeypatch):
+    # stages of a 5-ary tree grow 0, 1, 2, 33, then 1 + 33**5 = 39,135,394
+    built = []
+    real = poly._apply_trees
+
+    def counting(P, trees):
+        built.append(len(trees))
+        return real(P, trees)
+
+    monkeypatch.setattr(poly, "_apply_trees", counting)
+    P = endo_poly({"leaf": 0, "node": 5})
+    assert len(wtype_stages(P, 3)[-1]) == 33
+    built.clear()
+    with pytest.raises(SizeCap) as exc:
+        wtype_stages(P, 5)
+    assert "stage 4 would hold 39135394 trees" in str(exc.value)
+    assert built == [0, 1, 2]
+    with pytest.raises(SizeCap):
+        wtype_enumerate(P, 4)
+
+
+def test_wtype_stage_budget_admits_depth_six_of_bintree():
+    # 458,330 trees at depth 6 stay under the bound; depth 7 would not
+    assert poly._next_stage_size(BIN, 677) == 458_330 <= poly.MAX_STAGE_TREES
+    assert poly._next_stage_size(BIN, 458_330) > poly.MAX_STAGE_TREES
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixcat import models, poly, poset, rel, serialize
 from fixcat.errors import SchemaError, ValidationError
@@ -153,3 +154,55 @@ def test_model_names_cover_cli_specs():
     assert "rel:tree" in models.REGISTRY
     assert "scott" in models.REGISTRY
     assert "cat" in models.REGISTRY
+
+
+# --- fuzzing: a mutated sample either parses and round-trips, or is rejected --
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.one_of(st.integers(0, 2), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+def _mutate(data, doc):
+    """Replace, delete or insert one value somewhere inside `doc`."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            if isinstance(node, list):
+                node.append(data.draw(JUNK))
+            else:
+                node[data.draw(st.text(max_size=3))] = data.draw(JUNK)
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and data.draw(st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "replace":
+            node[key] = data.draw(JUNK)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, data.draw(JUNK))
+        else:
+            node[data.draw(st.text(max_size=3))] = data.draw(JUNK)
+        return
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_samples_parse_or_are_rejected(data):
+    path = data.draw(st.sampled_from(SAMPLE_FILES), label="sample")
+    doc = json.loads(path.read_text())
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        _mutate(data, doc)
+    try:
+        obj = parse_document(json.dumps(doc))
+    except (SchemaError, ValidationError):
+        return
+    text = print_document(obj)
+    assert print_document(parse_document(text)) == text
