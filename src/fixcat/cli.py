@@ -153,9 +153,32 @@ def cmd_wtype(args):
 def cmd_mtype(args):
     c = _expect(serialize.load_document(args.input), poly.CoalgebraSystem,
                 "coalgebra-system")
-    for x in sorted(c.states, key=str):
-        print(f"{x}: {poly.mtype_unfold(c, x, args.depth)}")
+    lines = [f"{x}: {_text(poly.mtype_unfold(c, x, args.depth))}"
+             for x in sorted(c.states, key=str)]
+    print("\n".join(lines))
     return 0
+
+
+def _text(tree):
+    """str(tree) of nested tuples, written with an explicit stack: an
+    unfolding nests deeper than str's recursion allows."""
+    if type(tree) is not tuple:
+        return str(tree)
+    out, todo = [], [(False, tree)]
+    while todo:
+        text, t = todo.pop()
+        if text:
+            out.append(t)
+        elif type(t) is tuple:
+            todo.append((True, ",)" if len(t) == 1 else ")"))
+            for i in reversed(range(len(t))):
+                todo.append((False, t[i]))
+                if i:
+                    todo.append((True, ", "))
+            todo.append((True, "("))
+        else:
+            out.append(repr(t))
+    return "".join(out)
 
 
 def cmd_bisim(args):

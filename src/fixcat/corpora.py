@@ -287,29 +287,22 @@ def poset_corpus(draws=1000, seed=0):
     from .models import PosetModel   # models imports corpora for its registry
     counts = _draw_counts(draws)
     posets = pointed_posets(3)
-    maps_cache = {}
-
-    def maps_of(p, q):
-        key = (id(p), id(q))
-        if key not in maps_cache:
-            maps_cache[key] = monotone_maps(p, q)
-        return maps_cache[key]
-
+    maps = {(a, b): monotone_maps(a, b) for a in posets for b in posets}
     c = Corpus()
     for p in posets:
-        c.endos.extend(maps_of(p, p))
+        c.endos.extend(maps[p, p])
     c.endo_cells = [ThinCell(f, f) for f in c.endos]
     for a in posets:
         for b in posets:
-            for f in maps_of(a, b):
-                for g in maps_of(b, a):
+            for f in maps[a, b]:
+                for g in maps[b, a]:
                     c.dinat_pairs.append((f, g))
     c.dinat_triples = _stride_sample_products(
-        [(maps_of(a, b), maps_of(b, cc), maps_of(cc, a))
+        [(maps[a, b], maps[b, cc], maps[cc, a])
          for a, b, cc in itertools.product(posets, repeat=3)], TRIPLE_CAP)
     c.unif_squares = _square_search(
-        posets, lambda p: maps_of(p, p),
-        lambda a, b: [s for s in maps_of(a, b) if s.is_bottom_preserving()],
+        posets, lambda p: maps[p, p],
+        lambda a, b: [s for s in maps[a, b] if s.is_bottom_preserving()],
         poset.compose_maps)
     derive_channels(PosetModel(), c, lambda obj, g: (
         id(obj), tuple(sorted(g.assignment.items()))))

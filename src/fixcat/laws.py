@@ -14,13 +14,9 @@ Laws are data: each is declared once, in `FIX_LAWS`, `DINAT_LAWS` and
 `UNIF_LAWS`, as functions of the adapter and one instance, and no law is
 derived from another.  They are evaluated instance-major by `run_laws`:
 each corpus instance is evaluated once for every law that reads its
-channel, under a star/compose memo that lives for that one instance.  A
-fixpoint is a function of its endo's value alone, so stars (and the cat
-adapter's chains) are also kept in a run table that lives for one channel
-walk of `run_laws`, or for one `compare_operators` call; composites are
-not.  A composite does not depend on the star construction, so the two
-adapters of a comparison share one memo and compose each composite once;
-their stars stay apart.
+channel.  Memoized adapter methods read one table each: composites the
+instance memo `_memo`, stars (and the cat adapter's chains) the run table
+`_run`.
 
 Thin adapters present a 2-cell as a ThinCell: the bare claim that its two
 boundary 1-cells are equal.  Pasting then only composes boundaries, and
@@ -28,14 +24,10 @@ each law degenerates to the chain of 1-cell equalities it means in a
 locally discrete setting.  The claim is tested when a cell is consumed
 (cell_ok / eq2), not at construction, so a violated law surfaces as a
 counterexample in a report instead of a crash inside a pasting.  On a
-thin adapter `run_laws` does not paste at all where it need not: it runs
-the laws of a channel once on a recording adapter, which lists the
-1-cells they build and the equations they test, and checks each instance
-against that list.  Only an instance on which some equation fails, or a
-1-cell cannot be built, is evaluated law by law, both sides of every
-pasting, to find the failing laws and render their counterexamples.  The
-cat adapter, whose 2-cells are not determined by their boundaries, is
-always evaluated law by law.
+thin adapter `run_laws` records the laws of a channel once as the 1-cells
+they build and the equations they test, and checks each instance against
+that list; only an instance the list cannot vouch for, and every cat
+instance, is evaluated law by law.
 """
 
 from __future__ import annotations
@@ -60,42 +52,26 @@ class ThinCell:
 
 
 def memoized(method=None, *, run_scoped=False):
-    """Share an adapter method's results by argument value while a memo is
-    open on the adapter (`_memo` is a dict, not None).  The law runner opens
-    one per corpus instance; `compare_operators` opens one per instance and
-    hands it to both of its adapters.
-
-    A plain entry is keyed by the function that computes it and the
-    argument values, so two adapters sharing a memo share it only where
-    they run the same code: a subclass that overrides `compose` gets its
-    own entries.  A `run_scoped` method (`@memoized(run_scoped=True)`)
-    reads adapter state (`star_impl`, `max_steps`), so its key also holds
-    the adapter object: two operators never see each other's stars.  It is
-    a function of its arguments' values alone, like a fixpoint of its endo.
-    When the instance memo misses, it is looked up in the adapter's run
-    table (`_run`), which `run_laws` keeps open for a channel walk and
-    `compare_operators` for a whole call, and the result is written through
-    to both.  A call that raises is kept in neither; the wrapped methods
-    never return None, which marks a miss."""
+    """Share an adapter method's results by argument value.  A plain
+    method reads the instance memo `_memo`, which two adapters may share;
+    a `run_scoped` one (it reads adapter state such as `star_impl`) reads
+    the run table `_run`, which belongs to one adapter.  While that table
+    is None the method is simply called.  The key is the function and the
+    argument values, so adapters sharing a memo share only what they
+    compute with the same code.  A call that raises is not kept; the
+    wrapped methods never return None."""
     if method is None:
         return functools.partial(memoized, run_scoped=run_scoped)
 
     @functools.wraps(method)
     def shared(self, *args):
-        memo = self._memo
-        if memo is None:
+        table = self._run if run_scoped else self._memo
+        if table is None:
             return method(self, *args)
-        key = (method, self, *args) if run_scoped else (method, *args)
-        out = memo.get(key)
+        key = (method, *args)
+        out = table.get(key)
         if out is None:
-            run = self._run if run_scoped else None
-            if run is not None:
-                out = run.get(key)
-            if out is None:
-                out = method(self, *args)
-                if run is not None:
-                    run[key] = out
-            memo[key] = out
+            out = table[key] = method(self, *args)
         return out
     return shared
 
@@ -104,20 +80,15 @@ class FixpointModel:
     """Adapter contract consumed by the law engine.
 
     Every adapter supplies identity, compose, strictness, star and the three
-    witnesses; a non-thin one also supplies the 2-cell operations and
-    `enumerate_invertible_cells`.  Products are optional: an adapter whose
+    witnesses; one that is not a ThinModel also supplies the 2-cell
+    operations and `enumerate_invertible_cells`.  Products are optional: an adapter whose
     `has_products()` holds supplies proj1, proj2, pair and swap_cell, which
     only the product route reads.  The generic horizontal composite and the
-    description hooks have workable defaults.
-    `thin` marks adapters whose 2-cells are ThinCell claims.  Methods
-    wrapped in `memoized` consult `_memo` (one corpus instance, shared by
-    both adapters of an operator comparison) while the law engine has one
-    open, and run-scoped ones also `_run` (one channel walk, or one
-    operator comparison; never shared).
+    description hooks have workable defaults.  `_memo` and `_run` are
+    the tables `memoized` methods read while the law engine has them open.
     """
 
     name = "model"
-    thin = True
     _memo = None
     _run = None
 
@@ -239,8 +210,6 @@ class ThinModel(FixpointModel):
     obligations; an adapter that overrides a method of the calculus is
     evaluated law by law instead.
     """
-
-    thin = True
 
     def id2(self, f):
         return ThinCell(f, f)
@@ -370,30 +339,18 @@ class Law(NamedTuple):
 
 
 def run_laws(m: FixpointModel, corpus: Corpus, laws):
-    """Evaluate `laws` on `corpus`, instance-major.
-
-    Each channel is walked once.  For every instance a fresh star/compose
-    memo is opened on the adapter, every law reading that channel is
-    evaluated under it, and the memo is dropped before the next instance,
-    so it never holds more than one instance's intermediate 1-cells.  The
-    run table of the run-scoped methods (stars, cat chains) stays open for
-    the whole walk of a channel, so each distinct fixpoint is computed once
-    per channel.  It is renewed between channels, because on a corpus that
-    shares little a table kept across channels would hold a star, and the
-    endo that keys it, for nearly every instance.
+    """Evaluate `laws` on `corpus`, instance-major: each channel is walked
+    once, and every law reading it is evaluated at each instance in turn.
 
     On a thin adapter the laws of a channel are first recorded as one
     straight-line program of 1-cell operations and the equations they
-    test (`_program`).  An instance on which the program holds passes
-    every law of the channel without any 2-cell being built; any other
-    instance, and every channel without a program, is evaluated law by
-    law.
-
-    Value-equal 1-cells may carry different names, and a star shared
-    through the run table carries the names of the instance that computed
-    it first.  So a failing instance is replayed, under a fresh memo with
-    the run table off, before its counterexample is rendered: the text is
-    the one an evaluation of that instance alone gives.
+    test (`_program`).  The program runs under the channel's run table, so
+    each distinct star is computed once per channel walk, and under a memo
+    for the instance's composites.  An instance on which it holds passes
+    every law of the channel.  Any other instance, and every instance of a
+    channel without a program, is evaluated law by law under one fresh
+    table, its memo and run table both, as if it were the only instance,
+    and each law's first counterexample is rendered from that evaluation.
     Reports come back in the order of `laws`.
     """
     by_channel = {}
@@ -405,23 +362,23 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
     try:
         for channel, group in by_channel.items():
             insts = getattr(corpus, channel)
-            m._run = {}
             program = (_program(m, [t[0] for t in group], insts[0])
                        if insts else None)
+            run = {}
             for inst in insts:
-                m._memo = {}
+                m._memo, m._run = {}, run
                 if program is not None and program.holds(inst):
                     for tally in group:
                         tally[1] += 1
                     continue
-                fresh = []            # laws failing here for the first time
-                for i, tally in enumerate(group):
-                    if _evaluate(m, tally[0], inst)[0]:
+                m._memo = m._run = {}
+                for tally in group:
+                    ok, left, right = _evaluate(m, tally[0], inst)
+                    if ok:
                         tally[1] += 1
                     elif tally[2] is None:
-                        fresh.append(i)
-                if fresh:
-                    _replay_counterexamples(m, group, inst, fresh)
+                        tally[2] = _counterexample(m, tally[0], inst,
+                                                   left, right)
     finally:
         m._memo = m._run = None
     reports = []
@@ -439,21 +396,6 @@ def _evaluate(m, law, inst):
         return law.evaluate(m, inst)
     except Exception as e:
         return False, None, e
-
-
-def _replay_counterexamples(m, group, inst, fresh):
-    """Write the counterexamples of the laws `group[i]`, i in `fresh`, at
-    `inst`.  The group is replayed up to its last failing law under a fresh
-    memo with the run table off, as if `inst` were the only instance, so
-    the rendered sides carry `inst`'s own names."""
-    run, m._run, m._memo = m._run, None, {}
-    try:
-        for i, tally in enumerate(group[:fresh[-1] + 1]):
-            _, left, right = _evaluate(m, tally[0], inst)
-            if i in fresh:
-                tally[2] = _counterexample(m, tally[0], inst, left, right)
-    finally:
-        m._run = run
 
 
 def _counterexample(m, law, inst, left, right):
@@ -965,21 +907,6 @@ def product_route(m: FixpointModel, f, g):
     return m.compose(p1, sh), m.compose(p2, sh)        # (gf)*, (fg)* expected
 
 
-def build_dinat_via_products(m: FixpointModel, f, g):
-    """Construct the dinat cell for (f, g) out of the product route.
-
-    Returns (cell, agreement): the constructed 2-cell (fg)-star-side to
-    f-then-(gf)-star-side, and whether it coincides with the adapter's own
-    dinat witness.  Only product-bearing (thin) adapters support this.
-    """
-    left, right = product_route(m, f, g)
-    if not m.thin:
-        raise TypeMismatch("product route is only implemented for thin models")
-    built = ThinCell(right, m.compose(f, left))
-    agreement = m.eq2(built, m.dinat_witness(f, g))
-    return built, agreement
-
-
 @dataclass
 class CompareReport:
     base: str
@@ -1066,7 +993,7 @@ def _fix_compatible(m1, m2, f):
     """The candidate components star1(f) => star2(f), and the ones among
     them that commute with both fix cells."""
     s1, s2 = m1.star(f), m2.star(f)
-    if m1.thin:
+    if isinstance(m1, ThinModel):
         cands = [ThinCell(s1, s2)] if m1.eq1(s1, s2) else []
     else:
         cands = m1.enumerate_invertible_cells(s1, s2)

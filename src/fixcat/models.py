@@ -10,12 +10,8 @@ structure arrow, and the dinat/unif witnesses are the unique
 algebra-compatible arrows found by exhaustive search in the finite target
 category.
 
-The thin adapters' star and compose are `memoized`: while the law engine
-evaluates one corpus instance, calls with equal arguments share one result.
-Stars, and the cat adapter's chains, are run-scoped: a fixpoint depends on
-its endo's value alone, so a walk of one corpus channel, or one operator
-comparison, computes each distinct one once.  The two operators of a
-comparison share their composites, never their stars.
+The thin adapters' compose is `memoized` on the instance memo, and their
+star, like the cat adapter's chain, on the run table (`laws.memoized`).
 
 `REGISTRY` maps every suite spec to its adapter factory, its family's
 corpus builder, the document kind its 1-cells are read from, and the
@@ -214,7 +210,6 @@ class CatModel(FixpointModel):
     sending initial objects to initial objects.
     """
 
-    thin = False
     name = "cat"
 
     def __init__(self, max_steps=16, bound=cat.DEFAULT_BOUND):

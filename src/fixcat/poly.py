@@ -238,16 +238,41 @@ def bisimilar(c1: CoalgebraSystem, c2: CoalgebraSystem, x1, x2) -> bool:
     return block[(0, x1)] == block[(1, x2)]
 
 
+# The most nodes one unfolding may hold.  A branching system's unfolding
+# doubles with every level, so it is counted as it is built and stops with
+# SizeCap instead of filling memory.
+MAX_UNFOLD_NODES = 100_000
+
+
 def mtype_unfold(c: CoalgebraSystem, x, depth: int):
     """Depth-bounded unfolding of a state: at depth 0 just the constructor,
-    below that a tagged tuple of unfolded successors."""
+    below that a tagged tuple of unfolded successors.  Built with an
+    explicit stack, so its depth is not bounded by Python's recursion;
+    raises SizeCap past MAX_UNFOLD_NODES nodes."""
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    b, nxt = c.step[x]
-    if depth == 0:
-        return b
-    return (b, tuple((e, mtype_unfold(c, nxt[e], depth - 1))
-                     for e in sorted(nxt, key=_skey)))
+    built = []                        # finished subtrees, in order
+    todo = [(x, depth, None)]
+    nodes = 0
+    while todo:
+        y, k, slots = todo.pop()
+        b, nxt = c.step[y]
+        if slots is not None:         # its successors are built: close y
+            kids = built[len(built) - len(slots):]
+            del built[len(built) - len(slots):]
+            built.append((b, tuple(zip(slots, kids))))
+            continue
+        nodes += 1
+        if nodes > MAX_UNFOLD_NODES:
+            raise SizeCap(f"{c.name}: unfolding of {x} to depth {depth} "
+                          f"holds over {MAX_UNFOLD_NODES} nodes")
+        if k == 0:
+            built.append(b)
+            continue
+        slots = sorted(nxt, key=_skey)
+        todo.append((y, k, slots))
+        todo.extend((nxt[e], k - 1, None) for e in reversed(slots))
+    return built[0]
 
 
 # --- cartesian morphisms -----------------------------------------------------------

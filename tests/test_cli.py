@@ -193,6 +193,27 @@ def test_mtype_unfold(capsys):
     assert out.startswith("s:")
 
 
+def test_mtype_unfolds_deeper_than_recursion(capsys):
+    code, out, err = run(capsys, "mtype", sample("system_loop_a.json"),
+                         "--depth", "400")
+    assert (code, err) == (0, "")
+    level = "('*', ((('*', 0), "
+    assert out == "s: " + level * 400 + "'*'" + "),))" * 400 + "\n"
+
+
+def test_mtype_unfolding_over_budget_exits_two(capsys, tmp_path):
+    # one state with two slots, both back to itself: 2^18 - 1 nodes
+    p = poly.endo_poly({"node": 2}, name="bin")
+    doc = tmp_path / "branch.json"
+    doc.write_text(serialize.print_document(poly.CoalgebraSystem(
+        p, ("s",), {"s": ("node", {e: "s" for e in p.fiber("node")})},
+        name="branch")))
+    code, out, err = run(capsys, "mtype", str(doc), "--depth", "17")
+    assert (code, out) == (2, "")
+    assert err == ("error: branch: unfolding of s to depth 17 holds over "
+                   "100000 nodes\n")
+
+
 def test_bisim_loops(capsys):
     code, out, _ = run(capsys, "bisim", sample("system_loop_a.json"),
                        sample("system_loop_b.json"))

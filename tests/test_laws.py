@@ -8,8 +8,8 @@ import random
 from fixcat import corpora, laws, poset, rel
 from fixcat.errors import (InvalidSquare, NoProducts, NotContractible,
                            TypeMismatch)
-from fixcat.laws import (Corpus, ThinCell, build_dinat_via_products,
-                         check_dinat, check_fix, check_unif, compare_operators,
+from fixcat.laws import (Corpus, ThinCell, check_dinat, check_fix,
+                         check_unif, compare_operators, product_route,
                          require_square, run_suite)
 from fixcat.models import (BrokenPosetModel, CatModel, PosetModel, RelModel,
                            ScottModel)
@@ -146,29 +146,36 @@ def test_theta_precondition_violation_is_reported():
     assert "InvalidSquare" in str(two_nat.counterexample)
 
 
-def test_build_dinat_via_products_poset():
+def product_dinat(m, f, g):
+    """The dinat cell (fg)* => f.(gf)* built from the product route, and
+    whether it is the adapter's own dinat witness."""
+    gf_star, fg_star = product_route(m, f, g)
+    built = ThinCell(fg_star, m.compose(f, gf_star))
+    return built, m.eq2(built, m.dinat_witness(f, g))
+
+
+def test_product_route_dinat_poset():
     m = PosetModel()
-    built, agreement = build_dinat_via_products(m, UP, DOWN)
+    built, agreement = product_dinat(m, UP, DOWN)
     assert agreement
     assert m.cell_ok(built)
 
 
-def test_build_dinat_via_products_rel():
+def test_product_route_dinat_rel():
     m = RelModel()
     f = rel.MultisetRel(("a",), ("b",), {(rel.mset(["a"]), "b")})
     g = rel.MultisetRel(("b",), ("a",), {(rel.EMPTY_MSET, "a")})
-    built, agreement = build_dinat_via_products(m, f, g)
+    built, agreement = product_dinat(m, f, g)
     assert agreement
     assert m.cell_ok(built)
 
 
-def test_build_dinat_via_products_needs_products():
+def test_product_route_needs_products():
     with pytest.raises(NoProducts):
-        build_dinat_via_products(CatModel(), corpora.JOIN_ONE,
-                                 corpora.JOIN_ONE)
+        product_route(CatModel(), corpora.JOIN_ONE, corpora.JOIN_ONE)
 
 
-def test_build_dinat_via_products_checks_boundaries():
+def test_product_route_checks_boundaries():
     m = PosetModel()
     chain3 = poset.PointedPoset(
         ["b", "a", "t"],
@@ -176,7 +183,7 @@ def test_build_dinat_via_products_checks_boundaries():
          ("b", "a"), ("b", "t"), ("a", "t")], "b")
     f = poset.MonotoneMap(CHAIN2, chain3, {"b": "b", "t": "t"})
     with pytest.raises(TypeMismatch):
-        build_dinat_via_products(m, f, f)
+        product_route(m, f, f)
 
 
 def test_compare_kleene_bifree_identity(poset_corpus):
@@ -341,14 +348,36 @@ def test_memo_closed_after_compare_raises(poset_corpus):
     assert m1._run is None and m2._run is None
 
 
-def test_memo_shares_equal_arguments():
+def test_memo_shares_equal_arguments(monkeypatch):
+    calls = []
+    real = poset.kleene_star
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(poset, "kleene_star", counting)
     m = PosetModel()
-    m._memo = {}
     same = poset.MonotoneMap(CHAIN2, CHAIN2, dict(UP.assignment), name="up2")
-    assert m.star(UP) is m.star(same)
+    # a declared law runs as a program, under the channel's run table
+    reports = laws.run_laws(m, Corpus(endos=[UP, same]), [laws.FIX_LAWS[0]])
+    assert reports[0].passes == 2
+    assert calls == [UP]
+    m._memo = {}
     assert m.compose(UP, DOWN) is m.compose(same, DOWN)
     m._memo = None
     assert m.star(UP) is not m.star(UP)
+
+
+def test_star_reads_the_run_table_only():
+    m = PosetModel()
+    m._memo = {}
+    assert m.star(UP) is not m.star(UP)
+    assert m._memo == {}
+    m._memo, m._run = None, {}
+    assert m.star(UP) is m.star(UP)
+    assert m.compose(UP, DOWN) is not m.compose(UP, DOWN)
+    m._run = None
 
 
 def test_memo_keeps_no_failed_call():
@@ -465,16 +494,7 @@ def describe1(m, f):
     return m.describe1(f)
 
 
-def describe2(m, t):
-    return m.describe2(t)
-
-
-def _star(m, f):
-    m.star(f)
-    return True, None, None
-
-
-STAR_LAW = laws.Law("star", "", "endos", _star, describe1)
+FIX_CELL = laws.FIX_LAWS[0]
 
 
 @pytest.mark.parametrize("make, module, kernel", [
@@ -501,12 +521,12 @@ def test_run_table_shares_value_equal_stars_across_instances(
                             {(rel.EMPTY_MSET, "a"), (rel.mset(["a"]), "b")})
         twin = rel.MultisetRel(("b", "a"), ("b", "a"), f.pairs, name="twin")
     assert f == twin and f is not twin
-    reports = laws.run_laws(m, Corpus(endos=[f, twin]), [STAR_LAW])
+    reports = laws.run_laws(m, Corpus(endos=[f, twin]), [FIX_CELL])
     assert reports[0].passes == 2
     assert len(calls) == 1
     assert m._run is None
     # a second run opens a table of its own
-    laws.run_laws(m, Corpus(endos=[twin]), [STAR_LAW])
+    laws.run_laws(m, Corpus(endos=[twin]), [FIX_CELL])
     assert len(calls) == 2
 
 
@@ -520,15 +540,9 @@ def test_run_table_renewed_between_channels(monkeypatch):
 
     monkeypatch.setattr(poset, "kleene_star", counting)
     m = PosetModel()
-
-    def cell_star(m, alpha):
-        m.star(m.src2(alpha))
-        return True, None, None
-
     corpus = Corpus(endos=[UP, UP], endo_cells=[ThinCell(UP, UP)] * 2)
-    laws.run_laws(m, corpus, [
-        STAR_LAW, laws.Law("cell", "", "endo_cells", cell_star,
-                              describe2)])
+    reports = laws.run_laws(m, corpus, laws.FIX_LAWS)
+    assert [r.passes for r in reports] == [2, 2]
     assert len(calls) == 2
 
 
@@ -543,21 +557,11 @@ def test_run_table_keeps_no_failed_star():
     m._memo = m._run = None
 
 
-def test_run_table_writes_through_to_instance_memo():
-    m = PosetModel()
-    m._memo, m._run = {}, {}
-    shared = m.star(UP)
-    m._memo = {}
-    assert m.star(UP) is shared
-    assert list(m._memo.values()) == [shared]
-    m._memo = m._run = None
-
-
 def test_counterexample_rendered_from_replay_without_run_table():
     # DOWN and DOWN_OTHER are equal by value on posets named "two" and
-    # "other".  The dinat pair warms the run table with DOWN's star, named
-    # after "two"; fix.cell then fails on DOWN_OTHER, and its counterexample
-    # must read as if DOWN_OTHER had been evaluated on its own.
+    # "other".  The dinat pair computes DOWN's star, named after "two";
+    # fix.cell then fails on DOWN_OTHER, and its counterexample must read
+    # as if DOWN_OTHER had been evaluated on its own.
     m = BrokenPosetModel()
     corpus = Corpus(endos=[DOWN_OTHER], dinat_pairs=[(DOWN, IDC)])
     cell = laws.FIX_LAWS[0]
