@@ -15,7 +15,6 @@ composite g.f rolls along f to the initial algebra of f.g
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import NotCartesian, SizeCap, TypeMismatch, ValidationError
 
@@ -107,10 +106,38 @@ def is_span(P: Polynomial) -> bool:
 
 # --- W-types: chain stages of tree sets -------------------------------------------
 
-@dataclass(frozen=True)
 class WTree:
-    root: object
-    children: tuple = ()
+    """A finite tree: a constructor at the root and one subtree per slot of
+    its fiber, as ((slot, subtree), ...) in fiber order.
+
+    Trees are immutable.  The hash is computed once, when the tree is
+    built, from the root and the children, whose hashes are already cached:
+    building a tree costs O(arity), not O(size).  The hash stays
+    hash((root, children)), so set order, and with it the counterexample
+    span_uniformity_check reports, does not depend on the caching; the
+    repr stays WTree(root=..., children=...), the key listings sort by.
+    """
+
+    __slots__ = ("root", "children", "_hash")
+
+    def __init__(self, root, children=()):
+        self.root = root
+        self.children = children
+        self._hash = hash((root, children))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, WTree):
+            return NotImplemented
+        return (self._hash == other._hash and self.root == other.root
+                and self.children == other.children)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"WTree(root={self.root!r}, children={self.children!r})"
 
     def height(self):
         return 1 + max((t.height() for _, t in self.children), default=-1)
@@ -134,25 +161,27 @@ def _apply_trees(P: Polynomial, trees) -> frozenset:
     return frozenset(out)
 
 
-# The most trees one chain stage may hold.  Each stage's size is counted
-# before the stage is built, so a chain that outgrows this stops with
+# The most trees one chain stage may hold.  Every stage's size is counted
+# before any stage is built, so a chain that outgrows this stops with
 # SizeCap instead of filling memory.
 MAX_STAGE_TREES = 1_000_000
 
 
 def wtype_stages(P: Polynomial, depth: int) -> list:
     """Stages 0..depth of the chain from the empty set; each stage contains
-    the previous one.  Raises SizeCap before building a stage of more than
-    MAX_STAGE_TREES trees."""
+    the previous one.  Raises SizeCap, before building any tree, when a
+    stage up to depth would hold more than MAX_STAGE_TREES trees."""
     _require_endo(P)
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    stages = [frozenset()]
+    size = 0
     for k in range(1, depth + 1):
-        size = _next_stage_size(P, len(stages[-1]))
+        size = _next_stage_size(P, size)
         if size > MAX_STAGE_TREES:
             raise SizeCap(f"{P.name}: W-type stage {k} would hold {size} "
                           f"trees, over the bound of {MAX_STAGE_TREES}")
+    stages = [frozenset()]
+    for _ in range(depth):
         stages.append(_apply_trees(P, stages[-1]))
     return stages
 

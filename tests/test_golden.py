@@ -1,12 +1,16 @@
-"""`fixcat laws`, `compare`, `star` and `dinat-product` output, pinned
-byte for byte.
+"""`fixcat laws`, `compare`, `star`, `dinat-product`, `wtype`, `mtype` and
+`bisim` output, pinned byte for byte.
 
 The files under tests/golden/ hold the stdout and exit code each sample
 suite gave before law evaluation was reordered and memoized, and each
 `compare` run gave before stars were shared across a run; a run now must
 print exactly the same, counterexample text included.  The `star`,
 `dinat-product` and unsupported-`compare` runs were captured before the
-command line read its models from one registry, stderr included.
+command line read its models from one registry, stderr included.  The
+`wtype`, `mtype` and `bisim` runs were captured while W-type trees were
+still frozen dataclasses hashed anew on every set insert, and while an
+over-budget `wtype --depth` still built the stages below the budget
+before it stopped.
 """
 
 import pathlib
@@ -58,6 +62,13 @@ CLI_GOLDENS = {
                           S / "rel_bwd.json", "--model", "cat"],
     "compare_scott": ["compare", "--model", "scott"],
     "compare_cat": ["compare", "--model", "cat"],
+    "wtype_bintree_list": ["wtype", S / "poly_bintree.json", "--list"],
+    "wtype_bintree_depth7": ["wtype", S / "poly_bintree.json", "--depth",
+                             "7"],
+    "wtype_const": ["wtype", S / "poly_const.json"],
+    "mtype_loop_a": ["mtype", S / "system_loop_a.json", "--depth", "3"],
+    "bisim_loop_a_b": ["bisim", S / "system_loop_a.json",
+                       S / "system_loop_b.json"],
 }
 
 

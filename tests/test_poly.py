@@ -105,8 +105,7 @@ def test_wtype_argument_errors():
         wtype_enumerate(not_endo, 1)
 
 
-def test_wtype_stage_budget_trips_before_building_the_stage(monkeypatch):
-    # stages of a 5-ary tree grow 0, 1, 2, 33, then 1 + 33**5 = 39,135,394
+def _count_builds(monkeypatch):
     built = []
     real = poly._apply_trees
 
@@ -115,15 +114,33 @@ def test_wtype_stage_budget_trips_before_building_the_stage(monkeypatch):
         return real(P, trees)
 
     monkeypatch.setattr(poly, "_apply_trees", counting)
+    return built
+
+
+def test_wtype_stage_budget_trips_before_building_the_stage(monkeypatch):
+    # stages of a 5-ary tree grow 0, 1, 2, 33, then 1 + 33**5 = 39,135,394
+    built = _count_builds(monkeypatch)
     P = endo_poly({"leaf": 0, "node": 5})
     assert len(wtype_stages(P, 3)[-1]) == 33
+    assert built == [0, 1, 2]
     built.clear()
     with pytest.raises(SizeCap) as exc:
         wtype_stages(P, 5)
     assert "stage 4 would hold 39135394 trees" in str(exc.value)
-    assert built == [0, 1, 2]
+    assert built == []
     with pytest.raises(SizeCap):
         wtype_enumerate(P, 4)
+    assert built == []
+
+
+def test_wtype_over_budget_depth_is_refused_before_any_tree(monkeypatch):
+    # bintree stages grow 0, 1, 2, 5, 26, 677, 458,330, then 458,330**2 + 1
+    built = _count_builds(monkeypatch)
+    with pytest.raises(SizeCap) as exc:
+        wtype_stages(BIN, 7)
+    assert str(exc.value) == ("bintree: W-type stage 7 would hold "
+                              "210066388901 trees, over the bound of 1000000")
+    assert built == []
 
 
 def test_wtype_stage_budget_admits_depth_six_of_bintree():
