@@ -161,34 +161,32 @@ def derive_channels(m, c, middle_key):
 # ---------------------------------------------------------------------------
 # Pointed posets.
 
-def strict_orders_upto_iso(k):
-    """One representative per isomorphism class of strict orders on range(k)."""
-    if k == 0:
-        return [frozenset()]
+def _preorders_on(k):
+    """One representative per isomorphism class of preorders on range(k),
+    each as its set of off-diagonal pairs: the first member of its class
+    in a fixed enumeration of the subsets of those pairs."""
     idx = list(range(k))
     offdiag = [(i, j) for i in idx for j in idx if i != j]
     seen, reps = set(), []
     for bits in itertools.product((0, 1), repeat=len(offdiag)):
         sel = frozenset(p for p, keep in zip(offdiag, bits) if keep)
-        if any((j, i) in sel for (i, j) in sel):
-            continue
-        transitive = True
-        for (i, j) in sel:
-            for (j2, l) in sel:
-                if j2 == j and (i, l) not in sel:
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        if not transitive:
+        if any(i != l and (i, l) not in sel
+               for (i, j) in sel for (j2, l) in sel if j2 == j):
             continue
         canon = min(tuple(sorted((p[i], p[j]) for (i, j) in sel))
                     for p in itertools.permutations(idx))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        reps.append(sel)
+        if canon not in seen:
+            seen.add(canon)
+            reps.append(sel)
     return reps
+
+
+def strict_orders_upto_iso(k):
+    """One representative per isomorphism class of strict orders on range(k):
+    the antisymmetric classes of `_preorders_on(k)`, as isomorphisms keep
+    antisymmetry."""
+    return [sel for sel in _preorders_on(k)
+            if not any((j, i) in sel for (i, j) in sel)]
 
 
 def pointed_posets(max_size=4):
@@ -419,27 +417,11 @@ def rel_corpus(draws=1000, seed=0):
 def preorders_upto_iso(max_size=3):
     out = []
     for k in range(1, max_size + 1):
-        idx = list(range(k))
-        offdiag = [(i, j) for i in idx for j in idx if i != j]
-        seen = set()
-        count = 0
-        for bits in itertools.product((0, 1), repeat=len(offdiag)):
-            sel = {p for p, keep in zip(offdiag, bits) if keep}
-            full = sel | {(i, i) for i in idx}
-            ok = all((i, l) in full
-                     for (i, j) in full for (j2, l) in full if j2 == j)
-            if not ok:
-                continue
-            canon = min(tuple(sorted((p[i], p[j]) for (i, j) in sel))
-                        for p in itertools.permutations(idx))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            elements = [f"s{i}" for i in idx]
-            leq = {(f"s{i}", f"s{j}") for (i, j) in full}
-            out.append(rel.Preorder(elements, leq, name=f"Q{k}_{count}",
-                                    _validate=False))
-            count += 1
+        for count, sel in enumerate(_preorders_on(k)):
+            leq = {(f"s{i}", f"s{j}") for (i, j) in sel}
+            leq |= {(f"s{i}", f"s{i}") for i in range(k)}
+            out.append(rel.Preorder([f"s{i}" for i in range(k)], leq,
+                                    name=f"Q{k}_{count}", _validate=False))
     return out
 
 

@@ -24,10 +24,10 @@ each law degenerates to the chain of 1-cell equalities it means in a
 locally discrete setting.  The claim is tested when a cell is consumed
 (cell_ok / eq2), not at construction, so a violated law surfaces as a
 counterexample in a report instead of a crash inside a pasting.  On a
-thin adapter `run_laws` records the laws of a channel once as the 1-cells
-they build and the equations they test, and checks each instance against
-that list; only an instance the list cannot vouch for, and every cat
-instance, is evaluated law by law.
+thin adapter `run_laws` records a channel's laws once as the 1-cells they
+build and the equations each tests, which give every law its verdict at
+an instance.  Only instances that list cannot judge, every cat instance,
+and each failing law once, to render it, are evaluated law by law.
 """
 
 from __future__ import annotations
@@ -340,18 +340,18 @@ class Law(NamedTuple):
 
 def run_laws(m: FixpointModel, corpus: Corpus, laws):
     """Evaluate `laws` on `corpus`, instance-major: each channel is walked
-    once, and every law reading it is evaluated at each instance in turn.
+    once, and every law reading it is judged at each instance in turn.
 
     On a thin adapter the laws of a channel are first recorded as one
-    straight-line program of 1-cell operations and the equations they
-    test (`_program`).  The program runs under the channel's run table, so
-    each distinct star is computed once per channel walk, and under a memo
-    for the instance's composites.  An instance on which it holds passes
-    every law of the channel.  Any other instance, and every instance of a
-    channel without a program, is evaluated law by law under one fresh
-    table, its memo and run table both, as if it were the only instance,
-    and each law's first counterexample is rendered from that evaluation.
-    Reports come back in the order of `laws`.
+    straight-line program of 1-cell operations and the equations each law
+    tests (`_program`).  Run under the channel's run table, so each
+    distinct star is computed once per channel walk, and a memo for the
+    instance's composites, it gives every law its verdict.  An instance it
+    cannot judge, and every instance of a channel without a program, is
+    evaluated law by law under one fresh table, memo and run table both.
+    A failing law's first counterexample is rendered from one more
+    evaluation of it alone, under a fresh table.  Reports come back in
+    the order of `laws`.
     """
     by_channel = {}
     tallies = []
@@ -367,16 +367,16 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
             run = {}
             for inst in insts:
                 m._memo, m._run = {}, run
-                if program is not None and program.holds(inst):
-                    for tally in group:
-                        tally[1] += 1
-                    continue
-                m._memo = m._run = {}
-                for tally in group:
-                    ok, left, right = _evaluate(m, tally[0], inst)
+                verdicts = program.verdicts(inst) if program else None
+                if verdicts is None:
+                    m._memo = m._run = {}
+                    verdicts = [_evaluate(m, t[0], inst)[0] for t in group]
+                for tally, ok in zip(group, verdicts):
                     if ok:
                         tally[1] += 1
                     elif tally[2] is None:
+                        m._memo = m._run = {}
+                        _, left, right = _evaluate(m, tally[0], inst)
                         tally[2] = _counterexample(m, tally[0], inst,
                                                    left, right)
     finally:
@@ -428,14 +428,15 @@ class _Recorder(ThinModel):
     `compose`, `src`, `dst` and `star` append a step computing a new slot,
     unless a structurally equal one was recorded already; `eq1`, `eq_obj`
     and `is_strict` record a test and answer True, so a law runs down the
-    path on which every one of its checks holds.  The 2-cell calculus and
-    the witnesses are ThinModel's own, unchanged.
+    path on which every one of its checks holds; the indices of the tests
+    a law touches collect in `touched`, a set the caller supplies.  The
+    2-cell calculus and the witnesses are ThinModel's own, unchanged.
     """
 
     def __init__(self, inputs):
         self.inputs = inputs
         self.steps = []               # (method name, *argument slots)
-        self.tests = {}               # (method name, *argument slots), ordered
+        self.tests = {}               # (method name, *argument slots) -> index
         self._slots = {}
 
     def _step(self, *key):
@@ -446,7 +447,7 @@ class _Recorder(ThinModel):
         return slot
 
     def _test(self, *key):
-        self.tests[key] = None
+        self.touched.add(self.tests.setdefault(key, len(self.tests)))
         return True
 
     def identity(self, obj):
@@ -503,29 +504,35 @@ def _leaves(shape, x, out):
 
 class _Program:
     """The 1-cell obligations of a group of laws, bound to one adapter:
-    each step and test is (method, first slot, second slot or None)."""
+    steps and tests as (method, slot, slot or None), and each law's tests."""
 
-    def __init__(self, m, shape, steps, tests):
+    def __init__(self, m, shape, steps, tests, laws):
         self.shape = shape
         self.steps = _bind(m, steps)
         self.tests = _bind(m, tests)
+        self.laws = laws
+        self.passing = [True] * len(laws)
 
-    def holds(self, inst):
-        """Whether every law of the group passes at `inst`, judged from
-        its 1-cells alone.  False means only that the program cannot
-        vouch for `inst`: the laws must be evaluated there."""
+    def verdicts(self, inst):
+        """Per law of the group, whether every one of its own tests holds
+        at `inst`; None when `inst` is not shaped like the program or a
+        step or test raises.  The all-pass list is shared: do not change it."""
         vals = []
         if not _leaves(self.shape, inst, vals):
-            return False
+            return None
         try:
             for fn, a, b in self.steps:
                 vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
             for fn, a, b in self.tests:
                 if not (fn(vals[a]) if b is None else fn(vals[a], vals[b])):
-                    return False
+                    break
+            else:
+                return self.passing
+            failed = {i for i, (fn, a, b) in enumerate(self.tests)
+                      if not (fn(vals[a]) if b is None else fn(vals[a], vals[b]))}
         except Exception:
-            return False
-        return True
+            return None
+        return [failed.isdisjoint(own) for own in self.laws]
 
 
 def _bind(m, records):
@@ -539,13 +546,13 @@ def _program(m, laws, first):
 
     In a locally discrete model every law is a chain of 1-cell equations,
     and a declared law, run on the recorder, lists the 1-cells it builds
-    and the equations, strictness and object checks it tests.  When all
-    of those hold at an instance, evaluating the law there takes the same
-    path and returns ok; when one fails or a step raises, the law fails
-    too, and the instance goes law by law to find which one.  That holds
-    for the declared laws on ThinModel's own calculus, so a group holding
-    any other law, and an adapter that is not thin or overrides the
-    calculus, get no program.
+    and the equations, strictness and object checks it tests.  Where every
+    step computes, evaluating the law takes the recorded path up to the
+    first of its tests that fails, and a failing test fails the law: it
+    passes exactly when its own tests hold.  That holds for the declared
+    laws on ThinModel's own calculus, so a group holding any other law,
+    and an adapter that is not thin or overrides the calculus, get no
+    program.
     """
     if not isinstance(m, ThinModel) or any(
             getattr(type(m), name) is not getattr(ThinModel, name)
@@ -556,14 +563,17 @@ def _program(m, laws, first):
     leaves = []
     shape = _mirror(first, leaves)
     rec = _Recorder(len(leaves))
+    own = []
     for law in laws:
+        rec.touched = set()
         try:
             ok = law.evaluate(rec, shape)[0]
         except Exception:
             return None
         if not ok:
             return None
-    return _Program(m, shape, rec.steps, rec.tests)
+        own.append(rec.touched)
+    return _Program(m, shape, rec.steps, rec.tests, own)
 
 
 # ---------------------------------------------------------------------------

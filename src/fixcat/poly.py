@@ -56,9 +56,6 @@ class Polynomial:
         """Slots of constructor b, in canonical order."""
         return tuple(sorted((e for e in self.E if self.p[e] == b), key=_skey))
 
-    def constructors_at(self, j):
-        return tuple(sorted((b for b in self.B if self.t[b] == j), key=_skey))
-
     def is_endo(self):
         return len(self.I) == 1 and self.I == self.J
 
@@ -172,18 +169,26 @@ def wtype_stages(P: Polynomial, depth: int) -> list:
     the previous one.  Raises SizeCap, before building any tree, when a
     stage up to depth would hold more than MAX_STAGE_TREES trees."""
     _require_endo(P)
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
-    size = 0
-    for k in range(1, depth + 1):
-        size = _next_stage_size(P, size)
-        if size > MAX_STAGE_TREES:
-            raise SizeCap(f"{P.name}: W-type stage {k} would hold {size} "
-                          f"trees, over the bound of {MAX_STAGE_TREES}")
+    _count_stages(P.name, (P,), depth)
     stages = [frozenset()]
     for _ in range(depth):
         stages.append(_apply_trees(P, stages[-1]))
     return stages
+
+
+def _count_stages(name, per_stage, depth):
+    """Raise SizeCap, before any tree is built, when the chain applying
+    `per_stage` in turn at each of `depth` stages would at some step hold
+    more than MAX_STAGE_TREES trees; ValidationError for a negative depth."""
+    if depth < 0:
+        raise ValidationError("depth must be nonnegative")
+    size = 0
+    for k in range(1, depth + 1):
+        for P in per_stage:
+            size = _next_stage_size(P, size)
+            if size > MAX_STAGE_TREES:
+                raise SizeCap(f"{name}: W-type stage {k} would hold {size} "
+                              f"trees, over the bound of {MAX_STAGE_TREES}")
 
 
 def wtype_enumerate(P: Polynomial, depth: int):
@@ -431,6 +436,9 @@ def freyd_dinat_check(f: Polynomial, g: Polynomial, depth: int = 4) -> dict:
     """
     _require_endo(f)
     _require_endo(g)
+    # counted first; no f(T_d) outgrows V_{d+1}, so V to depth + 1 bounds it
+    _count_stages(f"{g.name}.{f.name}", (f, g), depth)
+    _count_stages(f"{f.name}.{g.name}", (g, f), depth + 1)
     t = [frozenset()]
     for _ in range(depth):
         t.append(_apply_trees(g, _apply_trees(f, t[-1])))

@@ -1,10 +1,12 @@
 """Thin laws as recorded 1-cell obligations.
 
 `run_laws` records the laws of a channel once as a straight-line program of
-1-cell operations and tests, and evaluates law by law only the instances
-on which that program does not hold.  These tests check that the program
-gives exactly the verdicts of a full evaluation, on the thin corpora and
-under mutant adapters, and that it is used only where it may be.
+1-cell operations and the tests of each law, and the program gives every
+law its verdict at an instance.  Only the instances it cannot judge are
+evaluated law by law, and each failing law once more, to render its
+counterexample.  These tests check that the program gives exactly the
+per-law verdicts of a full evaluation, on the thin corpora and under
+mutant adapters, and that it is used only where it may be.
 """
 
 import pytest
@@ -79,8 +81,8 @@ ADAPTERS = {
 @given(name=st.sampled_from(sorted(ADAPTERS)), seed=st.integers(0, 10_000),
        draws=st.integers(1, 12), offset=st.integers(0, 10_000))
 def test_program_verdicts_equal_full_evaluation(name, seed, draws, offset):
-    # per instance: the program holds exactly when every law of the channel
-    # passes when evaluated law by law
+    # per instance and law: the program's verdict is the law's own when
+    # evaluated on its own; None only where a step raises (picky's star)
     make, build = ADAPTERS[name]
     m = make()
     corpus = build(draws=draws, seed=seed)
@@ -95,10 +97,11 @@ def test_program_verdicts_equal_full_evaluation(name, seed, draws, offset):
             m._run = {}
             for inst in chosen:
                 m._memo = {}
-                fast = program.holds(inst)
+                fast = program.verdicts(inst)
                 m._memo = {}
-                full = all(laws._evaluate(m, law, inst)[0] for law in group)
-                assert fast == full, (name, channel, inst)
+                full = [laws._evaluate(m, law, inst)[0] for law in group]
+                assert fast is None or fast == full, (name, channel, inst)
+                assert fast is not None or name == "poset-picky"
     finally:
         m._memo = m._run = None
 
@@ -116,6 +119,49 @@ def test_mutant_reports_equal_full_evaluation(monkeypatch, name):
     want = full_law_run(monkeypatch, make(), corpus)
     assert got == want
     assert any(r.failed for r in got)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The law ids `laws._evaluate` is called with, in order."""
+    calls = []
+    real = laws._evaluate
+
+    def counting(m, law, inst):
+        calls.append(law.law_id)
+        return real(m, law, inst)
+
+    monkeypatch.setattr(laws, "_evaluate", counting)
+    return calls
+
+
+def test_failing_laws_are_evaluated_once_each_to_render(evaluations):
+    # the program judges every instance; each of the 12 failing laws is
+    # evaluated once, at its first failing instance, for its counterexample
+    reports = laws.run_laws(BrokenPosetModel(), corpora.poset_corpus(draws=0),
+                            ALL_LAWS)
+    failed = sorted(r.law_id for r in reports if r.failed)
+    assert len(failed) == 12
+    assert sorted(evaluations) == failed
+
+
+def test_raising_star_is_judged_law_by_law(evaluations):
+    # picky's star raises on a three-element poset: the program cannot
+    # judge that instance, so each law is evaluated there to judge it and
+    # each failing one once more to render it
+    m = PickyPosetModel()
+    endos = corpora.poset_corpus(draws=0).endos
+    three = next(f for f in endos if len(f.source.elements) == 3)
+    two = next(f for f in endos if len(f.source.elements) == 2)
+    group = groups()["endos"]
+    program = laws._program(m, group, two)
+    assert program.verdicts(two) == [True] * len(group)
+    assert program.verdicts(three) is None
+    reports = laws.run_laws(m, Corpus(endos=[two, three]), group)
+    assert evaluations == [law.law_id for law in group] * 2
+    for r in reports:
+        assert r.passes == 1 and r.counterexample["right"] == (
+            "ValidationError: no star on three elements")
 
 
 def test_picky_star_errors_are_reported():
@@ -211,8 +257,9 @@ def test_instance_of_another_shape_is_evaluated_law_by_law(monkeypatch):
     m = PosetModel()
     cells = [ThinCell(UP, UP), UP, (UP, UP), ThinCell(DOWN, DOWN)]
     program = laws._program(m, laws.FIX_LAWS[1:], cells[0])
-    assert program.holds(cells[0])
-    assert not program.holds(cells[1]) and not program.holds(cells[2])
+    assert program.verdicts(cells[0]) == [True]
+    assert program.verdicts(cells[1]) is None
+    assert program.verdicts(cells[2]) is None
     assert not laws._leaves(program.shape, cells[1], [])
     assert not laws._leaves(program.shape, cells[2], [])
     corpus = Corpus(endo_cells=cells)

@@ -380,6 +380,24 @@ def test_rolling_binary_binary_partial_stages():
     assert report["stage_counts"]["composite_fg"] == (c[0], c[2])
 
 
+def test_rolling_over_budget_depth_is_refused_before_any_tree(monkeypatch):
+    # the g.f chain of bintree with itself passes 458,330 trees at stage 3;
+    # stage 4 would apply bintree to them, 458,330**2 + 1 trees
+    built = _count_builds(monkeypatch)
+    with pytest.raises(SizeCap) as exc:
+        freyd_dinat_check(BIN, BIN, depth=4)
+    assert str(exc.value) == ("bintree.bintree: W-type stage 4 would hold "
+                              "210066388901 trees, over the bound of 1000000")
+    assert built == []
+
+
+def test_rolling_negative_depth_is_rejected(monkeypatch):
+    built = _count_builds(monkeypatch)
+    with pytest.raises(ValidationError):
+        freyd_dinat_check(BIN, BIN, depth=-1)
+    assert built == []
+
+
 def test_rolling_stream_wrap_around_binary():
     # wrapping each stage in a fiber-1 label leaves the counts on the
     # one-step recurrence
