@@ -146,6 +146,9 @@ def validate_category(c: FinCategory):
                         problems.append(f"composite {g.id} after {f.id} has wrong boundary")
             elif key in c.table:
                 problems.append(f"table defined on non-composable pair {key}")
+    for key in c.table:
+        if not all(aid in c.arrows for aid in key):
+            problems.append(f"table defined on unknown arrows {key}")
     if problems:
         return problems  # identity/associativity laws need a well-formed table
     for f in c.arrows.values():

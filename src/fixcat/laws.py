@@ -16,7 +16,8 @@ derived from another.  They are evaluated instance-major by `run_laws`:
 each corpus instance is evaluated once for every law that reads its
 channel.  Memoized adapter methods read one table each: composites the
 instance memo `_memo`, stars (and the cat adapter's chains) the run table
-`_run`.
+`_run`.  A recorded program points `_memo` at the run table for the steps
+that follow a star, so composites of stars are kept for a channel walk.
 
 Thin adapters present a 2-cell as a ThinCell: the bare claim that its two
 boundary 1-cells are equal.  Pasting then only composes boundaries, and
@@ -59,7 +60,9 @@ def memoized(method=None, *, run_scoped=False):
     is None the method is simply called.  The key is the function and the
     argument values, so adapters sharing a memo share only what they
     compute with the same code.  A call that raises is not kept; the
-    wrapped methods never return None."""
+    wrapped methods never return None.  Which table a composite lands in
+    is the caller's choice: a recorded program's star part runs with
+    `_memo` set to the run table itself (`_Program.verdicts`)."""
     if method is None:
         return functools.partial(memoized, run_scoped=run_scoped)
 
@@ -344,11 +347,15 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
 
     On a thin adapter the laws of a channel are first recorded as one
     straight-line program of 1-cell operations and the equations each law
-    tests (`_program`).  Run under the channel's run table, so each
-    distinct star is computed once per channel walk, and a memo for the
-    instance's composites, it gives every law its verdict.  An instance it
-    cannot judge, and every instance of a channel without a program, is
-    evaluated law by law under one fresh table, memo and run table both.
+    tests (`_program`), and it gives every law its verdict.  Its leaf
+    part, the composites of the instance's own 1-cells, runs under a memo
+    of the instance; its star part, each star and every step built on
+    one, runs under the channel's run table, so a distinct star and each
+    composite of it such as f.(gf)* is computed once per channel walk.
+    Both are keyed by value, so the verdicts are blind to names.  An
+    instance the program cannot judge, and every instance of a channel
+    without a program, is evaluated law by law under one fresh table,
+    memo and run table both.
     A failing law's first counterexample is rendered from one more
     evaluation of it alone, under a fresh table.  Reports come back in
     the order of `laws`.
@@ -504,24 +511,54 @@ def _leaves(shape, x, out):
 
 class _Program:
     """The 1-cell obligations of a group of laws, bound to one adapter:
-    steps and tests as (method, slot, slot or None), and each law's tests."""
+    steps and tests as (method, slot, slot or None), and each law's tests.
 
-    def __init__(self, m, shape, steps, tests, laws):
+    The steps come in two parts, split once here: the leaf part, whose
+    steps depend on the instance's leaves alone, then the star part, each
+    `star` step and every step with an argument from the star part.  Each
+    part keeps the recorded order and the slots are renumbered to match,
+    so `leaf_steps` fills the slots after the `inputs` leaves, and
+    `star_steps` the rest."""
+
+    def __init__(self, m, shape, inputs, steps, tests, laws):
+        starred = set()
+        for slot, (name, *args) in enumerate(steps, inputs):
+            if name == "star" or starred.intersection(args):
+                starred.add(slot)
+        # a stable sort: the leaves, then the leaf part, then the star part
+        order = sorted(range(inputs + len(steps)), key=starred.__contains__)
+        new = {old: slot for slot, old in enumerate(order)}
+
+        def renumbered(records):
+            return _bind(m, [(name, *(new[a] for a in args))
+                             for name, *args in records])
+
+        steps = renumbered(steps[old - inputs] for old in order[inputs:])
+        split = len(steps) - len(starred)
+        self.m = m
         self.shape = shape
-        self.steps = _bind(m, steps)
-        self.tests = _bind(m, tests)
+        self.leaf_steps = steps[:split]
+        self.star_steps = steps[split:]
+        self.tests = renumbered(tests)
         self.laws = laws
         self.passing = [True] * len(laws)
 
     def verdicts(self, inst):
         """Per law of the group, whether every one of its own tests holds
         at `inst`; None when `inst` is not shaped like the program or a
-        step or test raises.  The all-pass list is shared: do not change it."""
+        step or test raises.  The leaf part runs under the adapter's
+        instance memo; then `_memo` is set to the run table for the star
+        part, so a composite such as f.(gf)* is kept for the channel walk
+        like the stars themselves.  The all-pass list is shared: do not
+        change it."""
         vals = []
         if not _leaves(self.shape, inst, vals):
             return None
         try:
-            for fn, a, b in self.steps:
+            for fn, a, b in self.leaf_steps:
+                vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
+            self.m._memo = self.m._run
+            for fn, a, b in self.star_steps:
                 vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
             for fn, a, b in self.tests:
                 if not (fn(vals[a]) if b is None else fn(vals[a], vals[b])):
@@ -573,7 +610,7 @@ def _program(m, laws, first):
         if not ok:
             return None
         own.append(rec.touched)
-    return _Program(m, shape, rec.steps, rec.tests, own)
+    return _Program(m, shape, rec.inputs, rec.steps, rec.tests, own)
 
 
 # ---------------------------------------------------------------------------

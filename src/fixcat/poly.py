@@ -14,12 +14,14 @@ composite g.f rolls along f to the initial algebra of f.g
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 from .errors import NotCartesian, SizeCap, TypeMismatch, ValidationError
 
 
 def _skey(x):
+    # rel._skey's key, kept here so that poly imports no relational layer
     return (x.__class__.__name__, repr(x))
 
 
@@ -149,13 +151,21 @@ def _require_endo(P: Polynomial):
 
 
 def _apply_trees(P: Polynomial, trees) -> frozenset:
-    out = set()
-    pool = sorted(trees, key=_skey)
-    for b in P.B:
-        slots = P.fiber(b)
-        for choice in itertools.product(pool, repeat=len(slots)):
-            out.add(WTree(b, tuple(zip(slots, choice))))
-    return frozenset(out)
+    # Trees form no cycles, so the cyclic collector is paused while a stage
+    # is built; left on, its full passes walk every tree built so far.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = set()
+        pool = sorted(trees, key=_skey)
+        for b in P.B:
+            slots = P.fiber(b)
+            for choice in itertools.product(pool, repeat=len(slots)):
+                out.add(WTree(b, tuple(zip(slots, choice))))
+        return frozenset(out)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # The most trees one chain stage may hold.  Every stage's size is counted

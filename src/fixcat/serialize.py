@@ -15,14 +15,11 @@ from dataclasses import dataclass, field
 
 from . import cat, models, poly, poset, rel
 from .errors import SchemaError
+from .rel import _skey
 
 KINDS = ("poset", "monotone-map", "finite-set", "multiset-relation",
          "preorder", "ideal-relation", "category", "functor", "nat-transf",
          "polynomial", "coalgebra-system", "suite-config")
-
-
-def _skey(x):
-    return (x.__class__.__name__, repr(x))
 
 
 def _is_int(v):

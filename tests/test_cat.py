@@ -96,6 +96,14 @@ def test_validate_reports_missing_composite():
     assert any("missing" in p for p in validate_category(c))
 
 
+def test_validate_reports_table_entry_on_unknown_arrows():
+    broken = dict(CHAIN3.table)
+    broken[("0<1", "nowhere")] = "0<1"
+    c = FinCategory(CHAIN3.objects, CHAIN3.arrows.values(), CHAIN3.identity,
+                    broken, name="bad3", _validate=False)
+    assert any("unknown arrows" in p for p in validate_category(c))
+
+
 def test_validate_reports_associativity_breakage():
     # a 1-object category with two idempotent-ish arrows wired inconsistently
     objects = ["z"]

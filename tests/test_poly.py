@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -141,6 +142,34 @@ def test_wtype_over_budget_depth_is_refused_before_any_tree(monkeypatch):
     assert str(exc.value) == ("bintree: W-type stage 7 would hold "
                               "210066388901 trees, over the bound of 1000000")
     assert built == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_stage_build_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    # the collector is paused while a stage is built, and afterwards is on
+    # exactly when it was on before, also when the build raises
+    seen = []
+    real = poly.WTree
+
+    def watching(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    def failing(*args):
+        raise RuntimeError("no tree")
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(poly, "WTree", watching)
+        assert len(_apply_trees(BIN, _apply_trees(BIN, ()))) == 2
+        assert seen and not any(seen)
+        assert gc.isenabled() == enabled
+        monkeypatch.setattr(poly, "WTree", failing)
+        with pytest.raises(RuntimeError):
+            _apply_trees(BIN, ())
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
 
 
 def test_wtype_stage_budget_admits_depth_six_of_bintree():

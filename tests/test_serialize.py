@@ -37,6 +37,15 @@ def test_samples_parse_strict(path):
         parse_document(text)
 
 
+def test_category_table_entry_on_unknown_arrows_is_rejected():
+    # a table entry naming no arrow used to pass validation and then crash
+    # the printer, which cannot sort its ids among the others
+    doc = json.loads((SAMPLES / "category_aut.json").read_text())
+    doc["table"].append([0, 0, 0])
+    with pytest.raises(ValidationError, match="unknown arrows"):
+        parse_document(json.dumps(doc))
+
+
 def test_print_is_canonical_json():
     for path in SAMPLE_FILES:
         text = path.read_text()
