@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the fixed order in which
+validation problems are reported."""
 
 
 class FixcatError(Exception):
@@ -63,3 +64,20 @@ class NotCartesian(FixcatError):
 
 class SchemaError(FixcatError):
     """An input document does not match its declared shape."""
+
+
+def sort_key(x):
+    """A total sort key over mixed element types."""
+    return (x.__class__.__name__, repr(x))
+
+
+def in_fixed_order(problems_of, *collections):
+    """The problems `problems_of(*collections)` finds, in an order that does
+    not depend on the hash seed: when it finds any, they are found again
+    over each collection sorted by `sort_key`.  A valid structure pays for
+    no sort."""
+    problems = problems_of(*collections)
+    if problems:
+        problems = problems_of(*(sorted(c, key=sort_key)
+                                 for c in collections))
+    return problems

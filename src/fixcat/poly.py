@@ -18,11 +18,7 @@ import gc
 import itertools
 
 from .errors import NotCartesian, SizeCap, TypeMismatch, ValidationError
-
-
-def _skey(x):
-    # rel._skey's key, kept here so that poly imports no relational layer
-    return (x.__class__.__name__, repr(x))
+from .errors import sort_key as _skey
 
 
 POINT = "*"

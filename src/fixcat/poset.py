@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TypeMismatch, ValidationError
+from .errors import TypeMismatch, ValidationError, in_fixed_order
 
 
 class PointedPoset:
@@ -38,24 +38,28 @@ class PointedPoset:
                 raise ValidationError(f"{name}: " + "; ".join(problems))
 
     def validate(self):
+        return in_fixed_order(self._problems, set(self.elements),
+                              self.leq_pairs)
+
+    def _problems(self, elems, leq):
         problems = []
-        elems = set(self.elements)
-        if len(self.elements) != len(elems):
+        carrier = set(self.elements)
+        if len(self.elements) != len(carrier):
             problems.append("duplicate elements")
-        if self.bottom not in elems:
+        if self.bottom not in carrier:
             problems.append("bottom not an element")
-        for (x, y) in self.leq_pairs:
-            if x not in elems or y not in elems:
+        for (x, y) in leq:
+            if x not in carrier or y not in carrier:
                 problems.append(f"relation pair ({x!r},{y!r}) outside carrier")
         for x in elems:
             if (x, x) not in self.leq_pairs:
                 problems.append(f"not reflexive at {x!r}")
             if (self.bottom, x) not in self.leq_pairs:
                 problems.append(f"bottom not below {x!r}")
-        for (x, y) in self.leq_pairs:
+        for (x, y) in leq:
             if x != y and (y, x) in self.leq_pairs:
                 problems.append(f"antisymmetry fails on {x!r},{y!r}")
-            for (y2, z) in self.leq_pairs:
+            for (y2, z) in leq:
                 if y2 == y and (x, z) not in self.leq_pairs:
                     problems.append(f"transitivity fails on {x!r},{y!r},{z!r}")
         return problems
@@ -108,6 +112,9 @@ class MonotoneMap:
                 raise ValidationError(f"{name}: " + "; ".join(problems))
 
     def validate(self):
+        return in_fixed_order(self._problems, self.source.leq_pairs)
+
+    def _problems(self, leq):
         problems = []
         for x in self.source.elements:
             if x not in self.assignment:
@@ -116,7 +123,7 @@ class MonotoneMap:
                 problems.append(f"image of {x!r} outside target")
         if problems:
             return problems
-        for (x, y) in self.source.leq_pairs:
+        for (x, y) in leq:
             if not self.target.leq(self.assignment[x], self.assignment[y]):
                 problems.append(f"not monotone on {x!r} <= {y!r}")
         if self.strict and self.assignment[self.source.bottom] != self.target.bottom:

@@ -19,12 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import TypeMismatch, ValidationError
-
-
-def _skey(x):
-    # total sort key over mixed element types
-    return (x.__class__.__name__, repr(x))
+from .errors import TypeMismatch, ValidationError, in_fixed_order
+from .errors import sort_key as _skey
 
 
 def _same_carrier(a, b):
@@ -86,9 +82,12 @@ class MultisetRel:
                 raise ValidationError(f"{name}: " + "; ".join(problems))
 
     def validate(self):
+        return in_fixed_order(self._problems, self.pairs)
+
+    def _problems(self, pairs):
         problems = []
         src, tgt = set(self.source), set(self.target)
-        for (m, b) in self.pairs:
+        for (m, b) in pairs:
             if b not in tgt:
                 problems.append(f"output {b!r} outside target")
             if mset(x for (x, k) in m for _ in range(k)) != m:
@@ -170,17 +169,29 @@ def mrel_star(f: MultisetRel) -> MultisetRel:
 
     Iterates the one-step derivability operator from the empty set; the
     result is the least S with S = {b : some (m, b) in f has support inside S}.
+    Each element the pairs name gets a bit for this call, inside the
+    carrier or not, so a premise's support is read once, into an int mask.
     """
     if not _same_carrier(f.source, f.target):
         raise TypeMismatch("mrel_star needs an endo-relation")
-    supports = [(mset_support(m), b) for (m, b) in f.pairs]
-    s = frozenset()
+    bit = {}
+    rules = []
+    for (m, b) in f.pairs:
+        need = 0
+        for (x, _) in m:
+            need |= bit.setdefault(x, 1 << len(bit))
+        rules.append((need, bit.setdefault(b, 1 << len(bit))))
+    s = 0
     for _ in range(len(f.target) + 1):
-        nxt = frozenset(b for (u, b) in supports if u <= s)
+        nxt = 0
+        for (need, out) in rules:
+            if need & s == need:
+                nxt |= out
         if nxt == s:
             break
         s = nxt
-    return MultisetRel(EMPTY_CARRIER, f.target, {(EMPTY_MSET, b) for b in s},
+    return MultisetRel(EMPTY_CARRIER, f.target,
+                       {(EMPTY_MSET, b) for b, i in bit.items() if i & s},
                        name=f"{f.name}*", _validate=False)
 
 
@@ -257,35 +268,37 @@ class Preorder:
     """A finite preorder: reflexive and transitive, no antisymmetry required.
 
     Preorders are immutable; equality and the (cached) hash ignore the name.
-    The class representatives (`_class_rep`) and the down-set bit masks
-    (`_masks`) are filled in on first use.
+    Its bit index (`_Index`) is built on first use.
     """
 
-    __slots__ = ("name", "elements", "leq_pairs", "_hash", "_reps", "_masks")
+    __slots__ = ("name", "elements", "leq_pairs", "_hash", "_index")
 
     def __init__(self, elements, leq, name="P", _validate=True):
         self.name = name
         self.elements = tuple(elements)
         self.leq_pairs = frozenset(leq)
         self._hash = None
-        self._reps = None
-        self._masks = None
+        self._index = None
         if _validate:
             problems = self.validate()
             if problems:
                 raise ValidationError(f"{name}: " + "; ".join(problems))
 
     def validate(self):
+        return in_fixed_order(self._problems, set(self.elements),
+                              self.leq_pairs)
+
+    def _problems(self, elems, leq):
         problems = []
-        elems = set(self.elements)
-        for (x, y) in self.leq_pairs:
-            if x not in elems or y not in elems:
+        carrier = set(self.elements)
+        for (x, y) in leq:
+            if x not in carrier or y not in carrier:
                 problems.append(f"pair ({x!r},{y!r}) outside carrier")
         for x in elems:
             if (x, x) not in self.leq_pairs:
                 problems.append(f"not reflexive at {x!r}")
-        for (x, y) in self.leq_pairs:
-            for (y2, z) in self.leq_pairs:
+        for (x, y) in leq:
+            for (y2, z) in leq:
                 if y2 == y and (x, z) not in self.leq_pairs:
                     problems.append(f"transitivity fails on {x!r},{y!r},{z!r}")
         return problems
@@ -323,20 +336,40 @@ def uset(items) -> Tuple:
     return tuple(sorted(set(items), key=_skey))
 
 
-def _masks(pre: Preorder):
-    """Each element's down-set as an int mask, bit i standing for
-    `pre.elements[i]`.  Reflexivity puts x's own bit in its mask, so x is
-    below y exactly when x's mask lies inside y's.  A foreign element has
-    no mask: it is below nothing, not even itself."""
-    down = pre._masks
-    if down is None:
-        bit = {x: 1 << i for i, x in enumerate(pre.elements)}
-        down = dict.fromkeys(bit, 0)
+class _Index:
+    """A preorder read into bits once: bit i stands for `order[i]`, the
+    i-th element in `_skey` order.  `down` maps each element to the mask of
+    its down-set, so x is below y exactly when x's mask lies inside y's,
+    and `rep` to its class representative, the lowest bit of its class.
+    `above[i]` masks the elements strictly above bit i, and `reps` the
+    representatives.  A foreign element has no bit: it is below nothing,
+    not even itself."""
+
+    __slots__ = ("order", "down", "rep", "above", "reps")
+
+    def __init__(self, pre: Preorder):
+        order = self.order = tuple(sorted(set(pre.elements), key=_skey))
+        bit = {x: 1 << i for i, x in enumerate(order)}
+        down = self.down = dict.fromkeys(order, 0)
+        up = dict.fromkeys(order, 0)
         for (x, y) in pre.leq_pairs:
             if x in bit and y in bit:
                 down[y] |= bit[x]
-        pre._masks = down
-    return down
+                up[x] |= bit[y]
+        self.rep, self.above, self.reps = {}, [], 0
+        for x in order:
+            cls = down[x] & up[x] | bit[x]
+            low = cls & -cls
+            self.rep[x] = order[low.bit_length() - 1]
+            self.above.append(up[x] & ~cls)
+            self.reps |= low
+
+
+def _index(pre: Preorder) -> _Index:
+    idx = pre._index
+    if idx is None:
+        idx = pre._index = _Index(pre)
+    return idx
 
 
 def _need(down, u) -> int:
@@ -361,7 +394,7 @@ def _have(down, v) -> int:
 
 def hoare_leq(pre: Preorder, u, v) -> bool:
     """u below v when every element of u is dominated by one of v."""
-    down = _masks(pre)
+    down = _index(pre).down
     need = _need(down, u)
     return need & _have(down, v) == need
 
@@ -374,14 +407,34 @@ def _subsumes(src: Preorder, tgt: Preorder, p, q) -> bool:
 
 def _class_rep(pre: Preorder, x):
     """Least-keyed member of x's equivalence class, or x itself if foreign."""
-    reps = pre._reps
-    if reps is None:
-        reps = pre._reps = {}
-        for y in pre.elements:
-            cls = [z for z in pre.elements if pre.leq(y, z) and pre.leq(z, y)]
-            if cls:
-                reps[y] = min(cls, key=_skey)
-    return reps.get(x, x)
+    return _index(pre).rep.get(x, x)
+
+
+def _canon(idx: _Index, u):
+    """u's canonical form, with the need and have masks of u (`_need`,
+    `_have`), which are those of its canonical form too."""
+    have = 0
+    foreign = []
+    down = idx.down
+    for x in u:
+        d = down.get(x)
+        if d is None:
+            foreign.append(x)
+        else:
+            have |= d
+    # the representatives of the maximal classes inside have, in bit order
+    out = []
+    above, order = idx.above, idx.order
+    reps = have & idx.reps
+    while reps:
+        low = reps & -reps
+        i = low.bit_length() - 1
+        if not above[i] & have:
+            out.append(order[i])
+        reps ^= low
+    if foreign:
+        return uset(out + foreign), -1, have
+    return tuple(out), have, have
 
 
 def canon_uset(pre: Preorder, u) -> Tuple:
@@ -390,48 +443,38 @@ def canon_uset(pre: Preorder, u) -> Tuple:
     Dominated elements add nothing to the requirement, so only the maximal
     ones survive, each replaced by its class representative.  Two input
     sets are Hoare-equivalent exactly when they canonicalize identically.
+    u may be unsorted and hold duplicates; a foreign element is kept.
     """
-    u0 = uset(u)
-    if len(u0) < 2:
-        # nothing to dominate, and a single representative is sorted already
-        return tuple(_class_rep(pre, x) for x in u0)
-    kept = []
-    for x in u0:
-        dominated = False
-        for y in u0:
-            if y == x:
-                continue
-            if pre.leq(x, y) and (not pre.leq(y, x) or _skey(y) < _skey(x)):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(x)
-    return uset(_class_rep(pre, x) for x in kept)
+    return _canon(_index(pre), u)[0]
 
 
-def normalize_pairs(src: Preorder, tgt: Preorder, pairs) -> frozenset:
-    """Drop subsumed pairs; mutually subsuming classes keep their least
-    representative under the canonical sort key.
+def _undominated(rows) -> frozenset:
+    """The pairs no other pair subsumes; mutually subsuming pairs keep only
+    their least member under the canonical sort key.
 
-    Each pair (u, b) is read once into masks (`_need`/`_have` of u in
-    `src`, of b in `tgt`).  q = (u', b') subsumes p = (u, b) when u' lies
-    below u and b below b'."""
-    sdown, tdown = _masks(src), _masks(tgt)
-    # key, pair, need and have of u, need and have of b
-    rows = sorted(((_skey(p), p, _need(sdown, p[0]), _have(sdown, p[0]),
-                    tdown.get(p[1], -1), tdown.get(p[1], 0)) for p in pairs),
-                  key=lambda row: row[0])
+    `rows` holds each pair (u, b) with the need and have masks of u in
+    the source and of b in the target: q = (u', b') subsumes p = (u, b)
+    when u' lies below u and b below b'."""
     keep = []
-    for (kp, p, up, uhp, bp, bhp) in rows:
-        for (kq, q, uq, uhq, bq, bhq) in rows:
-            if q is p or uq & uhp != uq or bp & bhq != bp:
+    for (p, (un, uh, bn, bh)) in rows:
+        for (q, (qun, quh, qbn, qbh)) in rows:
+            if q is p or qun & uh != qun or bn & qbh != bn:
                 continue            # q does not subsume p
-            # mutual subsumption keeps only the least-keyed member
-            if up & uhq != up or bq & bhp != bq or kq < kp:
+            if un & quh != un or qbn & bh != qbn or _skey(q) < _skey(p):
                 break
         else:
             keep.append(p)
     return frozenset(keep)
+
+
+def normalize_pairs(src: Preorder, tgt: Preorder, pairs) -> frozenset:
+    """Drop subsumed pairs; mutually subsuming classes keep their least
+    representative under the canonical sort key.  Each pair is read into
+    masks once."""
+    sdown, tdown = _index(src).down, _index(tgt).down
+    rows = {p: (_need(sdown, p[0]), _have(sdown, p[0]),
+                tdown.get(p[1], -1), tdown.get(p[1], 0)) for p in pairs}
+    return _undominated(rows.items())
 
 
 class IdealRel:
@@ -441,6 +484,7 @@ class IdealRel:
     stands for every (u', b') with u below-dominating u' and b' below b.
     Construction normalizes, so structural equality is semantic equality.
     Relations are immutable; the hash matches equality and is cached.
+    Validation checks every pair given, before normalization drops any.
     """
 
     __slots__ = ("source", "target", "pairs", "name", "_hash")
@@ -449,20 +493,28 @@ class IdealRel:
                  _validate=True):
         self.source = source
         self.target = target
-        canon = {(canon_uset(source, u), _class_rep(target, b))
-                 for (u, b) in pairs}
-        self.pairs = normalize_pairs(source, target, canon)
+        sidx, tidx = _index(source), _index(target)
+        tdown, trep = tidx.down, tidx.rep
+        rows = {}
+        for (u, b) in pairs:
+            cu, need, have = _canon(sidx, u)
+            d = tdown.get(b)
+            if d is None:
+                rows[cu, b] = (need, have, -1, 0)
+            else:
+                rows[cu, trep[b]] = (need, have, d, d)
+        self.pairs = _undominated(rows.items())
         self.name = name
         self._hash = None
         if _validate:
-            problems = self.validate()
+            problems = in_fixed_order(self._problems, rows)
             if problems:
                 raise ValidationError(f"{name}: " + "; ".join(problems))
 
-    def validate(self):
+    def _problems(self, pairs):
         problems = []
         src, tgt = set(self.source.elements), set(self.target.elements)
-        for (u, b) in self.pairs:
+        for (u, b) in pairs:
             if b not in tgt:
                 problems.append(f"output {b!r} outside target")
             if not set(u) <= src:
@@ -500,9 +552,12 @@ def scott_identity(pre: Preorder) -> IdealRel:
 def scott_from_function(source: Preorder, target: Preorder, fn, name="J") -> IdealRel:
     rel = IdealRel(source, target, {((a,), fn(a)) for a in source.elements},
                    name=name)
-    for (x, y) in source.leq_pairs:
-        if not target.leq(fn(x), fn(y)):
-            raise ValidationError(f"{name}: function not monotone on {x!r} <= {y!r}")
+    broken = in_fixed_order(
+        lambda leq: [(x, y) for (x, y) in leq if not target.leq(fn(x), fn(y))],
+        source.leq_pairs)
+    if broken:
+        x, y = broken[0]
+        raise ValidationError(f"{name}: function not monotone on {x!r} <= {y!r}")
     return rel
 
 
@@ -512,6 +567,7 @@ def scott_compose(g: IdealRel, f: IdealRel) -> IdealRel:
     Premises of g are cover-matched: an occurrence b can be served by any
     f-pair promising at least b.  Literal matching would be wrong here
     because normalization may have dropped the exactly-matching pair.
+    Each premise union goes to `IdealRel` as it is, unsorted.
     """
     if f.target != g.source:
         raise TypeMismatch("relation boundaries do not match")
@@ -519,17 +575,18 @@ def scott_compose(g: IdealRel, f: IdealRel) -> IdealRel:
     out = set()
     for (v, c) in g.pairs:
         slots = []
-        feasible = True
         for b in v:
             cands = [u0 for (u0, b0) in f.pairs if mid.leq(b, b0)]
             if not cands:
-                feasible = False
                 break
             slots.append(cands)
-        if not feasible:
+        if len(slots) < len(v):
+            continue                # an occurrence no f-pair serves
+        if len(slots) == 1:
+            out.update((u0, c) for u0 in slots[0])  # no union to take
             continue
         for choice in itertools.product(*slots):
-            out.add((uset(x for u0 in choice for x in u0), c))
+            out.add((tuple(x for u0 in choice for x in u0), c))
     return IdealRel(f.source, g.target, out, name=f"{g.name}.{f.name}",
                     _validate=False)
 
@@ -543,7 +600,7 @@ def scott_star_set(f: IdealRel) -> frozenset:
     if f.source != f.target:
         raise TypeMismatch("scott_star needs an endo-relation")
     pre = f.source
-    down = _masks(pre)
+    down = _index(pre).down
     rules = [(_need(down, u), down.get(b0, 0)) for (u, b0) in f.pairs]
     x = 0
     for _ in range(len(pre.elements) + 1):

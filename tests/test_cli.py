@@ -390,3 +390,60 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+def sample_with(name, **fields):
+    return dict(json.loads((SAMPLES / name).read_text()), **fields)
+
+
+def test_ideal_relation_pair_dropped_by_normalization_is_rejected(
+        tmp_path, capsys):
+    # ([], "y") subsumes (["zzz"], "x"), so normalization alone would drop
+    # the pair naming an element outside the source
+    path = tmp_path / "emit.json"
+    path.write_text(json.dumps(sample_with(
+        "scott_emit.json", pairs=[[[], "y"], [["zzz"], "x"]])))
+    code, out, err = run(capsys, "star", str(path), "--model", "scott")
+    assert code == 2
+    assert out == ""
+    assert err == "error: emit: input set ('zzz',) outside source\n"
+
+
+INVALID_UNDER_HASHING = {
+    "ideal-relation": (sample_with(
+        "scott_emit.json", pairs=[[["p"], "y"], [["q"], "x"], [["r"], "w"]]),
+        "scott"),
+    "multiset-relation": (sample_with(
+        "rel_fwd.json", pairs=[[[["p", 1]], "b0"], [[["q", 1]], "b0"],
+                               [[["a0", 1]], "w"]]), "rel"),
+    "preorder": (sample_with(
+        "preorder_step.json",
+        leq=[["x", "x"], ["x", "y"], ["y", "y"], ["p", "q"], ["q", "r"],
+             ["r", "s"]]), "scott"),
+    "poset": (sample_with(
+        "poset_chain3.json",
+        leq=[["a", "a"], ["b", "b"], ["t", "t"], ["p", "q"], ["q", "r"],
+             ["r", "s"]]), "poset"),
+    "monotone-map": (sample_with(
+        "poset_climb.json", assignment=[["a", "b"], ["b", "t"], ["t", "a"]]),
+        "poset"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID_UNDER_HASHING))
+def test_validation_message_does_not_depend_on_hash_seed(tmp_path, kind):
+    doc, model = INVALID_UNDER_HASHING[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    cmd = [sys.executable, "-m", "fixcat.cli", "star", str(path),
+           "--model", model]
+    errs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "; " in proc.stderr
+        errs.add(proc.stderr)
+    assert len(errs) == 1, errs

@@ -14,6 +14,7 @@ from fixcat.rel import (
     IdealRel,
     MultisetRel,
     Preorder,
+    canon_uset,
     discrete_preorder,
     disjoint_union,
     hoare_leq,
@@ -391,6 +392,14 @@ def test_scott_from_function_checks_monotonicity():
                             lambda e: "y" if e == "p" else "x")
 
 
+def test_scott_from_function_reports_the_least_broken_pair():
+    # two broken pairs: the one reported must not depend on the hash seed
+    p = Preorder("abcd", {(x, x) for x in "abcd"} | {("a", "b"), ("c", "d")})
+    with pytest.raises(ValidationError,
+                       match=r"^J: function not monotone on 'a' <= 'b'$"):
+        scott_from_function(p, discrete_preorder("abcd"), lambda e: e)
+
+
 def test_scott_product_laws():
     u = preorder_disjoint_union(P_CHAIN, T_CHAIN)
     assert u.leq(tag_left("p"), tag_left("q"))
@@ -596,3 +605,81 @@ def test_mask_kernels_match_brute_force(src, tgt, data):
         max_size=6))
     endo = SimpleNamespace(source=src, target=src, pairs=frozenset(rules))
     assert scott_star_set(endo) == brute_scott_star_set(endo)
+
+
+# --- canonical forms against their brute-force definitions -------------------
+
+def brute_class_rep(pre, x):
+    cls = [y for y in pre.elements if pre.leq(x, y) and pre.leq(y, x)]
+    return min(cls, key=_skey) if cls else x
+
+
+def brute_canon_uset(pre, u):
+    """The maximal elements of u, then their class representatives, then
+    `_skey` order; an element outside the preorder is kept as it is."""
+    inside = [x for x in u if x in pre.elements]
+    maximal = [x for x in inside
+               if not any(pre.leq(x, y) and not pre.leq(y, x) for y in inside)]
+    foreign = [x for x in u if x not in pre.elements]
+    return tuple(sorted({brute_class_rep(pre, x) for x in maximal}
+                        | set(foreign), key=_skey))
+
+
+def raw_input_sets(pre):
+    # unsorted, with duplicates, mixing carrier and foreign elements
+    return st.lists(st.sampled_from(list(pre.elements) + FOREIGN),
+                    max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_preorders(), st.data())
+def test_canon_uset_matches_brute_force(pre, data):
+    u = data.draw(raw_input_sets(pre))
+    canon = canon_uset(pre, u)
+    assert canon == brute_canon_uset(pre, u)
+    assert canon_uset(pre, canon) == canon
+    assert canon_uset(pre, tuple(reversed(u))) == canon
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_preorders(), mixed_preorders(), st.data())
+def test_idealrel_pairs_are_brute_normal_forms(src, tgt, data):
+    outputs = st.sampled_from(list(tgt.elements) + FOREIGN)
+    pairs = data.draw(st.lists(st.tuples(raw_input_sets(src), outputs),
+                               max_size=6))
+    r = IdealRel(src, tgt, pairs, _validate=False)
+    canon = {(brute_canon_uset(src, u), brute_class_rep(tgt, b))
+             for (u, b) in pairs}
+    assert r.pairs == brute_normalize_pairs(src, tgt, canon)
+    # no stored pair subsumes another: each one is needed
+    for p in r.pairs:
+        for q in r.pairs:
+            if q != p:
+                assert not (brute_hoare_leq(src, q[0], p[0])
+                            and tgt.leq(p[1], q[1]))
+
+
+def brute_mrel_star_set(f):
+    s = frozenset()
+    for _ in range(len(f.target) + 1):
+        nxt = frozenset(b for (m, b) in f.pairs
+                        if all(x in s for (x, _) in m))
+        if nxt == s:
+            break
+        s = nxt
+    return s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(MIXED_ELEMENTS), unique=True, max_size=4),
+       st.data())
+def test_mrel_star_matches_brute_force_with_foreign_elements(carrier, data):
+    # premises and outputs may name elements outside the carrier
+    names = carrier + FOREIGN
+    premise = st.lists(st.sampled_from(names), max_size=3).map(mset)
+    pairs = data.draw(st.sets(st.tuples(premise, st.sampled_from(names)),
+                              max_size=8))
+    f = MultisetRel(carrier, carrier, pairs, _validate=False)
+    star = mrel_star(f)
+    assert star.pairs == {(EMPTY_MSET, b) for b in brute_mrel_star_set(f)}
+    assert (star.source, star.target) == (EMPTY_CARRIER, f.target)
