@@ -54,9 +54,6 @@ class FinCategory:
             if problems:
                 raise ValidationError(f"{name}: " + "; ".join(problems))
 
-    def arrow(self, aid: str) -> Arrow:
-        return self.arrows[aid]
-
     def src(self, aid: str) -> str:
         return self.arrows[aid].src
 
@@ -171,33 +168,41 @@ def validate_category(c: FinCategory):
     return problems
 
 
-def discrete_category(name, objects) -> FinCategory:
-    arrows = [Arrow(f"id_{x}", x, x) for x in objects]
-    identity = {x: f"id_{x}" for x in objects}
-    table = {(f"id_{x}", f"id_{x}"): f"id_{x}" for x in objects}
-    return FinCategory(objects, arrows, identity, table, name=name)
+def _thin_arrow(x, y):
+    """The id of the arrow x -> y of a thin category."""
+    return f"id_{x}" if x == y else f"{x}to{y}"
 
 
-def preorder_category(name, elements, leq_pairs) -> FinCategory:
-    """The thin category of a preorder: one arrow x->y per related pair."""
-    rel = set(leq_pairs) | {(x, x) for x in elements}
-    arrows = [Arrow(f"{x}<{y}" if x != y else f"id_{x}", x, y) for (x, y) in rel]
-    identity = {x: f"id_{x}" for x in elements}
-    byname = {a.id: a for a in arrows}
+def thin_category(name, elements, pairs=()) -> FinCategory:
+    """The thin category of a preorder: an identity id_x per element and
+    one arrow xtoy per pair (x, y) with x != y.  The reflexive pairs are
+    added; pairs that are not transitive raise ValidationError."""
+    order = set(pairs) | {(x, x) for x in elements}
+    arrows = [Arrow(_thin_arrow(x, y), x, y)
+              for x in elements for y in elements if (x, y) in order]
     table = {}
-    for f in byname.values():
-        for g in byname.values():
+    for f in arrows:
+        for g in arrows:
             if f.dst == g.src:
                 x, y = f.src, g.dst
-                if (x, y) not in rel:
+                if (x, y) not in order:
                     raise ValidationError(f"{name}: relation not transitive at {x},{y}")
-                table[(g.id, f.id)] = f"{x}<{y}" if x != y else f"id_{x}"
-    return FinCategory(elements, arrows, identity, table, name=name)
+                table[(g.id, f.id)] = _thin_arrow(x, y)
+    return FinCategory(elements, arrows,
+                       {x: _thin_arrow(x, x) for x in elements}, table,
+                       name=name)
 
 
-TERMINAL_CATEGORY = FinCategory(
-    ["*"], [Arrow("id_*", "*", "*")], {"*": "id_*"}, {("id_*", "id_*"): "id_*"},
-    name="1")
+def thin_functor(c: FinCategory, d: FinCategory, omap,
+                 name="F") -> FunctorData:
+    """The functor between thin categories given by an object map; it is
+    valid exactly when the map is monotone."""
+    amap = {aid: _thin_arrow(omap[a.src], omap[a.dst])
+            for aid, a in c.arrows.items()}
+    return FunctorData(c, d, dict(omap), amap, name=name)
+
+
+TERMINAL_CATEGORY = thin_category("1", ["*"])
 
 
 class FunctorData:

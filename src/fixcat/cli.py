@@ -12,7 +12,8 @@ import os
 import sys
 
 from . import algebra, cat, laws, models, poly, poset, rel, serialize
-from .errors import FixcatError, NoProducts, NotContractible, SchemaError
+from .errors import (FixcatError, NoProducts, NotContractible, SchemaError,
+                     sort_key)
 
 LIST_THRESHOLD = 24
 
@@ -61,9 +62,9 @@ def cmd_star(args):
         sizes = ", ".join(str(len(s)) for s in ts.stages)
         print(f"trace: stage sizes {sizes}")
     elif args.trace:
-        full = sorted(rel.scott_star_set(f))
+        full = sorted(rel.scott_star_set(f), key=sort_key)
         print("trace: closure " + "{" + ", ".join(map(str, full)) + "}")
-    derivable = sorted(b for (_, b) in star.pairs)
+    derivable = sorted((b for (_, b) in star.pairs), key=sort_key)
     print("star: {" + ", ".join(str(b) for b in derivable) + "}")
     return 0
 

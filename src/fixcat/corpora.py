@@ -579,42 +579,12 @@ def scott_corpus(draws=1000, seed=0):
 # ---------------------------------------------------------------------------
 # Finite categories.
 
-def thin_cat(name, elements, strict_pairs):
-    # strict_pairs must already be transitively closed
-    order = set(strict_pairs) | {(x, x) for x in elements}
-    arrows, identity = [], {}
-    for x in elements:
-        for y in elements:
-            if (x, y) in order:
-                aid = f"id_{x}" if x == y else f"{x}to{y}"
-                arrows.append(cat.Arrow(aid, x, y))
-                if x == y:
-                    identity[x] = aid
-
-    def arrow_id(x, y):
-        return identity[x] if x == y else f"{x}to{y}"
-
-    table = {}
-    for a in arrows:
-        for b in arrows:
-            if a.dst == b.src:
-                table[(b.id, a.id)] = arrow_id(a.src, b.dst)
-    return cat.FinCategory(elements, arrows, identity, table, name=name)
-
-
-def thin_functor(c, d, omap, name="F"):
-    amap = {}
-    for aid, a in c.arrows.items():
-        x, y = omap[a.src], omap[a.dst]
-        amap[aid] = d.identity[x] if x == y else f"{x}to{y}"
-    return cat.FunctorData(c, d, dict(omap), amap, name=name)
-
-
-TWO = thin_cat("two", ["0", "1"], {("0", "1")})
-THREE = thin_cat("three", ["0", "1", "2"],
-                 {("0", "1"), ("1", "2"), ("0", "2")})
-JOIN_ONE = thin_functor(TWO, TWO, {"0": "1", "1": "1"}, name="join1")
-SUCC3 = thin_functor(THREE, THREE, {"0": "1", "1": "2", "2": "2"}, name="succ")
+TWO = cat.thin_category("two", ["0", "1"], {("0", "1")})
+THREE = cat.thin_category("three", ["0", "1", "2"],
+                          {("0", "1"), ("1", "2"), ("0", "2")})
+JOIN_ONE = cat.thin_functor(TWO, TWO, {"0": "1", "1": "1"}, name="join1")
+SUCC3 = cat.thin_functor(THREE, THREE, {"0": "1", "1": "2", "2": "2"},
+                         name="succ")
 
 WALK = cat.FinCategory(
     ["0", "x", "y"],
@@ -678,10 +648,11 @@ F_IDEM = cat.FunctorData(IDEM, IDEM, {"0": "w", "w": "w"},
                           "id_w": "id_w"},
                          name="collapse")
 
-U23 = thin_functor(TWO, THREE, {"0": "0", "1": "2"}, name="skip1")
-V32 = thin_functor(THREE, TWO, {"0": "0", "1": "1", "2": "1"}, name="clamp")
-CONST2 = thin_functor(THREE, THREE, {"0": "2", "1": "2", "2": "2"},
-                      name="const2")
+U23 = cat.thin_functor(TWO, THREE, {"0": "0", "1": "2"}, name="skip1")
+V32 = cat.thin_functor(THREE, TWO, {"0": "0", "1": "1", "2": "1"},
+                       name="clamp")
+CONST2 = cat.thin_functor(THREE, THREE, {"0": "2", "1": "2", "2": "2"},
+                          name="const2")
 
 S_X = cat.FunctorData(TWO, WALK, {"0": "0", "1": "x"},
                       {"id_0": "id_0", "id_1": "id_x", "0to1": "0x"},

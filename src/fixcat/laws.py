@@ -156,7 +156,7 @@ class FixpointModel:
         raise NotImplementedError
 
     def enumerate_invertible_cells(self, f, g):
-        """All invertible 2-cells f => g; required of non-thin adapters only."""
+        """All invertible 2-cells f => g."""
         raise NotImplementedError
 
     def hcomp2(self, first, second):
@@ -256,6 +256,9 @@ class ThinModel(FixpointModel):
 
     def star_2cell(self, alpha):
         return ThinCell(self.star(alpha.source), self.star(alpha.target))
+
+    def enumerate_invertible_cells(self, f, g):
+        return [ThinCell(f, g)] if self.eq1(f, g) else []
 
     # -- witnesses: the 1-cell equations of Simpson & Plotkin's operator -------
     def fix_witness(self, f):
@@ -1040,10 +1043,7 @@ def _fix_compatible(m1, m2, f):
     """The candidate components star1(f) => star2(f), and the ones among
     them that commute with both fix cells."""
     s1, s2 = m1.star(f), m2.star(f)
-    if isinstance(m1, ThinModel):
-        cands = [ThinCell(s1, s2)] if m1.eq1(s1, s2) else []
-    else:
-        cands = m1.enumerate_invertible_cells(s1, s2)
+    cands = m1.enumerate_invertible_cells(s1, s2)
     good = [d for d in cands
             if m1.eq2(m1.vcomp2(d, m1.fix_witness(f)),
                       m1.vcomp2(m2.fix_witness(f), m1.whisker_l(f, d)))]

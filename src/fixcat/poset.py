@@ -89,21 +89,18 @@ class PointedPoset:
 class MonotoneMap:
     """A monotone map between pointed posets.
 
-    `strict` is a declared flag: construction rejects a strict-flagged map
-    that fails to send bottom to bottom.  Equality compares boundaries and
-    the assignment only; strictness of an assignment can always be re-tested
-    with `is_bottom_preserving`.  Maps are immutable; the hash matches
-    equality and is cached.
+    Equality compares boundaries and the assignment only; strictness is
+    `is_bottom_preserving`.  Maps are immutable; the hash matches equality
+    and is cached.
     """
 
-    __slots__ = ("source", "target", "assignment", "strict", "name", "_hash")
+    __slots__ = ("source", "target", "assignment", "name", "_hash")
 
     def __init__(self, source: PointedPoset, target: PointedPoset, assignment,
-                 strict=False, name="f", _validate=True):
+                 name="f", _validate=True):
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
-        self.strict = strict
         self.name = name
         self._hash = None
         if _validate:
@@ -126,8 +123,6 @@ class MonotoneMap:
         for (x, y) in leq:
             if not self.target.leq(self.assignment[x], self.assignment[y]):
                 problems.append(f"not monotone on {x!r} <= {y!r}")
-        if self.strict and self.assignment[self.source.bottom] != self.target.bottom:
-            problems.append("declared strict but bottom not preserved")
         return problems
 
     def __call__(self, x):
@@ -155,17 +150,15 @@ class MonotoneMap:
 
 
 def identity_map(p: PointedPoset) -> MonotoneMap:
-    return MonotoneMap(p, p, {x: x for x in p.elements}, strict=True,
-                       name=f"id_{p.name}")
+    return MonotoneMap(p, p, {x: x for x in p.elements}, name=f"id_{p.name}")
 
 
 def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
-    """g after f; strict only when both factors are declared strict."""
+    """g after f."""
     if f.target != g.source:
         raise TypeMismatch("map boundaries do not match")
     return MonotoneMap(f.source, g.target,
                        {x: g.assignment[f.assignment[x]] for x in f.source.elements},
-                       strict=f.strict and g.strict,
                        name=f"{g.name}.{f.name}", _validate=False)
 
 
@@ -173,7 +166,7 @@ ONE_POINT = PointedPoset(["*"], [("*", "*")], "*", name="1")
 
 
 def unique_map_to_one(p: PointedPoset) -> MonotoneMap:
-    return MonotoneMap(p, ONE_POINT, {x: "*" for x in p.elements}, strict=True,
+    return MonotoneMap(p, ONE_POINT, {x: "*" for x in p.elements},
                        name=f"!{p.name}")
 
 
@@ -311,8 +304,7 @@ class PosetProduct:
         return MonotoneMap(
             f.source, self.poset,
             {x: (f.assignment[x], g.assignment[x]) for x in f.source.elements},
-            strict=f.strict and g.strict, name=f"<{f.name},{g.name}>",
-            _validate=False)
+            name=f"<{f.name},{g.name}>", _validate=False)
 
 
 def product(p: PointedPoset, q: PointedPoset) -> PosetProduct:
@@ -322,10 +314,10 @@ def product(p: PointedPoset, q: PointedPoset) -> PosetProduct:
            if p.leq(a, c) and q.leq(b, d)}
     poset = PointedPoset(elems, leq, (p.bottom, q.bottom),
                          name=f"{p.name}x{q.name}", _validate=False)
-    pi1 = MonotoneMap(poset, p, {(a, b): a for (a, b) in elems}, strict=True,
-                      name="pi1", _validate=False)
-    pi2 = MonotoneMap(poset, q, {(a, b): b for (a, b) in elems}, strict=True,
-                      name="pi2", _validate=False)
+    pi1 = MonotoneMap(poset, p, {(a, b): a for (a, b) in elems}, name="pi1",
+                      _validate=False)
+    pi2 = MonotoneMap(poset, q, {(a, b): b for (a, b) in elems}, name="pi2",
+                      _validate=False)
     return PosetProduct(poset, p, q, pi1, pi2)
 
 

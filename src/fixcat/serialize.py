@@ -17,10 +17,6 @@ from . import cat, models, poly, poset, rel
 from .errors import SchemaError
 from .rel import _skey
 
-KINDS = ("poset", "monotone-map", "finite-set", "multiset-relation",
-         "preorder", "ideal-relation", "category", "functor", "nat-transf",
-         "polynomial", "coalgebra-system", "suite-config")
-
 
 def _is_int(v):
     # bool is an int subclass, but true is not a count
@@ -78,10 +74,9 @@ def parse_document(text, validate=True):
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise SchemaError(f"unknown kind {kind!r}")
-    builder = _PARSERS[kind]
-    return builder(doc, validate)
+    return _PARSERS[kind](doc, validate)
 
 
 def load_document(path, validate=True):
@@ -111,10 +106,6 @@ def _parse_monotone_map(doc, validate):
     assignment = dict(_pairs(doc, "assignment", "monotone-map"))
     return poset.MonotoneMap(src, tgt, assignment,
                              name=doc.get("name", "f"), _validate=validate)
-
-
-def _parse_finite_set(doc, validate):
-    return tuple(_need(doc, "elements", list, "finite-set"))
 
 
 def _parse_mrel(doc, validate):
@@ -277,7 +268,6 @@ def _parse_suite_config(doc, validate):
 _PARSERS = {
     "poset": _parse_poset,
     "monotone-map": _parse_monotone_map,
-    "finite-set": _parse_finite_set,
     "multiset-relation": _parse_mrel,
     "preorder": _parse_preorder,
     "ideal-relation": _parse_ideal,
@@ -307,9 +297,6 @@ def to_document(obj):
                 "source": to_document(obj.source),
                 "target": to_document(obj.target),
                 "assignment": _sorted_pairs(obj.assignment)}
-    if isinstance(obj, tuple):
-        return {"kind": "finite-set", "name": "X",
-                "elements": sorted(obj, key=_skey)}
     if isinstance(obj, rel.MultisetRel):
         return {"kind": "multiset-relation", "name": obj.name,
                 "source": sorted(obj.source, key=_skey),

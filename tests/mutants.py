@@ -1,0 +1,26 @@
+"""Mutant adapters shared by the law-engine tests."""
+
+from fixcat import rel
+from fixcat.models import RelModel
+
+
+class GreatestRelModel(RelModel):
+    """Mutant: star picks the greatest fixpoint of an endo-relation, the
+    one-step operator iterated down from the full target.  It runs the same
+    `star` and `compose` code as `RelModel`, so only each adapter's own run
+    table keeps the two stars apart when they share a composite memo."""
+
+    def __init__(self):
+        super().__init__("closure")
+        self.name = "rel[greatest]"
+
+    def _lfp(self, f):
+        alive = set(f.target)
+        while True:
+            keep = {b for (m, b) in f.pairs if rel.mset_support(m) <= alive}
+            if keep == alive:
+                break
+            alive = keep
+        return rel.MultisetRel(rel.EMPTY_CARRIER, f.target,
+                               {(rel.EMPTY_MSET, b) for b in alive},
+                               name=f"{f.name}*", _validate=False)

@@ -16,8 +16,6 @@ from fixcat.algebra import (
     validate_endofunctor,
 )
 from fixcat.cat import (
-    Arrow,
-    FinCategory,
     FunctorData,
     NatTransfData,
     SearchBound,
@@ -28,6 +26,19 @@ from fixcat.cat import (
     identity_transf,
     is_invertible_transf,
     point_functor,
+    thin_category,
+    thin_functor,
+)
+from fixcat.corpora import (
+    AUT,
+    F_AUT,
+    F_IDEM,
+    F_WALK,
+    JOIN_ONE,
+    SUCC3,
+    THREE,
+    TWO,
+    WALK,
 )
 from fixcat.errors import (
     NoInitialObject,
@@ -43,104 +54,13 @@ from fixcat.poset import MonotoneMap, PointedPoset, kleene_star
 
 # --- fixtures -------------------------------------------------------------------
 
-def thin_cat(name, elements, strict_pairs):
-    # strict_pairs must already be transitively closed
-    order = set(strict_pairs) | {(x, x) for x in elements}
-    arrows, identity = [], {}
-    for x in elements:
-        for y in elements:
-            if (x, y) in order:
-                aid = f"id_{x}" if x == y else f"{x}to{y}"
-                arrows.append(Arrow(aid, x, y))
-                if x == y:
-                    identity[x] = aid
-    def arrow_id(x, y):
-        return identity[x] if x == y else f"{x}to{y}"
-    table = {}
-    for a in arrows:
-        for b in arrows:
-            if a.dst == b.src:
-                table[(b.id, a.id)] = arrow_id(a.src, b.dst)
-    return FinCategory(elements, arrows, identity, table, name=name)
-
-
-def thin_functor(c, d, omap, name="F"):
-    # only valid when d is thin
-    amap = {}
-    for aid, a in c.arrows.items():
-        x, y = omap[a.src], omap[a.dst]
-        amap[aid] = d.identity[x] if x == y else f"{x}to{y}"
-    return FunctorData(c, d, dict(omap), amap, name=name)
-
-
-TWO = thin_cat("two", ["0", "1"], {("0", "1")})
-THREE = thin_cat("three", ["0", "1", "2"], {("0", "1"), ("1", "2"), ("0", "2")})
-FOUR = thin_cat("four", ["0", "1", "2", "3"],
-                {("0", "1"), ("1", "2"), ("2", "3"),
-                 ("0", "2"), ("0", "3"), ("1", "3")})
-
-JOIN_ONE = thin_functor(TWO, TWO, {"0": "1", "1": "1"}, name="join1")
-SUCC3 = thin_functor(THREE, THREE, {"0": "1", "1": "2", "2": "2"}, name="succ")
+FOUR = thin_category("four", ["0", "1", "2", "3"],
+                     {("0", "1"), ("1", "2"), ("2", "3"),
+                      ("0", "2"), ("0", "3"), ("1", "3")})
 SUCC4 = thin_functor(FOUR, FOUR, {"0": "1", "1": "2", "2": "3", "3": "3"},
                      name="succ")
 
-WALK = FinCategory(
-    ["0", "x", "y"],
-    [Arrow("id_0", "0", "0"), Arrow("id_x", "x", "x"), Arrow("id_y", "y", "y"),
-     Arrow("0x", "0", "x"), Arrow("0y", "0", "y"),
-     Arrow("i", "x", "y"), Arrow("j", "y", "x")],
-    {"0": "id_0", "x": "id_x", "y": "id_y"},
-    {("id_0", "id_0"): "id_0", ("0x", "id_0"): "0x", ("0y", "id_0"): "0y",
-     ("id_x", "0x"): "0x", ("i", "0x"): "0y",
-     ("id_y", "0y"): "0y", ("j", "0y"): "0x",
-     ("id_x", "id_x"): "id_x", ("i", "id_x"): "i",
-     ("id_y", "id_y"): "id_y", ("j", "id_y"): "j",
-     ("id_y", "i"): "i", ("j", "i"): "id_x",
-     ("id_x", "j"): "j", ("i", "j"): "id_y"},
-    name="walk")
-
-F_WALK = FunctorData(
-    WALK, WALK, {"0": "x", "x": "y", "y": "x"},
-    {"id_0": "id_x", "id_x": "id_y", "id_y": "id_x",
-     "0x": "i", "0y": "id_x", "i": "j", "j": "i"},
-    name="cycle")
-
-AUT = FinCategory(
-    ["0", "z"],
-    [Arrow("id_0", "0", "0"), Arrow("u", "0", "z"),
-     Arrow("e", "z", "z"), Arrow("id_z", "z", "z")],
-    {"0": "id_0", "z": "id_z"},
-    {("id_0", "id_0"): "id_0", ("u", "id_0"): "u",
-     ("e", "u"): "u", ("id_z", "u"): "u",
-     ("e", "e"): "id_z", ("id_z", "e"): "e", ("e", "id_z"): "e",
-     ("id_z", "id_z"): "id_z"},
-    name="aut")
-
-F_AUT = FunctorData(AUT, AUT, {"0": "z", "z": "z"},
-                    {"id_0": "id_z", "u": "e", "e": "id_z", "id_z": "id_z"},
-                    name="twist")
-
-IDEM = FinCategory(
-    ["0", "w"],
-    [Arrow("id_0", "0", "0"), Arrow("u", "0", "w"),
-     Arrow("p", "w", "w"), Arrow("id_w", "w", "w")],
-    {"0": "id_0", "w": "id_w"},
-    {("id_0", "id_0"): "id_0", ("u", "id_0"): "u",
-     ("p", "u"): "u", ("id_w", "u"): "u",
-     ("p", "p"): "p", ("id_w", "p"): "p", ("p", "id_w"): "p",
-     ("id_w", "id_w"): "id_w"},
-    name="idem")
-
-F_IDEM = FunctorData(IDEM, IDEM, {"0": "w", "w": "w"},
-                     {"id_0": "id_w", "u": "p", "p": "id_w", "id_w": "id_w"},
-                     name="collapse")
-
-DISCRETE2 = FinCategory(
-    ["a", "b"],
-    [Arrow("id_a", "a", "a"), Arrow("id_b", "b", "b")],
-    {"a": "id_a", "b": "id_b"},
-    {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b"},
-    name="disc2")
+DISCRETE2 = thin_category("disc2", ["a", "b"])
 
 SWAP2 = FunctorData(DISCRETE2, DISCRETE2, {"a": "b", "b": "a"},
                     {"id_a": "id_b", "id_b": "id_a"}, name="swap")
@@ -284,7 +204,7 @@ def monotone_assignments(elements, order):
 def test_thin_chains_match_kleene_iteration():
     checked = 0
     for name, elements, strict in POSET_SHAPES:
-        cat = thin_cat(name, elements, strict)
+        cat = thin_category(name, elements, strict)
         order = set(strict) | {(x, x) for x in elements}
         pos = PointedPoset(elements, order, "0" if "0" in elements else "b")
         for omap in monotone_assignments(list(elements), order):

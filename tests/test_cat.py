@@ -8,12 +8,12 @@ import pytest
 
 from fixcat.cat import (
     Arrow, FinCategory, FunctorData, NatTransfData, SearchBound,
-    compose_functors, constant_functor, discrete_category,
-    enumerate_functors, enumerate_nat_transfs, hcomp, identity_functor,
-    identity_transf, inverse_transf, is_invertible_transf, preorder_category,
-    point_functor, validate_category, vcomp, whisker_left, whisker_right,
-    TERMINAL_CATEGORY,
+    compose_functors, constant_functor, enumerate_functors,
+    enumerate_nat_transfs, hcomp, identity_functor, identity_transf,
+    inverse_transf, is_invertible_transf, point_functor, thin_category,
+    validate_category, vcomp, whisker_left, whisker_right, TERMINAL_CATEGORY,
 )
+from fixcat.corpora import THREE, TWO, WALK
 from fixcat.errors import BoundaryMismatch, SizeCap, TypeMismatch, ValidationError
 
 
@@ -37,69 +37,42 @@ def brute_force_nat_transfs(f, g):
     return found
 
 
-CHAIN2 = preorder_category("chain2", ["0", "1"], [("0", "1")])
-CHAIN3 = preorder_category("chain3", ["0", "1", "2"], [("0", "1"), ("1", "2"), ("0", "2")])
-DISC2 = discrete_category("disc2", ["a", "b"])
-DISC3 = discrete_category("disc3", ["p", "q", "r"])
-
-
-def walking_iso_category():
-    """Initial object 0 plus an isomorphic pair x ~ y."""
-    objects = ["0", "x", "y"]
-    arrows = [
-        Arrow("id_0", "0", "0"), Arrow("id_x", "x", "x"), Arrow("id_y", "y", "y"),
-        Arrow("0x", "0", "x"), Arrow("0y", "0", "y"),
-        Arrow("i", "x", "y"), Arrow("j", "y", "x"),
-    ]
-    identity = {"0": "id_0", "x": "id_x", "y": "id_y"}
-    table = {}
-    ids = {a.id: a for a in arrows}
-    def comp(g, f):
-        a, b = ids[f], ids[g]
-        if f.startswith("id_"):
-            return g
-        if g.startswith("id_"):
-            return f
-        word = {("i", "0x"): "0y", ("j", "0y"): "0x",
-                ("j", "i"): "id_x", ("i", "j"): "id_y"}
-        return word[(g, f)]
-    for f in ids.values():
-        for g in ids.values():
-            if f.dst == g.src:
-                table[(g.id, f.id)] = comp(g.id, f.id)
-    return FinCategory(objects, arrows, identity, table, name="walking_iso")
-
-
-WALKING_ISO = walking_iso_category()
+DISC2 = thin_category("disc2", ["a", "b"])
+DISC3 = thin_category("disc3", ["p", "q", "r"])
 
 
 def test_validate_accepts_well_formed_categories():
-    for c in [CHAIN2, CHAIN3, DISC2, DISC3, WALKING_ISO, TERMINAL_CATEGORY]:
+    for c in [TWO, THREE, DISC2, DISC3, WALK, TERMINAL_CATEGORY]:
         assert validate_category(c) == []
 
 
+def test_thin_category_rejects_a_non_transitive_relation():
+    with pytest.raises(ValidationError, match="not transitive at 0,2"):
+        thin_category("bad", ["0", "1", "2"], [("0", "1"), ("1", "2")])
+
+
 def test_validate_reports_corrupted_composition_table():
-    broken = dict(CHAIN3.table)
-    broken[("1<2", "0<1")] = "id_0"  # wrong boundary
-    c = FinCategory(CHAIN3.objects, CHAIN3.arrows.values(), CHAIN3.identity,
+    broken = dict(THREE.table)
+    broken[("1to2", "0to1")] = "id_0"  # wrong boundary
+    c = FinCategory(THREE.objects, THREE.arrows.values(), THREE.identity,
                     broken, name="bad", _validate=False)
     problems = validate_category(c)
     assert problems
-    assert any("0<1" in p for p in problems)
+    assert any("0to1" in p for p in problems)
 
 
 def test_validate_reports_missing_composite():
-    broken = dict(CHAIN3.table)
-    del broken[("1<2", "0<1")]
-    c = FinCategory(CHAIN3.objects, CHAIN3.arrows.values(), CHAIN3.identity,
+    broken = dict(THREE.table)
+    del broken[("1to2", "0to1")]
+    c = FinCategory(THREE.objects, THREE.arrows.values(), THREE.identity,
                     broken, name="bad2", _validate=False)
     assert any("missing" in p for p in validate_category(c))
 
 
 def test_validate_reports_table_entry_on_unknown_arrows():
-    broken = dict(CHAIN3.table)
-    broken[("0<1", "nowhere")] = "0<1"
-    c = FinCategory(CHAIN3.objects, CHAIN3.arrows.values(), CHAIN3.identity,
+    broken = dict(THREE.table)
+    broken[("0to1", "nowhere")] = "0to1"
+    c = FinCategory(THREE.objects, THREE.arrows.values(), THREE.identity,
                     broken, name="bad3", _validate=False)
     assert any("unknown arrows" in p for p in validate_category(c))
 
@@ -123,22 +96,22 @@ def test_validate_reports_associativity_breakage():
 
 
 def test_compose_and_identity_laws():
-    assert CHAIN3.compose("1<2", "0<1") == "0<2"
-    assert CHAIN3.compose("id_1", "0<1") == "0<1"
-    assert CHAIN3.compose("0<1", "id_0") == "0<1"
+    assert THREE.compose("1to2", "0to1") == "0to2"
+    assert THREE.compose("id_1", "0to1") == "0to1"
+    assert THREE.compose("0to1", "id_0") == "0to1"
     with pytest.raises(TypeMismatch):
-        CHAIN3.compose("0<1", "1<2")
+        THREE.compose("0to1", "1to2")
 
 
 def test_inverse_search():
-    assert WALKING_ISO.inverse("i") == "j"
-    assert WALKING_ISO.inverse("0x") is None
-    assert WALKING_ISO.is_iso("id_x")
+    assert WALK.inverse("i") == "j"
+    assert WALK.inverse("0x") is None
+    assert WALK.is_iso("id_x")
 
 
 def test_initial_objects():
-    assert CHAIN3.initial_objects() == ["0"]
-    assert WALKING_ISO.initial_objects() == ["0"]
+    assert THREE.initial_objects() == ["0"]
+    assert WALK.initial_objects() == ["0"]
     assert DISC2.initial_objects() == []
 
 
@@ -148,12 +121,12 @@ def test_enumerate_functors_discrete_counts():
 
 
 def test_enumerate_functors_respects_composition():
-    fs = enumerate_functors(CHAIN2, CHAIN2)
+    fs = enumerate_functors(TWO, TWO)
     # monotone endomaps of the 2-chain: 00, 01, 11
     assert len(fs) == 3
     for f in fs:
-        for (g, h), comp in CHAIN2.table.items():
-            assert CHAIN2.table[(f.amap[g], f.amap[h])] == f.amap[comp]
+        for (g, h), comp in TWO.table.items():
+            assert TWO.table[(f.amap[g], f.amap[h])] == f.amap[comp]
 
 
 def test_enumerate_functors_size_cap():
@@ -162,17 +135,17 @@ def test_enumerate_functors_size_cap():
 
 
 def test_enumerate_nat_transfs_forced_components():
-    f = constant_functor(DISC2, CHAIN2, "0")
-    g = constant_functor(DISC2, CHAIN2, "0")
+    f = constant_functor(DISC2, TWO, "0")
+    g = constant_functor(DISC2, TWO, "0")
     assert len(enumerate_nat_transfs(f, g)) == 1
-    h = constant_functor(DISC2, CHAIN2, "1")
+    h = constant_functor(DISC2, TWO, "1")
     assert len(enumerate_nat_transfs(f, h)) == 1
     assert enumerate_nat_transfs(h, f) == []
 
 
 def test_enumerate_nat_transfs_matches_brute_force_oracle():
     pairs = []
-    for c, d in [(DISC2, CHAIN2), (CHAIN2, CHAIN3), (CHAIN2, WALKING_ISO)]:
+    for c, d in [(DISC2, TWO), (TWO, THREE), (TWO, WALK)]:
         fs = enumerate_functors(c, d)
         for f in fs:
             for g in fs:
@@ -187,7 +160,7 @@ def test_enumerate_nat_transfs_matches_brute_force_oracle():
 
 
 def test_vcomp_unit_laws():
-    fs = enumerate_functors(CHAIN2, CHAIN3)
+    fs = enumerate_functors(TWO, THREE)
     for f in fs:
         for g in fs:
             for t in enumerate_nat_transfs(f, g):
@@ -196,16 +169,16 @@ def test_vcomp_unit_laws():
 
 
 def test_hcomp_of_identities_is_identity_of_composite():
-    f = constant_functor(DISC2, CHAIN2, "0")       # DISC2 -> CHAIN2
-    g = enumerate_functors(CHAIN2, CHAIN3)[0]      # CHAIN2 -> CHAIN3
+    f = constant_functor(DISC2, TWO, "0")       # DISC2 -> TWO
+    g = enumerate_functors(TWO, THREE)[0]      # TWO -> THREE
     assert hcomp(identity_transf(f), identity_transf(g)) == \
         identity_transf(compose_functors(g, f))
 
 
 def test_interchange_law():
     """vcomp(hcomp(a,b), hcomp(a2,b2)) == hcomp(vcomp(a,a2), vcomp(b,b2))."""
-    fs1 = enumerate_functors(DISC2, CHAIN2)
-    fs2 = enumerate_functors(CHAIN2, CHAIN3)
+    fs1 = enumerate_functors(DISC2, TWO)
+    fs2 = enumerate_functors(TWO, THREE)
     checked = 0
     for f, f2, f3 in itertools.product(fs1, repeat=3):
         for a2 in enumerate_nat_transfs(f, f2):
@@ -221,19 +194,19 @@ def test_interchange_law():
 
 
 def test_whiskering_agrees_with_hcomp_with_identity():
-    f = enumerate_functors(CHAIN2, CHAIN2)[1]  # 0->0, 1->1 is the identity; pick any
-    for g in enumerate_functors(CHAIN2, CHAIN2):
+    f = enumerate_functors(TWO, TWO)[1]  # 0->0, 1->1 is the identity; pick any
+    for g in enumerate_functors(TWO, TWO):
         for t in enumerate_nat_transfs(f, g):
-            h = enumerate_functors(CHAIN2, CHAIN3)[0]
+            h = enumerate_functors(TWO, THREE)[0]
             assert whisker_left(h, t) == hcomp(t, identity_transf(h))
         for t in enumerate_nat_transfs(f, g):
-            k = constant_functor(DISC2, CHAIN2, "0")
+            k = constant_functor(DISC2, TWO, "0")
             assert whisker_right(t, k) == hcomp(identity_transf(k), t)
 
 
 def test_vcomp_compares_pastings_by_value():
-    f = point_functor(WALKING_ISO, "x")
-    g = point_functor(WALKING_ISO, "y")
+    f = point_functor(WALK, "x")
+    g = point_functor(WALK, "y")
     i = NatTransfData(f, g, {"*": "i"})
     j = NatTransfData(g, f, {"*": "j"})
     round_trip = vcomp(j, i)
@@ -244,10 +217,10 @@ def test_vcomp_compares_pastings_by_value():
 
 
 def test_whiskers_evaluate_componentwise():
-    f = point_functor(WALKING_ISO, "x")
-    g = point_functor(WALKING_ISO, "y")
+    f = point_functor(WALK, "x")
+    g = point_functor(WALK, "y")
     i = NatTransfData(f, g, {"*": "i"})
-    h = identity_functor(WALKING_ISO)
+    h = identity_functor(WALK)
     left = whisker_left(h, i)
     assert left.components == {"*": "i"}
     assert (left.source, left.target) == (compose_functors(h, f),
@@ -257,27 +230,27 @@ def test_whiskers_evaluate_componentwise():
 
 
 def test_invertibility_helpers():
-    f = point_functor(WALKING_ISO, "x")
-    g = point_functor(WALKING_ISO, "y")
+    f = point_functor(WALK, "x")
+    g = point_functor(WALK, "y")
     i = NatTransfData(f, g, {"*": "i"})
     assert is_invertible_transf(i)
     assert inverse_transf(i).components == {"*": "j"}
-    to_x = NatTransfData(point_functor(WALKING_ISO, "0"), f, {"*": "0x"})
+    to_x = NatTransfData(point_functor(WALK, "0"), f, {"*": "0x"})
     assert not is_invertible_transf(to_x)
 
 
 def test_functor_validation_catches_non_functor():
     with pytest.raises(ValidationError):
-        FunctorData(CHAIN2, CHAIN2, {"0": "1", "1": "0"},
-                    {"id_0": "id_1", "id_1": "id_0", "0<1": "id_0"})
+        FunctorData(TWO, TWO, {"0": "1", "1": "0"},
+                    {"id_0": "id_1", "id_1": "id_0", "0to1": "id_0"})
 
 
 def test_nat_transf_validation_catches_non_natural():
-    f = identity_functor(CHAIN2)
-    g = constant_functor(CHAIN2, CHAIN2, "1")
-    # component at 0 must make the square with 0<1 commute; id_1 at 1 and
-    # the only choice 0<1 at 0 works, anything else fails boundaries
-    ok = NatTransfData(f, g, {"0": "0<1", "1": "id_1"})
-    assert ok.components["0"] == "0<1"
+    f = identity_functor(TWO)
+    g = constant_functor(TWO, TWO, "1")
+    # component at 0 must make the square with 0to1 commute; id_1 at 1 and
+    # the only choice 0to1 at 0 works, anything else fails boundaries
+    ok = NatTransfData(f, g, {"0": "0to1", "1": "id_1"})
+    assert ok.components["0"] == "0to1"
     with pytest.raises(ValidationError):
         NatTransfData(f, g, {"0": "id_0", "1": "id_1"})

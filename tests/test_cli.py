@@ -48,6 +48,31 @@ def test_star_scott(capsys):
     assert "trace: closure {x, y}" in out
 
 
+PREORDER_X1 = {"kind": "preorder", "name": "D", "elements": ["x", 1],
+               "leq": [["x", "x"], [1, 1]]}
+MIXED_CARRIERS = {
+    "rel": ({"kind": "multiset-relation", "name": "r", "source": ["a", 1],
+             "target": ["a", 1], "pairs": [[[], "a"], [[["a", 1]], 1]]},
+            ["star: {1, a}"]),
+    "scott": ({"kind": "ideal-relation", "name": "g", "source": PREORDER_X1,
+               "target": PREORDER_X1, "pairs": [[[], "x"], [["x"], 1]]},
+              ["trace: closure {1, x}", "star: {1, x}"]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(MIXED_CARRIERS))
+def test_star_prints_a_carrier_mixing_strings_and_numbers(
+        tmp_path, capsys, model):
+    doc, lines = MIXED_CARRIERS[model]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "star", str(path), "--model", model,
+                         "--trace")
+    assert code == 0, err
+    for line in lines:
+        assert line in out.splitlines()
+
+
 def test_star_cat(capsys):
     code, out, _ = run(capsys, "star", sample("functor_twist.json"),
                        "--model", "cat", "--trace")

@@ -13,6 +13,7 @@ from fixcat.laws import (Corpus, ThinCell, check_dinat, check_fix,
                          require_square, run_suite)
 from fixcat.models import (BrokenPosetModel, CatModel, PosetModel, RelModel,
                            ScottModel)
+from mutants import GreatestRelModel
 
 
 @pytest.fixture(scope="module")
@@ -217,25 +218,6 @@ def test_compare_disagreeing_operators_not_contractible(poset_corpus):
     with pytest.raises(NotContractible):
         compare_operators(PosetModel("kleene"), BrokenPosetModel(),
                           poset_corpus.endos)
-
-
-class GreatestRelModel(RelModel):
-    """Star by the greatest fixpoint: the one-step operator iterated down
-    from the full target.  It runs the same `star` and `compose` code as
-    `RelModel`, so only the memo key's adapter keeps the two stars apart."""
-
-    def __init__(self):
-        super().__init__("closure")
-        self.name = "rel[greatest]"
-
-    def _lfp(self, f):
-        supports = [(rel.mset_support(m), b) for (m, b) in f.pairs]
-        s, prev = frozenset(f.target), None
-        while s != prev:
-            s, prev = frozenset(b for (u, b) in supports if u <= s), s
-        return rel.MultisetRel(rel.EMPTY_CARRIER, f.target,
-                               {(rel.EMPTY_MSET, b) for b in s},
-                               name=f"{f.name}*", _validate=False)
 
 
 def test_compare_shared_memo_keeps_operators_stars_apart(rel_corpus):

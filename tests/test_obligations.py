@@ -16,32 +16,14 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fixcat import corpora, laws, poset, rel
+from fixcat import corpora, laws, poset
 from fixcat.errors import ValidationError
 from fixcat.laws import Corpus, ThinCell, ThinModel
 from fixcat.models import (BrokenPosetModel, CatModel, PosetModel, RelModel,
                            ScottModel)
+from mutants import GreatestRelModel
 
 ALL_LAWS = laws.FIX_LAWS + laws.DINAT_LAWS + laws.UNIF_LAWS
-
-
-class GreatestRelModel(RelModel):
-    """Mutant: star picks the greatest fixpoint of an endo-relation."""
-
-    def __init__(self):
-        super().__init__("closure")
-        self.name = "rel[greatest]"
-
-    def _lfp(self, f):
-        alive = set(f.target)
-        while True:
-            keep = {b for (m, b) in f.pairs if rel.mset_support(m) <= alive}
-            if keep == alive:
-                break
-            alive = keep
-        return rel.MultisetRel(rel.EMPTY_CARRIER, f.target,
-                               {(rel.EMPTY_MSET, b) for b in alive},
-                               name=f"{f.name}*", _validate=False)
 
 
 class PickyPosetModel(PosetModel):

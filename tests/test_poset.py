@@ -103,18 +103,16 @@ def test_poset_validation_catches_broken_order():
 def test_map_validation():
     with pytest.raises(ValidationError):
         MonotoneMap(C2, C2, {0: 1, 1: 0})  # order-reversing
-    with pytest.raises(ValidationError):
-        MonotoneMap(C2, C2, {0: 1, 1: 1}, strict=True)  # strict flag is a lie
     f = MonotoneMap(C2, C2, {0: 1, 1: 1})
     assert not f.is_bottom_preserving()
     assert identity_map(C2).is_bottom_preserving()
 
 
 def test_compose_respects_boundaries_and_strictness():
-    f = MonotoneMap(C2, C3, {0: 0, 1: 2}, strict=True)
-    g = MonotoneMap(C3, C2, {0: 0, 1: 1, 2: 1}, strict=True)
+    f = MonotoneMap(C2, C3, {0: 0, 1: 2})
+    g = MonotoneMap(C3, C2, {0: 0, 1: 1, 2: 1})
     assert compose_maps(g, f).assignment == {0: 0, 1: 1}
-    assert compose_maps(g, f).strict
+    assert compose_maps(g, f).is_bottom_preserving()
     with pytest.raises(TypeMismatch):
         compose_maps(f, f)
 

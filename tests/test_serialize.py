@@ -16,7 +16,7 @@ SAMPLE_FILES = sorted(SAMPLES.glob("*.json"))
 
 
 def test_sample_dir_is_populated():
-    assert len(SAMPLE_FILES) >= 19
+    assert len(SAMPLE_FILES) >= 18
 
 
 @pytest.mark.parametrize("path", SAMPLE_FILES, ids=lambda p: p.name)
@@ -64,13 +64,6 @@ def test_unsorted_input_prints_sorted():
     assert print_document(parse_document(text)) == text
 
 
-def test_finite_set_document():
-    doc = to_document(("b", "a"))
-    assert doc["kind"] == "finite-set"
-    assert doc["elements"] == ["a", "b"]
-    assert parse_document(print_document(doc)) == ("a", "b")
-
-
 def test_multiset_premises_expand():
     doc = {"kind": "multiset-relation", "name": "r",
            "source": ["a"], "target": ["a", "b"],
@@ -111,6 +104,8 @@ BAD_DOCS = [
     ("not json", "not valid JSON"),
     ("[1, 2]", "top level must be an object"),
     ('{"kind": "nope"}', "unknown kind"),
+    ('{"kind": "finite-set", "elements": ["a"]}', "unknown kind 'finite-set'"),
+    ('{"kind": ["poset"]}', "unknown kind ['poset']"),
     ('{"kind": "poset", "leq": [], "bottom": "b"}', "missing field"),
     ('{"kind": "poset", "elements": "x", "leq": [], "bottom": "b"}',
      "wrong shape"),
@@ -156,6 +151,8 @@ def test_load_document_reports_path(tmp_path):
 def test_to_document_rejects_unknown():
     with pytest.raises(SchemaError):
         to_document(object())
+    with pytest.raises(SchemaError):
+        to_document(("b", "a"))
 
 
 def test_model_names_cover_cli_specs():
