@@ -5,7 +5,9 @@ connecting arrow becomes invertible; its inverse is the algebra structure.
 At stabilization the result is a genuine initial algebra: every arrow-level
 algebra (object B, arrow x: F(B) -> B) receives exactly one algebra
 morphism, constructible as a chain cocone and recoverable by exhaustive
-search.
+search.  Connector k+1 is F of connector k and arrows are finitely many,
+so a chain that never stabilizes repeats a connector, and it reports that
+cycle.
 
 The chain also has a realization as a category in its own right (one object
 per chain stage, hom-sets copied from the ambient category) carrying a
@@ -65,7 +67,8 @@ class ChainResult:
     `objects[k]` is the k-th stage, `connectors[k]` the arrow from stage k
     to stage k+1.  When a connector is invertible the chain stabilizes
     there; `structure` is that connector's inverse, an arrow F(carrier) ->
-    carrier.
+    carrier.  A chain whose connector repeats first never stabilizes: its
+    `cycle` is (start, period), and its last connector is the first repeat.
     """
 
     category: FinCategory
@@ -77,6 +80,11 @@ class ChainResult:
     carrier: object = None
     structure: Optional[str] = None
     structure_inverse: Optional[str] = None
+    cycle: Optional[tuple] = None
+
+    def cycle_report(self) -> str:
+        return ("never stabilizes: cycles from step {} with period {}"
+                .format(*self.cycle))
 
 
 def initial_arrow(c: FinCategory, origin, target) -> str:
@@ -87,11 +95,9 @@ def initial_arrow(c: FinCategory, origin, target) -> str:
     return hom[0]
 
 
-def lambek_chain(endo: FunctorData, max_steps: int = 16) -> ChainResult:
-    """Iterate from the initial object until a connecting arrow is invertible."""
+def lambek_chain(endo: FunctorData) -> ChainResult:
+    """Iterate from the initial object to an invertible or a repeated connector."""
     validate_endofunctor(endo)
-    if max_steps < 1:
-        raise ValidationError("max_steps must be at least 1")
     c = endo.source
     inits = sorted(c.initial_objects(), key=str)
     if not inits:
@@ -99,16 +105,19 @@ def lambek_chain(endo: FunctorData, max_steps: int = 16) -> ChainResult:
     x0 = inits[0]
     objects = [x0, endo.on_obj(x0)]
     connectors = [initial_arrow(c, x0, endo.on_obj(x0))]
-    for k in range(max_steps):
-        ck = connectors[-1]
+    seen = {}  # connector -> its step; the loop appends to `connectors`
+    for k, ck in enumerate(connectors):
         inv = c.inverse(ck)
         if inv is not None:
             return ChainResult(c, endo, objects, connectors, stabilized=True,
                                index=k, carrier=objects[k],
                                structure=inv, structure_inverse=ck)
+        if ck in seen:
+            return ChainResult(c, endo, objects, connectors, stabilized=False,
+                               cycle=(seen[ck], k - seen[ck]))
+        seen[ck] = k
         connectors.append(endo.on_arrow(ck))
         objects.append(endo.on_obj(objects[-1]))
-    return ChainResult(c, endo, objects, connectors, stabilized=False)
 
 
 # --- arrow-level algebra morphisms out of the stabilized chain -----------------

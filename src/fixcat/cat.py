@@ -176,7 +176,11 @@ def _thin_arrow(x, y):
 def thin_category(name, elements, pairs=()) -> FinCategory:
     """The thin category of a preorder: an identity id_x per element and
     one arrow xtoy per pair (x, y) with x != y.  The reflexive pairs are
-    added; pairs that are not transitive raise ValidationError."""
+    added; foreign or non-transitive pairs raise ValidationError."""
+    stray = next(((p, x) for p in pairs for x in p if x not in elements), None)
+    if stray:
+        raise ValidationError(f"{name}: pair {stray[0]} names {stray[1]}, "
+                              "which is not an element")
     order = set(pairs) | {(x, x) for x in elements}
     arrows = [Arrow(_thin_arrow(x, y), x, y)
               for x in elements for y in elements if (x, y) in order]

@@ -42,11 +42,11 @@ def cmd_star(args):
     f = _expect(serialize.load_document(args.input), entry.doc_type,
                 entry.kind_name)
     if args.model == "cat":
-        chain = algebra.lambek_chain(f, max_steps=args.max_steps)
+        chain = algebra.lambek_chain(f)
         if args.trace:
             print("trace: " + " -> ".join(str(x) for x in chain.objects))
         if not chain.stabilized:
-            print(f"did not stabilize within {args.max_steps} steps")
+            print(chain.cycle_report())
             return 2
         print(f"fix: carrier {chain.carrier}, structure {chain.structure} "
               f"(stabilized at index {chain.index})")
@@ -91,10 +91,9 @@ def cmd_laws(args):
         else:
             print(f"category {c.name}: table valid")
 
-    # every adapter first, so a bad chain option fails before any corpus
+    # every adapter first, so a bad FIXCAT_SEARCH_CAP fails before any corpus
     entries = [models.REGISTRY[spec] for spec in cfg.models]
-    adapters = [e.make(max_steps=args.max_steps, bound=_search_bound())
-                if spec == "cat" else e.make()
+    adapters = [e.make(bound=_search_bound()) if spec == "cat" else e.make()
                 for spec, e in zip(cfg.models, entries)]
     jobs = [(m, e.corpus(cfg.draws, seed)) for m, e in zip(adapters, entries)]
     reports = laws.run_suite(jobs, seed=seed)
@@ -114,7 +113,7 @@ def cmd_laws(args):
 def cmd_lambek(args):
     f = _expect(serialize.load_document(args.input), cat.FunctorData,
                 "functor")
-    chain = algebra.lambek_chain(f, max_steps=args.max_steps)
+    chain = algebra.lambek_chain(f)
     for k, obj in enumerate(chain.objects):
         arrow = (f" --{chain.connectors[k]}-->"
                  if k < len(chain.connectors) else "")
@@ -123,7 +122,7 @@ def cmd_lambek(args):
         print(f"stabilized at index {chain.index}; carrier {chain.carrier}; "
               f"structure {chain.structure}")
     else:
-        print(f"did not stabilize within {args.max_steps} steps")
+        print(chain.cycle_report())
     return 0
 
 
@@ -246,18 +245,15 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--model", required=True, choices=models.FAMILIES)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--max-steps", type=int, default=16)
     p.set_defaults(fn=cmd_star)
 
     p = sub.add_parser("laws", help="run the law suite from a config file")
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=16)
     p.set_defaults(fn=cmd_laws)
 
     p = sub.add_parser("lambek", help="print the initial-algebra chain")
     p.add_argument("input")
-    p.add_argument("--max-steps", type=int, default=16)
     p.set_defaults(fn=cmd_lambek)
 
     p = sub.add_parser("wtype", help="enumerate tree stages of a polynomial")

@@ -218,10 +218,6 @@ def monotone_maps(p, q):
     return out
 
 
-def monotone_endomaps(p):
-    return monotone_maps(p, p)
-
-
 def random_pointed_poset(rng, size, name):
     k = size - 1
     up = _transitive_closure((i, j) for i in range(k) for j in range(i + 1, k)

@@ -67,8 +67,11 @@ class SchemaError(FixcatError):
 
 
 def sort_key(x):
-    """A total sort key over mixed element types."""
-    return (x.__class__.__name__, repr(x))
+    """A total sort key: class name, then the value of a str or int, else repr."""
+    cls = type(x)
+    if cls is str or cls is int:
+        return (cls.__name__, x)
+    return (cls.__name__, repr(x))
 
 
 def in_fixed_order(problems_of, *collections):

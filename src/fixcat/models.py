@@ -212,10 +212,7 @@ class CatModel(FixpointModel):
 
     name = "cat"
 
-    def __init__(self, max_steps=16, bound=cat.DEFAULT_BOUND):
-        if max_steps < 1:
-            raise ValidationError("max_steps must be at least 1")
-        self.max_steps = max_steps
+    def __init__(self, bound=cat.DEFAULT_BOUND):
         self.bound = bound
 
     def identity(self, obj):
@@ -231,11 +228,10 @@ class CatModel(FixpointModel):
 
     @memoized(run_scoped=True)
     def _chain(self, f):
-        chain = lambek_chain(f, max_steps=self.max_steps)
+        chain = lambek_chain(f)
         if not chain.stabilized:
             raise ValidationError(
-                f"chain for {self.describe1(f)} did not stabilize "
-                f"within {self.max_steps} steps")
+                f"chain for {self.describe1(f)} {chain.cycle_report()}")
         return chain
 
     def star(self, f):
@@ -341,8 +337,8 @@ class CatModel(FixpointModel):
 # The registry of suite specs.
 
 class ModelSpec(NamedTuple):
-    """One suite spec.  `make()` builds its adapter (cat's also takes
-    max_steps and bound); `corpus(draws, seed)` builds its family's corpus;
+    """One suite spec.  `make()` builds its adapter (cat's also takes a
+    search bound); `corpus(draws, seed)` builds its family's corpus;
     its 1-cells are `doc_type` documents of kind `kind_name`; `second()`
     builds the adapter with the family's other star construction."""
 

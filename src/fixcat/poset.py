@@ -165,11 +165,6 @@ def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
 ONE_POINT = PointedPoset(["*"], [("*", "*")], "*", name="1")
 
 
-def unique_map_to_one(p: PointedPoset) -> MonotoneMap:
-    return MonotoneMap(p, ONE_POINT, {x: "*" for x in p.elements},
-                       name=f"!{p.name}")
-
-
 def point_map(p: PointedPoset, x) -> MonotoneMap:
     """The map from the one-point poset picking out x."""
     return MonotoneMap(ONE_POINT, p, {"*": x}, name=f"pt_{x!r}")

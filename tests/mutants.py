@@ -1,7 +1,15 @@
-"""Mutant adapters shared by the law-engine tests."""
+"""Mutant adapters and inputs with no fixpoint, shared by the tests."""
 
 from fixcat import rel
+from fixcat.cat import FunctorData
+from fixcat.corpora import IDEM
 from fixcat.models import RelModel
+
+# F(u) = F(p) = p: the Lambek chain's connectors u, p, p repeat p, which has
+# no inverse, so the chain cycles from step 1 with period 1
+F_STUCK = FunctorData(IDEM, IDEM, {"0": "w", "w": "w"},
+                      {"id_0": "id_w", "u": "p", "p": "p", "id_w": "id_w"},
+                      name="stuck")
 
 
 class GreatestRelModel(RelModel):

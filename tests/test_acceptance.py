@@ -10,9 +10,7 @@ import itertools
 import random
 import time
 
-import pytest
-
-from fixcat import algebra, cli, corpora, laws, poly, serialize
+from fixcat import cli, corpora, laws, poly, serialize
 from fixcat.algebra import (adjoint_equivalence_from_initial,
                             chain_realization, lambek_chain,
                             pseudo_initial_mediator, unique_algebra_2cell)

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from fixcat import corpora
 from fixcat.algebra import (
     AlgebraOneCell,
     adjoint_equivalence_from_initial,
@@ -16,11 +17,14 @@ from fixcat.algebra import (
     validate_endofunctor,
 )
 from fixcat.cat import (
+    Arrow,
+    FinCategory,
     FunctorData,
     NatTransfData,
     SearchBound,
     compose_functors,
     constant_functor,
+    enumerate_functors,
     enumerate_nat_transfs,
     identity_functor,
     identity_transf,
@@ -39,6 +43,7 @@ from fixcat.corpora import (
     THREE,
     TWO,
     WALK,
+    cat_corpus,
 )
 from fixcat.errors import (
     NoInitialObject,
@@ -50,6 +55,7 @@ from fixcat.errors import (
     ValidationError,
 )
 from fixcat.poset import MonotoneMap, PointedPoset, kleene_star
+from mutants import F_STUCK
 
 
 # --- fixtures -------------------------------------------------------------------
@@ -131,12 +137,16 @@ def test_chain_without_initial_object():
 
 
 def test_chain_step_budget():
-    chain = lambek_chain(SUCC4, max_steps=2)
-    assert not chain.stabilized
+    """No step budget: the chain stops at its first repeated connector."""
+    chain = lambek_chain(F_STUCK)
+    assert chain.stabilized is False
     assert chain.index is None and chain.structure is None
-    with pytest.raises(ValidationError):
-        lambek_chain(SUCC4, max_steps=0)
-    assert lambek_chain(SUCC4, max_steps=8).stabilized
+    assert chain.cycle == (1, 1)
+    assert chain.connectors == ["u", "p", "p"]
+    assert chain.cycle_report() == \
+        "never stabilizes: cycles from step 1 with period 1"
+    succ = lambek_chain(SUCC4)
+    assert succ.stabilized and succ.index == 3 and succ.cycle is None
 
 
 def test_validate_endofunctor_rejects_mismatched_boundary():
@@ -178,7 +188,101 @@ def test_algebra_morphisms_rejects_wrong_boundary():
     with pytest.raises(TypeMismatch):
         algebra_morphisms(chain, "0", "id_1")
     with pytest.raises(ValidationError):
-        algebra_morphisms(lambek_chain(SUCC4, max_steps=2), "3", "id_3")
+        algebra_morphisms(lambek_chain(F_STUCK), "w", "id_w")
+
+
+# --- the chain against a brute-force initial-algebra search --------------------
+
+def initial_algebras(endo):
+    """Every algebra (x, a: F(x) -> x) with exactly one algebra morphism to
+    each algebra, found by trying all of them."""
+    c = endo.source
+    algebras = list(all_algebra_structures(endo))
+
+    def morphisms(x, a, y, b):
+        return [h for h in c.hom(x, y)
+                if c.compose(h, a) == c.compose(b, endo.on_arrow(h))]
+
+    return [(x, a) for (x, a) in algebras
+            if all(len(morphisms(x, a, y, b)) == 1 for (y, b) in algebras)]
+
+
+def monoid_tables(n):
+    """Every associative multiplication on 0..n-1 with unit 0."""
+    free = [(a, b) for a in range(1, n) for b in range(1, n)]
+    for values in itertools.product(range(n), repeat=len(free)):
+        t = {(0, b): b for b in range(n)} | {(a, 0): a for a in range(n)}
+        t.update(zip(free, values))
+        if all(t[t[a, b], c] == t[a, t[b, c]]
+               for a in range(n) for b in range(n) for c in range(n)):
+            yield t
+
+
+def lifted_monoid(n, t, name):
+    """An initial object 0 below one object z with End(z) the monoid t."""
+    def m(a):
+        return "id_z" if a == 0 else f"m{a}"
+    arrows = [Arrow("id_0", "0", "0"), Arrow("u", "0", "z")]
+    arrows += [Arrow(m(a), "z", "z") for a in range(1, n)]
+    arrows.append(Arrow("id_z", "z", "z"))
+    table = {("id_0", "id_0"): "id_0", ("u", "id_0"): "u"}
+    for a in range(n):
+        table[(m(a), "u")] = "u"
+        for b in range(n):
+            table[(m(a), m(b))] = m(t[a, b])
+    return FinCategory(["0", "z"], arrows, {"0": "id_0", "z": "id_z"}, table,
+                       name=name)
+
+
+def lifted_monoid_endos():
+    out = []
+    for n in (1, 2, 3):
+        for i, t in enumerate(monoid_tables(n)):
+            c = lifted_monoid(n, t, f"m{n}_{i}")
+            out.extend(enumerate_functors(c, c))
+    return out
+
+
+def corpus_and_gallery_endos():
+    corpus = cat_corpus()
+    out = list(corpus.endos)
+    for f, g in corpus.dinat_pairs:
+        out += [compose_functors(g, f), compose_functors(f, g)]
+    out += [v for v in vars(corpora).values()
+            if isinstance(v, FunctorData) and v.source == v.target]
+    return out
+
+
+def chain_agrees_with_search(endo):
+    chain = lambek_chain(endo)
+    found = initial_algebras(endo)
+    assert len(chain.connectors) <= len(endo.source.arrows) + 1
+    if chain.stabilized:
+        assert (chain.carrier, chain.structure) in found
+    else:
+        assert found == []
+    return chain, found
+
+
+def test_lifted_monoid_chains_match_initial_algebra_search():
+    endos = lifted_monoid_endos()
+    outcomes = [chain_agrees_with_search(f) for f in endos]
+    stable = [len(found) for chain, found in outcomes if chain.stabilized]
+    assert len(endos) == 137
+    assert len(stable) == 104
+    assert len(endos) - len(stable) == 33
+    # initial algebras are unique up to iso, not as (carrier, structure) pairs
+    assert sorted(stable) == [1] * 93 + [2] * 8 + [3] * 3
+
+
+def test_corpus_and_gallery_chains_match_initial_algebra_search():
+    endos = corpus_and_gallery_endos()
+    assert len(endos) == 62
+    for f in endos:
+        chain, _ = chain_agrees_with_search(f)
+        assert chain.stabilized
+    _, found = chain_agrees_with_search(F_STUCK)
+    assert found == []
 
 
 # --- chains over thin categories recover least fixpoints -------------------------
@@ -209,7 +313,7 @@ def test_thin_chains_match_kleene_iteration():
         pos = PointedPoset(elements, order, "0" if "0" in elements else "b")
         for omap in monotone_assignments(list(elements), order):
             endo = thin_functor(cat, cat, omap)
-            chain = lambek_chain(endo, max_steps=len(elements) + 1)
+            chain = lambek_chain(endo)
             assert chain.stabilized
             assert chain.carrier == kleene_star(MonotoneMap(pos, pos, omap))
             for obj, x in all_algebra_structures(endo):
@@ -247,7 +351,7 @@ def test_realization_keeps_repeated_stages_apart():
 
 def test_realization_requires_stabilized_chain():
     with pytest.raises(ValidationError):
-        chain_realization(lambek_chain(SUCC4, max_steps=2))
+        chain_realization(lambek_chain(F_STUCK))
 
 
 # --- algebra cells and their unique connecting 2-cells ----------------------------
@@ -354,4 +458,4 @@ def test_adjoint_equivalence_rejects_corrupt_certificate():
     with pytest.raises(NotInvertible):
         adjoint_equivalence_from_initial(corrupt)
     with pytest.raises(ValidationError):
-        adjoint_equivalence_from_initial(lambek_chain(SUCC4, max_steps=2))
+        adjoint_equivalence_from_initial(lambek_chain(F_STUCK))

@@ -46,6 +46,12 @@ def test_validate_accepts_well_formed_categories():
         assert validate_category(c) == []
 
 
+def test_thin_category_rejects_a_pair_with_a_foreign_element():
+    with pytest.raises(ValidationError,
+                       match=r"pair \('0', '1'\) names 1, which is not an element"):
+        thin_category("x", ["0"], [("0", "1")])
+
+
 def test_thin_category_rejects_a_non_transitive_relation():
     with pytest.raises(ValidationError, match="not transitive at 0,2"):
         thin_category("bad", ["0", "1", "2"], [("0", "1"), ("1", "2")])

@@ -10,6 +10,7 @@ import pytest
 
 from fixcat import cli, models, poly, serialize
 from fixcat.errors import SchemaError
+from mutants import F_STUCK
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -177,6 +178,31 @@ def test_lambek_chain(capsys):
     assert "carrier z" in out
 
 
+CYCLE_LINE = "never stabilizes: cycles from step 1 with period 1\n"
+
+
+def stuck_document(tmp_path):
+    doc = tmp_path / "stuck.json"
+    doc.write_text(serialize.print_document(F_STUCK))
+    return str(doc)
+
+
+def test_lambek_reports_a_cycling_chain(capsys, tmp_path):
+    code, out, _ = run(capsys, "lambek", stuck_document(tmp_path))
+    assert code == 0
+    assert out == ("stage 0: 0 --u-->\n"
+                   "stage 1: w --p-->\n"
+                   "stage 2: w --p-->\n"
+                   "stage 3: w\n" + CYCLE_LINE)
+
+
+def test_star_cat_reports_a_cycling_chain(capsys, tmp_path):
+    code, out, _ = run(capsys, "star", stuck_document(tmp_path),
+                       "--model", "cat", "--trace")
+    assert code == 2
+    assert out == "trace: 0 -> w -> w -> w\n" + CYCLE_LINE
+
+
 def test_wtype_bintree_counts(capsys):
     code, out, _ = run(capsys, "wtype", sample("poly_bintree.json"))
     assert code == 0
@@ -296,14 +322,6 @@ def test_compare_negative_draws_exits_two(capsys):
     code, _, err = run(capsys, "compare", "--model", "rel", "--draws", "-3")
     assert code == 2
     assert err == "error: draws must be nonnegative, got -3\n"
-
-
-def test_laws_bad_max_steps_is_an_input_error(capsys):
-    code, out, err = run(capsys, "laws", sample("suite_small.json"),
-                         "--max-steps", "-5")
-    assert code == 2
-    assert "[FAIL]" not in out
-    assert err == "error: max_steps must be at least 1\n"
 
 
 def test_model_choices_come_from_the_registry():

@@ -1,12 +1,14 @@
 """The package is stdlib-only and single-process: every module it imports
 is the standard library's or its own, and none of them starts a thread or
-another process."""
+another process.  No module of the package or its tests imports a name it
+never reads."""
 
 import ast
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fixcat"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fixcat"
 CONCURRENT = {"multiprocessing", "threading", "subprocess", "concurrent"}
 
 
@@ -29,3 +31,25 @@ def test_package_imports_only_the_stdlib_and_starts_no_process():
             assert name in sys.stdlib_module_names or name == "fixcat", (
                 path.name, name)
             assert name not in CONCURRENT, (path.name, name)
+
+
+def unread_imports(path):
+    """The names `path` imports (`from __future__` aside) that no `Name`
+    node reads; the base of an attribute chain is such a node."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    files = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(files) > 2
+    unread = {path.name: unread_imports(path) for path in files}
+    assert {name: names for name, names in unread.items() if names} == {}

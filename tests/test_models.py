@@ -5,14 +5,14 @@ import pytest
 from fixcat import corpora, laws, models, poset, rel
 from fixcat.cat import FunctorData, identity_functor
 from fixcat.corpora import (
-    AUT, COLLAPSE_X, E_CELL, F_AUT, F_IDEM, F_WALK, IDEM, JOIN_ONE, SUCC3,
-    THREE, TWO, WALK, WALK_SWAP,
+    AUT, COLLAPSE_X, F_AUT, F_IDEM, F_WALK, JOIN_ONE, SUCC3, TWO, WALK_SWAP,
 )
 from fixcat.errors import (InvalidSquare, NoProducts, TypeMismatch,
                            ValidationError)
 from fixcat.laws import ThinCell
 from fixcat.models import (BrokenPosetModel, CatModel, PosetModel, RelModel,
                            ScottModel)
+from mutants import F_STUCK
 
 
 CHAIN3 = poset.PointedPoset(
@@ -42,7 +42,7 @@ def test_poset_star_rejects_non_endo():
 def test_poset_bifree_agrees_with_kleene():
     k, b = PosetModel("kleene"), PosetModel("bifree")
     for p in corpora.pointed_posets(3):
-        for f in corpora.monotone_endomaps(p):
+        for f in corpora.monotone_maps(p, p):
             assert k.star(f) == b.star(f)
 
 
@@ -191,9 +191,9 @@ def test_cat_chain_computed_once_per_instance(monkeypatch):
     chain = models.lambek_chain
     calls = []
 
-    def counting(f, max_steps=16):
+    def counting(f):
         calls.append(f)
-        return chain(f, max_steps=max_steps)
+        return chain(f)
 
     monkeypatch.setattr(models, "lambek_chain", counting)
     m = CatModel()
@@ -206,6 +206,13 @@ def test_cat_chain_computed_once_per_instance(monkeypatch):
     assert len(calls) == 3 and all(f == F_AUT for f in calls)
     assert calls[1] is twin
     assert m._run is None and m._memo is None
+
+
+def test_cat_star_reports_a_cycling_chain():
+    with pytest.raises(ValidationError) as info:
+        CatModel().star(F_STUCK)
+    assert str(info.value).endswith(
+        "never stabilizes: cycles from step 1 with period 1")
 
 
 def test_thin_cell_ops():

@@ -24,7 +24,6 @@ from fixcat.poset import (
     product,
     swap,
     TOP,
-    unique_map_to_one,
 )
 
 
@@ -119,7 +118,7 @@ def test_compose_respects_boundaries_and_strictness():
 
 def test_one_point_is_terminal():
     for p in FIXTURES:
-        bang = unique_map_to_one(p)
+        bang = MonotoneMap(p, ONE_POINT, {x: "*" for x in p.elements})
         assert maps_between(p, ONE_POINT) == [bang]
     assert point_map(C3, 2).assignment == {"*": 2}
 

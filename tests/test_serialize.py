@@ -6,8 +6,8 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcat import models, poly, poset, rel, serialize
-from fixcat.errors import SchemaError, ValidationError
+from fixcat import models, poset, rel
+from fixcat.errors import SchemaError, ValidationError, sort_key
 from fixcat.serialize import (SuiteConfig, load_document, parse_document,
                               print_document, to_document)
 
@@ -62,6 +62,18 @@ def test_unsorted_input_prints_sorted():
     doc = json.loads(text)
     assert doc["elements"] == ["b", "t"]
     assert print_document(parse_document(text)) == text
+
+
+def test_sort_key_orders_strings_and_integers_by_value():
+    assert sorted(["a", "z'", "b"], key=sort_key) == ["a", "b", "z'"]
+    assert sorted([10, 2, 1], key=sort_key) == [1, 2, 10]
+    # classes by name first; bool is not keyed as an int
+    assert sorted([(0,), "a", 1, True], key=sort_key) == [True, 1, "a", (0,)]
+    p = poset.PointedPoset(["z'", "b", "a"],
+                           [(x, y) for x in "ab" for y in ["a", "b", "z'"]
+                            if x <= y] + [("z'", "z'")],
+                           "a", name="quoted")
+    assert to_document(p)["elements"] == ["a", "b", "z'"]
 
 
 def test_multiset_premises_expand():
