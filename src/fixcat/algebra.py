@@ -29,11 +29,9 @@ from typing import Optional
 
 from .cat import (
     Arrow,
-    DEFAULT_BOUND,
     FinCategory,
     FunctorData,
     NatTransfData,
-    SearchBound,
     compose_functors,
     enumerate_nat_transfs,
     enumerate_functors,
@@ -270,8 +268,8 @@ class AlgebraOneCell:
         return f"AlgebraOneCell({self.name}: {self.u.name})"
 
 
-def pseudo_initial_mediator(chain: ChainResult, target: FunctorData,
-                            bound: SearchBound = DEFAULT_BOUND) -> AlgebraOneCell:
+def pseudo_initial_mediator(chain: ChainResult,
+                            target: FunctorData) -> AlgebraOneCell:
     """First algebra 1-cell from the chain realization into (A, target).
 
     Deterministic: functors come out lexicographically ordered on object
@@ -280,10 +278,10 @@ def pseudo_initial_mediator(chain: ChainResult, target: FunctorData,
     """
     validate_endofunctor(target)
     real = chain_realization(chain)
-    for u in enumerate_functors(real.category, target.source, bound):
+    for u in enumerate_functors(real.category, target.source):
         lhs = compose_functors(u, real.shift)
         rhs = compose_functors(target, u)
-        for mu in enumerate_nat_transfs(lhs, rhs, bound):
+        for mu in enumerate_nat_transfs(lhs, rhs):
             if is_invertible_transf(mu):
                 return AlgebraOneCell(real.shift, target, u, mu,
                                       name=f"mediator->{target.name}")
@@ -292,8 +290,7 @@ def pseudo_initial_mediator(chain: ChainResult, target: FunctorData,
 
 
 def unique_algebra_2cell(chain: ChainResult, first: AlgebraOneCell,
-                         second: AlgebraOneCell,
-                         bound: SearchBound = DEFAULT_BOUND) -> NatTransfData:
+                         second: AlgebraOneCell) -> NatTransfData:
     """The unique invertible 2-cell between two algebra 1-cells.
 
     Enumerates invertible transformations phi: u => v and keeps those with
@@ -308,7 +305,7 @@ def unique_algebra_2cell(chain: ChainResult, first: AlgebraOneCell,
         raise TypeMismatch("cells do not target the same algebra")
     g = first.algebra
     survivors = []
-    for phi in enumerate_nat_transfs(first.u, second.u, bound):
+    for phi in enumerate_nat_transfs(first.u, second.u):
         if not is_invertible_transf(phi):
             continue
         lhs = vcomp(whisker_left(g, phi), first.mu)

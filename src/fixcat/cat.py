@@ -17,17 +17,6 @@ from .errors import BoundaryMismatch, NotInvertible, SizeCap, TypeMismatch, Vali
 
 
 @dataclass(frozen=True)
-class SearchBound:
-    """Caps for the brute-force enumeration ops."""
-
-    max_objects: int = 5
-    max_arrows: int = 12
-
-
-DEFAULT_BOUND = SearchBound()
-
-
-@dataclass(frozen=True)
 class Arrow:
     id: str
     src: str
@@ -417,17 +406,30 @@ def hcomp(first: NatTransfData, second: NatTransfData) -> NatTransfData:
 # ---------------------------------------------------------------------------
 # Enumeration.
 
-def _check_bound(c: FinCategory, d: FinCategory, bound: SearchBound):
-    if len(c.objects) * len(d.objects) > bound.max_objects * bound.max_objects:
-        raise SizeCap(
-            f"object count product {len(c.objects)}x{len(d.objects)} over bound")
-    if len(c.arrows) > bound.max_arrows or len(d.arrows) > bound.max_arrows:
-        raise SizeCap("arrow count over bound")
+# The budget of the brute-force searches below: the two categories' object
+# counts multiply to at most MAX_OBJECTS squared, and neither has more than
+# MAX_ARROWS arrows.  Both are read when a search starts, and a larger pair
+# stops with SizeCap before any functor or transformation is built.
+MAX_OBJECTS = 5
+MAX_ARROWS = 12
 
 
-def enumerate_functors(c: FinCategory, d: FinCategory, bound: SearchBound = DEFAULT_BOUND):
+def _check_bound(c: FinCategory, d: FinCategory):
+    if len(c.objects) * len(d.objects) > MAX_OBJECTS * MAX_OBJECTS:
+        raise SizeCap(f"{c.name} -> {d.name}: object count product "
+                      f"{len(c.objects)}x{len(d.objects)} "
+                      f"over the bound of {MAX_OBJECTS}x{MAX_OBJECTS} "
+                      f"(cat.MAX_OBJECTS)")
+    arrows = max(len(c.arrows), len(d.arrows))
+    if arrows > MAX_ARROWS:
+        raise SizeCap(f"{c.name} -> {d.name}: arrow count {arrows} "
+                      f"over the bound of {MAX_ARROWS} "
+                      f"(cat.MAX_ARROWS)")
+
+
+def enumerate_functors(c: FinCategory, d: FinCategory):
     """All functors c -> d, in lexicographic object-map then arrow-map order."""
-    _check_bound(c, d, bound)
+    _check_bound(c, d)
     results = []
     objs = sorted(c.objects)
     non_id = [a for a in c.sorted_arrow_ids() if not c.is_identity_arrow(a)]
@@ -457,12 +459,11 @@ def enumerate_functors(c: FinCategory, d: FinCategory, bound: SearchBound = DEFA
     return results
 
 
-def enumerate_nat_transfs(f: FunctorData, g: FunctorData,
-                          bound: SearchBound = DEFAULT_BOUND):
+def enumerate_nat_transfs(f: FunctorData, g: FunctorData):
     """All natural transformations f => g, ordered by component choice."""
     if f.source != g.source or f.target != g.target:
         raise TypeMismatch("functors are not parallel")
-    _check_bound(f.source, f.target, bound)
+    _check_bound(f.source, f.target)
     c, d = f.source, f.target
     objs = sorted(c.objects)
     candidates = []

@@ -3,8 +3,7 @@
 Commands: star, laws, lambek, wtype, mtype, bisim, dinat-product, compare.
 Exit codes: 0 success (laws pass), 1 law violation or counterexample,
 2 input/config error.  All randomness comes from --seed (default 0),
-echoed in the output of the commands that use it.  FIXCAT_SEARCH_CAP
-overrides the enumeration bounds used for 2-cell searches.
+echoed in the output of the commands that use it.
 """
 
 import argparse
@@ -16,19 +15,6 @@ from .errors import (FixcatError, NoProducts, NotContractible, SchemaError,
                      sort_key)
 
 LIST_THRESHOLD = 24
-
-
-def _search_bound():
-    raw = os.environ.get("FIXCAT_SEARCH_CAP")
-    if raw is None:
-        return cat.DEFAULT_BOUND
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SchemaError(f"FIXCAT_SEARCH_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SchemaError("FIXCAT_SEARCH_CAP must be positive")
-    return cat.SearchBound(max_objects=cap, max_arrows=cap)
 
 
 def _expect(obj, types, what):
@@ -91,11 +77,8 @@ def cmd_laws(args):
         else:
             print(f"category {c.name}: table valid")
 
-    # every adapter first, so a bad FIXCAT_SEARCH_CAP fails before any corpus
     entries = [models.REGISTRY[spec] for spec in cfg.models]
-    adapters = [e.make(bound=_search_bound()) if spec == "cat" else e.make()
-                for spec, e in zip(cfg.models, entries)]
-    jobs = [(m, e.corpus(cfg.draws, seed)) for m, e in zip(adapters, entries)]
+    jobs = [(e.make(), e.corpus(cfg.draws, seed)) for e in entries]
     reports = laws.run_suite(jobs, seed=seed)
     for r in reports:
         print(r.line())

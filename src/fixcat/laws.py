@@ -86,8 +86,10 @@ class FixpointModel:
     witnesses; one that is not a ThinModel also supplies the 2-cell
     operations and `enumerate_invertible_cells`.  Products are optional: an adapter whose
     `has_products()` holds supplies proj1, proj2, pair and swap_cell, which
-    only the product route reads.  The generic horizontal composite and the
-    description hooks have workable defaults.  `_memo` and `_run` are
+    only the product route reads.  Boundaries and equality of 1- and
+    2-cells (src, dst, eq1, src2, dst2, eq2: a cell's `source` and `target`,
+    and `==`), the generic horizontal composite and the description hooks
+    have workable defaults.  `_memo` and `_run` are
     the tables `memoized` methods read while the law engine has them open.
     """
 
@@ -134,13 +136,13 @@ class FixpointModel:
         raise NotImplementedError
 
     def src2(self, t):
-        raise NotImplementedError
+        return t.source
 
     def dst2(self, t):
-        raise NotImplementedError
+        return t.target
 
     def eq2(self, a, b) -> bool:
-        raise NotImplementedError
+        return a == b
 
     def cell_ok(self, t) -> bool:
         raise NotImplementedError
@@ -229,12 +231,6 @@ class ThinModel(FixpointModel):
 
     def whisker_r(self, t, h):
         return ThinCell(self.compose(t.source, h), self.compose(t.target, h))
-
-    def src2(self, t):
-        return t.source
-
-    def dst2(self, t):
-        return t.target
 
     def cell_ok(self, t) -> bool:
         return self.eq1(t.source, t.target)

@@ -212,9 +212,6 @@ class CatModel(FixpointModel):
 
     name = "cat"
 
-    def __init__(self, bound=cat.DEFAULT_BOUND):
-        self.bound = bound
-
     def identity(self, obj):
         return cat.identity_functor(obj)
 
@@ -252,15 +249,6 @@ class CatModel(FixpointModel):
     def whisker_r(self, t, h):
         return cat.whisker_right(t, h)
 
-    def src2(self, t):
-        return t.source
-
-    def dst2(self, t):
-        return t.target
-
-    def eq2(self, a, b):
-        return a == b
-
     def cell_ok(self, t):
         return not cat.validate_nat_transf(t)
 
@@ -271,7 +259,7 @@ class CatModel(FixpointModel):
         return cat.inverse_transf(t)
 
     def enumerate_invertible_cells(self, f, g):
-        return [t for t in cat.enumerate_nat_transfs(f, g, self.bound)
+        return [t for t in cat.enumerate_nat_transfs(f, g)
                 if cat.is_invertible_transf(t)]
 
     # witnesses
@@ -337,10 +325,10 @@ class CatModel(FixpointModel):
 # The registry of suite specs.
 
 class ModelSpec(NamedTuple):
-    """One suite spec.  `make()` builds its adapter (cat's also takes a
-    search bound); `corpus(draws, seed)` builds its family's corpus;
-    its 1-cells are `doc_type` documents of kind `kind_name`; `second()`
-    builds the adapter with the family's other star construction."""
+    """One suite spec.  `make()` builds its adapter; `corpus(draws, seed)`
+    builds its family's corpus; its 1-cells are `doc_type` documents of
+    kind `kind_name`; `second()` builds the adapter with the family's
+    other star construction."""
 
     make: Callable
     corpus: Callable

@@ -172,29 +172,40 @@ MAX_STAGE_TREES = 1_000_000
 
 def wtype_stages(P: Polynomial, depth: int) -> list:
     """Stages 0..depth of the chain from the empty set; each stage contains
-    the previous one.  Raises SizeCap, before building any tree, when a
-    stage up to depth would hold more than MAX_STAGE_TREES trees."""
+    the previous one, so once a stage is fixed (F(X) = X, the same size)
+    every later stage is that same set and is not built again.  Raises
+    SizeCap, before building any tree, when a stage up to depth would hold
+    more than MAX_STAGE_TREES trees."""
     _require_endo(P)
     _count_stages(P.name, (P,), depth)
     stages = [frozenset()]
-    for _ in range(depth):
-        stages.append(_apply_trees(P, stages[-1]))
+    while len(stages) <= depth:
+        nxt = _apply_trees(P, stages[-1])
+        if len(nxt) == len(stages[-1]):
+            stages.extend([stages[-1]] * (depth + 1 - len(stages)))
+            break
+        stages.append(nxt)
     return stages
 
 
 def _count_stages(name, per_stage, depth):
     """Raise SizeCap, before any tree is built, when the chain applying
     `per_stage` in turn at each of `depth` stages would at some step hold
-    more than MAX_STAGE_TREES trees; ValidationError for a negative depth."""
+    more than MAX_STAGE_TREES trees; ValidationError for a negative depth.
+    A round that leaves the size unchanged has reached the fixed stage, and
+    every later round repeats it."""
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     size = 0
     for k in range(1, depth + 1):
+        before = size
         for P in per_stage:
             size = _next_stage_size(P, size)
             if size > MAX_STAGE_TREES:
                 raise SizeCap(f"{name}: W-type stage {k} would hold {size} "
                               f"trees, over the bound of {MAX_STAGE_TREES}")
+        if size == before:
+            return
 
 
 def wtype_enumerate(P: Polynomial, depth: int):
@@ -391,14 +402,11 @@ def _small_systems(P: Polynomial, max_states=2, cap=64):
     return out
 
 
-def span_uniformity_check(morphism, f: Polynomial, g: Polynomial,
-                          depth: int = 4, systems=None) -> dict:
+def span_uniformity_check(morphism: PolyMorphism, f: Polynomial,
+                          g: Polynomial, depth: int = 4) -> dict:
     """Transport along a cartesian morphism: every stage of f's chain lands
     inside the same stage of g's chain, and bisimilar states stay bisimilar
-    after relabeling a system along the morphism."""
-    if not isinstance(morphism, PolyMorphism):
-        shape_map, slot_map = morphism
-        morphism = PolyMorphism(f, g, shape_map, slot_map)
+    after relabeling each of f's small systems along the morphism."""
     if morphism.source != f or morphism.target != g:
         raise TypeMismatch("morphism boundary does not match the polynomials")
     report = {"depth": depth, "w_ok": True, "w_counterexample": None,
@@ -413,8 +421,7 @@ def span_uniformity_check(morphism, f: Polynomial, g: Polynomial,
                 break
         if not report["w_ok"]:
             break
-    if systems is None:
-        systems = _small_systems(f)
+    systems = _small_systems(f)
     report["systems_checked"] = len(systems)
     for c in systems:
         image = morphism.on_system(c)

@@ -21,7 +21,6 @@ from fixcat.cat import (
     FinCategory,
     FunctorData,
     NatTransfData,
-    SearchBound,
     compose_functors,
     constant_functor,
     enumerate_functors,
@@ -429,10 +428,11 @@ def test_one_cell_construction_rejects_bad_data():
         AlgebraOneCell(shift, algebra, u, identity_transf(u))
 
 
-def test_mediator_respects_search_bound():
+def test_mediator_respects_search_bound(monkeypatch):
     chain = lambek_chain(F_IDEM)
-    with pytest.raises(SizeCap):
-        pseudo_initial_mediator(chain, F_IDEM, bound=SearchBound(max_objects=1))
+    monkeypatch.setattr("fixcat.cat.MAX_OBJECTS", 1)
+    with pytest.raises(SizeCap, match=r"over the bound of 1x1 \(cat.MAX_OBJECTS\)"):
+        pseudo_initial_mediator(chain, F_IDEM)
 
 
 # --- the structure isomorphism as an adjoint equivalence -------------------------

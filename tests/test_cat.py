@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from fixcat.cat import (
-    Arrow, FinCategory, FunctorData, NatTransfData, SearchBound,
+    Arrow, FinCategory, FunctorData, NatTransfData,
     compose_functors, constant_functor, enumerate_functors,
     enumerate_nat_transfs, hcomp, identity_functor, identity_transf,
     inverse_transf, is_invertible_transf, point_functor, thin_category,
@@ -39,6 +39,13 @@ def brute_force_nat_transfs(f, g):
 
 DISC2 = thin_category("disc2", ["a", "b"])
 DISC3 = thin_category("disc3", ["p", "q", "r"])
+
+
+def chain(n):
+    """The thin category of the n-element total order."""
+    xs = [str(i) for i in range(n)]
+    return thin_category(f"chain{n}", xs,
+                         [(x, y) for x in xs for y in xs if x < y])
 
 
 def test_validate_accepts_well_formed_categories():
@@ -135,9 +142,28 @@ def test_enumerate_functors_respects_composition():
             assert TWO.table[(f.amap[g], f.amap[h])] == f.amap[comp]
 
 
-def test_enumerate_functors_size_cap():
-    with pytest.raises(SizeCap):
-        enumerate_functors(DISC2, DISC3, bound=SearchBound(max_objects=2))
+def test_enumerate_functors_size_cap(monkeypatch):
+    # at the default bounds: 6x6 objects, and a 5-chain's 15 arrows
+    with pytest.raises(SizeCap, match="over the bound of 5x5"):
+        enumerate_functors(chain(6), chain(6))
+    with pytest.raises(SizeCap, match=r"arrow count 15 over the bound of 12 "
+                                      r"\(cat.MAX_ARROWS\)"):
+        enumerate_functors(chain(5), TWO)
+    # the bound is read at call time
+    monkeypatch.setattr("fixcat.cat.MAX_OBJECTS", 2)
+    with pytest.raises(SizeCap) as exc:
+        enumerate_functors(DISC2, DISC3)
+    assert str(exc.value) == ("disc2 -> disc3: object count product 2x3 over "
+                              "the bound of 2x2 (cat.MAX_OBJECTS)")
+
+
+def test_enumerate_nat_transfs_size_cap(monkeypatch):
+    f = identity_functor(DISC3)
+    monkeypatch.setattr("fixcat.cat.MAX_ARROWS", 2)
+    with pytest.raises(SizeCap) as exc:
+        enumerate_nat_transfs(f, f)
+    assert str(exc.value) == ("disc3 -> disc3: arrow count 3 over the bound "
+                              "of 2 (cat.MAX_ARROWS)")
 
 
 def test_enumerate_nat_transfs_forced_components():

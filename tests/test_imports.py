@@ -1,7 +1,7 @@
 """The package is stdlib-only and single-process: every module it imports
 is the standard library's or its own, and none of them starts a thread or
-another process.  No module of the package or its tests imports a name it
-never reads."""
+another process.  No module of the package reads the process environment.
+No module of the package or its tests imports a name it never reads."""
 
 import ast
 import pathlib
@@ -10,6 +10,7 @@ import sys
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fixcat"
 CONCURRENT = {"multiprocessing", "threading", "subprocess", "concurrent"}
+ENVIRONMENT = {"environ", "getenv", "environb", "getenvb"}
 
 
 def top_level_imports(path):
@@ -53,3 +54,24 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(files) > 2
     unread = {path.name: unread_imports(path) for path in files}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def environment_reads(path):
+    """Where `path` reads the process environment: `os.environ`,
+    `os.getenv`, or either imported by name from `os`."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in ENVIRONMENT for alias in node.names):
+            yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    # output depends on argv and the input files alone
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 1
+    reads = {path.name: list(environment_reads(path)) for path in files}
+    assert {name: lines for name, lines in reads.items() if lines} == {}

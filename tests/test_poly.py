@@ -134,6 +134,17 @@ def test_wtype_stage_budget_trips_before_building_the_stage(monkeypatch):
     assert built == []
 
 
+def test_wtype_fixed_chain_is_not_rebuilt(monkeypatch):
+    # a constant polynomial's chain is fixed from stage 1 on: stage 1 is
+    # built, stage 2 is built and found equal, the rest repeat it
+    built = _count_builds(monkeypatch)
+    stages = wtype_stages(constant_poly(["a", "b"]), 50)
+    assert len(built) <= 2
+    assert len(stages) == 51
+    assert [len(s) for s in stages] == [0] + [2] * 50
+    assert all(s == stages[1] for s in stages[1:])
+
+
 def test_wtype_over_budget_depth_is_refused_before_any_tree(monkeypatch):
     # bintree stages grow 0, 1, 2, 5, 26, 677, 458,330, then 458,330**2 + 1
     built = _count_builds(monkeypatch)
@@ -355,7 +366,8 @@ def test_uniformity_check_span_relabellings():
 def test_uniformity_check_constant_shape_map():
     # with no slots the induced map is just the constructor relabelling
     f, g = constant_poly(["b1", "b2"]), constant_poly(["c"])
-    report = span_uniformity_check(({"b1": "c", "b2": "c"}, {}), f, g, depth=2)
+    m = PolyMorphism(f, g, {"b1": "c", "b2": "c"}, {})
+    report = span_uniformity_check(m, f, g, depth=2)
     assert report["holds"] and report["w_counterexample"] is None
 
 
@@ -373,7 +385,9 @@ def test_uniformity_check_rejects_mismatched_boundary():
     with pytest.raises(TypeMismatch):
         span_uniformity_check(identity_poly_morphism(BIN), AB_STREAM, AB_STREAM)
     with pytest.raises(NotCartesian):
-        span_uniformity_check(({"a": "a", "b": "b"}, {}), AB_STREAM, AB_STREAM)
+        span_uniformity_check(PolyMorphism(AB_STREAM, AB_STREAM,
+                                           {"a": "a", "b": "b"}, {}),
+                              AB_STREAM, AB_STREAM)
 
 
 # --- rolling the composite -------------------------------------------------------------
