@@ -3,9 +3,10 @@
 Objects and arrows are opaque string ids.  A category carries its full
 composition table, so every law check here is a finite table lookup;
 functors and natural transformations are likewise explicit dictionaries.
-2-cell calculus (vertical/horizontal composition, whiskering) is evaluated
+2-cell calculus (vertical composition, whiskering) is evaluated
 componentwise, so two pastings are compared by the transformations they
-evaluate to.
+evaluate to; the horizontal composite is whisker-then-stack, the adapter
+contract's `hcomp2`.
 """
 
 from __future__ import annotations
@@ -388,19 +389,6 @@ def whisker_right(t: NatTransfData, h: FunctorData) -> NatTransfData:
         compose_functors(t.source, h), compose_functors(t.target, h),
         {x: t.components[h.omap[x]] for x in h.source.objects},
         name=f"{t.name}*{h.name}")
-
-
-def hcomp(first: NatTransfData, second: NatTransfData) -> NatTransfData:
-    """Horizontal composite; `first` is the transformation applied first.
-
-    For first: f => f' between functors A->B and second: g => g' between
-    functors B->C, the result runs g.f => g'.f' with components
-    g'(first_x) . second_{f(x)}.
-    """
-    if first.source.target != second.source.source:
-        raise BoundaryMismatch("horizontal composite boundary mismatch")
-    return vcomp(whisker_left(second.target, first),
-                 whisker_right(second, first.source))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ triples, and the endos and strict 1-cells its squares range over.
 `_square_search` finds those uniformity squares, `derive_channels` builds
 the stacks, cells, thetas, transports and dinat squares from the exhaustive
 pairs and squares, and `_random_tail` appends the seeded random endos,
-pairs and squares.
+pairs and squares.  Each takes the family's own functions (compose, and
+identity where it needs one), never an adapter: the adapters' registry
+imports this module, not the other way round.
 """
 
 import itertools
@@ -126,24 +128,24 @@ def _random_tail(c, seed, counts, obj, mp, conj, closure):
         c.unif_squares.append(conj(rng, g, i) if i % 2 == 0 else closure(g))
 
 
-def derive_channels(m, c, middle_key):
+def derive_channels(c, identity, compose):
     """Fill the channels of thin corpus `c` that are derived from its
-    dinat pairs and uniformity squares, with `m`'s identity and compose.
+    dinat pairs and uniformity squares, with the family's `identity(obj)`
+    and `compose(g, f)`.
 
     A stack puts a square (s, f, g, y) under one (r, g', h, p) whose
-    middle endo is g; `middle_key(obj, endo)` keys an endo on the object it
-    sits on, s's target or r's source.  Thetas and transports are identity
+    middle endo g' equals g, by value.  Thetas and transports are identity
     cells over a stride sample of the squares, and the dinat squares are
     identity squares over a stride sample of the pairs."""
     pair_sample = _stride_sample(c.dinat_pairs, DERIVED_CAP)
     c.dinat_cells = [(ThinCell(f, f), g) for (f, g) in pair_sample]
 
-    by_middle = {}              # lower squares, by g on s's target
+    by_middle = {}              # lower squares, by their g
     for sq in c.unif_squares:
-        by_middle.setdefault(middle_key(sq[0].target, sq[2]), []).append(sq)
+        by_middle.setdefault(sq[2], []).append(sq)
     c.unif_stacks = _stride_sample_products(   # under each (r, g, ...)
-        [(by_middle.get(middle_key(sq[0].source, sq[1]), ()), (sq,))
-         for sq in c.unif_squares], STACK_CAP)
+        [(by_middle.get(sq[1], ()), (sq,)) for sq in c.unif_squares],
+        STACK_CAP)
 
     sample_squares = _stride_sample(c.unif_squares, DERIVED_CAP)
     c.unif_thetas = [(ThinCell(s, s), f, g, gamma, gamma)
@@ -151,11 +153,11 @@ def derive_channels(m, c, middle_key):
     c.unif_transports = [(s, ThinCell(f, f), ThinCell(g, g), gamma, gamma)
                          for (s, f, g, gamma) in sample_squares]
     for (f, g) in pair_sample:
-        ida, idb = m.identity(f.source), m.identity(f.target)
+        ida, idb = identity(f.source), identity(f.target)
         c.unif_dinat.append(
             (ida, idb, f, g, f, g,
-             ThinCell(m.compose(idb, f), m.compose(f, ida)),
-             ThinCell(m.compose(ida, g), m.compose(g, idb))))
+             ThinCell(compose(idb, f), compose(f, ida)),
+             ThinCell(compose(ida, g), compose(g, idb))))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +280,6 @@ def poset_closure_square(g):
 
 
 def poset_corpus(draws=1000, seed=0):
-    from .models import PosetModel   # models imports corpora for its registry
     counts = _draw_counts(draws)
     posets = pointed_posets(3)
     maps = {(a, b): monotone_maps(a, b) for a in posets for b in posets}
@@ -298,8 +299,7 @@ def poset_corpus(draws=1000, seed=0):
         posets, lambda p: maps[p, p],
         lambda a, b: [s for s in maps[a, b] if s.is_bottom_preserving()],
         poset.compose_maps)
-    derive_channels(PosetModel(), c, lambda obj, g: (
-        id(obj), tuple(sorted(g.assignment.items()))))
+    derive_channels(c, poset.identity_map, poset.compose_maps)
     _random_tail(c, seed, counts, random_pointed_poset, random_monotone_map,
                  lambda rng, g, i: poset_conjugation_square(g, f"c{i}_"),
                  poset_closure_square)
@@ -382,7 +382,6 @@ def rel_closure_square(g):
 
 
 def rel_corpus(draws=1000, seed=0):
-    from .models import RelModel
     counts = _draw_counts(draws)
     carriers = [rel_carrier(n) for n in (1, 2, 3)]
     c = Corpus()
@@ -399,7 +398,7 @@ def rel_corpus(draws=1000, seed=0):
         [(gs, gs, gs) for gs in endo_graphs.values()], TRIPLE_CAP)
     c.unif_squares = _square_search(carriers, endo_graphs.__getitem__,
                                     rel_function_rels, rel.mrel_compose)
-    derive_channels(RelModel(), c, lambda obj, g: (frozenset(obj), g.pairs))
+    derive_channels(c, rel.mrel_identity, rel.mrel_compose)
     big = {4: rel_carrier(4), 5: rel_carrier(5)}
     _random_tail(c, seed, counts, lambda rng, n, name: big[n], random_mrel,
                  lambda rng, g, i: rel_conjugation_square(rng, g, f"q{i}_"),
@@ -532,7 +531,6 @@ def _scott_function_rels(pre):
 
 
 def scott_corpus(draws=1000, seed=0):
-    from .models import ScottModel
     counts = _draw_counts(draws)
     pres = preorders_upto_iso(3)
     small = [p for p in pres if len(p.elements) <= 2]
@@ -564,8 +562,7 @@ def scott_corpus(draws=1000, seed=0):
         for f in _stride_sample(_scott_function_rels(p), 40):
             squares.append(scott_conjugation_square(f, f"t{len(squares)}_"))
     c.unif_squares = squares
-    derive_channels(ScottModel(), c, lambda obj, g: (
-        frozenset(obj.elements), obj.leq_pairs, g.pairs))
+    derive_channels(c, rel.scott_identity, rel.scott_compose)
     _random_tail(c, seed, counts, random_preorder, random_ideal_rel,
                  lambda rng, g, i: scott_conjugation_square(g, f"c{i}_"),
                  scott_closure_square)

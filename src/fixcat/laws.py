@@ -12,7 +12,7 @@ to points One -> A, and three structural witness families:
 
 Laws are data: each is declared once, in `FIX_LAWS`, `DINAT_LAWS` and
 `UNIF_LAWS`, as functions of the adapter and one instance, and no law is
-derived from another.  They are evaluated instance-major by `run_laws`:
+derived from another.  `run_laws` is their one runner, instance-major:
 each corpus instance is evaluated once for every law that reads its
 channel.  Memoized adapter methods read one table each: composites the
 instance memo `_memo`, stars (and the cat adapter's chains) the run table
@@ -84,13 +84,16 @@ class FixpointModel:
 
     Every adapter supplies identity, compose, strictness, star and the three
     witnesses; one that is not a ThinModel also supplies the 2-cell
-    operations and `enumerate_invertible_cells`.  Products are optional: an adapter whose
-    `has_products()` holds supplies proj1, proj2, pair and swap_cell, which
-    only the product route reads.  Boundaries and equality of 1- and
-    2-cells (src, dst, eq1, src2, dst2, eq2: a cell's `source` and `target`,
-    and `==`), the generic horizontal composite and the description hooks
-    have workable defaults.  `_memo` and `_run` are
-    the tables `memoized` methods read while the law engine has them open.
+    operations and `enumerate_invertible_cells`.  Products are optional: an
+    adapter whose `has_products()` holds supplies proj1, proj2 and pair,
+    which only the product route reads; it builds the symmetry from them.
+    A 2-cell carries its boundary 1-cells as `source` and `target`, which
+    the engine reads directly.  Boundaries and equality of 1-cells (src,
+    dst, eq1: `source`, `target` and `==`), equality of 2-cells (eq2:
+    `==`), the horizontal composite (hcomp2: whisker-then-stack) and the
+    description hooks have workable defaults.
+    `_memo` and `_run` are the tables `memoized` methods read while the law
+    engine has them open.
     """
 
     name = "model"
@@ -135,12 +138,6 @@ class FixpointModel:
     def whisker_r(self, t, h):
         raise NotImplementedError
 
-    def src2(self, t):
-        return t.source
-
-    def dst2(self, t):
-        return t.target
-
     def eq2(self, a, b) -> bool:
         return a == b
 
@@ -163,8 +160,8 @@ class FixpointModel:
 
     def hcomp2(self, first, second):
         """second . first on 1-cells; standard whisker-then-stack composite."""
-        return self.vcomp2(self.whisker_l(self.dst2(second), first),
-                           self.whisker_r(second, self.src2(first)))
+        return self.vcomp2(self.whisker_l(second.target, first),
+                           self.whisker_r(second, first.source))
 
     # -- witnesses -----------------------------------------------------------
     def fix_witness(self, f):
@@ -187,9 +184,6 @@ class FixpointModel:
         raise NoProducts(f"{self.name} has no products")
 
     def pair(self, f, g):
-        raise NoProducts(f"{self.name} has no products")
-
-    def swap_cell(self, a, b):
         raise NoProducts(f"{self.name} has no products")
 
     # -- reporting hooks -------------------------------------------------------
@@ -422,9 +416,9 @@ def _counterexample(m, law, inst, left, right):
 
 # The ThinModel methods a recorded program stands in for: an adapter that
 # overrides any of them is evaluated law by law.
-_CALCULUS = ("id2", "vcomp2", "whisker_l", "whisker_r", "hcomp2", "src2",
-             "dst2", "eq2", "cell_ok", "is_invertible2", "inverse2",
-             "star_2cell", "fix_witness", "dinat_witness", "unif_witness")
+_CALCULUS = ("id2", "vcomp2", "whisker_l", "whisker_r", "hcomp2", "eq2",
+             "cell_ok", "is_invertible2", "inverse2", "star_2cell",
+             "fix_witness", "dinat_witness", "unif_witness")
 
 
 class _Recorder(ThinModel):
@@ -648,13 +642,13 @@ def _fix_cell(m, f):
     w = m.fix_witness(f)
     fs = m.star(f)
     want_src = m.compose(f, fs)
-    shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), fs)
+    shaped = m.eq1(w.source, want_src) and m.eq1(w.target, fs)
     ok = shaped and m.cell_ok(w) and m.is_invertible2(w)
     return ok, w, (want_src, fs)
 
 
 def _fix_nat(m, alpha):
-    f, g = m.src2(alpha), m.dst2(alpha)
+    f, g = alpha.source, alpha.target
     astar = m.star_2cell(alpha)
     lhs = m.vcomp2(astar, m.fix_witness(f))
     rhs = m.vcomp2(m.fix_witness(g), m.hcomp2(astar, alpha))
@@ -671,11 +665,6 @@ FIX_LAWS = (
 )
 
 
-def check_fix(m: FixpointModel, corpus: Corpus):
-    """Reports of the fix laws on `corpus`, in declaration order."""
-    return run_laws(m, corpus, FIX_LAWS)
-
-
 # -- dinat: the dinaturality cell family and its axioms -----------------------
 
 def _dinat_cell(m, inst):
@@ -683,7 +672,7 @@ def _dinat_cell(m, inst):
     w = m.dinat_witness(f, g)
     want_src = m.star(m.compose(f, g))
     want_dst = m.compose(f, m.star(m.compose(g, f)))
-    shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), want_dst)
+    shaped = m.eq1(w.source, want_src) and m.eq1(w.target, want_dst)
     ok = shaped and m.cell_ok(w) and m.is_invertible2(w)
     return ok, w, (want_src, want_dst)
 
@@ -713,7 +702,7 @@ def _dinat_one_nat(m, inst):
 
 def _dinat_two_nat(m, inst):
     alpha, g = inst  # alpha: f => f' with f, f': A->B, g: B->A
-    f, f2 = m.src2(alpha), m.dst2(alpha)
+    f, f2 = alpha.source, alpha.target
     lhs = m.vcomp2(m.dinat_witness(f2, g),
                    m.star_2cell(m.whisker_r(alpha, g)))
     rhs = m.vcomp2(
@@ -758,18 +747,13 @@ DINAT_LAWS = (
 )
 
 
-def check_dinat(m: FixpointModel, corpus: Corpus):
-    """Reports of the dinat laws on `corpus`, in declaration order."""
-    return run_laws(m, corpus, DINAT_LAWS)
-
-
 def require_square(m: FixpointModel, s, f, g, gamma):
     """Validate uniformity-square data; raises InvalidSquare when it is broken."""
     if not m.is_strict(s):
         raise InvalidSquare(f"{m.describe1(s)} is not strict")
     want_src = m.compose(s, f)
     want_dst = m.compose(g, s)
-    if not (m.eq1(m.src2(gamma), want_src) and m.eq1(m.dst2(gamma), want_dst)):
+    if not (m.eq1(gamma.source, want_src) and m.eq1(gamma.target, want_dst)):
         raise InvalidSquare(
             f"square cell boundary is not {m.describe1(want_src)} => {m.describe1(want_dst)}")
     if not m.cell_ok(gamma):
@@ -791,7 +775,7 @@ def _unif_cell(m, inst):
     w = m.unif_witness(s, f, g, gamma)
     want_src = m.compose(s, m.star(f))
     want_dst = m.star(g)
-    shaped = m.eq1(m.src2(w), want_src) and m.eq1(m.dst2(w), want_dst)
+    shaped = m.eq1(w.source, want_src) and m.eq1(w.target, want_dst)
     ok = shaped and m.cell_ok(w)
     return ok, w, (want_src, want_dst)
 
@@ -826,7 +810,7 @@ def _unif_one_nat(m, inst):
 
 def _unif_two_nat(m, inst):
     theta, f, g, gamma, rho = inst  # theta: s => r
-    s, r = m.src2(theta), m.dst2(theta)
+    s, r = theta.source, theta.target
     if not (m.is_strict(s) and m.is_strict(r) and m.cell_ok(theta)
             and m.is_invertible2(theta)):
         raise InvalidSquare("theta is not an invertible cell between strict 1-cells")
@@ -844,8 +828,8 @@ def _unif_two_nat(m, inst):
 
 def _unif_transport(m, inst):
     s, alpha, beta, gamma, rho = inst  # alpha: f => h, beta: g => k
-    f, h = m.src2(alpha), m.dst2(alpha)
-    g, k = m.src2(beta), m.dst2(beta)
+    f, h = alpha.source, alpha.target
+    g, k = beta.source, beta.target
     require_square(m, s, f, g, gamma)
     require_square(m, s, h, k, rho)
     pre_l = m.vcomp2(rho, m.whisker_l(s, alpha))
@@ -925,11 +909,6 @@ UNIF_LAWS = (
 )
 
 
-def check_unif(m: FixpointModel, corpus: Corpus):
-    """Reports of the unif laws on `corpus`, in declaration order."""
-    return run_laws(m, corpus, UNIF_LAWS)
-
-
 # The laws a recorded program may stand in for.
 _DECLARED = frozenset(FIX_LAWS + DINAT_LAWS + UNIF_LAWS)
 
@@ -939,7 +918,8 @@ _DECLARED = frozenset(FIX_LAWS + DINAT_LAWS + UNIF_LAWS)
 
 def product_route(m: FixpointModel, f, g):
     """(pi1(h*), pi2(h*)) for h = sw . (f x g): A x B -> A x B, the
-    product-route constructions of (gf)* and (fg)*."""
+    product-route constructions of (gf)* and (fg)*.  The symmetry sw is
+    the pairing <pi2, pi1> of B x A's projections."""
     if not m.has_products():
         raise NoProducts(f"{m.name} does not supply products")
     a, b = m.src(f), m.dst(f)
@@ -948,7 +928,8 @@ def product_route(m: FixpointModel, f, g):
     p1 = m.proj1(a, b)
     p2 = m.proj2(a, b)
     fxg = m.pair(m.compose(f, p1), m.compose(g, p2))   # A x B -> B x A
-    h = m.compose(m.swap_cell(b, a), fxg)              # A x B -> A x B
+    sw = m.pair(m.proj2(b, a), m.proj1(b, a))          # B x A -> A x B
+    h = m.compose(sw, fxg)                             # A x B -> A x B
     sh = m.star(h)
     return m.compose(p1, sh), m.compose(p2, sh)        # (gf)*, (fg)* expected
 
@@ -1010,7 +991,7 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
                            "is_identity": m.eq2(delta, m.id2(m1.star(f)))})
         for alpha in cells:
             m1._memo = m2._memo = {}
-            f, g = m.src2(alpha), m.dst2(alpha)
+            f, g = alpha.source, alpha.target
             d_f = delta_for(f)
             d_g = delta_for(g)
             lhs = m.vcomp2(d_g, m1.star_2cell(alpha))

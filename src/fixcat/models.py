@@ -2,9 +2,10 @@
 registry of the suite specs that name them.
 
 Thin adapters (posets, multiset relations, ideal relations) supply their
-1-cells, compose, star, strictness and products; the locally discrete
-2-cell calculus and the fix/dinat/unif witnesses are inherited from
-`laws.ThinModel`.  The category adapter carries genuine 2-cells: its star
+1-cells, compose, star, strictness and products (projections and
+pairing, from which the product route builds the symmetry); the locally
+discrete 2-cell calculus and the fix/dinat/unif witnesses are inherited
+from `laws.ThinModel`.  The category adapter carries genuine 2-cells: its star
 picks the stabilized chain carrier through a point functor, fix is the
 structure arrow, and the dinat/unif witnesses are the unique
 algebra-compatible arrows found by exhaustive search in the finite target
@@ -73,9 +74,6 @@ class PosetModel(ThinModel):
 
     def pair(self, f, g):
         return poset.product(f.target, g.target).pair(f, g)
-
-    def swap_cell(self, a, b):
-        return poset.swap(a, b)
 
     def describe1(self, f):
         items = ", ".join(f"{x!r}>{y!r}" for (x, y) in sorted(
@@ -152,9 +150,6 @@ class RelModel(ThinModel):
     def pair(self, f, g):
         return rel.mrel_pairing(f, g)
 
-    def swap_cell(self, a, b):
-        return rel.mrel_swap(a, b)
-
     def describe1(self, f):
         pairs = ", ".join(f"{m!r}>{b!r}" for (m, b) in sorted(f.pairs, key=repr))
         return f"rel({len(f.source)}->{len(f.target)}: {pairs})"
@@ -191,9 +186,6 @@ class ScottModel(ThinModel):
 
     def pair(self, f, g):
         return rel.scott_pairing(f, g)
-
-    def swap_cell(self, a, b):
-        return rel.scott_swap(a, b)
 
     def describe1(self, f):
         pairs = ", ".join(f"{u!r}>{b!r}" for (u, b) in sorted(f.pairs, key=repr))

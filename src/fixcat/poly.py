@@ -171,16 +171,25 @@ MAX_STAGE_TREES = 1_000_000
 
 
 def wtype_stages(P: Polynomial, depth: int) -> list:
-    """Stages 0..depth of the chain from the empty set; each stage contains
-    the previous one, so once a stage is fixed (F(X) = X, the same size)
-    every later stage is that same set and is not built again.  Raises
-    SizeCap, before building any tree, when a stage up to depth would hold
-    more than MAX_STAGE_TREES trees."""
+    """Stages 0..depth of the chain from the empty set.  Raises SizeCap,
+    before building any tree, when a stage up to depth would hold more
+    than MAX_STAGE_TREES trees."""
     _require_endo(P)
-    _count_stages(P.name, (P,), depth)
+    return _chain(P.name, (P,), depth)
+
+
+def _chain(name, per_stage, depth):
+    """Stages 0..depth of the chain from the empty set that applies the
+    polynomials `per_stage` in turn at each stage, counted first
+    (`_count_stages`).  Each stage contains the previous one, so once a
+    stage is fixed (the same size) every later stage is that same set and
+    is not built again."""
+    _count_stages(name, per_stage, depth)
     stages = [frozenset()]
     while len(stages) <= depth:
-        nxt = _apply_trees(P, stages[-1])
+        nxt = stages[-1]
+        for P in per_stage:
+            nxt = _apply_trees(P, nxt)
         if len(nxt) == len(stages[-1]):
             stages.extend([stages[-1]] * (depth + 1 - len(stages)))
             break
@@ -449,20 +458,18 @@ def freyd_dinat_check(f: Polynomial, g: Polynomial, depth: int = 4) -> dict:
     """
     _require_endo(f)
     _require_endo(g)
-    # counted first; no f(T_d) outgrows V_{d+1}, so V to depth + 1 bounds it
-    _count_stages(f"{g.name}.{f.name}", (f, g), depth)
-    _count_stages(f"{f.name}.{g.name}", (g, f), depth + 1)
-    t = [frozenset()]
-    for _ in range(depth):
-        t.append(_apply_trees(g, _apply_trees(f, t[-1])))
-    v = [frozenset()]
-    for _ in range(depth + 1):
-        v.append(_apply_trees(f, _apply_trees(g, v[-1])))
+    # both chains are counted before either is built, T first so that an
+    # over-budget T is the one reported; V to depth + 1 bounds every f(T_d)
+    t_name = f"{g.name}.{f.name}"
+    _count_stages(t_name, (f, g), depth)
+    v = _chain(f"{f.name}.{g.name}", (g, f), depth + 1)
+    t = _chain(t_name, (f, g), depth)
     report = {"depth": depth, "sandwich_ok": True, "sandwich_counterexample": None,
               "stage_counts": {"composite_gf": tuple(len(s) for s in t[:depth + 1]),
                                "composite_fg": tuple(len(s) for s in v[:depth + 1])}}
     for d in range(depth + 1):
-        image = _apply_trees(f, t[d])
+        if d == 0 or t[d] is not t[d - 1]:      # a repeated T_d keeps f(T_d)
+            image = _apply_trees(f, t[d])
         if not (v[d] <= image and image <= v[d + 1]):
             report["sandwich_ok"] = False
             report["sandwich_counterexample"] = d

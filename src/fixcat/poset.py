@@ -4,8 +4,9 @@ Endomaps get their least fixpoint two ways: direct iteration from bottom
 (`kleene_star`) and evaluation of the canonical map out of the successor
 chain-with-top at its top point (`bifree_star` via `mediating_map`).  The
 chain-with-top itself stays symbolic: elements are ("fin", n) and ("top",),
-and only the mediating map ever consumes them.  Binary products, their
-pairing and the symmetry serve the product route to dinaturality.
+and only the mediating map ever consumes them.  Binary products and
+their pairing serve the product route to dinaturality, which builds the
+symmetry as the pairing of swapped projections.
 """
 
 from __future__ import annotations
@@ -315,9 +316,3 @@ def product(p: PointedPoset, q: PointedPoset) -> PosetProduct:
                       _validate=False)
     return PosetProduct(poset, p, q, pi1, pi2)
 
-
-def swap(p: PointedPoset, q: PointedPoset) -> MonotoneMap:
-    """The symmetry p x q -> q x p, i.e. the pairing of the two projections
-    in swapped order."""
-    pq, qp = product(p, q), product(q, p)
-    return qp.pair(pq.proj2, pq.proj1)

@@ -255,12 +255,6 @@ def mrel_pairing(f: MultisetRel, g: MultisetRel) -> MultisetRel:
                        name=f"<{f.name},{g.name}>", _validate=False)
 
 
-def mrel_swap(a_carrier, b_carrier) -> MultisetRel:
-    p1 = mrel_proj1(a_carrier, b_carrier)
-    p2 = mrel_proj2(a_carrier, b_carrier)
-    return mrel_pairing(p2, p1)
-
-
 # ---------------------------------------------------------------------------
 # Preorders and ideal relations.
 
@@ -648,6 +642,3 @@ def scott_pairing(f: IdealRel, g: IdealRel) -> IdealRel:
     return IdealRel(f.source, preorder_disjoint_union(f.target, g.target),
                     pairs, name=f"<{f.name},{g.name}>", _validate=False)
 
-
-def scott_swap(a: Preorder, b: Preorder) -> IdealRel:
-    return scott_pairing(scott_proj2(a, b), scott_proj1(a, b))

@@ -298,7 +298,8 @@ def test_criterion_7_polynomial_functors(capsys):
 
 
 def test_criterion_8_negative_controls(capsys):
-    broken = laws.check_fix(BrokenPosetModel(), _corpus("poset0"))
+    broken = laws.run_laws(BrokenPosetModel(), _corpus("poset0"),
+                           laws.FIX_LAWS)
     cell = [r for r in broken if r.law_id == "fix.cell"][0]
     ok = cell.failed and cell.counterexample is not None
 

@@ -9,12 +9,16 @@ import pytest
 from fixcat.cat import (
     Arrow, FinCategory, FunctorData, NatTransfData,
     compose_functors, constant_functor, enumerate_functors,
-    enumerate_nat_transfs, hcomp, identity_functor, identity_transf,
+    enumerate_nat_transfs, identity_functor, identity_transf,
     inverse_transf, is_invertible_transf, point_functor, thin_category,
     validate_category, vcomp, whisker_left, whisker_right, TERMINAL_CATEGORY,
 )
 from fixcat.corpora import THREE, TWO, WALK
 from fixcat.errors import BoundaryMismatch, SizeCap, TypeMismatch, ValidationError
+from fixcat.models import CatModel
+
+# the horizontal composite: whisker-then-stack, as every adapter has it
+hcomp2 = CatModel().hcomp2
 
 
 def brute_force_nat_transfs(f, g):
@@ -203,12 +207,12 @@ def test_vcomp_unit_laws():
 def test_hcomp_of_identities_is_identity_of_composite():
     f = constant_functor(DISC2, TWO, "0")       # DISC2 -> TWO
     g = enumerate_functors(TWO, THREE)[0]      # TWO -> THREE
-    assert hcomp(identity_transf(f), identity_transf(g)) == \
+    assert hcomp2(identity_transf(f), identity_transf(g)) == \
         identity_transf(compose_functors(g, f))
 
 
 def test_interchange_law():
-    """vcomp(hcomp(a,b), hcomp(a2,b2)) == hcomp(vcomp(a,a2), vcomp(b,b2))."""
+    """vcomp(hcomp2(a,b), hcomp2(a2,b2)) == hcomp2(vcomp(a,a2), vcomp(b,b2))."""
     fs1 = enumerate_functors(DISC2, TWO)
     fs2 = enumerate_functors(TWO, THREE)
     checked = 0
@@ -218,8 +222,8 @@ def test_interchange_law():
                 for g, g2, g3 in itertools.product(fs2, repeat=3):
                     for b2 in enumerate_nat_transfs(g, g2):
                         for b in enumerate_nat_transfs(g2, g3):
-                            lhs = vcomp(hcomp(a, b), hcomp(a2, b2))
-                            rhs = hcomp(vcomp(a, a2), vcomp(b, b2))
+                            lhs = vcomp(hcomp2(a, b), hcomp2(a2, b2))
+                            rhs = hcomp2(vcomp(a, a2), vcomp(b, b2))
                             assert lhs == rhs
                             checked += 1
     assert checked > 0
@@ -230,10 +234,10 @@ def test_whiskering_agrees_with_hcomp_with_identity():
     for g in enumerate_functors(TWO, TWO):
         for t in enumerate_nat_transfs(f, g):
             h = enumerate_functors(TWO, THREE)[0]
-            assert whisker_left(h, t) == hcomp(t, identity_transf(h))
+            assert whisker_left(h, t) == hcomp2(t, identity_transf(h))
         for t in enumerate_nat_transfs(f, g):
             k = constant_functor(DISC2, TWO, "0")
-            assert whisker_right(t, k) == hcomp(identity_transf(k), t)
+            assert whisker_right(t, k) == hcomp2(identity_transf(k), t)
 
 
 def test_vcomp_compares_pastings_by_value():

@@ -1,11 +1,15 @@
 """The package is stdlib-only and single-process: every module it imports
 is the standard library's or its own, and none of them starts a thread or
 another process.  No module of the package reads the process environment.
-No module of the package or its tests imports a name it never reads."""
+No module of the package or its tests imports a name it never reads.  The
+package's modules import each other without a cycle."""
 
 import ast
+import graphlib
 import pathlib
 import sys
+
+import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fixcat"
@@ -75,3 +79,25 @@ def test_no_module_reads_the_environment():
     assert len(files) > 1
     reads = {path.name: list(environment_reads(path)) for path in files}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def package_imports(path):
+    """The package modules `path` imports: every relative import, at any
+    depth, function bodies included."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:           # from . import a, b
+                yield from (alias.name for alias in node.names)
+            else:                             # from .a import x
+                yield node.module.partition(".")[0]
+
+
+def test_package_has_no_import_cycle():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 1
+    graph = {path.stem: set(package_imports(path)) for path in files}
+    assert graph["models"] >= {"laws", "corpora"}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as err:
+        pytest.fail(f"import cycle {' -> '.join(err.args[1])}")

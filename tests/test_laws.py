@@ -8,9 +8,9 @@ import random
 from fixcat import corpora, laws, poset, rel
 from fixcat.errors import (InvalidSquare, NoProducts, NotContractible,
                            TypeMismatch)
-from fixcat.laws import (Corpus, ThinCell, check_dinat, check_fix,
-                         check_unif, compare_operators, product_route,
-                         require_square, run_suite)
+from fixcat.laws import (DINAT_LAWS, FIX_LAWS, UNIF_LAWS, Corpus, ThinCell,
+                         compare_operators, product_route, require_square,
+                         run_laws, run_suite)
 from fixcat.models import (BrokenPosetModel, CatModel, PosetModel, RelModel,
                            ScottModel)
 from mutants import GreatestRelModel
@@ -37,7 +37,8 @@ def cat_corpus():
 
 
 def all_reports(m, c):
-    return check_fix(m, c) + check_dinat(m, c) + check_unif(m, c)
+    return (run_laws(m, c, FIX_LAWS) + run_laws(m, c, DINAT_LAWS)
+            + run_laws(m, c, UNIF_LAWS))
 
 
 EXPECTED_LAWS = [
@@ -83,7 +84,7 @@ def test_cat_green(cat_corpus):
 
 
 def test_broken_adapter_yields_counterexample(poset_corpus):
-    reports = check_fix(BrokenPosetModel(), poset_corpus)
+    reports = run_laws(BrokenPosetModel(), poset_corpus, FIX_LAWS)
     fix_cell = reports[0]
     assert fix_cell.law_id == "fix.cell"
     assert fix_cell.failed
@@ -127,7 +128,7 @@ def test_unif_error_becomes_counterexample():
     c = Corpus()
     bad_gamma = ThinCell(m.compose(IDC, DOWN), m.compose(UP, IDC))
     c.unif_squares = [(IDC, DOWN, UP, bad_gamma)]
-    reports = check_unif(m, c)
+    reports = run_laws(m, c, UNIF_LAWS)
     cell = reports[0]
     assert cell.law_id == "unif.cell"
     assert cell.failed
@@ -141,7 +142,7 @@ def test_theta_precondition_violation_is_reported():
     rho = ThinCell(m.compose(IDC, DOWN), m.compose(DOWN, IDC))
     # theta: id => id, but gamma and rho describe different squares
     c.unif_thetas = [(m.id2(IDC), UP, UP, gamma, rho)]
-    reports = check_unif(m, c)
+    reports = run_laws(m, c, UNIF_LAWS)
     two_nat = [r for r in reports if r.law_id == "unif.two_nat"][0]
     assert two_nat.failed
     assert "InvalidSquare" in str(two_nat.counterexample)
@@ -261,7 +262,7 @@ def test_unif_dinat_coherence_specializes_to_fix(poset_corpus):
         ida, idb = m.identity(a), m.identity(b)
         rho = ThinCell(m.compose(s, ida), m.compose(idb, s))
         c.unif_dinat.append((s, s, f, ida, g, idb, gamma, rho))
-    reports = check_unif(m, c)
+    reports = run_laws(m, c, UNIF_LAWS)
     coh = [r for r in reports if r.law_id == "unif.dinat_coherence"][0]
     assert not coh.failed and not coh.vacuous
 
@@ -374,7 +375,8 @@ def test_memo_keeps_no_failed_call():
 
 def test_broken_adapter_counterexample_unchanged():
     # the first fix.cell counterexample of `fixcat laws suite_broken.json`
-    reports = check_fix(BrokenPosetModel(), corpora.poset_corpus(draws=0))
+    reports = run_laws(BrokenPosetModel(), corpora.poset_corpus(draws=0),
+                       FIX_LAWS)
     ce = reports[0].counterexample
     assert reports[0].law_id == "fix.cell"
     assert (reports[0].passes, reports[0].instances) == (13, 25)

@@ -441,6 +441,19 @@ def test_rolling_negative_depth_is_rejected(monkeypatch):
     assert built == []
 
 
+def test_rolling_fixed_chains_are_not_rebuilt(monkeypatch):
+    # both composite chains are fixed after one round: each is built until
+    # a round leaves its size unchanged, f(T_d) is built once per distinct
+    # T_d, and the fixed-point check adds three builds; building every
+    # stage to depth 2000 took 10,006
+    built = _count_builds(monkeypatch)
+    report = freyd_dinat_check(constant_poly(["c"]),
+                               endo_poly({"leaf": 0, "node": 1}), depth=2000)
+    assert report["holds"] and report["stabilized_at"] == 1
+    assert report["stage_counts"]["composite_gf"] == (0,) + (2,) * 2000
+    assert len(built) <= 13
+
+
 def test_rolling_stream_wrap_around_binary():
     # wrapping each stage in a fiber-1 label leaves the counts on the
     # one-step recurrence

@@ -22,7 +22,6 @@ from fixcat.poset import (
     omega_bar_successor,
     point_map,
     product,
-    swap,
     TOP,
 )
 
@@ -226,8 +225,10 @@ def test_pairing_rejects_mismatched_legs():
 
 
 def test_swap_is_an_involution():
-    s = swap(C2, C3)
-    s_back = swap(C3, C2)
+    # the symmetry: the pairing of the projections in swapped order
+    c23, c32 = product(C2, C3), product(C3, C2)
+    s = c32.pair(c23.proj2, c23.proj1)
+    s_back = c23.pair(c32.proj2, c32.proj1)
     assert compose_maps(s_back, s).assignment == \
         identity_map(product(C2, C3).poset).assignment
     assert s.assignment[(1, 2)] == (2, 1)

@@ -25,7 +25,6 @@ from fixcat.rel import (
     mrel_proj1,
     mrel_proj2,
     mrel_star,
-    mrel_swap,
     mset,
     mset_map,
     mset_support,
@@ -40,7 +39,6 @@ from fixcat.rel import (
     scott_proj2,
     scott_star,
     scott_star_set,
-    scott_swap,
     tag_left,
     tag_right,
     tree_star,
@@ -219,8 +217,9 @@ def test_mrel_pairing_is_the_only_splitting():
 
 def test_mrel_swap_and_cross():
     a, b = ("a1", "a2"), ("b1",)
-    s = mrel_swap(a, b)
-    s_back = mrel_swap(b, a)
+    # the symmetry: the pairing of the projections in swapped order
+    s = mrel_pairing(mrel_proj2(a, b), mrel_proj1(a, b))
+    s_back = mrel_pairing(mrel_proj2(b, a), mrel_proj1(b, a))
     assert mrel_compose(s_back, s) == mrel_identity(disjoint_union(a, b))
     assert (mset([tag_left("a1")]), tag_right("a1")) in s.pairs
     f = MultisetRel(a, a, {(mset(["a1"]), "a2")})
@@ -414,8 +413,10 @@ def test_scott_product_laws():
 
 
 def test_scott_swap_and_cross():
-    s = scott_swap(P_CHAIN, T_CHAIN)
-    s_back = scott_swap(T_CHAIN, P_CHAIN)
+    s = scott_pairing(scott_proj2(P_CHAIN, T_CHAIN),
+                      scott_proj1(P_CHAIN, T_CHAIN))
+    s_back = scott_pairing(scott_proj2(T_CHAIN, P_CHAIN),
+                           scott_proj1(T_CHAIN, P_CHAIN))
     assert scott_compose(s_back, s) == \
         scott_identity(preorder_disjoint_union(P_CHAIN, T_CHAIN))
     f = IdealRel(P_CHAIN, P_CHAIN, {(("p",), "q")})
