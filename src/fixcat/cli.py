@@ -17,16 +17,9 @@ from .errors import (FixcatError, NoProducts, NotContractible, SchemaError,
 LIST_THRESHOLD = 24
 
 
-def _expect(obj, types, what):
-    if not isinstance(obj, types):
-        raise SchemaError(f"expected a {what} document")
-    return obj
-
-
 def cmd_star(args):
     entry = models.REGISTRY[args.model]
-    f = _expect(serialize.load_document(args.input), entry.doc_type,
-                entry.kind_name)
+    f = serialize.load_document(args.input, kind=entry.kind)
     if args.model == "cat":
         chain = algebra.lambek_chain(f)
         if args.trace:
@@ -56,8 +49,7 @@ def cmd_star(args):
 
 
 def cmd_laws(args):
-    cfg = _expect(serialize.load_document(args.config), serialize.SuiteConfig,
-                  "suite-config")
+    cfg = serialize.load_document(args.config, kind="suite-config")
     if not cfg.models:
         raise SchemaError("suite-config: empty model list, nothing to check")
     seed = cfg.seed if args.seed is None else args.seed
@@ -67,8 +59,7 @@ def cmd_laws(args):
     broken_tables = 0
     for ref in cfg.categories:
         path = ref if os.path.isabs(ref) else os.path.join(base, ref)
-        c = _expect(serialize.load_document(path, validate=False),
-                    cat.FinCategory, "category")
+        c = serialize.load_document(path, validate=False, kind="category")
         problems = cat.validate_category(c)
         for p in problems:
             print(f"category {c.name}: {p}")
@@ -94,8 +85,7 @@ def cmd_laws(args):
 
 
 def cmd_lambek(args):
-    f = _expect(serialize.load_document(args.input), cat.FunctorData,
-                "functor")
+    f = serialize.load_document(args.input, kind="functor")
     chain = algebra.lambek_chain(f)
     for k, obj in enumerate(chain.objects):
         arrow = (f" --{chain.connectors[k]}-->"
@@ -110,15 +100,10 @@ def cmd_lambek(args):
 
 
 def cmd_wtype(args):
-    p = _expect(serialize.load_document(args.input), poly.Polynomial,
-                "polynomial")
+    p = serialize.load_document(args.input, kind="polynomial")
     stages = poly.wtype_stages(p, args.depth)
     print("counts: " + ", ".join(str(len(s)) for s in stages))
-    stable_at = None
-    for k in range(len(stages) - 1):
-        if stages[k] == stages[k + 1]:
-            stable_at = k
-            break
+    stable_at = poly.fixed_depth(stages)
     if stable_at is not None:
         print(f"stabilized at depth {stable_at}; {len(stages[stable_at])} "
               f"elements")
@@ -134,8 +119,7 @@ def cmd_wtype(args):
 
 
 def cmd_mtype(args):
-    c = _expect(serialize.load_document(args.input), poly.CoalgebraSystem,
-                "coalgebra-system")
+    c = serialize.load_document(args.input, kind="coalgebra-system")
     lines = [f"{x}: {_text(poly.mtype_unfold(c, x, args.depth))}"
              for x in sorted(c.states, key=str)]
     print("\n".join(lines))
@@ -165,10 +149,8 @@ def _text(tree):
 
 
 def cmd_bisim(args):
-    c1 = _expect(serialize.load_document(args.first), poly.CoalgebraSystem,
-                 "coalgebra-system")
-    c2 = _expect(serialize.load_document(args.second), poly.CoalgebraSystem,
-                 "coalgebra-system")
+    c1 = serialize.load_document(args.first, kind="coalgebra-system")
+    c2 = serialize.load_document(args.second, kind="coalgebra-system")
     all_pairs = True
     for x1 in sorted(c1.states, key=str):
         for x2 in sorted(c2.states, key=str):
@@ -184,10 +166,8 @@ def cmd_dinat_product(args):
     m = entry.make()
     if not m.has_products():
         raise NoProducts(f"model {args.model} does not support products")
-    f = _expect(serialize.load_document(args.f), entry.doc_type,
-                entry.kind_name)
-    g = _expect(serialize.load_document(args.g), entry.doc_type,
-                entry.kind_name)
+    f = serialize.load_document(args.f, kind=entry.kind)
+    g = serialize.load_document(args.g, kind=entry.kind)
     left, right = laws.product_route(m, f, g)
     gf_star = m.star(m.compose(g, f))
     fg_star = m.star(m.compose(f, g))

@@ -264,11 +264,7 @@ def poset_conjugation_square(f, tag):
 def poset_closure_square(g):
     """Restrict g to the orbit of bottom; the inclusion intertwines them."""
     b = g.source
-    orbit = {b.bottom}
-    x = b.bottom
-    while g(x) not in orbit:
-        x = g(x)
-        orbit.add(x)
+    orbit = set(poset.iterates(g))
     elems = [e for e in b.elements if e in orbit]
     sub = poset.PointedPoset(
         elems, {(u, v) for (u, v) in b.leq_pairs if u in orbit and v in orbit},
@@ -367,10 +363,7 @@ def rel_conjugation_square(rng, f, prefix):
 
 def rel_closure_square(g):
     """Restrict g to its derivation-closed set of derivable elements."""
-    closed = frozenset()
-    for _ in range(len(g.source) + 1):
-        closed = frozenset(b for (m, b) in g.pairs
-                           if rel.mset_support(m) <= closed) | closed
+    closed = {b for (_, b) in rel.mrel_star(g).pairs}
     a = tuple(x for x in g.source if x in closed)
     f = rel.MultisetRel(a, a, {(m, b) for (m, b) in g.pairs
                                if rel.mset_support(m) <= closed and b in closed},

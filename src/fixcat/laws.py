@@ -919,12 +919,10 @@ _DECLARED = frozenset(FIX_LAWS + DINAT_LAWS + UNIF_LAWS)
 def product_route(m: FixpointModel, f, g):
     """(pi1(h*), pi2(h*)) for h = sw . (f x g): A x B -> A x B, the
     product-route constructions of (gf)* and (fg)*.  The symmetry sw is
-    the pairing <pi2, pi1> of B x A's projections."""
-    if not m.has_products():
-        raise NoProducts(f"{m.name} does not supply products")
+    the pairing <pi2, pi1> of B x A's projections; an adapter without
+    products raises NoProducts from its projections."""
+    _require_opposed(m, f, g)
     a, b = m.src(f), m.dst(f)
-    if not (m.eq_obj(a, m.dst(g)) and m.eq_obj(b, m.src(g))):
-        raise TypeMismatch("need f: A -> B and g: B -> A")
     p1 = m.proj1(a, b)
     p2 = m.proj2(a, b)
     fxg = m.pair(m.compose(f, p1), m.compose(g, p2))   # A x B -> B x A
@@ -950,8 +948,9 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     For each endo the candidate components star1(f) => star2(f) are
     narrowed by the fix-compatibility square; exactly one candidate must
     survive per endo (NotContractible otherwise).  Optional channels check
-    the delta family against naturality cells and dinat pairs; the delta
-    found for an endo is kept by value and reused there.  Every endo, cell
+    the delta family against naturality cells and dinat pairs.  One
+    `search` per endo value finds its candidates and delta; a value-equal
+    endo and the channels reuse what it found.  Every endo, cell
     and pair is evaluated under its own fresh memo, one dict handed to both
     adapters: a composite such as a dinat pair's fg, gf or f.(gf)* is
     computed once for the two of them, while their stars, keyed by adapter,
@@ -961,39 +960,36 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     error messages are rendered with describe1/describe2.
     """
     m = m1
-    found = {}                  # endo, by value -> its unique delta
+    found = {}          # endo, by value -> (candidates searched, its delta)
     deltas = []
     searched = 0
 
-    def delta_for(f):
-        delta = found.get(f)
-        if delta is None:
-            _, good = _fix_compatible(m1, m2, f)
-            if len(good) != 1:
-                raise NotContractible(len(good), f"at {m.describe1(f)}")
-            delta = found[f] = good[0]
-        return delta
-
-    m1._run, m2._run = {}, {}
-    try:
-        for f in endos:
-            m1._memo = m2._memo = {}
+    def search(f):
+        hit = found.get(f)
+        if hit is None:
             cands, good = _fix_compatible(m1, m2, f)
-            searched += len(cands)
             if len(good) != 1:
                 raise NotContractible(
                     len(good),
                     f"{m1.name} vs {m2.name} at {m.describe1(f)}: "
                     f"{len(good)} fix-compatible candidates among {len(cands)}")
-            delta = found[f] = good[0]
-            deltas.append({"endo": f, "candidates": len(cands),
+            hit = found[f] = (len(cands), good[0])
+        return hit
+
+    m1._run, m2._run = {}, {}
+    try:
+        for f in endos:
+            m1._memo = m2._memo = {}
+            cands, delta = search(f)
+            searched += cands
+            deltas.append({"endo": f, "candidates": cands,
                            "delta": delta,
                            "is_identity": m.eq2(delta, m.id2(m1.star(f)))})
         for alpha in cells:
             m1._memo = m2._memo = {}
             f, g = alpha.source, alpha.target
-            d_f = delta_for(f)
-            d_g = delta_for(g)
+            d_f = search(f)[1]
+            d_g = search(g)[1]
             lhs = m.vcomp2(d_g, m1.star_2cell(alpha))
             rhs = m.vcomp2(m2.star_2cell(alpha), d_f)
             if not m.eq2(lhs, rhs):
@@ -1001,8 +997,8 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
         for (f, g) in pairs:
             m1._memo = m2._memo = {}
             fg, gf = m.compose(f, g), m.compose(g, f)
-            lhs = m.vcomp2(m2.dinat_witness(f, g), delta_for(fg))
-            rhs = m.vcomp2(m.whisker_l(f, delta_for(gf)),
+            lhs = m.vcomp2(m2.dinat_witness(f, g), search(fg)[1])
+            rhs = m.vcomp2(m.whisker_l(f, search(gf)[1]),
                            m1.dinat_witness(f, g))
             if not m.eq2(lhs, rhs):
                 raise NotContractible(
@@ -1036,8 +1032,9 @@ def run_suite(jobs, seed=0):
     All laws of a job go through one `run_laws` call, so each instance is
     evaluated once for every law that reads it, under one memo, and each
     distinct star is computed once per channel.
-    Deterministic for a fixed corpus; the seed is only echoed so reports
-    produced from seeded corpora carry their provenance.
+    Deterministic for a fixed corpus.  `seed` is accepted for callers
+    that pass one (perfbench passes `seed=`) and is never read: the
+    corpora carry their own seed.
     """
     reports = []
     for model, corpus in jobs:

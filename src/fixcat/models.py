@@ -15,8 +15,9 @@ The thin adapters' compose is `memoized` on the instance memo, and their
 star, like the cat adapter's chain, on the run table (`laws.memoized`).
 
 `REGISTRY` maps every suite spec to its adapter factory, its family's
-corpus builder, the document kind its 1-cells are read from, and the
-adapter with its family's second star construction, where one ships.
+corpus builder, the document kind its 1-cells are read from (the `kind=`
+the command line hands `serialize.load_document`), and the adapter with
+its family's second star construction, where one ships.
 Whether a family has products is its adapter's `has_products()`.
 """
 
@@ -318,23 +319,22 @@ class CatModel(FixpointModel):
 
 class ModelSpec(NamedTuple):
     """One suite spec.  `make()` builds its adapter; `corpus(draws, seed)`
-    builds its family's corpus; its 1-cells are `doc_type` documents of
-    kind `kind_name`; `second()` builds the adapter with the family's
-    other star construction."""
+    builds its family's corpus; its 1-cells are read from documents of
+    kind `kind`; `second()` builds the adapter with the family's other
+    star construction."""
 
     make: Callable
     corpus: Callable
-    doc_type: type
-    kind_name: str
+    kind: str
     second: Optional[Callable] = None
 
 
 # The builders are looked up in `corpora` per call, not bound here, so a
 # wrapper installed on that module (perfbench's tracer) sees every build.
 _POSET = (lambda draws, seed: corpora.poset_corpus(draws, seed),
-          poset.MonotoneMap, "monotone-map")
+          "monotone-map")
 _REL = (lambda draws, seed: corpora.rel_corpus(draws, seed),
-        rel.MultisetRel, "multiset-relation")
+        "multiset-relation")
 
 REGISTRY = {
     "poset": ModelSpec(partial(PosetModel, "kleene"), *_POSET,
@@ -348,9 +348,9 @@ REGISTRY = {
     "rel:tree": ModelSpec(partial(RelModel, "tree"), *_REL),
     "scott": ModelSpec(ScottModel,
                        lambda draws, seed: corpora.scott_corpus(draws, seed),
-                       rel.IdealRel, "ideal-relation"),
+                       "ideal-relation"),
     "cat": ModelSpec(CatModel, lambda draws, seed: corpora.cat_corpus(),
-                     cat.FunctorData, "functor"),
+                     "functor"),
 }
 
 # The specs the command line's --model takes: one per family.

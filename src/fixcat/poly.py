@@ -197,6 +197,14 @@ def _chain(name, per_stage, depth):
     return stages
 
 
+def fixed_depth(stages):
+    """The first k where stage k+1 has the same size as stage k, or None.
+    Each stage of a chain contains the one before, so the same size means
+    the same set."""
+    return next((k for k in range(len(stages) - 1)
+                 if len(stages[k + 1]) == len(stages[k])), None)
+
+
 def _count_stages(name, per_stage, depth):
     """Raise SizeCap, before any tree is built, when the chain applying
     `per_stage` in turn at each of `depth` stages would at some step hold
@@ -474,11 +482,7 @@ def freyd_dinat_check(f: Polynomial, g: Polynomial, depth: int = 4) -> dict:
             report["sandwich_ok"] = False
             report["sandwich_counterexample"] = d
             break
-    stabilized_at = None
-    for d in range(depth):
-        if t[d] == t[d + 1]:
-            stabilized_at = d
-            break
+    stabilized_at = fixed_depth(t)
     report["stabilized_at"] = stabilized_at
     if stabilized_at is None:
         report["partial"] = True

@@ -178,13 +178,7 @@ def kleene_star(f: MonotoneMap):
     """Least fixpoint of an endomap by iteration from bottom."""
     if f.source != f.target:
         raise TypeMismatch("kleene_star needs an endomap")
-    x = f.source.bottom
-    for _ in range(len(f.source.elements) + 1):
-        nxt = f.assignment[x]
-        if nxt == x:
-            return x
-        x = nxt
-    raise ValidationError("iteration failed to stabilize; map is not monotone?")
+    return iterates(f)[-1]
 
 
 def iterates(f: MonotoneMap):

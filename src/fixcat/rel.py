@@ -57,10 +57,6 @@ def mset_size(m) -> int:
     return sum(k for (_, k) in m)
 
 
-def mset_map(fn, m) -> Tuple:
-    return mset([fn(x) for (x, k) in m for _ in range(k)])
-
-
 class MultisetRel:
     """A finite multiset relation between finite carriers.
 

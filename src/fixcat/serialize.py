@@ -8,6 +8,10 @@ canonically printed documents, which keeps goldens byte-stable.
 Multisets are serialized as sorted (element, multiplicity) pairs, input
 sets of ideal relations as sorted element lists, finite relations and maps
 as sorted pair lists.
+
+A command names the kind it reads with `load_document(path, kind=...)`;
+a valid document of another kind is then rejected with one SchemaError
+that names both kinds.
 """
 
 import json
@@ -66,27 +70,34 @@ class SuiteConfig:
 
 # --- parsing ---------------------------------------------------------------------
 
-def parse_document(text, validate=True):
+def parse_document(text, validate=True, kind=None):
+    """The object `text` describes.  With `kind`, a document of another
+    kind is rejected once it has been parsed and validated, so a broken
+    document reports its own problems first."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _PARSERS:
-        raise SchemaError(f"unknown kind {kind!r}")
-    return _PARSERS[kind](doc, validate)
+    found = doc.get("kind")
+    if not isinstance(found, str) or found not in _PARSERS:
+        raise SchemaError(f"unknown kind {found!r}")
+    obj = _PARSERS[found](doc, validate)
+    if kind is not None and found != kind:
+        raise SchemaError(f"expected a document of kind {kind!r}, "
+                          f"not {found!r}")
+    return obj
 
 
-def load_document(path, validate=True):
+def load_document(path, validate=True, kind=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise SchemaError(f"{path}: {e}") from e
     try:
-        return parse_document(text, validate)
+        return parse_document(text, validate, kind)
     except SchemaError as e:
         raise SchemaError(f"{path}: {e}") from e
 
@@ -259,7 +270,8 @@ def _parse_suite_config(doc, validate):
         raise SchemaError("suite-config: draws must be a nonnegative integer")
     if not _is_int(seed):
         raise SchemaError("suite-config: seed must be an integer")
-    if not isinstance(categories, list):
+    if not isinstance(categories, list) or not all(
+            isinstance(ref, str) for ref in categories):
         raise SchemaError("suite-config: categories must be a list of paths")
     return SuiteConfig(models=list(specs), draws=draws, seed=seed,
                        categories=list(categories))

@@ -89,6 +89,42 @@ def test_star_rejects_wrong_kind(capsys):
     assert "monotone-map" in err
 
 
+# Each command's argv, whose last document is valid but of the wrong
+# kind, with the kind the command reads and the kind it finds.
+WRONG_KIND = {
+    "star-poset": (["star", "rel_grow.json", "--model", "poset"],
+                   "monotone-map", "multiset-relation"),
+    "star-rel": (["star", "poset_climb.json", "--model", "rel"],
+                 "multiset-relation", "monotone-map"),
+    "star-scott": (["star", "rel_grow.json", "--model", "scott"],
+                   "ideal-relation", "multiset-relation"),
+    "star-cat": (["star", "scott_emit.json", "--model", "cat"],
+                 "functor", "ideal-relation"),
+    "laws": (["laws", "poset_chain3.json"], "suite-config", "poset"),
+    "lambek": (["lambek", "category_aut.json"], "functor", "category"),
+    "wtype": (["wtype", "system_loop_a.json"],
+              "polynomial", "coalgebra-system"),
+    "mtype": (["mtype", "poly_bintree.json"],
+              "coalgebra-system", "polynomial"),
+    "bisim": (["bisim", "system_loop_a.json", "poly_const.json"],
+              "coalgebra-system", "polynomial"),
+    "dinat-product": (["dinat-product", "rel_fwd.json", "scott_emit.json",
+                       "--model", "rel"],
+                      "multiset-relation", "ideal-relation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND))
+def test_wrong_kind_exits_two_naming_both_kinds(capsys, case):
+    argv, want, found = WRONG_KIND[case]
+    argv = [sample(a) if a.endswith(".json") else a for a in argv]
+    bad = [a for a in argv if a.endswith(".json")][-1]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {bad}: expected a document of kind "
+                   f"'{want}', not '{found}'\n")
+
+
 def test_star_missing_file(capsys):
     code, _, err = run(capsys, "star", "no_such_file.json",
                        "--model", "poset")
@@ -398,6 +434,9 @@ MALFORMED = {
     "suite-seed-true": (
         {"kind": "suite-config", "models": ["poset"], "draws": 0,
          "seed": True}, ["laws"]),
+    "suite-category-not-a-path": (
+        {"kind": "suite-config", "models": ["poset"], "draws": 0,
+         "categories": [3]}, ["laws"]),
 }
 
 

@@ -2,7 +2,9 @@
 is the standard library's or its own, and none of them starts a thread or
 another process.  No module of the package reads the process environment.
 No module of the package or its tests imports a name it never reads.  The
-package's modules import each other without a cycle."""
+package's modules import each other without a cycle.  Every module-level
+function or class that neither the package nor perfbench reads is one of
+a decided few."""
 
 import ast
 import graphlib
@@ -13,6 +15,7 @@ import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fixcat"
+PERFBENCH = TESTS.parent / "perfbench"
 CONCURRENT = {"multiprocessing", "threading", "subprocess", "concurrent"}
 ENVIRONMENT = {"environ", "getenv", "environb", "getenvb"}
 
@@ -101,3 +104,58 @@ def test_package_has_no_import_cycle():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as err:
         pytest.fail(f"import cycle {' -> '.join(err.args[1])}")
+
+
+# The module-level names no module of the package or of perfbench reads,
+# and why each stays although nothing in them calls it.
+UNREAD_BY_DESIGN = {
+    # the paper's checks of acceptance criteria 5 and 7, which the tests run
+    "algebra.adjoint_equivalence_from_initial",
+    "algebra.cocone_mediator",
+    "algebra.pseudo_initial_mediator",
+    "algebra.unique_algebra_2cell",
+    "poly.freyd_dinat_check",
+    "poly.span_uniformity_check",
+    # reference implementations the tests compare the fast paths against
+    "poset.all_fixpoints",
+    "rel._class_rep",
+    "rel.canon_uset",
+    "rel.discrete_preorder",
+    "rel.normalize_pairs",
+    # fixtures: the standard polynomials and the span predicate
+    "poly.binary_tree_poly",
+    "poly.constant_poly",
+    "poly.identity_poly",
+    "poly.identity_poly_morphism",
+    "poly.is_span",
+    # the canonical printer the round-trip tests compare against
+    "serialize.print_document",
+}
+
+
+def unread_definitions(modules, readers):
+    """`module.name` for every module-level def or class in `modules`
+    whose name no `Name`, `Attribute` or import alias in `readers`
+    reads."""
+    defined = {f"{path.stem}.{node.name}"
+               for path in modules
+               for node in ast.parse(path.read_text(), str(path)).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))}
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return {name for name in defined if name.partition(".")[2] not in read}
+
+
+def test_every_unread_definition_is_decided():
+    modules = sorted(SRC.glob("*.py"))
+    readers = modules + sorted(PERFBENCH.glob("*.py"))
+    assert len(modules) > 1 and len(readers) > len(modules)
+    assert unread_definitions(modules, readers) == UNREAD_BY_DESIGN

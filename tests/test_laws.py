@@ -215,6 +215,33 @@ def test_compare_cat_with_itself(cat_corpus):
     assert rep.instances == len(cat_corpus.endos)
 
 
+def test_compare_searches_value_equal_endos_once(poset_corpus,
+                                                 monkeypatch):
+    f = next(e for e in poset_corpus.endos if len(e.source.elements) == 3)
+    twin = poset.MonotoneMap(f.source, f.target, f.assignment, name="twin")
+    one = compare_operators(PosetModel("kleene"), PosetModel("bifree"), [f])
+    calls = []
+    search = laws._fix_compatible
+
+    def counting(m1, m2, endo):
+        calls.append(endo)
+        return search(m1, m2, endo)
+
+    monkeypatch.setattr(laws, "_fix_compatible", counting)
+    rep = compare_operators(PosetModel("kleene"), PosetModel("bifree"),
+                            [f, twin])
+    assert calls == [f]
+    assert rep.instances == 2
+    assert [d["endo"] for d in rep.deltas] == [f, twin]
+    for d in rep.deltas:
+        assert {k: d[k] for k in ("candidates", "delta", "is_identity")} \
+            == {k: one.deltas[0][k]
+                for k in ("candidates", "delta", "is_identity")}
+    searched = 2 * one.deltas[0]["candidates"]
+    assert rep.certificate == (f"each of 2 components unique among "
+                               f"{searched} invertible candidates searched")
+
+
 def test_compare_disagreeing_operators_not_contractible(poset_corpus):
     with pytest.raises(NotContractible):
         compare_operators(PosetModel("kleene"), BrokenPosetModel(),

@@ -26,7 +26,6 @@ from fixcat.rel import (
     mrel_proj2,
     mrel_star,
     mset,
-    mset_map,
     mset_support,
     mset_union,
     normalize_pairs,
@@ -54,7 +53,6 @@ def test_mset_canonical_form():
     assert mset([]) == EMPTY_MSET == ()
     assert mset_union(mset(["a"]), mset(["a", "b"])) == (("a", 2), ("b", 1))
     assert mset_support(mset(["a", "a", "b"])) == {"a", "b"}
-    assert mset_map(lambda x: ("inl", x), mset(["a", "a"])) == ((("inl", "a"), 2),)
 
 
 def test_mset_sorts_mixed_types():
