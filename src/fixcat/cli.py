@@ -53,13 +53,14 @@ def cmd_laws(args):
     if not cfg.models:
         raise SchemaError("suite-config: empty model list, nothing to check")
     seed = cfg.seed if args.seed is None else args.seed
+    base = os.path.dirname(os.path.abspath(args.config))
+    tables = [serialize.load_document(os.path.join(base, ref),
+                                      validate=False, kind="category")
+              for ref in cfg.categories]
     print(f"seed: {seed}")
 
-    base = os.path.dirname(os.path.abspath(args.config))
     broken_tables = 0
-    for ref in cfg.categories:
-        path = ref if os.path.isabs(ref) else os.path.join(base, ref)
-        c = serialize.load_document(path, validate=False, kind="category")
+    for c in tables:
         problems = cat.validate_category(c)
         for p in problems:
             print(f"category {c.name}: {p}")
@@ -68,8 +69,9 @@ def cmd_laws(args):
         else:
             print(f"category {c.name}: table valid")
 
+    # one corpus at a time: each is built as run_suite reaches it
     entries = [models.REGISTRY[spec] for spec in cfg.models]
-    jobs = [(e.make(), e.corpus(cfg.draws, seed)) for e in entries]
+    jobs = ((e.make(), e.corpus(cfg.draws, seed)) for e in entries)
     reports = laws.run_suite(jobs, seed=seed)
     for r in reports:
         print(r.line())
@@ -181,13 +183,13 @@ def cmd_dinat_product(args):
 
 
 def cmd_compare(args):
-    print(f"seed: {args.seed}")
     entry = models.REGISTRY[args.model]
     if entry.second is None:
         raise SchemaError(f"no second operator shipped for model "
                           f"{args.model!r}")
     m1, m2 = entry.make(), entry.second()
     corpus = entry.corpus(args.draws, args.seed)
+    print(f"seed: {args.seed}")
     report = laws.compare_operators(m1, m2, corpus.endos,
                                     cells=corpus.endo_cells,
                                     pairs=corpus.dinat_pairs)

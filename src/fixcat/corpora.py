@@ -19,6 +19,11 @@ pairs and squares, and `_random_tail` appends the seeded random endos,
 pairs and squares.  Each takes the family's own functions (compose, and
 identity where it needs one), never an adapter: the adapters' registry
 imports this module, not the other way round.
+
+A builder enumerates the exhaustive 1-cells between each pair of objects
+once, into one table, and lists its exhaustive dinat pairs, triples and
+squares from that table: a pair or triple holds the table's objects, not
+fresh copies of them.
 """
 
 import itertools
@@ -91,7 +96,9 @@ def _transitive_closure(pairs):
 def _square_search(objs, endos, strict_maps, compose):
     """Every uniformity square (s, f, g, s.f => g.s) with s in
     strict_maps(a, b) and f, g in endos(a), endos(b), over objs.  Each s
-    buckets the endos g by g.s; each s.f then finds its g's by value."""
+    buckets the endos g, with g.s, by g.s; each s.f then finds its g's by
+    value, and a square's 2-cell reuses the bucketed g.s.  So compose runs
+    once per (s, g) and once per (s, f), never once per square."""
     squares = []
     for a in objs:
         endos_a = endos(a)
@@ -100,11 +107,12 @@ def _square_search(objs, endos, strict_maps, compose):
             for s in strict_maps(a, b):
                 left = {}
                 for g in endos_b:
-                    left.setdefault(compose(g, s), []).append(g)
+                    gs = compose(g, s)
+                    left.setdefault(gs, []).append((g, gs))
                 for f in endos_a:
                     sf = compose(s, f)
-                    for g in left.get(sf, ()):
-                        squares.append((s, f, g, ThinCell(sf, compose(g, s))))
+                    for g, gs in left.get(sf, ()):
+                        squares.append((s, f, g, ThinCell(sf, gs)))
     return squares
 
 
@@ -381,15 +389,14 @@ def rel_corpus(draws=1000, seed=0):
     for a in carriers:
         c.endos.extend(rel_fragment_endos(a))
     c.endo_cells = [ThinCell(f, f) for f in c.endos]
+    graphs = {(a, b): rel_partial_graphs(a, b)
+              for a in carriers for b in carriers}
     for a in carriers:
         for b in carriers:
-            for f in rel_partial_graphs(a, b):
-                for g in rel_partial_graphs(b, a):
-                    c.dinat_pairs.append((f, g))
-    endo_graphs = {a: rel_partial_graphs(a, a) for a in carriers}
+            c.dinat_pairs.extend(itertools.product(graphs[a, b], graphs[b, a]))
     c.dinat_triples = _stride_sample_products(
-        [(gs, gs, gs) for gs in endo_graphs.values()], TRIPLE_CAP)
-    c.unif_squares = _square_search(carriers, endo_graphs.__getitem__,
+        [(graphs[a, a],) * 3 for a in carriers], TRIPLE_CAP)
+    c.unif_squares = _square_search(carriers, lambda a: graphs[a, a],
                                     rel_function_rels, rel.mrel_compose)
     derive_channels(c, rel.mrel_identity, rel.mrel_compose)
     big = {4: rel_carrier(4), 5: rel_carrier(5)}
@@ -534,21 +541,19 @@ def scott_corpus(draws=1000, seed=0):
         c.endos.extend(frags[p])
     c.endo_cells = [ThinCell(f, f)
                     for f in _stride_sample(c.endos, 4 * DERIVED_CAP)]
+    graphs = {(a, b): scott_partial_graphs(a, b) for a in small for b in small}
     for a in small:
         for b in small:
-            for f in scott_partial_graphs(a, b):
-                for g in scott_partial_graphs(b, a):
-                    c.dinat_pairs.append((f, g))
+            c.dinat_pairs.extend(itertools.product(graphs[a, b], graphs[b, a]))
     for p in big3:
         fns = _scott_function_rels(p)
         c.dinat_pairs.extend(itertools.product(fns, fns))
-    endo_graphs = [scott_partial_graphs(p, p) for p in small]
     c.dinat_triples = _stride_sample_products(
-        [(gs, gs, gs) for gs in endo_graphs], TRIPLE_CAP)
+        [(graphs[p, p],) * 3 for p in small], TRIPLE_CAP)
 
     squares = _square_search(
         small, frags.__getitem__,
-        lambda a, b: [s for s in scott_partial_graphs(a, b)
+        lambda a, b: [s for s in graphs[a, b]
                       if all(len(u) == 1 for (u, _) in s.pairs)],
         rel.scott_compose)
     for p in big3:

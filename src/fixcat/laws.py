@@ -1029,6 +1029,9 @@ def _fix_compatible(m1, m2, f):
 def run_suite(jobs, seed=0):
     """Run every law check for each (model, corpus) job; sorted by law id.
 
+    `jobs` is any iterable of (model, corpus) pairs.  A job's corpus is
+    released before the next job is drawn, so a generator that builds
+    each corpus on demand keeps only one corpus alive at a time.
     All laws of a job go through one `run_laws` call, so each instance is
     evaluated once for every law that reads it, under one memo, and each
     distinct star is computed once per channel.
@@ -1041,4 +1044,5 @@ def run_suite(jobs, seed=0):
         for rep in run_laws(model, corpus, FIX_LAWS + DINAT_LAWS + UNIF_LAWS):
             rep.law_id = f"{model.name}/{rep.law_id}"
             reports.append(rep)
+        del corpus
     return sorted(reports, key=lambda r: r.law_id)

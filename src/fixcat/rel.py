@@ -61,7 +61,9 @@ class MultisetRel:
     """A finite multiset relation between finite carriers.
 
     Relations are immutable; equality and the (cached) hash ignore the name
-    and the order of the carriers.
+    and the order of the carriers.  A carrier has no repeated element, so
+    carriers that name the same set have the same size, and the hash
+    covers the pairs and both carrier sizes.
     """
 
     __slots__ = ("source", "target", "pairs", "name", "_hash")
@@ -83,6 +85,10 @@ class MultisetRel:
     def _problems(self, pairs):
         problems = []
         src, tgt = set(self.source), set(self.target)
+        if len(src) != len(self.source):
+            problems.append("duplicate source elements")
+        if len(tgt) != len(self.target):
+            problems.append("duplicate target elements")
         for (m, b) in pairs:
             if b not in tgt:
                 problems.append(f"output {b!r} outside target")
@@ -103,7 +109,8 @@ class MultisetRel:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.pairs)
+            self._hash = hash((self.pairs, len(self.source),
+                               len(self.target)))
         return self._hash
 
     def __repr__(self):
@@ -281,6 +288,8 @@ class Preorder:
     def _problems(self, elems, leq):
         problems = []
         carrier = set(self.elements)
+        if len(self.elements) != len(carrier):
+            problems.append("duplicate elements")
         for (x, y) in leq:
             if x not in carrier or y not in carrier:
                 problems.append(f"pair ({x!r},{y!r}) outside carrier")

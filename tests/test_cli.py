@@ -204,6 +204,15 @@ def test_laws_adapter_crash_exits_one_with_every_law_reported(
     assert all("<error> != KeyError: 'boom'" in line for line in failing)
 
 
+def test_laws_missing_category_prints_nothing_on_stdout(tmp_path, capsys):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"kind": "suite-config", "models": ["poset"],
+                               "draws": 0, "categories": ["missing.json"]}))
+    code, out, err = run(capsys, "laws", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_laws_missing_config(capsys):
     code, _, err = run(capsys, "laws", "no_such_config.json")
     assert code == 2
@@ -353,8 +362,8 @@ def test_compare_rel(capsys):
 
 
 def test_compare_scott_unsupported(capsys):
-    code, _, err = run(capsys, "compare", "--model", "scott")
-    assert code == 2
+    code, out, err = run(capsys, "compare", "--model", "scott")
+    assert (code, out) == (2, "")
     assert "no second operator" in err
 
 
@@ -471,6 +480,29 @@ def test_ideal_relation_pair_dropped_by_normalization_is_rejected(
     assert code == 2
     assert out == ""
     assert err == "error: emit: input set ('zzz',) outside source\n"
+
+
+DOUBLED = {"kind": "preorder", "name": "doubled", "elements": ["a", "a"],
+           "leq": [["a", "a"]]}
+REPEATED_ELEMENTS = {
+    "multiset-relation": (
+        {"kind": "multiset-relation", "name": "r", "source": ["a", "a"],
+         "target": ["a", "a"], "pairs": [[[], "a"]]}, "rel",
+        "error: r: duplicate source elements; duplicate target elements\n"),
+    "ideal-relation": (
+        {"kind": "ideal-relation", "name": "r", "source": DOUBLED,
+         "target": DOUBLED, "pairs": [[[], "a"]]}, "scott",
+        "error: doubled: duplicate elements\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_ELEMENTS))
+def test_repeated_carrier_element_exits_two(tmp_path, capsys, kind):
+    doc, model, message = REPEATED_ELEMENTS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "star", str(path), "--model", model)
+    assert (code, out, err) == (2, "", message)
 
 
 INVALID_UNDER_HASHING = {

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixcat import laws, models, poset
 from fixcat.corpora import (
+    _square_search,
     _stride_sample,
     _stride_sample_products,
     cat_corpus,
@@ -214,6 +215,35 @@ def test_rel_corpus_build_peak_within_twice_retained():
         tracemalloc.stop()
     assert corpus.dinat_triples
     assert peak - base <= 2 * (retained - base)
+
+
+@pytest.mark.parametrize("build, distinct", [(rel_corpus, 278),
+                                              (scott_corpus, 218)])
+def test_exhaustive_dinat_pairs_share_their_one_cells(build, distinct):
+    # one object per distinct partial graph, not one per pair listed
+    pairs = build(draws=0, seed=0).dinat_pairs
+    assert len({g for (_, g) in pairs}) == distinct
+    assert len({id(g) for (_, g) in pairs}) == distinct
+
+
+def test_square_search_composes_once_per_endo_not_per_square():
+    posets = pointed_posets(3)
+    maps = {(a, b): monotone_maps(a, b) for a in posets for b in posets}
+    calls = []
+
+    def counting_compose(g, f):
+        calls.append(None)
+        return poset.compose_maps(g, f)
+
+    squares = _square_search(posets, lambda p: maps[p, p],
+                             lambda a, b: maps[a, b], counting_compose)
+    assert len(squares) > len(calls) > 0
+    assert len(calls) == sum(
+        len(maps[a, b]) * (len(maps[a, a]) + len(maps[b, b]))
+        for a in posets for b in posets)
+    for (s, f, g, gamma) in squares:
+        assert gamma.source == poset.compose_maps(s, f)
+        assert gamma.target == poset.compose_maps(g, s)
 
 
 # --- value fingerprints of the relational corpora ----------------------------

@@ -6,7 +6,9 @@ suite gave before law evaluation was reordered and memoized, and each
 `compare` run gave before stars were shared across a run; a run now must
 print exactly the same, counterexample text included.  The `star`,
 `dinat-product` and unsupported-`compare` runs were captured before the
-command line read its models from one registry, stderr included.  The
+command line read its models from one registry, stderr included; the
+unsupported-`compare` stdout has been empty since a command stopped
+printing its `seed:` line before an input error.  The
 `wtype`, `mtype` and `bisim` runs were captured while W-type trees were
 still frozen dataclasses hashed anew on every set insert, and while an
 over-budget `wtype --depth` still built the stages below the budget

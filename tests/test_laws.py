@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gc
 import random
+import weakref
 
 from fixcat import corpora, laws, poset, rel
 from fixcat.errors import (InvalidSquare, NoProducts, NotContractible,
@@ -334,6 +336,24 @@ def test_unif_law_on_random_closure_squares(seed):
     s, f, g2, gamma = corpora.poset_closure_square(g)
     w = m.unif_witness(s, f, g2, gamma)
     assert m.cell_ok(w)
+
+
+def test_run_suite_releases_each_corpus_before_drawing_the_next():
+    chain = corpora.pointed_posets(3)[-1]
+    alive_at_second = []
+
+    def jobs():
+        first = Corpus(endos=corpora.monotone_maps(chain, chain))
+        ref = weakref.ref(first)
+        yield PosetModel(), first
+        del first
+        gc.collect()
+        alive_at_second.append(ref() is not None)
+        yield PosetModel(), Corpus(endos=corpora.monotone_maps(chain, chain))
+
+    reports = run_suite(jobs())
+    assert alive_at_second == [False]
+    assert len(reports) == 2 * len(FIX_LAWS + DINAT_LAWS + UNIF_LAWS)
 
 
 # --- instance-major evaluation under a per-instance memo ---------------------

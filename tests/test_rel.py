@@ -487,6 +487,18 @@ def test_permuted_carriers_compare_hash_and_compose_equal():
     assert tree_star(r_perm, 3).final == tree_star(r, 3).final
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_relations_equal_up_to_carrier_order_hash_equal(na, nb, data):
+    a = tuple(f"a{i}" for i in range(na))
+    b = tuple(range(nb))
+    pairs = random_mrel_pairs(data, a, b)
+    r = MultisetRel(a, b, pairs)
+    r_perm = MultisetRel(data.draw(st.permutations(a)),
+                         data.draw(st.permutations(b)), pairs)
+    assert r == r_perm and hash(r) == hash(r_perm)
+
+
 def test_different_carriers_differ_and_refuse_to_compose():
     r = MultisetRel(("a", "b"), ("a", "b"), {(mset(["a"]), "b")})
     wider = MultisetRel(("a", "b", "c"), ("a", "b", "c"), {(mset(["a"]), "b")})
