@@ -18,6 +18,11 @@ channel.  Memoized adapter methods read one table each: composites the
 instance memo `_memo`, stars (and the cat adapter's chains) the run table
 `_run`.  A recorded program points `_memo` at the run table for the steps
 that follow a star, so composites of stars are kept for a channel walk.
+A run table keeps one object per value: a star or a composite of one
+equal to a result the table holds already (f.f* and f* where fix holds)
+is that result, so equal values share one object for the table's life.
+An unhashable result, such as the cat adapter's chain, cannot be looked
+up by value and is kept as computed.
 
 Thin adapters present a 2-cell as a ThinCell: the bare claim that its two
 boundary 1-cells are equal.  Pasting then only composes boundaries, and
@@ -41,7 +46,7 @@ from .errors import (BoundaryMismatch, InvalidSquare, NoProducts,
                      NotContractible, TypeMismatch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThinCell:
     """A 2-cell of a locally discrete model: the claim source == target."""
 
@@ -62,7 +67,14 @@ def memoized(method=None, *, run_scoped=False):
     compute with the same code.  A call that raises is not kept; the
     wrapped methods never return None.  Which table a composite lands in
     is the caller's choice: a recorded program's star part runs with
-    `_memo` set to the run table itself (`_Program.verdicts`)."""
+    `_memo` set to the run table itself (`_Program.verdicts`).
+    A result computed under the run table is also that table's one
+    object for its value, keyed by itself: when the table holds an equal
+    value already, the call returns that object instead.  Most stars and
+    star-part composites of a channel walk repeat earlier values, and
+    sharing them keeps one copy alive.  An unhashable result (the cat
+    adapter's chain) cannot be a key and is kept as computed.  The
+    instance memo keeps results as computed: it lives for one instance."""
     if method is None:
         return functools.partial(memoized, run_scoped=run_scoped)
 
@@ -74,7 +86,13 @@ def memoized(method=None, *, run_scoped=False):
         key = (method, *args)
         out = table.get(key)
         if out is None:
-            out = table[key] = method(self, *args)
+            out = method(self, *args)
+            if table is self._run:
+                try:
+                    out = table.setdefault(out, out)
+                except TypeError:
+                    pass
+            table[key] = out
         return out
     return shared
 
@@ -344,7 +362,8 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
     part, the composites of the instance's own 1-cells, runs under a memo
     of the instance; its star part, each star and every step built on
     one, runs under the channel's run table, so a distinct star and each
-    composite of it such as f.(gf)* is computed once per channel walk.
+    composite of it such as f.(gf)* is computed once per channel walk and
+    kept as one object per value.
     Both are keyed by value, so the verdicts are blind to names.  An
     instance the program cannot judge, and every instance of a channel
     without a program, is evaluated law by law under one fresh table,
@@ -955,7 +974,7 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     adapters: a composite such as a dinat pair's fg, gf or f.(gf)* is
     computed once for the two of them, while their stars, keyed by adapter,
     stay apart.  Each adapter's run table keeps its own stars for the whole
-    call.
+    call, one object per star value.
     Each `deltas` record keeps the endo and its delta as objects; only
     error messages are rendered with describe1/describe2.
     """

@@ -63,7 +63,10 @@ class MultisetRel:
     Relations are immutable; equality and the (cached) hash ignore the name
     and the order of the carriers.  A carrier has no repeated element, so
     carriers that name the same set have the same size, and the hash
-    covers the pairs and both carrier sizes.
+    covers the pairs and both carrier sizes.  An empty relation's pairs
+    name no element, so its hash covers both carriers as sets instead:
+    empty relations between distinct carriers of one size would all
+    collide in a value-keyed table.
     """
 
     __slots__ = ("source", "target", "pairs", "name", "_hash")
@@ -109,8 +112,9 @@ class MultisetRel:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.pairs, len(self.source),
-                               len(self.target)))
+            self._hash = hash((self.pairs, len(self.source), len(self.target))
+                              if self.pairs else
+                              (frozenset(self.source), frozenset(self.target)))
         return self._hash
 
     def __repr__(self):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 from fixcat import corpora, laws, poset, rel
@@ -468,18 +469,23 @@ def test_direct_checks_match_run_suite(make):
     assert sorted(direct, key=lambda r: r.law_id) == suite
 
 
+def keyed(table):
+    """The entries of a memo or run table keyed by (method, *arguments)."""
+    return sum(type(k) is tuple for k in table)
+
+
 def test_memo_is_per_instance_and_shared_across_laws():
     m = PosetModel()
     corpus = Corpus(endos=[UP, DOWN, UP])
     seen = []
 
     def first(m, f):
-        seen.append(("first", len(m._memo)))
+        seen.append(("first", keyed(m._memo)))
         m.star(f)
         return True, None, None
 
     def second(m, f):
-        seen.append(("second", len(m._memo)))
+        seen.append(("second", keyed(m._memo)))
         return True, None, None
 
     reports = laws.run_laws(m, corpus, [
@@ -487,6 +493,7 @@ def test_memo_is_per_instance_and_shared_across_laws():
         laws.Law("b", "", "endos", second, describe1)])
     assert [r.passes for r in reports] == [3, 3]
     # each instance starts from an empty memo; the second law sees the first's
+    # (counting keyed entries only: the table also holds the star's value)
     assert seen == [("first", 0), ("second", 1)] * 3
     assert m._memo is None
 
@@ -605,3 +612,107 @@ def test_counterexample_rendered_from_replay_without_run_table():
     assert got == want
     assert "two" not in got["left"] + got["right"]
     assert got["left"] == "1->other{'*'>'b'} => 1->other{'*'>'t'}"
+
+
+# --- one object per value in a run table ---------------------------------------
+
+# Two different endos of one carrier whose least fixpoints agree: b needs b.
+ONLY_A = rel.MultisetRel(("a", "b"), ("a", "b"), {(rel.EMPTY_MSET, "a")})
+A_AND_LOOP = rel.MultisetRel(("a", "b"), ("a", "b"),
+                             {(rel.EMPTY_MSET, "a"), (rel.mset(["b"]), "b")})
+
+
+class RecordingRelModel(RelModel):
+    """Records every star and composite the law engine hands back."""
+
+    def __init__(self):
+        super().__init__()
+        self.stars, self.composites = [], []
+
+    def star(self, f):
+        out = super().star(f)
+        self.stars.append(out)
+        return out
+
+    def compose(self, g, f):
+        out = super().compose(g, f)
+        self.composites.append(out)
+        return out
+
+
+def test_run_table_keeps_one_object_per_star_value():
+    assert ONLY_A != A_AND_LOOP
+    m = RelModel()
+    assert m.star(ONLY_A) == m.star(A_AND_LOOP)
+    m._run = {}
+    assert m.star(ONLY_A) is m.star(A_AND_LOOP)
+    m._run = None
+    # the same holds across the instances of a recorded channel walk
+    m = RecordingRelModel()
+    reports = laws.run_laws(m, Corpus(endos=[ONLY_A, A_AND_LOOP]), [FIX_CELL])
+    assert reports[0].passes == 2
+    assert len(m.stars) == 2 and m.stars[0] is m.stars[1]
+
+
+def test_star_part_composite_equal_to_a_star_is_that_star():
+    m = RelModel()
+    m._memo = m._run = {}
+    fs = m.star(ONLY_A)
+    assert m.compose(ONLY_A, fs) is fs
+    m._memo = m._run = None
+    # in a recorded program, f.f* is computed in the star part
+    m = RecordingRelModel()
+    reports = laws.run_laws(m, Corpus(endos=[A_AND_LOOP]), [FIX_CELL])
+    assert reports[0].passes == 1
+    star, = {id(s): s for s in m.stars}.values()
+    assert any(c is star for c in m.composites)
+
+
+def test_instance_memo_keeps_composites_as_computed():
+    # only a run table holds values; the instance memo is keyed alone
+    m = RelModel()
+    m._memo = {}
+    fs = m.star(ONLY_A)
+    c = m.compose(ONLY_A, fs)
+    assert c == fs and c is not fs
+    assert keyed(m._memo) == len(m._memo) == 1
+    m._memo = None
+
+
+def test_cat_run_with_unhashable_chains_matches_table_free_evaluation(
+        cat_corpus):
+    m = CatModel()
+    with pytest.raises(TypeError):
+        hash(m._chain(cat_corpus.endos[0]))
+    m._run = {}
+    chain = m._chain(cat_corpus.endos[0])
+    assert m._chain(cat_corpus.endos[0]) is chain
+    assert len(m._run) == 1
+    m._run = None
+    all_laws = FIX_LAWS + DINAT_LAWS + UNIF_LAWS
+    reports = run_laws(m, cat_corpus, all_laws)
+    for law, rep in zip(all_laws, reports):
+        insts = getattr(cat_corpus, law.channel)
+        verdicts = [laws._evaluate(m, law, inst)[0] for inst in insts]
+        assert rep.passes == sum(bool(ok) for ok in verdicts), law.law_id
+        assert rep.failed == (not all(verdicts)), law.law_id
+        assert rep.instances == len(insts) > 0
+
+
+def test_rel_endos_walk_peak_memory_is_bounded():
+    # the walk's run table holds one object per distinct star and
+    # star-part composite; keeping one per entry peaked at 5.0 MB here
+    corpus = corpora.rel_corpus(draws=12, seed=0)
+    endos = Corpus(endos=corpus.endos)
+    del corpus
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reports = run_laws(RelModel(), endos, FIX_LAWS + DINAT_LAWS + UNIF_LAWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(r.passes for r in reports) == 4 * len(endos.endos)
+    assert peak - base < 2_500_000

@@ -499,6 +499,15 @@ def test_relations_equal_up_to_carrier_order_hash_equal(na, nb, data):
     assert r == r_perm and hash(r) == hash(r_perm)
 
 
+def test_empty_relations_on_distinct_carriers_hash_apart():
+    # their pairs name no element; a run table holds many of them
+    empties = [MultisetRel(EMPTY_CARRIER, (f"E{i}0", f"E{i}1"), set())
+               for i in range(50)]
+    assert len({hash(r) for r in empties}) == 50
+    a, b = ("x", "y"), ("y", "x")
+    assert hash(MultisetRel(a, b, set())) == hash(MultisetRel(b, a, set()))
+
+
 def test_different_carriers_differ_and_refuse_to_compose():
     r = MultisetRel(("a", "b"), ("a", "b"), {(mset(["a"]), "b")})
     wider = MultisetRel(("a", "b", "c"), ("a", "b", "c"), {(mset(["a"]), "b")})

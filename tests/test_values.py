@@ -8,6 +8,7 @@ alike, and a difference deep inside a value makes it unequal.
 
 import pytest
 
+from fixcat.laws import ThinCell
 from fixcat.poly import WTree
 from fixcat.poset import MonotoneMap, PointedPoset
 from fixcat.rel import IdealRel, MultisetRel, Preorder, mset
@@ -87,3 +88,14 @@ def test_wtree_hash_and_repr_are_the_dataclass_ones():
     assert repr(WTree("node", ((("node", 0), WTree("leaf")),))) == (
         "WTree(root='node', children=((('node', 0), "
         "WTree(root='leaf', children=())),))")
+
+
+def test_thin_cell_is_slotted_and_keeps_its_repr():
+    # a thin corpus holds thousands of cells
+    cell = ThinCell(mset(["a"]), mset([]))
+    assert not hasattr(cell, "__dict__")
+    assert cell == ThinCell(mset(["a"]), mset([]))
+    assert hash(cell) == hash(ThinCell(mset(["a"]), mset([])))
+    assert repr(ThinCell(1, 2)) == "ThinCell(1 => 2)"
+    with pytest.raises(AttributeError):
+        cell.source = None
