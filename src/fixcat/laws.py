@@ -16,13 +16,14 @@ derived from another.  `run_laws` is their one runner, instance-major:
 each corpus instance is evaluated once for every law that reads its
 channel.  Memoized adapter methods read one table each: composites the
 instance memo `_memo`, stars (and the cat adapter's chains) the run table
-`_run`.  A recorded program points `_memo` at the run table for the steps
-that follow a star, so composites of stars are kept for a channel walk.
-A run table keeps one object per value: a star or a composite of one
-equal to a result the table holds already (f.f* and f* where fix holds)
-is that result, so equal values share one object for the table's life.
-An unhashable result, such as the cat adapter's chain, cannot be looked
-up by value and is kept as computed.
+`_run`.  A recorded program runs under one table per channel walk, both
+names pointing at it, with the instance's leaves entered first, so each
+distinct composite and star of the walk is computed once.
+A run table keeps one object per value: a leaf, star or composite equal
+to a value the table holds already (f.f* and f* where fix holds, id.f
+and f) is that value's object, so equal values share one object for the
+table's life.  An unhashable result, such as the cat adapter's chain,
+cannot be looked up by value and is kept as computed.
 
 Thin adapters present a 2-cell as a ThinCell: the bare claim that its two
 boundary 1-cells are equal.  Pasting then only composes boundaries, and
@@ -66,15 +67,15 @@ def memoized(method=None, *, run_scoped=False):
     argument values, so adapters sharing a memo share only what they
     compute with the same code.  A call that raises is not kept; the
     wrapped methods never return None.  Which table a composite lands in
-    is the caller's choice: a recorded program's star part runs with
-    `_memo` set to the run table itself (`_Program.verdicts`).
+    is the caller's choice: `run_laws` points `_memo` at the channel's run
+    table for a recorded program's whole walk.
     A result computed under the run table is also that table's one
     object for its value, keyed by itself: when the table holds an equal
     value already, the call returns that object instead.  Most stars and
-    star-part composites of a channel walk repeat earlier values, and
-    sharing them keeps one copy alive.  An unhashable result (the cat
-    adapter's chain) cannot be a key and is kept as computed.  The
-    instance memo keeps results as computed: it lives for one instance."""
+    composites of a channel walk repeat earlier values, and sharing them
+    keeps one copy alive.  An unhashable result (the cat adapter's chain)
+    cannot be a key and is kept as computed.  The instance memo keeps
+    results as computed: it lives for one instance."""
     if method is None:
         return functools.partial(memoized, run_scoped=run_scoped)
 
@@ -358,13 +359,13 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
 
     On a thin adapter the laws of a channel are first recorded as one
     straight-line program of 1-cell operations and the equations each law
-    tests (`_program`), and it gives every law its verdict.  Its leaf
-    part, the composites of the instance's own 1-cells, runs under a memo
-    of the instance; its star part, each star and every step built on
-    one, runs under the channel's run table, so a distinct star and each
-    composite of it such as f.(gf)* is computed once per channel walk and
-    kept as one object per value.
-    Both are keyed by value, so the verdicts are blind to names.  An
+    tests (`_program`), and it gives every law its verdict.  The whole
+    program runs under one table per channel, memo and run table both:
+    the instance's leaves are looked up in it first, so each leaf and
+    each memoized step's result is the table's one object for its value,
+    and a distinct composite or star, such as f.(gf)* or a unit
+    composite id.f, is computed once per channel walk.
+    The table is keyed by value, so the verdicts are blind to names.  An
     instance the program cannot judge, and every instance of a channel
     without a program, is evaluated law by law under one fresh table,
     memo and run table both.
@@ -383,13 +384,13 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
             insts = getattr(corpus, channel)
             program = (_program(m, [t[0] for t in group], insts[0])
                        if insts else None)
-            run = {}
+            m._memo = m._run = run = {}
             for inst in insts:
-                m._memo, m._run = {}, run
                 verdicts = program.verdicts(inst) if program else None
                 if verdicts is None:
                     m._memo = m._run = {}
                     verdicts = [_evaluate(m, t[0], inst)[0] for t in group]
+                    m._memo = m._run = run
                 for tally, ok in zip(group, verdicts):
                     if ok:
                         tally[1] += 1
@@ -398,6 +399,7 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
                         _, left, right = _evaluate(m, tally[0], inst)
                         tally[2] = _counterexample(m, tally[0], inst,
                                                    left, right)
+                        m._memo = m._run = run
     finally:
         m._memo = m._run = None
     reports = []
@@ -523,54 +525,37 @@ def _leaves(shape, x, out):
 
 class _Program:
     """The 1-cell obligations of a group of laws, bound to one adapter:
-    steps and tests as (method, slot, slot or None), and each law's tests.
+    steps and tests as (method, slot, slot or None), in recorded order,
+    and each law's tests.  The steps fill the slots after the instance's
+    leaves."""
 
-    The steps come in two parts, split once here: the leaf part, whose
-    steps depend on the instance's leaves alone, then the star part, each
-    `star` step and every step with an argument from the star part.  Each
-    part keeps the recorded order and the slots are renumbered to match,
-    so `leaf_steps` fills the slots after the `inputs` leaves, and
-    `star_steps` the rest."""
-
-    def __init__(self, m, shape, inputs, steps, tests, laws):
-        starred = set()
-        for slot, (name, *args) in enumerate(steps, inputs):
-            if name == "star" or starred.intersection(args):
-                starred.add(slot)
-        # a stable sort: the leaves, then the leaf part, then the star part
-        order = sorted(range(inputs + len(steps)), key=starred.__contains__)
-        new = {old: slot for slot, old in enumerate(order)}
-
-        def renumbered(records):
-            return _bind(m, [(name, *(new[a] for a in args))
-                             for name, *args in records])
-
-        steps = renumbered(steps[old - inputs] for old in order[inputs:])
-        split = len(steps) - len(starred)
+    def __init__(self, m, shape, steps, tests, laws):
         self.m = m
         self.shape = shape
-        self.leaf_steps = steps[:split]
-        self.star_steps = steps[split:]
-        self.tests = renumbered(tests)
+        self.steps = _bind(m, steps)
+        self.tests = _bind(m, tests)
         self.laws = laws
         self.passing = [True] * len(laws)
 
     def verdicts(self, inst):
         """Per law of the group, whether every one of its own tests holds
         at `inst`; None when `inst` is not shaped like the program or a
-        step or test raises.  The leaf part runs under the adapter's
-        instance memo; then `_memo` is set to the run table for the star
-        part, so a composite such as f.(gf)* is kept for the channel walk
-        like the stars themselves.  The all-pass list is shared: do not
+        slot is unhashable or a step or test raises.  Each leaf is
+        replaced by the run table's one object for its value first; the
+        memoized steps (`identity`, `compose`, `star`) return the table's
+        one object for theirs, so a unit composite id.f is the walk's
+        first f, and a later composite of equal values is a hit on the
+        same objects.  With no table open a fresh one serves this
+        instance's leaves alone.  The all-pass list is shared: do not
         change it."""
         vals = []
         if not _leaves(self.shape, inst, vals):
             return None
+        run = self.m._run
+        keep = (run if run is not None else {}).setdefault
         try:
-            for fn, a, b in self.leaf_steps:
-                vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
-            self.m._memo = self.m._run
-            for fn, a, b in self.star_steps:
+            vals = [keep(x, x) for x in vals]
+            for fn, a, b in self.steps:
                 vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
             for fn, a, b in self.tests:
                 if not (fn(vals[a]) if b is None else fn(vals[a], vals[b])):
@@ -622,7 +607,7 @@ def _program(m, laws, first):
         if not ok:
             return None
         own.append(rec.touched)
-    return _Program(m, shape, rec.inputs, rec.steps, rec.tests, own)
+    return _Program(m, shape, rec.steps, rec.tests, own)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,8 +1037,8 @@ def run_suite(jobs, seed=0):
     released before the next job is drawn, so a generator that builds
     each corpus on demand keeps only one corpus alive at a time.
     All laws of a job go through one `run_laws` call, so each instance is
-    evaluated once for every law that reads it, under one memo, and each
-    distinct star is computed once per channel.
+    evaluated once for every law that reads it, and on a thin adapter each
+    distinct composite and star is computed once per channel.
     Deterministic for a fixed corpus.  `seed` is accepted for callers
     that pass one (perfbench passes `seed=`) and is never read: the
     corpora carry their own seed.

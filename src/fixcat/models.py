@@ -11,8 +11,10 @@ structure arrow, and the dinat/unif witnesses are the unique
 algebra-compatible arrows found by exhaustive search in the finite target
 category.
 
-The thin adapters' compose is `memoized` on the instance memo, and their
-star, like the cat adapter's chain, on the run table (`laws.memoized`).
+The thin adapters' identity and compose are `memoized` on the instance
+memo, and their star, like the cat adapter's chain, on the run table
+(`laws.memoized`); a recorded program's walk points both at one table
+per channel.
 
 `REGISTRY` maps every suite spec to its adapter factory, its family's
 corpus builder, the document kind its 1-cells are read from (the `kind=`
@@ -42,6 +44,7 @@ class PosetModel(ThinModel):
         self.star_impl = star_impl
         self.name = f"poset[{star_impl}]"
 
+    @memoized
     def identity(self, obj):
         return poset.identity_map(obj)
 
@@ -109,6 +112,7 @@ class RelModel(ThinModel):
         self.star_impl = star_impl
         self.name = f"rel[{star_impl}]"
 
+    @memoized
     def identity(self, obj):
         return rel.mrel_identity(obj)
 
@@ -161,6 +165,7 @@ class ScottModel(ThinModel):
 
     name = "scott"
 
+    @memoized
     def identity(self, obj):
         return rel.scott_identity(obj)
 

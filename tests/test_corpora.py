@@ -248,21 +248,26 @@ def test_square_search_composes_once_per_endo_not_per_square():
 
 # --- value fingerprints of the relational corpora ----------------------------
 
-def _fingerprint_value(x):
+def _fingerprint_value(x, documents):
     if isinstance(x, laws.ThinCell):
-        return ["cell", _fingerprint_value(x.source),
-                _fingerprint_value(x.target)]
+        return ["cell", _fingerprint_value(x.source, documents),
+                _fingerprint_value(x.target, documents)]
     if isinstance(x, (tuple, list)):
-        return [_fingerprint_value(y) for y in x]
-    return to_document(x)
+        return [_fingerprint_value(y, documents) for y in x]
+    # instances share their 1-cell objects: render each object once
+    doc = documents.get(id(x))
+    if doc is None:
+        doc = documents[id(x)] = to_document(x)
+    return doc
 
 
 def corpus_fingerprint(corpus):
     """sha256 over every channel, in channel and instance order."""
     digest = hashlib.sha256()
+    documents = {}
     for f in dataclasses.fields(corpus):
         items = getattr(corpus, f.name)
-        doc = [f.name, [_fingerprint_value(x) for x in items]]
+        doc = [f.name, [_fingerprint_value(x, documents) for x in items]]
         digest.update(json.dumps(doc, sort_keys=True).encode())
     return digest.hexdigest()
 

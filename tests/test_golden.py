@@ -19,7 +19,8 @@ import pathlib
 
 import pytest
 
-from fixcat import cli
+from fixcat import cli, laws
+from fixcat.models import CatModel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -27,12 +28,27 @@ GOLDEN = ROOT / "tests" / "golden"
 
 @pytest.mark.parametrize("suite", ["suite_small", "suite_broken",
                                    "suite_corrupt"])
-def test_laws_output_matches_golden(capsys, suite):
+def test_laws_output_matches_golden(capsys, monkeypatch, suite):
+    # the cat search budget is a constant, and no variable overrides it
+    monkeypatch.setenv("FIXCAT_SEARCH_CAP", "zero")
+    judged = []
+    evaluate = laws._evaluate
+
+    def counting(m, law, inst):
+        judged.append(type(m))
+        return evaluate(m, law, inst)
+
+    monkeypatch.setattr(laws, "_evaluate", counting)
     code = cli.main(["laws", str(ROOT / "sample_inputs" / f"{suite}.json")])
     out = capsys.readouterr().out
     want = (GOLDEN / f"{suite}.stdout").read_text(encoding="utf-8")
     assert out == want
     assert code == int((GOLDEN / f"{suite}.exit").read_text())
+    if suite == "suite_small":
+        # every law passes, and the recorded program judges every thin
+        # instance: an unhashable slot would send them all law by law,
+        # with the same output, only slower
+        assert set(judged) == {CatModel}
 
 
 @pytest.mark.parametrize("model", ["rel", "poset"])

@@ -660,7 +660,7 @@ def test_star_part_composite_equal_to_a_star_is_that_star():
     fs = m.star(ONLY_A)
     assert m.compose(ONLY_A, fs) is fs
     m._memo = m._run = None
-    # in a recorded program, f.f* is computed in the star part
+    # the same holds in a recorded program's walk
     m = RecordingRelModel()
     reports = laws.run_laws(m, Corpus(endos=[A_AND_LOOP]), [FIX_CELL])
     assert reports[0].passes == 1
@@ -699,20 +699,48 @@ def test_cat_run_with_unhashable_chains_matches_table_free_evaluation(
         assert rep.instances == len(insts) > 0
 
 
-def test_rel_endos_walk_peak_memory_is_bounded():
-    # the walk's run table holds one object per distinct star and
-    # star-part composite; keeping one per entry peaked at 5.0 MB here
+@pytest.fixture(scope="module")
+def rel12_walks():
+    """The endos and dinat_pairs channels of one rel corpus, each as a
+    corpus of its own."""
     corpus = corpora.rel_corpus(draws=12, seed=0)
-    endos = Corpus(endos=corpus.endos)
-    del corpus
+    return (Corpus(endos=corpus.endos),
+            Corpus(dinat_pairs=corpus.dinat_pairs))
+
+
+def walk_peak(corpus):
+    """The reports of every law on `corpus`, and the walk's peak of traced
+    memory above what was allocated before it."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        reports = run_laws(RelModel(), endos, FIX_LAWS + DINAT_LAWS + UNIF_LAWS)
+        reports = run_laws(RelModel(), corpus,
+                           FIX_LAWS + DINAT_LAWS + UNIF_LAWS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return reports, peak - base
+
+
+def test_rel_endos_walk_peak_memory_is_bounded(rel12_walks):
+    # the walk's table holds one object per distinct value, leaves
+    # included, and peaks at 1.80 MB; keeping the leaves out of it, so
+    # that each unit composite id.f and f.id kept a copy of its endo,
+    # peaked at 5.8 MB here
+    endos = rel12_walks[0]
+    reports, peak = walk_peak(endos)
     assert sum(r.passes for r in reports) == 4 * len(endos.endos)
-    assert peak - base < 2_500_000
+    assert peak < 2_500_000
+
+
+def test_rel_dinat_pairs_walk_peak_memory_is_bounded(rel12_walks):
+    # the largest table of a suite run: a key for each distinct fg and
+    # gf of the 19,432 exhaustive pairs, 21,573 entries in all, peaks at
+    # 2.05 MB (0.30 MB when only the composites of a star were kept for
+    # the walk)
+    pairs = rel12_walks[1]
+    reports, peak = walk_peak(pairs)
+    assert sum(r.passes for r in reports) == 2 * len(pairs.dinat_pairs)
+    assert peak < 2_600_000

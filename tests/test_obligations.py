@@ -6,9 +6,9 @@ law its verdict at an instance.  Only the instances it cannot judge are
 evaluated law by law, and each failing law once more, to render its
 counterexample.  These tests check that the program gives exactly the
 per-law verdicts of a full evaluation, on the thin corpora and under
-mutant adapters, that what it computes from a star is shared across a
-channel walk while the composites of an instance's own 1-cells are not,
-and that it is used only where it may be.
+mutant adapters, that everything it computes, the composites of an
+instance's own 1-cells included, is computed once per channel walk, and
+that it is used only where it may be.
 """
 
 from collections import Counter
@@ -68,10 +68,10 @@ ADAPTERS = {
        draws=st.integers(1, 12), offset=st.integers(0, 10_000))
 @example(name="rel-greatest", seed=0, draws=4, offset=0)
 def test_program_verdicts_equal_full_evaluation(name, seed, draws, offset):
-    # per instance and law: the program's verdict, its star part shared
-    # through one run table as in a channel walk, is the law's own when
-    # evaluated on its own under fresh tables; None only where a step
-    # raises (picky's star)
+    # per instance and law: the program's verdict, every step under one
+    # table shared as in a channel walk, is the law's own when evaluated on
+    # its own under fresh tables; None only where a step raises (picky's
+    # star)
     make, build = ADAPTERS[name]
     m = make()
     corpus = build(draws=draws, seed=seed)
@@ -88,7 +88,7 @@ def test_program_verdicts_equal_full_evaluation(name, seed, draws, offset):
                       + insts[start:start + 30])
             run = {}
             for inst in chosen:
-                m._memo, m._run = {}, run
+                m._memo = m._run = run
                 fast = program.verdicts(inst)
                 m._memo = m._run = {}
                 full = [laws._evaluate(m, law, inst)[0] for law in group]
@@ -113,67 +113,25 @@ def test_mutant_reports_equal_full_evaluation(monkeypatch, name):
     assert any(r.failed for r in got)
 
 
-# --- the leaf part and the star part ---------------------------------------------
+# --- one table per channel walk ---------------------------------------------------
 
-def recorded_programs(monkeypatch, m, corpus):
-    """Per channel, the program of its laws and the steps and tests it was
-    recorded from, with the number of leaves."""
-    seen = []
-    real = laws._Program
+class ComposingPosetModel(PosetModel):
+    """Records each composite the law engine hands back, with its legs."""
 
-    def keeping(m, shape, inputs, steps, tests, own):
-        program = real(m, shape, inputs, steps, tests, own)
-        seen.append((program, inputs, steps, tests))
-        return program
+    def __init__(self):
+        super().__init__("kleene")
+        self.composites = []
 
-    monkeypatch.setattr(laws, "_Program", keeping)
-    for channel, group in groups().items():
-        assert laws._program(m, group, getattr(corpus, channel)[0]) is not None
-    return seen
+    def compose(self, g, f):
+        out = super().compose(g, f)
+        self.composites.append((g, f, out))
+        return out
 
 
-def expressions(inputs, steps, tests):
-    """Each step and test as the expression tree it computes over the
-    leaves 0..inputs-1, whatever the slot numbers."""
-    exprs = list(range(inputs))
-    for name, *args in steps:
-        exprs.append((name, *(exprs[a] for a in args)))
-    return exprs[inputs:], [(name, *(exprs[a] for a in args))
-                            for name, *args in tests]
-
-
-def unbound(records):
-    return [(fn.__name__, a) if b is None else (fn.__name__, a, b)
-            for fn, a, b in records]
-
-
-@pytest.mark.parametrize("name", ["poset", "rel", "scott"])
-def test_program_steps_split_into_leaf_and_star_parts(monkeypatch, name):
-    make, build = ADAPTERS[name]
-    programs = recorded_programs(monkeypatch, make(), build(draws=2, seed=0))
-    for program, inputs, steps, tests in programs:
-        leaf, star = unbound(program.leaf_steps), unbound(program.star_steps)
-        split = inputs + len(leaf)
-        # the leaf part reads only leaves and earlier leaf-part slots
-        for slot, (name_, *args) in enumerate(leaf, inputs):
-            assert name_ != "star" and all(a < slot for a in args)
-        # the star part holds only stars and steps reading the star part
-        for slot, (name_, *args) in enumerate(star, split):
-            assert all(a < slot for a in args)
-            assert name_ == "star" or any(a >= split for a in args)
-        assert star and any(n == "star" for n, *_ in star)
-        # renumbering keeps every step and every test, in the tests' order
-        got_steps, got_tests = expressions(inputs, leaf + star,
-                                           unbound(program.tests))
-        want_steps, want_tests = expressions(inputs, steps, tests)
-        assert Counter(got_steps) == Counter(want_steps)
-        assert got_tests == want_tests
-
-
-def test_star_part_composites_are_computed_once_per_channel_walk(monkeypatch):
-    # two value-equal dinat pairs on posets of different names: the
-    # composites of the leaves are computed for each instance, those of a
-    # star, such as f.(gf)*, once for the walk
+def test_composites_are_computed_once_per_channel_walk(monkeypatch):
+    # value-equal instances on posets of different names: every composite,
+    # of leaves or of a star, is computed once for each channel walk, and a
+    # unit composite such as id.f is the walk's first f object
     calls = []
     real = poset.compose_maps
 
@@ -184,17 +142,23 @@ def test_star_part_composites_are_computed_once_per_channel_walk(monkeypatch):
     monkeypatch.setattr(poset, "compose_maps", counting)
     up, down = (poset.MonotoneMap(OTHER2, OTHER2, f.assignment, name=f.name)
                 for f in (UP, DOWN))
-    corpus = Corpus(dinat_pairs=[(UP, DOWN), (up, down)])
-    reports = laws.run_laws(PosetModel(), corpus, laws.DINAT_LAWS)
-    assert all(r.passes == 2 for r in reports if r.instances)
-    counts = Counter(calls)
-    starred = {k: n for k, n in counts.items()
-               if k[1].source == poset.ONE_POINT}
-    assert starred and set(starred.values()) == {1}
-    assert len(counts) > len(starred)
-    assert all(n == 2 for k, n in counts.items() if k not in starred)
-
-
+    assert (up, down) == (UP, DOWN) and up.source.name != UP.source.name
+    for channel, insts in [("endos", [UP, up]),
+                           ("dinat_pairs", [(UP, DOWN), (up, down)])]:
+        calls.clear()
+        m = ComposingPosetModel()
+        reports = laws.run_laws(m, Corpus(**{channel: insts}),
+                                laws.DINAT_LAWS)
+        assert all(r.passes == 2 for r in reports if r.instances)
+        counts = Counter(calls)
+        assert set(counts.values()) == {1}, channel
+        assert any(f.source == poset.ONE_POINT for g, f in counts)
+        assert any(f.source != poset.ONE_POINT for g, f in counts)
+        if channel == "endos":
+            one = poset.identity_map(CHAIN2)
+            units = [out for g, f, out in m.composites
+                     if one in (g, f) and UP in (g, f)]
+            assert len(units) == 4 and all(out is UP for out in units)
 @pytest.fixture
 def evaluations(monkeypatch):
     """The law ids `laws._evaluate` is called with, in order."""
