@@ -132,6 +132,19 @@ def test_star_missing_file(capsys):
     assert "error:" in err
 
 
+def test_laws_good_suite(monkeypatch, capsys):
+    # the cat search budget is a constant, and no variable overrides it
+    monkeypatch.setenv("FIXCAT_SEARCH_CAP", "zero")
+    code, out, _ = run(capsys, "laws", sample("suite_small.json"))
+    assert code == 0
+    assert "seed: 0" in out
+    assert "[pass]" in out
+    assert "FAIL" not in out
+    assert "VACUOUS" not in out
+    golden = SAMPLES.parent / "tests" / "golden" / "suite_small.stdout"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_laws_seed_override(capsys):
     code, out, _ = run(capsys, "laws", sample("suite_corrupt.json"),
                        "--seed", "5")

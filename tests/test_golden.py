@@ -29,8 +29,6 @@ GOLDEN = ROOT / "tests" / "golden"
 @pytest.mark.parametrize("suite", ["suite_small", "suite_broken",
                                    "suite_corrupt"])
 def test_laws_output_matches_golden(capsys, monkeypatch, suite):
-    # the cat search budget is a constant, and no variable overrides it
-    monkeypatch.setenv("FIXCAT_SEARCH_CAP", "zero")
     judged = []
     evaluate = laws._evaluate
 
