@@ -18,7 +18,10 @@ channel.  Memoized adapter methods read one table each: composites the
 instance memo `_memo`, stars (and the cat adapter's chains) the run table
 `_run`.  A recorded program runs under one table per channel walk, both
 names pointing at it, with the instance's leaves entered first, so each
-distinct composite and star of the walk is computed once.
+distinct composite and star of the walk is computed once.  The program is
+compiled once per channel: its steps of memoized methods do `memoized`'s
+lookup inline, in that table and under the same key, and an eq1 test of
+two slots that are both the table's objects is an identity test.
 A run table keeps one object per value: a leaf, star or composite equal
 to a value the table holds already (f.f* and f* where fix holds, id.f
 and f) is that value's object, so equal values share one object for the
@@ -40,6 +43,7 @@ and each failing law once, to render it, are evaluated law by law.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -56,6 +60,11 @@ class ThinCell:
 
     def __repr__(self):
         return f"ThinCell({self.source!r} => {self.target!r})"
+
+
+# Each `memoized` wrapper -> the raw method it wraps.  Only these wrappers
+# are marked: another wrapper around one (a tracer's, say) is not.
+_MEMOIZED = {}
 
 
 def memoized(method=None, *, run_scoped=False):
@@ -75,7 +84,11 @@ def memoized(method=None, *, run_scoped=False):
     composites of a channel walk repeat earlier values, and sharing them
     keeps one copy alive.  An unhashable result (the cat adapter's chain)
     cannot be a key and is kept as computed.  The instance memo keeps
-    results as computed: it lives for one instance."""
+    results as computed: it lives for one instance.
+    Each wrapper is entered in `_MEMOIZED` with its raw method.  A
+    recorded program's step of such a method does this lookup inline, in
+    the walk's run table and with this key (`_Program`), so the two share
+    one cache."""
     if method is None:
         return functools.partial(memoized, run_scoped=run_scoped)
 
@@ -95,6 +108,7 @@ def memoized(method=None, *, run_scoped=False):
                     pass
             table[key] = out
         return out
+    _MEMOIZED[shared] = method
     return shared
 
 
@@ -508,32 +522,99 @@ def _mirror(x, leaves):
     return len(leaves) - 1
 
 
-def _leaves(shape, x, out):
-    """Append the leaf 1-cells of instance `x` to `out` in slot order;
-    False when `x` is not shaped like the mirror `shape`."""
+_NOT_LEAF = (tuple, ThinCell)
+
+
+def _extractor(shape):
+    """The leaf walker of instances shaped like the mirror `shape`,
+    compiled once: `extract(x, out)` appends the leaf 1-cells of `x` to
+    `out` in slot order and is False when `x` has another shape (some
+    leaves may be appended by then).  A leaf is anything but a tuple or a
+    ThinCell; a tuple of the shape's length (a tuple subclass too) stands
+    for a tuple, and a ThinCell for a ThinCell."""
     if type(shape) is int:
-        if isinstance(x, (tuple, ThinCell)):
-            return False
-        out.append(x)
-        return True
+        def leaf(x, out):
+            if isinstance(x, _NOT_LEAF):
+                return False
+            out.append(x)
+            return True
+        return leaf
     if type(shape) is ThinCell:
-        return (isinstance(x, ThinCell) and _leaves(shape.source, x.source, out)
-                and _leaves(shape.target, x.target, out))
-    return (isinstance(x, tuple) and len(x) == len(shape)
-            and all(_leaves(s, y, out) for s, y in zip(shape, x)))
+        source, target = _extractor(shape.source), _extractor(shape.target)
+
+        def cell(x, out):
+            return (isinstance(x, ThinCell) and source(x.source, out)
+                    and target(x.target, out))
+        return cell
+    size = len(shape)
+    if all(type(s) is int for s in shape):
+        def leaves(x, out):
+            if not isinstance(x, tuple) or len(x) != size:
+                return False
+            for y in x:
+                if isinstance(y, _NOT_LEAF):
+                    return False
+            out.extend(x)
+            return True
+        return leaves
+    parts = [_extractor(s) for s in shape]
+
+    def tree(x, out):
+        if not isinstance(x, tuple) or len(x) != size:
+            return False
+        for part, y in zip(parts, x):
+            if not part(y, out):
+                return False
+        return True
+    return tree
+
+
+# The 1-cell fields FixpointModel's src and dst read.
+_FIELDS = {"src": "source", "dst": "target"}
 
 
 class _Program:
     """The 1-cell obligations of a group of laws, bound to one adapter:
-    steps and tests as (method, slot, slot or None), in recorded order,
-    and each law's tests.  The steps fill the slots after the instance's
-    leaves."""
+    steps and tests in recorded order, and each law's tests.  The steps
+    fill the slots after the instance's leaves.
 
-    def __init__(self, m, shape, steps, tests, laws):
+    The program is compiled once, for the fewest Python calls per
+    instance.  A step of a `memoized` method does that method's lookup
+    inline, in the walk's run table `_run` and under its key (the raw
+    method and the argument values): on a miss it calls the raw method
+    and keeps the table's one object for the result.  Other steps call
+    the adapter's method, or read `source`/`target` where src/dst are
+    FixpointModel's.  The leaves, entered in the table first, and the
+    results of inline steps are canonical slots: the table's one object
+    for their value.  Two canonical slots are equal exactly when they
+    are one object, so an eq1 test of two of them is `operator.is_` when
+    the adapter's eq1 is FixpointModel's `==`; every other test calls the
+    adapter's method."""
+
+    def __init__(self, m, shape, inputs, steps, tests, laws):
         self.m = m
-        self.shape = shape
-        self.steps = _bind(m, steps)
-        self.tests = _bind(m, tests)
+        self.extract = _extractor(shape)
+        canonical = set(range(inputs))
+        self.steps = []             # (function, slot, slot or None, inline)
+        for slot, (name, a, *b) in enumerate(steps, inputs):
+            method = getattr(m, name)
+            func = getattr(method, "__func__", None)
+            raw = _MEMOIZED.get(func)
+            if raw is not None:
+                canonical.add(slot)
+                method = raw
+            elif name in _FIELDS and func is getattr(FixpointModel, name):
+                method = operator.attrgetter(_FIELDS[name])
+            self.steps.append((method, a, b[0] if b else None,
+                               raw is not None))
+        self.tests = []             # (function, slot, slot or None)
+        for name, a, *b in tests:
+            method = getattr(m, name)
+            if (name == "eq1"
+                    and getattr(method, "__func__", None) is FixpointModel.eq1
+                    and a in canonical and b[0] in canonical):
+                method = operator.is_
+            self.tests.append((method, a, b[0] if b else None))
         self.laws = laws
         self.passing = [True] * len(laws)
 
@@ -541,22 +622,44 @@ class _Program:
         """Per law of the group, whether every one of its own tests holds
         at `inst`; None when `inst` is not shaped like the program or a
         slot is unhashable or a step or test raises.  Each leaf is
-        replaced by the run table's one object for its value first; the
-        memoized steps (`identity`, `compose`, `star`) return the table's
-        one object for theirs, so a unit composite id.f is the walk's
-        first f, and a later composite of equal values is a hit on the
-        same objects.  With no table open a fresh one serves this
-        instance's leaves alone.  The all-pass list is shared: do not
-        change it."""
+        replaced by the run table's one object for its value first, and
+        each inline step's result is the table's one object for its
+        value, so a unit composite id.f is the walk's first f, and a
+        later composite of equal values is a hit on the same objects.
+        With no table open a fresh one serves this instance alone.  The
+        all-pass list is shared: do not change it."""
         vals = []
-        if not _leaves(self.shape, inst, vals):
+        if not self.extract(inst, vals):
             return None
-        run = self.m._run
-        keep = (run if run is not None else {}).setdefault
+        m = self.m
+        table = m._run
+        if table is None:
+            table = {}
+        get, keep = table.get, table.setdefault
         try:
             vals = [keep(x, x) for x in vals]
-            for fn, a, b in self.steps:
-                vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
+            append = vals.append
+            for fn, a, b, inline in self.steps:
+                if inline:
+                    if b is None:
+                        x = vals[a]
+                        key = (fn, x)
+                        out = get(key)
+                        if out is None:
+                            out = fn(m, x)
+                            out = table[key] = keep(out, out)
+                    else:
+                        x, y = vals[a], vals[b]
+                        key = (fn, x, y)
+                        out = get(key)
+                        if out is None:
+                            out = fn(m, x, y)
+                            out = table[key] = keep(out, out)
+                    append(out)
+                elif b is None:
+                    append(fn(vals[a]))
+                else:
+                    append(fn(vals[a], vals[b]))
             for fn, a, b in self.tests:
                 if not (fn(vals[a]) if b is None else fn(vals[a], vals[b])):
                     break
@@ -567,11 +670,6 @@ class _Program:
         except Exception:
             return None
         return [failed.isdisjoint(own) for own in self.laws]
-
-
-def _bind(m, records):
-    return [(getattr(m, name), args[0], args[1] if len(args) > 1 else None)
-            for name, *args in records]
 
 
 def _program(m, laws, first):
@@ -607,7 +705,7 @@ def _program(m, laws, first):
         if not ok:
             return None
         own.append(rec.touched)
-    return _Program(m, shape, rec.steps, rec.tests, own)
+    return _Program(m, shape, rec.inputs, rec.steps, rec.tests, own)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ counterexample.  These tests check that the program gives exactly the
 per-law verdicts of a full evaluation, on the thin corpora and under
 mutant adapters, that everything it computes, the composites of an
 instance's own 1-cells included, is computed once per channel walk, and
-that it is used only where it may be.
+that it is used only where it may be, and how the program is compiled:
+memoized steps inline on the walk's table, identity tests only between
+that table's objects, and the leaf extractor's acceptance.
 """
 
+import operator
 from collections import Counter
+from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -159,6 +163,40 @@ def test_composites_are_computed_once_per_channel_walk(monkeypatch):
             units = [out for g, f, out in m.composites
                      if one in (g, f) and UP in (g, f)]
             assert len(units) == 4 and all(out is UP for out in units)
+
+
+def test_memoized_call_after_a_walk_is_a_hit_on_its_table(monkeypatch):
+    # the inline steps and `memoized` share one table and one key: after a
+    # walk, asking the adapter for a star and a composite the walk computed
+    # runs no kernel and returns the table's object
+    calls = []
+    for name in ("compose_maps", "kleene_star"):
+        real = getattr(poset, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(poset, name, counting)
+    m = PosetModel()
+    endos = corpora.poset_corpus(draws=4, seed=2).endos
+    program = laws._program(m, groups()["endos"], endos[0])
+    run = {}
+    m._memo = m._run = run
+    try:
+        for f in endos:
+            assert program.verdicts(f) is program.passing
+        walked = len(calls)
+        assert "compose_maps" in calls and "kleene_star" in calls
+        for f in endos:
+            fs = m.star(f)
+            out = m.compose(f, fs)
+            assert run[out] is out and run[fs] is fs
+        assert len(calls) == walked
+    finally:
+        m._memo = m._run = None
+
+
 @pytest.fixture
 def evaluations(monkeypatch):
     """The law ids `laws._evaluate` is called with, in order."""
@@ -300,8 +338,8 @@ def test_instance_of_another_shape_is_evaluated_law_by_law(monkeypatch):
     assert program.verdicts(cells[0]) == [True]
     assert program.verdicts(cells[1]) is None
     assert program.verdicts(cells[2]) is None
-    assert not laws._leaves(program.shape, cells[1], [])
-    assert not laws._leaves(program.shape, cells[2], [])
+    assert not program.extract(cells[1], [])
+    assert not program.extract(cells[2], [])
     corpus = Corpus(endo_cells=cells)
     got = laws.run_laws(m, corpus, laws.FIX_LAWS)
     assert got == full_law_run(monkeypatch, m, corpus, laws.FIX_LAWS)
@@ -309,3 +347,145 @@ def test_instance_of_another_shape_is_evaluated_law_by_law(monkeypatch):
     assert naturality.passes == 2 and naturality.failed
     assert naturality.counterexample["left"] == "<error>"
 
+
+# --- how the program is compiled ----------------------------------------------
+
+class CountingEq1PosetModel(BrokenPosetModel):
+    """The broken poset adapter, so that laws fail, with an eq1 of its own
+    that counts the tests it is asked."""
+
+    def __init__(self):
+        super().__init__()
+        self.eq1_calls = 0
+
+    def eq1(self, f, g):
+        self.eq1_calls += 1
+        return f == g
+
+
+def test_overridden_eq1_is_asked_for_every_test(monkeypatch):
+    # an adapter with its own eq1 gets no identity test: on an instance
+    # where every test holds, it is asked each of the program's eq1 tests
+    m = CountingEq1PosetModel()
+    corpus = corpora.poset_corpus(draws=4, seed=5)
+    for channel, group in groups().items():
+        insts = getattr(corpus, channel)
+        program = laws._program(m, group, insts[0])
+        assert all(fn is not operator.is_ for fn, a, b in program.tests)
+        asked = sum(fn == m.eq1 for fn, a, b in program.tests)
+        assert asked > 0, channel
+        run = {}
+        passing = 0
+        for inst in insts[:60]:
+            m._memo = m._run = run
+            m.eq1_calls = 0
+            fast = program.verdicts(inst)
+            if fast is program.passing:
+                passing += 1
+                assert m.eq1_calls == asked, channel
+            m._memo = m._run = {}
+            full = [laws._evaluate(m, law, inst)[0] for law in group]
+            assert fast == full, (channel, inst)
+        assert passing, channel
+    m._memo = m._run = None
+    thinned = Corpus(**{ch: insts[:60] for ch, insts in vars(corpus).items()})
+    got = laws.run_laws(m, thinned, ALL_LAWS)
+    assert got == full_law_run(monkeypatch, m, thinned)
+    assert any(r.failed for r in got)
+
+
+def test_eq1_is_an_identity_test_only_between_canonical_slots():
+    # PosetModel: eq1 of two canonical slots (leaves and memoized steps'
+    # results) compiles to `is`; ComposingPosetModel's compose is its own,
+    # not memoized, so a test reading one of its slots keeps `==`
+    f, g = UP, DOWN
+    plain = laws._program(PosetModel(), groups()["dinat_pairs"], (f, g))
+    assert any(fn is operator.is_ for fn, a, b in plain.tests)
+    m = ComposingPosetModel()
+    program = laws._program(m, groups()["dinat_pairs"], (f, g))
+    leaves = []
+    assert program.extract((f, g), leaves)
+    composed = {slot for slot, (fn, a, b, inline)
+                in enumerate(program.steps, len(leaves))
+                if fn == m.compose}
+    assert composed and not any(inline for fn, a, b, inline in program.steps
+                                if fn == m.compose)
+    reading = [t for t in program.tests if t[0] == m.eq1
+               and {t[1], t[2]} & composed]
+    assert reading
+    assert not any(fn is operator.is_ and {a, b} & composed
+                   for fn, a, b in program.tests)
+    corpus = corpora.poset_corpus(draws=4, seed=6)
+    pairs = corpus.dinat_pairs[::7] + corpus.dinat_pairs[-4:]
+    run = {}
+    for inst in pairs:
+        m._memo = m._run = run
+        fast = program.verdicts(inst)
+        m._memo = m._run = {}
+        full = [laws._evaluate(m, law, inst)[0]
+                for law in groups()["dinat_pairs"]]
+        assert fast == full, inst
+    m._memo = m._run = None
+
+
+class Pair(NamedTuple):
+    f: Any
+    g: Any
+
+
+def test_extractor_accepts_tuple_subclasses():
+    leaves = []
+    assert laws._extractor((0, 1))(Pair(UP, DOWN), leaves)
+    assert leaves == [UP, DOWN]
+    nested = laws._extractor(((0, 1), ThinCell(2, 3)))
+    leaves = []
+    assert nested((Pair(UP, DOWN), ThinCell(DOWN, UP)), leaves)
+    assert leaves == [UP, DOWN, DOWN, UP]
+    program = laws._program(PosetModel(), groups()["dinat_pairs"], (UP, DOWN))
+    assert program.verdicts(Pair(UP, DOWN)) == program.verdicts((UP, DOWN))
+
+
+@pytest.mark.parametrize("shape, inst", [
+    (0, (UP,)),                                    # a leaf that is a tuple
+    (0, ThinCell(UP, UP)),                         # a leaf that is a ThinCell
+    ((0, 1), ((UP,), DOWN)),
+    ((0, 1), (UP, ThinCell(UP, DOWN))),
+    (((0, 1), 2), ((UP, ThinCell(UP, UP)), DOWN)),
+    ((0, 1), ThinCell(UP, DOWN)),                  # a ThinCell for a tuple
+    (((0, 1), 2), (ThinCell(UP, DOWN), DOWN)),
+    ((0, 1), (UP,)),                               # tuples of another length
+    ((0, 1), (UP, DOWN, UP)),
+    (((0, 1), 2), ((UP, DOWN, UP), DOWN)),
+    (((0, 1), 2), ((UP, DOWN), DOWN, UP)),
+    (ThinCell(0, 1), (UP, DOWN)),                  # a tuple for a ThinCell
+    (ThinCell(0, 1), ThinCell((UP,), DOWN)),
+])
+def test_extractor_rejects_another_shape(shape, inst):
+    assert not laws._extractor(shape)(inst, [])
+
+
+def structures():
+    leaf = st.sampled_from([UP, DOWN])
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3).map(tuple),
+            st.builds(Pair, inner, inner),
+            st.builds(ThinCell, inner, inner)),
+        max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=structures(), y=structures())
+def test_extractor_accepts_exactly_the_mirrored_shape(x, y):
+    # the compiled extractor of x's mirror accepts y exactly when y mirrors
+    # to the same shape, and then yields y's leaves in _mirror's order
+    xs, ys = [], []
+    shape = laws._mirror(x, xs)
+    same = laws._mirror(y, ys) == shape
+    got = []
+    assert laws._extractor(shape)(y, got) == same
+    if same:
+        assert got == ys
+    got = []
+    assert laws._extractor(shape)(x, got) and got == xs
