@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BoundaryMismatch, NotInvertible, SizeCap, TypeMismatch, ValidationError
+from .errors import (BoundaryMismatch, NotInvertible, SizeCap, TypeMismatch,
+                     ValidationError, require_valid)
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,7 @@ class FinCategory:
         self.identity = dict(identity)
         self.table = dict(table)
         if _validate:
-            problems = validate_category(self)
-            if problems:
-                raise ValidationError(f"{name}: " + "; ".join(problems))
+            require_valid(name, validate_category(self))
 
     def src(self, aid: str) -> str:
         return self.arrows[aid].src
@@ -210,9 +209,7 @@ class FunctorData:
         self.amap = dict(amap)
         self.name = name
         if _validate:
-            problems = validate_functor(self)
-            if problems:
-                raise ValidationError(f"{name}: " + "; ".join(problems))
+            require_valid(name, validate_functor(self))
 
     def on_obj(self, x):
         return self.omap[x]
@@ -299,9 +296,7 @@ class NatTransfData:
         self.components = dict(components)
         self.name = name
         if _validate:
-            problems = validate_nat_transf(self)
-            if problems:
-                raise ValidationError(f"{name}: " + "; ".join(problems))
+            require_valid(name, validate_nat_transf(self))
 
     def at(self, x):
         return self.components[x]

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the fixed order in which
-validation problems are reported."""
+"""Exception types shared across the package, and the fixed order and
+the one message in which validation problems are reported."""
 
 
 class FixcatError(Exception):
@@ -84,3 +84,9 @@ def in_fixed_order(problems_of, *collections):
         problems = problems_of(*(sorted(c, key=sort_key)
                                  for c in collections))
     return problems
+
+
+def require_valid(name, problems):
+    """Raise ValidationError for `name`'s `problems`, if there are any."""
+    if problems:
+        raise ValidationError(f"{name}: " + "; ".join(problems))

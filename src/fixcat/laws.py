@@ -14,19 +14,21 @@ Laws are data: each is declared once, in `FIX_LAWS`, `DINAT_LAWS` and
 `UNIF_LAWS`, as functions of the adapter and one instance, and no law is
 derived from another.  `run_laws` is their one runner, instance-major:
 each corpus instance is evaluated once for every law that reads its
-channel.  Memoized adapter methods read one table each: composites the
-instance memo `_memo`, stars (and the cat adapter's chains) the run table
-`_run`.  A recorded program runs under one table per channel walk, both
-names pointing at it, with the instance's leaves entered first, so each
-distinct composite and star of the walk is computed once.  The program is
-compiled once per channel: its steps of memoized methods do `memoized`'s
-lookup inline, in that table and under the same key, and an eq1 test of
-two slots that are both the table's objects is an identity test.
-A run table keeps one object per value: a leaf, star or composite equal
-to a value the table holds already (f.f* and f* where fix holds, id.f
-and f) is that value's object, so equal values share one object for the
-table's life.  An unhashable result, such as the cat adapter's chain,
-cannot be looked up by value and is kept as computed.
+channel.  Memoized adapter methods read one of two table names:
+composites the memo `_memo`, stars (and the cat adapter's chains) the
+run table `_run`.  `run_laws` points both at one table per channel walk,
+and every evaluation of an instance in the walk reads it, by the
+recorded program or law by law, so each distinct composite and star of
+the walk is computed once.  The program is compiled once per channel:
+its steps of memoized methods do `memoized`'s lookup inline, in that
+table and under the same key, and an eq1 test of two slots that are
+both the table's objects is an identity test.
+Every table keeps one object per value: a leaf the program enters, or a
+star or composite equal to a value the table holds already (f.f* and f*
+where fix holds, id.f and f), is that value's object, so equal values
+share one object for the table's life.  An unhashable result, such as
+the cat adapter's chain, cannot be looked up by value and is kept as
+computed.
 
 Thin adapters present a 2-cell as a ThinCell: the bare claim that its two
 boundary 1-cells are equal.  Pasting then only composes boundaries, and
@@ -69,22 +71,22 @@ _MEMOIZED = {}
 
 def memoized(method=None, *, run_scoped=False):
     """Share an adapter method's results by argument value.  A plain
-    method reads the instance memo `_memo`, which two adapters may share;
-    a `run_scoped` one (it reads adapter state such as `star_impl`) reads
+    method reads the memo `_memo`, which two adapters may share; a
+    `run_scoped` one (it reads adapter state such as `star_impl`) reads
     the run table `_run`, which belongs to one adapter.  While that table
     is None the method is simply called.  The key is the function and the
     argument values, so adapters sharing a memo share only what they
     compute with the same code.  A call that raises is not kept; the
-    wrapped methods never return None.  Which table a composite lands in
-    is the caller's choice: `run_laws` points `_memo` at the channel's run
-    table for a recorded program's whole walk.
-    A result computed under the run table is also that table's one
-    object for its value, keyed by itself: when the table holds an equal
-    value already, the call returns that object instead.  Most stars and
-    composites of a channel walk repeat earlier values, and sharing them
-    keeps one copy alive.  An unhashable result (the cat adapter's chain)
-    cannot be a key and is kept as computed.  The instance memo keeps
-    results as computed: it lives for one instance.
+    wrapped methods never return None.  How long a table lives is the
+    caller's choice: `run_laws` points both names at one table per
+    channel walk; `compare_operators` gives `_memo` one item's life and
+    `_run` the whole call's.
+    Every table keeps one object per value: a result is also stored
+    under itself, and when the table holds an equal value already, the
+    call returns that object instead.  Most stars and composites of a
+    channel walk repeat earlier values, and sharing them keeps one copy
+    alive.  An unhashable result (the cat adapter's chain) cannot be a
+    key and is kept as computed.
     Each wrapper is entered in `_MEMOIZED` with its raw method.  A
     recorded program's step of such a method does this lookup inline, in
     the walk's run table and with this key (`_Program`), so the two share
@@ -101,11 +103,10 @@ def memoized(method=None, *, run_scoped=False):
         out = table.get(key)
         if out is None:
             out = method(self, *args)
-            if table is self._run:
-                try:
-                    out = table.setdefault(out, out)
-                except TypeError:
-                    pass
+            try:
+                out = table.setdefault(out, out)
+            except TypeError:
+                pass
             table[key] = out
         return out
     _MEMOIZED[shared] = method
@@ -125,8 +126,8 @@ class FixpointModel:
     dst, eq1: `source`, `target` and `==`), equality of 2-cells (eq2:
     `==`), the horizontal composite (hcomp2: whisker-then-stack) and the
     description hooks have workable defaults.
-    `_memo` and `_run` are the tables `memoized` methods read while the law
-    engine has them open.
+    `_memo` and `_run` are the tables `memoized` methods read; only
+    `run_laws` and `compare_operators` open them.
     """
 
     name = "model"
@@ -371,26 +372,25 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
     """Evaluate `laws` on `corpus`, instance-major: each channel is walked
     once, and every law reading it is judged at each instance in turn.
 
-    On a thin adapter the laws of a channel are first recorded as one
-    straight-line program of 1-cell operations and the equations each law
-    tests (`_program`), and it gives every law its verdict.  The whole
-    program runs under one table per channel, memo and run table both:
-    the instance's leaves are looked up in it first, so each leaf and
-    each memoized step's result is the table's one object for its value,
-    and a distinct composite or star, such as f.(gf)* or a unit
-    composite id.f, is computed once per channel walk.
-    The table is keyed by value, so the verdicts are blind to names.  An
+    Each walk opens one table, memo and run table both, which every
+    evaluation in the walk reads.  On a thin adapter the laws of a
+    channel are first recorded as one straight-line program of 1-cell
+    operations and the equations each law tests (`_program`), and it
+    gives every law its verdict: the instance's leaves are looked up in
+    the table first, so each leaf and each memoized step's result is the
+    table's one object for its value, and a distinct composite or star,
+    such as f.(gf)* or id.f, is computed once per channel walk.  An
     instance the program cannot judge, and every instance of a channel
-    without a program, is evaluated law by law under one fresh table,
-    memo and run table both.
-    A failing law's first counterexample is rendered from one more
-    evaluation of it alone, under a fresh table.  Reports come back in
-    the order of `laws`.
+    without a program, is evaluated law by law under the same table.
+    The table is keyed by value, so the verdicts are blind to names.
+    After the walks, each failing law's first counterexample is rendered
+    from one more evaluation of it alone, under a fresh table, so it
+    carries its instance's names.  Reports come back in `laws`' order.
     """
     by_channel = {}
     tallies = []
     for law in laws:
-        tally = [law, 0, None]        # law, passes, counterexample
+        tally = [law, 0, None]        # law, passes, first failing index
         tallies.append(tally)
         by_channel.setdefault(law.channel, []).append(tally)
     try:
@@ -398,29 +398,29 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
             insts = getattr(corpus, channel)
             program = (_program(m, [t[0] for t in group], insts[0])
                        if insts else None)
-            m._memo = m._run = run = {}
-            for inst in insts:
+            m._memo = m._run = {}
+            for i, inst in enumerate(insts):
                 verdicts = program.verdicts(inst) if program else None
                 if verdicts is None:
-                    m._memo = m._run = {}
                     verdicts = [_evaluate(m, t[0], inst)[0] for t in group]
-                    m._memo = m._run = run
                 for tally, ok in zip(group, verdicts):
                     if ok:
                         tally[1] += 1
                     elif tally[2] is None:
-                        m._memo = m._run = {}
-                        _, left, right = _evaluate(m, tally[0], inst)
-                        tally[2] = _counterexample(m, tally[0], inst,
-                                                   left, right)
-                        m._memo = m._run = run
+                        tally[2] = i
+        reports = []
+        for law, passes, first in tallies:
+            insts = getattr(corpus, law.channel)
+            ce = None
+            if first is not None:
+                m._memo = m._run = {}
+                inst = insts[first]
+                _, left, right = _evaluate(m, law, inst)
+                ce = _counterexample(m, law, inst, left, right)
+            reports.append(LawReport(law.law_id, law.statement, len(insts),
+                                     passes, ce, vacuous=not insts))
     finally:
         m._memo = m._run = None
-    reports = []
-    for law, passes, counterexample in tallies:
-        tried = len(getattr(corpus, law.channel))
-        reports.append(LawReport(law.law_id, law.statement, tried, passes,
-                                 counterexample, vacuous=tried == 0))
     return reports
 
 
@@ -1057,7 +1057,7 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     adapters: a composite such as a dinat pair's fg, gf or f.(gf)* is
     computed once for the two of them, while their stars, keyed by adapter,
     stay apart.  Each adapter's run table keeps its own stars for the whole
-    call, one object per star value.
+    call; every table keeps one object per value.
     Each `deltas` record keeps the endo and its delta as objects; only
     error messages are rendered with describe1/describe2.
     """

@@ -11,10 +11,10 @@ structure arrow, and the dinat/unif witnesses are the unique
 algebra-compatible arrows found by exhaustive search in the finite target
 category.
 
-The thin adapters' identity and compose are `memoized` on the instance
-memo, and their star, like the cat adapter's chain, on the run table
-(`laws.memoized`); a recorded program's walk points both at one table
-per channel.
+The thin adapters' identity and compose are `memoized` on `_memo`, and
+their star, like the cat adapter's chain, on `_run` (`laws.memoized`);
+a law run's channel walk points both at one table, which keeps one
+object per value.
 
 `REGISTRY` maps every suite spec to its adapter factory, its family's
 corpus builder, the document kind its 1-cells are read from (the `kind=`

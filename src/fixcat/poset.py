@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TypeMismatch, ValidationError, in_fixed_order
+from .errors import (TypeMismatch, ValidationError, in_fixed_order,
+                     require_valid)
 
 
 class PointedPoset:
@@ -34,9 +35,7 @@ class PointedPoset:
         self.bottom = bottom
         self._hash = None
         if _validate:
-            problems = self.validate()
-            if problems:
-                raise ValidationError(f"{name}: " + "; ".join(problems))
+            require_valid(name, self.validate())
 
     def validate(self):
         return in_fixed_order(self._problems, set(self.elements),
@@ -105,9 +104,7 @@ class MonotoneMap:
         self.name = name
         self._hash = None
         if _validate:
-            problems = self.validate()
-            if problems:
-                raise ValidationError(f"{name}: " + "; ".join(problems))
+            require_valid(name, self.validate())
 
     def validate(self):
         return in_fixed_order(self._problems, self.source.leq_pairs)

@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import TypeMismatch, ValidationError, in_fixed_order
+from .errors import (TypeMismatch, ValidationError, in_fixed_order,
+                     require_valid)
 from .errors import sort_key as _skey
 
 
@@ -78,9 +79,7 @@ class MultisetRel:
         self.name = name
         self._hash = None
         if _validate:
-            problems = self.validate()
-            if problems:
-                raise ValidationError(f"{name}: " + "; ".join(problems))
+            require_valid(name, self.validate())
 
     def validate(self):
         return in_fixed_order(self._problems, self.pairs)
@@ -95,7 +94,9 @@ class MultisetRel:
         for (m, b) in pairs:
             if b not in tgt:
                 problems.append(f"output {b!r} outside target")
-            if mset(x for (x, k) in m for _ in range(k)) != m:
+            # merged and sorted, every count at least 1; never expanded
+            if not (all(isinstance(k, int) and k >= 1 for (_, k) in m)
+                    and mset_union(m) == m):
                 problems.append(f"premise {m!r} not in canonical form")
             if not mset_support(m) <= src:
                 problems.append(f"premise {m!r} outside source")
@@ -281,9 +282,7 @@ class Preorder:
         self._hash = None
         self._index = None
         if _validate:
-            problems = self.validate()
-            if problems:
-                raise ValidationError(f"{name}: " + "; ".join(problems))
+            require_valid(name, self.validate())
 
     def validate(self):
         return in_fixed_order(self._problems, set(self.elements),
@@ -510,9 +509,7 @@ class IdealRel:
         self.name = name
         self._hash = None
         if _validate:
-            problems = in_fixed_order(self._problems, rows)
-            if problems:
-                raise ValidationError(f"{name}: " + "; ".join(problems))
+            require_valid(name, in_fixed_order(self._problems, rows))
 
     def _problems(self, pairs):
         problems = []

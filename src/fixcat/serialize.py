@@ -134,14 +134,13 @@ def _parse_mrel(doc, validate):
         if not isinstance(m, list):
             raise SchemaError("multiset-relation: premise must be a list of "
                               "(element, multiplicity) pairs")
-        items = []
         for cell in m:
             if not isinstance(cell, list) or len(cell) != 2 \
                     or not _is_int(cell[1]) or cell[1] < 1:
                 raise SchemaError("multiset-relation: bad multiplicity entry")
             _atoms(cell[:1], "multiset-relation", "premise elements")
-            items.extend([cell[0]] * cell[1])
-        pairs.add((rel.mset(items), b))
+        # counts are summed, never expanded: a premise costs its length
+        pairs.add((rel.mset_union(m), b))
     r = rel.MultisetRel(source, target, pairs, name=doc.get("name", "R"),
                         _validate=validate)
     return r

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -72,6 +73,22 @@ def test_star_prints_a_carrier_mixing_strings_and_numbers(
     assert code == 0, err
     for line in lines:
         assert line in out.splitlines()
+
+
+def test_star_rel_reads_a_huge_multiplicity_without_expanding_it(
+        tmp_path, capsys):
+    # a premise is read and validated by its counts: a multiplicity of
+    # 10**12, once spelled out, would not fit in memory
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"kind": "multiset-relation", "name": "r", "source": ["a", "b"],
+         "target": ["a", "b"],
+         "pairs": [[[], "a"], [[["a", 10**12]], "b"]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "star", str(path), "--model", "rel")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert "star: {a, b}" in out.splitlines()
 
 
 def test_star_cat(capsys):

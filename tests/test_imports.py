@@ -4,7 +4,8 @@ another process.  No module of the package reads the process environment.
 No module of the package or its tests imports a name it never reads.  The
 package's modules import each other without a cycle.  Every module-level
 function or class that neither the package nor perfbench reads is one of
-a decided few."""
+a decided few.  Only the law engine's runners open the tables that
+memoized methods read."""
 
 import ast
 import graphlib
@@ -159,3 +160,55 @@ def test_every_unread_definition_is_decided():
     readers = modules + sorted(PERFBENCH.glob("*.py"))
     assert len(modules) > 1 and len(readers) > len(modules)
     assert unread_definitions(modules, readers) == UNREAD_BY_DESIGN
+
+
+TABLES = {"_memo", "_run"}
+
+
+def table_writes(path):
+    """The owner of each place in `path` that sets or deletes an attribute
+    named `_memo` or `_run`: an attribute target or a `setattr`/`delattr`
+    call, owned by its function (`Class.method` for a method), or a class
+    body's own assignment, owned by the class."""
+    writes = []
+
+    def visit(node, owner, class_body):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+                visit(child, name, isinstance(child, ast.ClassDef))
+                continue
+            if isinstance(child, ast.Attribute):
+                written = (child.attr in TABLES
+                           and not isinstance(child.ctx, ast.Load))
+            elif isinstance(child, ast.Name):
+                written = (class_body and child.id in TABLES
+                           and not isinstance(child.ctx, ast.Load))
+            elif isinstance(child, ast.Call):
+                written = (isinstance(child.func, ast.Name)
+                           and child.func.id in ("setattr", "delattr")
+                           and len(child.args) > 1
+                           and isinstance(child.args[1], ast.Constant)
+                           and child.args[1].value in TABLES)
+            else:
+                written = False
+            if written:
+                writes.append(owner)
+            visit(child, owner, class_body)
+
+    visit(ast.parse(path.read_text(), str(path)), "", False)
+    return writes
+
+
+def test_tables_are_opened_in_one_place():
+    # `memoized` methods read `_memo` and `_run`; the law engine's two
+    # runners alone open and close them, and FixpointModel declares them
+    # closed, so every table's life is decided in laws.py
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 1
+    owners = {(path.name, owner)
+              for path in files for owner in table_writes(path)}
+    assert owners == {("laws.py", "run_laws"),
+                      ("laws.py", "compare_operators"),
+                      ("laws.py", "FixpointModel")}

@@ -357,7 +357,7 @@ def test_run_suite_releases_each_corpus_before_drawing_the_next():
     assert len(reports) == 2 * len(FIX_LAWS + DINAT_LAWS + UNIF_LAWS)
 
 
-# --- instance-major evaluation under a per-instance memo ---------------------
+# --- instance-major evaluation, and the tables it opens ---------------------
 
 def test_memo_closed_after_run_suite_and_compare(poset_corpus, rel_corpus):
     pm, rm = PosetModel(), RelModel()
@@ -474,7 +474,9 @@ def keyed(table):
     return sum(type(k) is tuple for k in table)
 
 
-def test_memo_is_per_instance_and_shared_across_laws():
+def test_channel_without_program_shares_its_table_across_instances():
+    # laws the recorder does not stand in for are evaluated law by law,
+    # under the channel walk's one table
     m = PosetModel()
     corpus = Corpus(endos=[UP, DOWN, UP])
     seen = []
@@ -492,9 +494,11 @@ def test_memo_is_per_instance_and_shared_across_laws():
         laws.Law("a", "", "endos", first, describe1),
         laws.Law("b", "", "endos", second, describe1)])
     assert [r.passes for r in reports] == [3, 3]
-    # each instance starts from an empty memo; the second law sees the first's
-    # (counting keyed entries only: the table also holds the star's value)
-    assert seen == [("first", 0), ("second", 1)] * 3
+    # the second law sees the first's entries, and the second instance the
+    # first one's; the third, equal to the first, adds none (counting
+    # keyed entries only: the table also holds each star's value)
+    assert seen == [("first", 0), ("second", 1), ("first", 1), ("second", 2),
+                    ("first", 2), ("second", 2)]
     assert m._memo is None
 
 
@@ -668,15 +672,13 @@ def test_star_part_composite_equal_to_a_star_is_that_star():
     assert any(c is star for c in m.composites)
 
 
-def test_instance_memo_keeps_composites_as_computed():
-    # only a run table holds values; the instance memo is keyed alone
-    m = RelModel()
-    m._memo = {}
-    fs = m.star(ONLY_A)
-    c = m.compose(ONLY_A, fs)
-    assert c == fs and c is not fs
-    assert keyed(m._memo) == len(m._memo) == 1
-    m._memo = None
+def test_compare_memo_hands_back_the_held_object_for_an_equal_composite():
+    # a dinat pair's fg and gf, composed first, under different keys, are
+    # equal here: the item's memo keeps fg and hands it back for gf
+    m1 = RecordingRelModel()
+    compare_operators(m1, RelModel("tree"), [], pairs=[(ONLY_A, A_AND_LOOP)])
+    fg, gf = m1.composites[:2]
+    assert fg == gf and gf is fg
 
 
 def test_cat_run_with_unhashable_chains_matches_table_free_evaluation(
