@@ -45,10 +45,6 @@ class NotInvertible(FixcatError):
 class NotContractible(FixcatError):
     """Operator comparison found no unique connecting isomorphism."""
 
-    def __init__(self, count, message=""):
-        self.count = count
-        super().__init__(message or f"connecting cell count {count}, expected 1")
-
 
 class InvalidSquare(FixcatError):
     """A uniformity square's commuting condition does not hold."""

@@ -14,15 +14,15 @@ Laws are data: each is declared once, in `FIX_LAWS`, `DINAT_LAWS` and
 `UNIF_LAWS`, as functions of the adapter and one instance, and no law is
 derived from another.  `run_laws` is their one runner, instance-major:
 each corpus instance is evaluated once for every law that reads its
-channel.  Memoized adapter methods read one of two table names:
-composites the memo `_memo`, stars (and the cat adapter's chains) the
-run table `_run`.  `run_laws` points both at one table per channel walk,
-and every evaluation of an instance in the walk reads it, by the
-recorded program or law by law, so each distinct composite and star of
-the walk is computed once.  The program is compiled once per channel:
-its steps of memoized methods do `memoized`'s lookup inline, in that
-table and under the same key, and an eq1 test of two slots that are
-both the table's objects is an identity test.
+channel.  Memoized adapter methods, composites, stars and the cat
+adapter's chains alike, read one table, `_memo`, and only `run_laws`
+opens it: one table per channel walk, which every evaluation of an
+instance in the walk reads, by the recorded program or law by law, so
+each distinct composite and star of the walk is computed once.  The
+program is compiled once per channel: its steps of memoized methods do
+`memoized`'s lookup inline, in that table and under the same key, and
+an eq1 test of two slots that are both the table's objects is an
+identity test.
 Every table keeps one object per value: a leaf the program enters, or a
 star or composite equal to a value the table holds already (f.f* and f*
 where fix holds, id.f and f), is that value's object, so equal values
@@ -40,6 +40,9 @@ thin adapter `run_laws` records a channel's laws once as the 1-cells they
 build and the equations each tests, which give every law its verdict at
 an instance.  Only instances that list cannot judge, every cat instance,
 and each failing law once, to render it, are evaluated law by law.
+Two thin operators agree up to a unique invertible 2-cell exactly when
+their stars are equal, so `compare_operators` is that 1-cell equality
+test, on thin adapters only; it opens no adapter table.
 """
 
 from __future__ import annotations
@@ -69,18 +72,13 @@ class ThinCell:
 _MEMOIZED = {}
 
 
-def memoized(method=None, *, run_scoped=False):
-    """Share an adapter method's results by argument value.  A plain
-    method reads the memo `_memo`, which two adapters may share; a
-    `run_scoped` one (it reads adapter state such as `star_impl`) reads
-    the run table `_run`, which belongs to one adapter.  While that table
-    is None the method is simply called.  The key is the function and the
-    argument values, so adapters sharing a memo share only what they
-    compute with the same code.  A call that raises is not kept; the
-    wrapped methods never return None.  How long a table lives is the
-    caller's choice: `run_laws` points both names at one table per
-    channel walk; `compare_operators` gives `_memo` one item's life and
-    `_run` the whole call's.
+def memoized(method):
+    """Share an adapter method's results by argument value, in the one
+    table `_memo`.  While it is None the method is simply called.  The key
+    is the function and the argument values, not the adapter, and a star
+    reads adapter state such as `star_impl`, so a table belongs to one
+    adapter.  A call that raises is not kept; the wrapped methods never
+    return None.  Only `run_laws` opens the table: one per channel walk.
     Every table keeps one object per value: a result is also stored
     under itself, and when the table holds an equal value already, the
     call returns that object instead.  Most stars and composites of a
@@ -89,14 +87,12 @@ def memoized(method=None, *, run_scoped=False):
     key and is kept as computed.
     Each wrapper is entered in `_MEMOIZED` with its raw method.  A
     recorded program's step of such a method does this lookup inline, in
-    the walk's run table and with this key (`_Program`), so the two share
+    the walk's table and with this key (`_Program`), so the two share
     one cache."""
-    if method is None:
-        return functools.partial(memoized, run_scoped=run_scoped)
 
     @functools.wraps(method)
     def shared(self, *args):
-        table = self._run if run_scoped else self._memo
+        table = self._memo
         if table is None:
             return method(self, *args)
         key = (method, *args)
@@ -118,21 +114,20 @@ class FixpointModel:
 
     Every adapter supplies identity, compose, strictness, star and the three
     witnesses; one that is not a ThinModel also supplies the 2-cell
-    operations and `enumerate_invertible_cells`.  Products are optional: an
-    adapter whose `has_products()` holds supplies proj1, proj2 and pair,
-    which only the product route reads; it builds the symmetry from them.
+    operations.  Products are optional: an adapter whose `has_products()`
+    holds supplies proj1, proj2 and pair, which only the product route
+    reads; it builds the symmetry from them.
     A 2-cell carries its boundary 1-cells as `source` and `target`, which
     the engine reads directly.  Boundaries and equality of 1-cells (src,
     dst, eq1: `source`, `target` and `==`), equality of 2-cells (eq2:
     `==`), the horizontal composite (hcomp2: whisker-then-stack) and the
     description hooks have workable defaults.
-    `_memo` and `_run` are the tables `memoized` methods read; only
-    `run_laws` and `compare_operators` open them.
+    `_memo` is the one table `memoized` methods read; only `run_laws`
+    opens it.
     """
 
     name = "model"
     _memo = None
-    _run = None
 
     # -- objects and 1-cells ------------------------------------------------
     def identity(self, obj):
@@ -186,10 +181,6 @@ class FixpointModel:
 
     def star_2cell(self, alpha):
         """Transport a 2-cell between endo 1-cells to one between their stars."""
-        raise NotImplementedError
-
-    def enumerate_invertible_cells(self, f, g):
-        """All invertible 2-cells f => g."""
         raise NotImplementedError
 
     def hcomp2(self, first, second):
@@ -281,9 +272,6 @@ class ThinModel(FixpointModel):
     def star_2cell(self, alpha):
         return ThinCell(self.star(alpha.source), self.star(alpha.target))
 
-    def enumerate_invertible_cells(self, f, g):
-        return [ThinCell(f, g)] if self.eq1(f, g) else []
-
     # -- witnesses: the 1-cell equations of Simpson & Plotkin's operator -------
     def fix_witness(self, f):
         fs = self.star(f)
@@ -372,10 +360,10 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
     """Evaluate `laws` on `corpus`, instance-major: each channel is walked
     once, and every law reading it is judged at each instance in turn.
 
-    Each walk opens one table, memo and run table both, which every
-    evaluation in the walk reads.  On a thin adapter the laws of a
-    channel are first recorded as one straight-line program of 1-cell
-    operations and the equations each law tests (`_program`), and it
+    Each walk opens one table, `_memo`, which every evaluation in the
+    walk reads.  On a thin adapter the laws of a channel are first
+    recorded as one straight-line program of 1-cell operations and the
+    equations each law tests (`_program`), and it
     gives every law its verdict: the instance's leaves are looked up in
     the table first, so each leaf and each memoized step's result is the
     table's one object for its value, and a distinct composite or star,
@@ -398,7 +386,7 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
             insts = getattr(corpus, channel)
             program = (_program(m, [t[0] for t in group], insts[0])
                        if insts else None)
-            m._memo = m._run = {}
+            m._memo = {}
             for i, inst in enumerate(insts):
                 verdicts = program.verdicts(inst) if program else None
                 if verdicts is None:
@@ -413,14 +401,14 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
             insts = getattr(corpus, law.channel)
             ce = None
             if first is not None:
-                m._memo = m._run = {}
+                m._memo = {}
                 inst = insts[first]
                 _, left, right = _evaluate(m, law, inst)
                 ce = _counterexample(m, law, inst, left, right)
             reports.append(LawReport(law.law_id, law.statement, len(insts),
                                      passes, ce, vacuous=not insts))
     finally:
-        m._memo = m._run = None
+        m._memo = None
     return reports
 
 
@@ -580,7 +568,7 @@ class _Program:
 
     The program is compiled once, for the fewest Python calls per
     instance.  A step of a `memoized` method does that method's lookup
-    inline, in the walk's run table `_run` and under its key (the raw
+    inline, in the walk's table `_memo` and under its key (the raw
     method and the argument values): on a miss it calls the raw method
     and keeps the table's one object for the result.  Other steps call
     the adapter's method, or read `source`/`target` where src/dst are
@@ -622,7 +610,7 @@ class _Program:
         """Per law of the group, whether every one of its own tests holds
         at `inst`; None when `inst` is not shaped like the program or a
         slot is unhashable or a step or test raises.  Each leaf is
-        replaced by the run table's one object for its value first, and
+        replaced by the table's one object for its value first, and
         each inline step's result is the table's one object for its
         value, so a unit composite id.f is the walk's first f, and a
         later composite of equal values is a hit on the same objects.
@@ -632,7 +620,7 @@ class _Program:
         if not self.extract(inst, vals):
             return None
         m = self.m
-        table = m._run
+        table = m._memo
         if table is None:
             table = {}
         get, keep = table.get, table.setdefault
@@ -1045,84 +1033,61 @@ class CompareReport:
 
 def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
                       cells=(), pairs=()):
-    """Search for an isomorphism of operators between two adapters.
+    """Check that two thin adapters' operators agree up to a unique
+    invertible 2-cell.
 
-    For each endo the candidate components star1(f) => star2(f) are
-    narrowed by the fix-compatibility square; exactly one candidate must
-    survive per endo (NotContractible otherwise).  Optional channels check
-    the delta family against naturality cells and dinat pairs.  One
-    `search` per endo value finds its candidates and delta; a value-equal
-    endo and the channels reuse what it found.  Every endo, cell
-    and pair is evaluated under its own fresh memo, one dict handed to both
-    adapters: a composite such as a dinat pair's fg, gf or f.(gf)* is
-    computed once for the two of them, while their stars, keyed by adapter,
-    stay apart.  Each adapter's run table keeps its own stars for the whole
-    call; every table keeps one object per value.
-    Each `deltas` record keeps the endo and its delta as objects; only
-    error messages are rendered with describe1/describe2.
+    In a locally discrete model such a cell star1(f) => star2(f) exists,
+    and is unique, exactly when the two stars are equal, and it commutes
+    with both fix cells exactly when f.f* = f* as well (Simpson & Plotkin's
+    1-categorical uniqueness).  So each endo value's stars are computed
+    once and compared, and NotContractible is raised where they differ or
+    f.f* differs from f*.  Optional channels check the delta family: at a
+    cell a: f => g the stars of f and g must be equal, and at a dinat pair
+    (fg)* must equal f.(gf)*.  An adapter that is not a ThinModel raises
+    TypeMismatch.
+    The stars are kept by endo value in a dict of the call's own, with
+    one object held per star value, so value-equal stars come back as one
+    object; no adapter table is opened.  Each `deltas` record keeps the
+    endo and its delta as objects; only error messages are rendered with
+    describe1/describe2.
     """
+    for m in (m1, m2):
+        if not isinstance(m, ThinModel):
+            raise TypeMismatch(f"{m.name} is not thin: compare_operators "
+                               f"tests stars for 1-cell equality")
     m = m1
-    found = {}          # endo, by value -> (candidates searched, its delta)
-    deltas = []
-    searched = 0
+    stars = {}          # endo, by value -> its star, checked
+    held = {}           # star, by value -> the one object kept for it
 
-    def search(f):
-        hit = found.get(f)
-        if hit is None:
-            cands, good = _fix_compatible(m1, m2, f)
-            if len(good) != 1:
+    def star(f):
+        fs = stars.get(f)
+        if fs is None:
+            s1, s2 = m1.star(f), m2.star(f)
+            same = m.eq1(s1, s2)
+            if not (same and m.eq1(m.compose(f, s1), s1)):
                 raise NotContractible(
-                    len(good),
                     f"{m1.name} vs {m2.name} at {m.describe1(f)}: "
-                    f"{len(good)} fix-compatible candidates among {len(cands)}")
-            hit = found[f] = (len(cands), good[0])
-        return hit
+                    f"0 fix-compatible candidates among {int(same)}")
+            fs = stars[f] = held.setdefault(s1, s1)
+        return fs
 
-    m1._run, m2._run = {}, {}
-    try:
-        for f in endos:
-            m1._memo = m2._memo = {}
-            cands, delta = search(f)
-            searched += cands
-            deltas.append({"endo": f, "candidates": cands,
-                           "delta": delta,
-                           "is_identity": m.eq2(delta, m.id2(m1.star(f)))})
-        for alpha in cells:
-            m1._memo = m2._memo = {}
-            f, g = alpha.source, alpha.target
-            d_f = search(f)[1]
-            d_g = search(g)[1]
-            lhs = m.vcomp2(d_g, m1.star_2cell(alpha))
-            rhs = m.vcomp2(m2.star_2cell(alpha), d_f)
-            if not m.eq2(lhs, rhs):
-                raise NotContractible(0, f"delta is not natural at {m.describe2(alpha)}")
-        for (f, g) in pairs:
-            m1._memo = m2._memo = {}
-            fg, gf = m.compose(f, g), m.compose(g, f)
-            lhs = m.vcomp2(m2.dinat_witness(f, g), search(fg)[1])
-            rhs = m.vcomp2(m.whisker_l(f, search(gf)[1]),
-                           m1.dinat_witness(f, g))
-            if not m.eq2(lhs, rhs):
-                raise NotContractible(
-                    0, f"delta does not commute with dinat at (f={m.describe1(f)}, g={m.describe1(g)})")
-    finally:
-        m1._memo = m2._memo = m1._run = m2._run = None
-    identity = all(d["is_identity"] for d in deltas) and bool(deltas)
+    deltas = []
+    for f in endos:
+        fs = star(f)
+        deltas.append({"endo": f, "candidates": 1,
+                       "delta": ThinCell(fs, fs), "is_identity": True})
+    for alpha in cells:
+        if not m.eq1(star(alpha.source), star(alpha.target)):
+            raise NotContractible(f"delta is not natural at {m.describe2(alpha)}")
+    for (f, g) in pairs:
+        fg, gf = m.compose(f, g), m.compose(g, f)
+        if not m.eq1(star(fg), m.compose(f, star(gf))):
+            raise NotContractible(
+                f"delta does not commute with dinat at (f={m.describe1(f)}, g={m.describe1(g)})")
     certificate = (f"each of {len(deltas)} components unique among "
-                   f"{searched} invertible candidates searched")
+                   f"{len(deltas)} invertible candidates searched")
     return CompareReport(m1.name + "|" + m2.name, len(deltas), deltas,
-                         identity, certificate)
-
-
-def _fix_compatible(m1, m2, f):
-    """The candidate components star1(f) => star2(f), and the ones among
-    them that commute with both fix cells."""
-    s1, s2 = m1.star(f), m2.star(f)
-    cands = m1.enumerate_invertible_cells(s1, s2)
-    good = [d for d in cands
-            if m1.eq2(m1.vcomp2(d, m1.fix_witness(f)),
-                      m1.vcomp2(m2.fix_witness(f), m1.whisker_l(f, d)))]
-    return cands, good
+                         bool(deltas), certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ structure arrow, and the dinat/unif witnesses are the unique
 algebra-compatible arrows found by exhaustive search in the finite target
 category.
 
-The thin adapters' identity and compose are `memoized` on `_memo`, and
-their star, like the cat adapter's chain, on `_run` (`laws.memoized`);
-a law run's channel walk points both at one table, which keeps one
-object per value.
+The thin adapters' identity, compose and star, like the cat adapter's
+chain, are `memoized` (`laws.memoized`) on the one table `_memo`, which
+only a law run's channel walk opens; it belongs to one adapter and keeps
+one object per value.
 
 `REGISTRY` maps every suite spec to its adapter factory, its family's
 corpus builder, the document kind its 1-cells are read from (the `kind=`
@@ -60,7 +60,7 @@ class PosetModel(ThinModel):
             return poset.kleene_star(f)
         return poset.bifree_star(f)
 
-    @memoized(run_scoped=True)
+    @memoized
     def star(self, f):
         if f.source != f.target:
             raise TypeMismatch("star needs an endomap")
@@ -136,7 +136,7 @@ class RelModel(ThinModel):
                                {(rel.EMPTY_MSET, b) for b in stages.final},
                                name=f"{f.name}*", _validate=False)
 
-    @memoized(run_scoped=True)
+    @memoized
     def star(self, f):
         if not self.eq_obj(f.source, f.target):
             raise TypeMismatch("star needs an endo-relation")
@@ -176,7 +176,7 @@ class ScottModel(ThinModel):
     def is_strict(self, s):
         return all(len(u) == 1 for (u, _) in s.pairs)
 
-    @memoized(run_scoped=True)
+    @memoized
     def star(self, f):
         return rel.scott_star(f)
 
@@ -221,7 +221,7 @@ class CatModel(FixpointModel):
         targets = set(s.target.initial_objects())
         return all(s.on_obj(x) in targets for x in initials)
 
-    @memoized(run_scoped=True)
+    @memoized
     def _chain(self, f):
         chain = lambek_chain(f)
         if not chain.stabilized:
@@ -255,10 +255,6 @@ class CatModel(FixpointModel):
 
     def inverse2(self, t):
         return cat.inverse_transf(t)
-
-    def enumerate_invertible_cells(self, f, g):
-        return [t for t in cat.enumerate_nat_transfs(f, g)
-                if cat.is_invertible_transf(t)]
 
     # witnesses
     def fix_witness(self, f):

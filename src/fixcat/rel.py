@@ -16,10 +16,11 @@ literally.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import (TypeMismatch, ValidationError, in_fixed_order,
+from .errors import (SizeCap, TypeMismatch, ValidationError, in_fixed_order,
                      require_valid)
 from .errors import sort_key as _skey
 
@@ -133,11 +134,20 @@ def mrel_from_function(source, target, fn, name="J") -> MultisetRel:
                        name=name)
 
 
+# The most f-premises one composite may read off its expanded choices:
+# each g-premise with k occurrences of b picks a multiset of k among b's
+# f-premises, C(|cands|+k-1, k) ways, and each choice holds sum(k) of them.
+MAX_COMPOSE_PREMISES = 1_000_000
+
+
 def mrel_compose(g: MultisetRel, f: MultisetRel) -> MultisetRel:
     """g after f: one f-derivation per occurrence in each g-premise.
 
     A premise with no occurrence, or with a single one, needs no union: the
     f-premises are canonical already, so each is its own composite premise.
+    Every other premise's choices are counted before they are expanded, and
+    SizeCap is raised once they would hold more than MAX_COMPOSE_PREMISES
+    premises in all.
     """
     if not _same_carrier(f.target, g.source):
         raise TypeMismatch("relation boundaries do not match")
@@ -145,6 +155,7 @@ def mrel_compose(g: MultisetRel, f: MultisetRel) -> MultisetRel:
     for (m, b) in f.pairs:
         by_target.setdefault(b, []).append(m)
     out = set()
+    budget = MAX_COMPOSE_PREMISES
     for (n, c) in g.pairs:
         if not n:
             out.add((EMPTY_MSET, c))
@@ -152,17 +163,18 @@ def mrel_compose(g: MultisetRel, f: MultisetRel) -> MultisetRel:
         if len(n) == 1 and n[0][1] == 1:
             out.update((m, c) for m in by_target.get(n[0][0], ()))
             continue
-        slots = []
-        feasible = True
-        for (b, k) in n:
-            cands = by_target.get(b, [])
-            if not cands:
-                feasible = False
-                break
-            slots.append(list(itertools.combinations_with_replacement(cands, k)))
-        if not feasible:
+        slots = [(by_target.get(b), k) for (b, k) in n]
+        if not all(cands for cands, _ in slots):
             continue
-        for choice in itertools.product(*slots):
+        budget -= mset_size(n) * math.prod(
+            math.comb(len(cands) + k - 1, k) for cands, k in slots)
+        if budget < 0:
+            raise SizeCap(f"{g.name}.{f.name}: composite premises over the "
+                          f"bound of {MAX_COMPOSE_PREMISES} "
+                          f"(rel.MAX_COMPOSE_PREMISES)")
+        for choice in itertools.product(
+                *(itertools.combinations_with_replacement(cands, k)
+                  for cands, k in slots)):
             ms = [m for group in choice for m in group]
             out.add((mset_union(*ms), c))
     return MultisetRel(f.source, g.target, out, name=f"{g.name}.{f.name}",

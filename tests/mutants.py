@@ -1,9 +1,9 @@
 """Mutant adapters and inputs with no fixpoint, shared by the tests."""
 
-from fixcat import rel
+from fixcat import poset, rel
 from fixcat.cat import FunctorData
 from fixcat.corpora import IDEM
-from fixcat.models import RelModel
+from fixcat.models import PosetModel, RelModel
 
 # F(u) = F(p) = p: the Lambek chain's connectors u, p, p repeat p, which has
 # no inverse, so the chain cycles from step 1 with period 1
@@ -15,8 +15,9 @@ F_STUCK = FunctorData(IDEM, IDEM, {"0": "w", "w": "w"},
 class GreatestRelModel(RelModel):
     """Mutant: star picks the greatest fixpoint of an endo-relation, the
     one-step operator iterated down from the full target.  It runs the same
-    `star` and `compose` code as `RelModel`, so only each adapter's own run
-    table keeps the two stars apart when they share a composite memo."""
+    `star` and `compose` code as `RelModel`, under the same table keys, so a
+    table shared with a `RelModel` would hand one adapter the other's
+    stars."""
 
     def __init__(self):
         super().__init__("closure")
@@ -32,3 +33,17 @@ class GreatestRelModel(RelModel):
         return rel.MultisetRel(rel.EMPTY_CARRIER, f.target,
                                {(rel.EMPTY_MSET, b) for b in alive},
                                name=f"{f.name}*", _validate=False)
+
+
+class LastFixpointPosetModel(PosetModel):
+    """Mutant: star picks the last fixpoint in `repr` order.  Each pick is
+    a fixpoint, so f.f* = f* holds at every endo, and the operator fails
+    only where fixpoints of different endos must fit together, such as
+    dinaturality's (fg)* = f.(gf)*."""
+
+    def __init__(self):
+        super().__init__("kleene")
+        self.name = "poset[last]"
+
+    def _lfp(self, f):
+        return max(poset.all_fixpoints(f), key=repr)

@@ -331,6 +331,20 @@ def test_mtype_unfolding_over_budget_exits_two(capsys, tmp_path):
                    "100000 nodes\n")
 
 
+def test_dinat_product_composite_over_budget_exits_two(capsys, tmp_path):
+    # one premise needing its only element 10**7 times: composing it with a
+    # projection would expand a choice of 10**7 premises
+    doc = tmp_path / "heavy.json"
+    doc.write_text(json.dumps({
+        "kind": "multiset-relation", "name": "heavy", "source": ["a"],
+        "target": ["a"], "pairs": [[[["a", 10**7]], "a"]]}))
+    code, out, err = run(capsys, "dinat-product", str(doc), str(doc),
+                         "--model", "rel")
+    assert (code, out) == (2, "")
+    assert err == ("error: heavy.pi1: composite premises over the bound of "
+                   "1000000 (rel.MAX_COMPOSE_PREMISES)\n")
+
+
 def test_bisim_loops(capsys):
     code, out, _ = run(capsys, "bisim", sample("system_loop_a.json"),
                        sample("system_loop_b.json"))

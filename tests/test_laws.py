@@ -16,7 +16,7 @@ from fixcat.laws import (DINAT_LAWS, FIX_LAWS, UNIF_LAWS, Corpus, ThinCell,
                          run_laws, run_suite)
 from fixcat.models import (BrokenPosetModel, CatModel, PosetModel, RelModel,
                            ScottModel)
-from mutants import GreatestRelModel
+from mutants import GreatestRelModel, LastFixpointPosetModel
 
 
 @pytest.fixture(scope="module")
@@ -209,13 +209,14 @@ def test_compare_closure_tree_identity(rel_corpus):
     assert all(d["candidates"] == 1 for d in rep.deltas)
 
 
-def test_compare_cat_with_itself(cat_corpus):
-    # the non-thin path: deltas are enumerated natural isos, kept by functor
-    rep = compare_operators(CatModel(), CatModel(), cat_corpus.endos,
-                            cells=cat_corpus.endo_cells,
-                            pairs=cat_corpus.dinat_pairs)
-    assert rep.identity
-    assert rep.instances == len(cat_corpus.endos)
+def test_compare_refuses_a_non_thin_adapter(cat_corpus):
+    # compare is the 1-cell equality test that the 2-cell search is on thin
+    # models; an adapter with genuine 2-cells would need the search
+    for m1, m2 in ((CatModel(), CatModel()), (PosetModel(), CatModel())):
+        with pytest.raises(TypeMismatch, match="cat is not thin"):
+            compare_operators(m1, m2, cat_corpus.endos,
+                              cells=cat_corpus.endo_cells,
+                              pairs=cat_corpus.dinat_pairs)
 
 
 def test_compare_searches_value_equal_endos_once(poset_corpus,
@@ -224,16 +225,20 @@ def test_compare_searches_value_equal_endos_once(poset_corpus,
     twin = poset.MonotoneMap(f.source, f.target, f.assignment, name="twin")
     one = compare_operators(PosetModel("kleene"), PosetModel("bifree"), [f])
     calls = []
-    search = laws._fix_compatible
 
-    def counting(m1, m2, endo):
-        calls.append(endo)
-        return search(m1, m2, endo)
+    def counting(kernel):
+        real = getattr(poset, kernel)
 
-    monkeypatch.setattr(laws, "_fix_compatible", counting)
+        def star(endo):
+            calls.append((kernel, endo))
+            return real(endo)
+        return star
+
+    for kernel in ("kleene_star", "bifree_star"):
+        monkeypatch.setattr(poset, kernel, counting(kernel))
     rep = compare_operators(PosetModel("kleene"), PosetModel("bifree"),
                             [f, twin])
-    assert calls == [f]
+    assert calls == [("kleene_star", f), ("bifree_star", f)]
     assert rep.instances == 2
     assert [d["endo"] for d in rep.deltas] == [f, twin]
     for d in rep.deltas:
@@ -249,6 +254,44 @@ def test_compare_disagreeing_operators_not_contractible(poset_corpus):
     with pytest.raises(NotContractible):
         compare_operators(PosetModel("kleene"), BrokenPosetModel(),
                           poset_corpus.endos)
+
+
+def unnatural_cell(corpus):
+    """A ThinCell f => g between the corpus's first two endos of one carrier
+    whose stars differ."""
+    m = PosetModel()
+    return next(ThinCell(f, g) for f in corpus.endos for g in corpus.endos
+                if f.source == g.source and m.star(f) != m.star(g))
+
+
+@pytest.mark.parametrize("m1, m2, items, message", [
+    (lambda: PosetModel("kleene"), BrokenPosetModel,
+     lambda pc, rc: (pc.endos, (), ()),
+     "poset[kleene] vs poset[broken] at P2_0->P2_0{'b'>'b', 'e0'>'b'}: "
+     "0 fix-compatible candidates among 0"),
+    (BrokenPosetModel, BrokenPosetModel,
+     lambda pc, rc: (pc.endos, (), ()),
+     "poset[broken] vs poset[broken] at P2_0->P2_0{'b'>'b', 'e0'>'b'}: "
+     "0 fix-compatible candidates among 1"),
+    (lambda: RelModel("closure"), GreatestRelModel,
+     lambda pc, rc: (rc.endos, (), ()),
+     "rel[closure] vs rel[greatest] at rel(1->1: (('r0', 1),)>'r0'): "
+     "0 fix-compatible candidates among 0"),
+    (lambda: PosetModel("kleene"), lambda: PosetModel("bifree"),
+     lambda pc, rc: ((), [unnatural_cell(pc)], ()),
+     "delta is not natural at P2_0->P2_0{'b'>'b', 'e0'>'b'} => "
+     "P2_0->P2_0{'b'>'e0', 'e0'>'e0'}"),
+    (LastFixpointPosetModel, LastFixpointPosetModel,
+     lambda pc, rc: ((), (), pc.dinat_pairs),
+     "delta does not commute with dinat at (f=P2_0->P3_1{'b'>'e1', "
+     "'e0'>'e0'}, g=P3_1->P2_0{'b'>'b', 'e0'>'e0', 'e1'>'b'})"),
+], ids=["stars-differ", "fix-fails", "rel-stars-differ", "unnatural",
+        "dinat"])
+def test_compare_failure_messages(m1, m2, items, message):
+    endos, cells, pairs = items(corpora.poset_corpus(0), corpora.rel_corpus(0))
+    with pytest.raises(NotContractible) as info:
+        compare_operators(m1(), m2(), endos, cells=cells, pairs=pairs)
+    assert str(info.value) == message
 
 
 def test_compare_shared_memo_keeps_operators_stars_apart(rel_corpus):
@@ -363,12 +406,12 @@ def test_memo_closed_after_run_suite_and_compare(poset_corpus, rel_corpus):
     pm, rm = PosetModel(), RelModel()
     run_suite([(pm, poset_corpus), (rm, rel_corpus)])
     assert pm._memo is None and rm._memo is None
-    assert pm._run is None and rm._run is None
     m1, m2 = RelModel("closure"), RelModel("tree")
     compare_operators(m1, m2, rel_corpus.endos, cells=rel_corpus.endo_cells,
                       pairs=rel_corpus.dinat_pairs[::50])
     assert m1._memo is None and m2._memo is None
-    assert m1._run is None and m2._run is None
+    # compare keeps its stars itself and never opens an adapter's table
+    assert "_memo" not in vars(m1) and "_memo" not in vars(m2)
 
 
 def test_memo_closed_after_compare_raises(poset_corpus):
@@ -376,7 +419,7 @@ def test_memo_closed_after_compare_raises(poset_corpus):
     with pytest.raises(NotContractible):
         compare_operators(m1, m2, poset_corpus.endos)
     assert m1._memo is None and m2._memo is None
-    assert m1._run is None and m2._run is None
+    assert "_memo" not in vars(m1) and "_memo" not in vars(m2)
 
 
 def test_memo_shares_equal_arguments(monkeypatch):
@@ -390,7 +433,7 @@ def test_memo_shares_equal_arguments(monkeypatch):
     monkeypatch.setattr(poset, "kleene_star", counting)
     m = PosetModel()
     same = poset.MonotoneMap(CHAIN2, CHAIN2, dict(UP.assignment), name="up2")
-    # a declared law runs as a program, under the channel's run table
+    # a declared law runs as a program, under the channel's table
     reports = laws.run_laws(m, Corpus(endos=[UP, same]), [laws.FIX_LAWS[0]])
     assert reports[0].passes == 2
     assert calls == [UP]
@@ -398,17 +441,6 @@ def test_memo_shares_equal_arguments(monkeypatch):
     assert m.compose(UP, DOWN) is m.compose(same, DOWN)
     m._memo = None
     assert m.star(UP) is not m.star(UP)
-
-
-def test_star_reads_the_run_table_only():
-    m = PosetModel()
-    m._memo = {}
-    assert m.star(UP) is not m.star(UP)
-    assert m._memo == {}
-    m._memo, m._run = None, {}
-    assert m.star(UP) is m.star(UP)
-    assert m.compose(UP, DOWN) is not m.compose(UP, DOWN)
-    m._run = None
 
 
 def test_memo_keeps_no_failed_call():
@@ -470,7 +502,7 @@ def test_direct_checks_match_run_suite(make):
 
 
 def keyed(table):
-    """The entries of a memo or run table keyed by (method, *arguments)."""
+    """The entries of a table keyed by (method, *arguments)."""
     return sum(type(k) is tuple for k in table)
 
 
@@ -524,7 +556,7 @@ def test_compare_renders_no_describe_strings_when_passing(poset_corpus):
     assert [d["endo"] for d in rep.deltas] == list(poset_corpus.endos)
 
 
-# --- the run table: each distinct star computed once per law run -------------
+# --- the table: each distinct star computed once per channel walk -----------
 
 OTHER2 = poset.PointedPoset(["b", "t"], [("b", "b"), ("t", "t"), ("b", "t")],
                             "b", name="other")
@@ -566,7 +598,7 @@ def test_run_table_shares_value_equal_stars_across_instances(
     reports = laws.run_laws(m, Corpus(endos=[f, twin]), [FIX_CELL])
     assert reports[0].passes == 2
     assert len(calls) == 1
-    assert m._run is None
+    assert m._memo is None
     # a second run opens a table of its own
     laws.run_laws(m, Corpus(endos=[twin]), [FIX_CELL])
     assert len(calls) == 2
@@ -591,12 +623,12 @@ def test_run_table_renewed_between_channels(monkeypatch):
 def test_run_table_keeps_no_failed_star():
     m = RelModel()
     f = rel.MultisetRel(("a",), ("a", "b"), {(rel.mset(["a"]), "b")})
-    m._memo, m._run = {}, {}
+    m._memo = {}
     for _ in range(2):
         with pytest.raises(TypeMismatch):
             m.star(f)
-    assert m._memo == {} and m._run == {}
-    m._memo = m._run = None
+    assert m._memo == {}
+    m._memo = None
 
 
 def test_counterexample_rendered_from_replay_without_run_table():
@@ -609,7 +641,7 @@ def test_counterexample_rendered_from_replay_without_run_table():
     cell = laws.FIX_LAWS[0]
     reports = laws.run_laws(m, corpus, [laws.DINAT_LAWS[0], cell])
     got = reports[1].counterexample
-    assert m._memo is None and m._run is None
+    assert m._memo is None
     ok, left, right = cell.evaluate(m, DOWN_OTHER)
     assert not ok
     want = laws._counterexample(m, cell, DOWN_OTHER, left, right)
@@ -618,7 +650,7 @@ def test_counterexample_rendered_from_replay_without_run_table():
     assert got["left"] == "1->other{'*'>'b'} => 1->other{'*'>'t'}"
 
 
-# --- one object per value in a run table ---------------------------------------
+# --- one object per value in a table -------------------------------------------
 
 # Two different endos of one carrier whose least fixpoints agree: b needs b.
 ONLY_A = rel.MultisetRel(("a", "b"), ("a", "b"), {(rel.EMPTY_MSET, "a")})
@@ -648,9 +680,9 @@ def test_run_table_keeps_one_object_per_star_value():
     assert ONLY_A != A_AND_LOOP
     m = RelModel()
     assert m.star(ONLY_A) == m.star(A_AND_LOOP)
-    m._run = {}
+    m._memo = {}
     assert m.star(ONLY_A) is m.star(A_AND_LOOP)
-    m._run = None
+    m._memo = None
     # the same holds across the instances of a recorded channel walk
     m = RecordingRelModel()
     reports = laws.run_laws(m, Corpus(endos=[ONLY_A, A_AND_LOOP]), [FIX_CELL])
@@ -660,10 +692,10 @@ def test_run_table_keeps_one_object_per_star_value():
 
 def test_star_part_composite_equal_to_a_star_is_that_star():
     m = RelModel()
-    m._memo = m._run = {}
+    m._memo = {}
     fs = m.star(ONLY_A)
     assert m.compose(ONLY_A, fs) is fs
-    m._memo = m._run = None
+    m._memo = None
     # the same holds in a recorded program's walk
     m = RecordingRelModel()
     reports = laws.run_laws(m, Corpus(endos=[A_AND_LOOP]), [FIX_CELL])
@@ -672,13 +704,16 @@ def test_star_part_composite_equal_to_a_star_is_that_star():
     assert any(c is star for c in m.composites)
 
 
-def test_compare_memo_hands_back_the_held_object_for_an_equal_composite():
-    # a dinat pair's fg and gf, composed first, under different keys, are
-    # equal here: the item's memo keeps fg and hands it back for gf
-    m1 = RecordingRelModel()
-    compare_operators(m1, RelModel("tree"), [], pairs=[(ONLY_A, A_AND_LOOP)])
-    fg, gf = m1.composites[:2]
-    assert fg == gf and gf is fg
+def test_compare_hands_back_one_object_per_star_value():
+    # ONLY_A and A_AND_LOOP differ and their stars are equal: the call holds
+    # one object for that value, which both operators' records carry
+    m1, m2 = RecordingRelModel(), RelModel("tree")
+    rep = compare_operators(m1, m2, [ONLY_A, A_AND_LOOP])
+    assert rep.identity and rep.instances == 2
+    assert m1.stars[0] is not m1.stars[1]
+    (first, second) = (d["delta"] for d in rep.deltas)
+    assert first.source is first.target is second.source is second.target
+    assert first.source is m1.stars[0]
 
 
 def test_cat_run_with_unhashable_chains_matches_table_free_evaluation(
@@ -686,11 +721,11 @@ def test_cat_run_with_unhashable_chains_matches_table_free_evaluation(
     m = CatModel()
     with pytest.raises(TypeError):
         hash(m._chain(cat_corpus.endos[0]))
-    m._run = {}
+    m._memo = {}
     chain = m._chain(cat_corpus.endos[0])
     assert m._chain(cat_corpus.endos[0]) is chain
-    assert len(m._run) == 1
-    m._run = None
+    assert len(m._memo) == 1
+    m._memo = None
     all_laws = FIX_LAWS + DINAT_LAWS + UNIF_LAWS
     reports = run_laws(m, cat_corpus, all_laws)
     for law, rep in zip(all_laws, reports):

@@ -204,7 +204,7 @@ def test_cat_chain_computed_once_per_channel_walk(monkeypatch):
     reports = laws.run_laws(m, corpus, every)
     assert all(r.passes == 3 for r in reports if r.instances == 3)
     assert calls == [F_AUT] and calls[0] is F_AUT
-    assert m._run is None and m._memo is None
+    assert m._memo is None
 
 
 def test_cat_star_reports_a_cycling_chain():

@@ -92,14 +92,14 @@ def test_program_verdicts_equal_full_evaluation(name, seed, draws, offset):
                       + insts[start:start + 30])
             run = {}
             for inst in chosen:
-                m._memo = m._run = run
+                m._memo = run
                 fast = program.verdicts(inst)
-                m._memo = m._run = {}
+                m._memo = {}
                 full = [laws._evaluate(m, law, inst)[0] for law in group]
                 assert fast is None or fast == full, (name, channel, inst)
                 assert fast is not None or name == "poset-picky"
     finally:
-        m._memo = m._run = None
+        m._memo = None
 
 
 @pytest.mark.parametrize("name", ["poset-broken", "poset-picky",
@@ -182,7 +182,7 @@ def test_memoized_call_after_a_walk_is_a_hit_on_its_table(monkeypatch):
     endos = corpora.poset_corpus(draws=4, seed=2).endos
     program = laws._program(m, groups()["endos"], endos[0])
     run = {}
-    m._memo = m._run = run
+    m._memo = run
     try:
         for f in endos:
             assert program.verdicts(f) is program.passing
@@ -194,7 +194,7 @@ def test_memoized_call_after_a_walk_is_a_hit_on_its_table(monkeypatch):
             assert run[out] is out and run[fs] is fs
         assert len(calls) == walked
     finally:
-        m._memo = m._run = None
+        m._memo = None
 
 
 @pytest.fixture
@@ -377,17 +377,17 @@ def test_overridden_eq1_is_asked_for_every_test(monkeypatch):
         run = {}
         passing = 0
         for inst in insts[:60]:
-            m._memo = m._run = run
+            m._memo = run
             m.eq1_calls = 0
             fast = program.verdicts(inst)
             if fast is program.passing:
                 passing += 1
                 assert m.eq1_calls == asked, channel
-            m._memo = m._run = {}
+            m._memo = {}
             full = [laws._evaluate(m, law, inst)[0] for law in group]
             assert fast == full, (channel, inst)
         assert passing, channel
-    m._memo = m._run = None
+    m._memo = None
     thinned = Corpus(**{ch: insts[:60] for ch, insts in vars(corpus).items()})
     got = laws.run_laws(m, thinned, ALL_LAWS)
     assert got == full_law_run(monkeypatch, m, thinned)
@@ -419,13 +419,13 @@ def test_eq1_is_an_identity_test_only_between_canonical_slots():
     pairs = corpus.dinat_pairs[::7] + corpus.dinat_pairs[-4:]
     run = {}
     for inst in pairs:
-        m._memo = m._run = run
+        m._memo = run
         fast = program.verdicts(inst)
-        m._memo = m._run = {}
+        m._memo = {}
         full = [laws._evaluate(m, law, inst)[0]
                 for law in groups()["dinat_pairs"]]
         assert fast == full, inst
-    m._memo = m._run = None
+    m._memo = None
 
 
 class Pair(NamedTuple):

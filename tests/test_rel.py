@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcat.errors import TypeMismatch, ValidationError
+from fixcat import rel
+from fixcat.errors import SizeCap, TypeMismatch, ValidationError
 from fixcat.rel import (
     EMPTY_CARRIER,
     EMPTY_MSET,
@@ -89,6 +90,27 @@ def test_mrel_compose_threads_one_derivation_per_occurrence():
     assert gf.pairs == {(mset(["a", "a"]), "z"),
                         (mset(["a", "b"]), "z"),
                         (mset(["b", "b"]), "z")}
+
+
+def test_mrel_compose_counts_its_premises_against_the_budget(monkeypatch):
+    # g's premise x^3 picks 3 of f's 2 ways to make x, with repetition:
+    # C(4, 3) = 4 choices of 3 premises each, 12 premises in all
+    f = MultisetRel(["a", "b"], ["x"], {(mset(["a"]), "x"), (mset(["b"]), "x")},
+                    name="f")
+    g = MultisetRel(["x"], ["z"], {(mset(["x"] * 3), "z")}, name="g")
+    monkeypatch.setattr(rel, "MAX_COMPOSE_PREMISES", 12)
+    assert len(mrel_compose(g, f).pairs) == 4
+    monkeypatch.setattr(rel, "MAX_COMPOSE_PREMISES", 11)
+    with pytest.raises(SizeCap) as info:
+        mrel_compose(g, f)
+    assert str(info.value) == ("g.f: composite premises over the bound of "
+                               "11 (rel.MAX_COMPOSE_PREMISES)")
+    # the count runs over every premise of g, not one at a time
+    g2 = MultisetRel(["x"], ["z", "w"], {(mset(["x"] * 3), "z"),
+                                         (mset(["x"] * 3), "w")})
+    monkeypatch.setattr(rel, "MAX_COMPOSE_PREMISES", 23)
+    with pytest.raises(SizeCap):
+        mrel_compose(g2, f)
 
 
 def test_mrel_compose_drops_unservable_premises():
@@ -500,7 +522,7 @@ def test_relations_equal_up_to_carrier_order_hash_equal(na, nb, data):
 
 
 def test_empty_relations_on_distinct_carriers_hash_apart():
-    # their pairs name no element; a run table holds many of them
+    # their pairs name no element; a law run's table holds many of them
     empties = [MultisetRel(EMPTY_CARRIER, (f"E{i}0", f"E{i}1"), set())
                for i in range(50)]
     assert len({hash(r) for r in empties}) == 50
