@@ -192,7 +192,8 @@ def cmd_compare(args):
     print(f"seed: {args.seed}")
     report = laws.compare_operators(m1, m2, corpus.endos,
                                     cells=corpus.endo_cells,
-                                    pairs=corpus.dinat_pairs)
+                                    pairs=corpus.dinat_pairs,
+                                    symmetry=corpus.symmetry)
     print(f"operators: {report.base}")
     print(f"instances: {report.instances}")
     print(f"identity: {'yes' if report.identity else 'NO'}")

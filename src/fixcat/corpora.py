@@ -24,6 +24,15 @@ A builder enumerates the exhaustive 1-cells between each pair of objects
 once, into one table, and lists its exhaustive dinat pairs, triples and
 squares from that table: a pair or triple holds the table's objects, not
 fresh copies of them.
+
+`rel_corpus` also sets the corpus's `laws.Symmetry`: the orbits of its
+exhaustive endos, endo cells and dinat pairs under relabelling each
+carrier, each orbit listed by its first labelled member.  It computes
+them on every build, by index arithmetic on the generators' own product
+order (a bit product over slots, a mixed-radix product over outputs),
+without relabelling a relation.  `laws.run_laws` and
+`laws.compare_operators` judge one instance per orbit where the
+adapter's star passes an equivariance check.
 """
 
 import itertools
@@ -32,7 +41,7 @@ import random
 
 from . import cat, poset, rel
 from .errors import ValidationError
-from .laws import Corpus, ThinCell
+from .laws import Corpus, Symmetry, ThinCell
 
 TRIPLE_CAP = 900        # dinat one-naturality triples per model
 STACK_CAP = 400         # stacked uniformity squares per model
@@ -382,7 +391,115 @@ def rel_closure_square(g):
     return (s, f, g, gamma)
 
 
+def _product_images(contribs):
+    """The image of every index of a product of digits, in product order
+    (first digit slowest), under a relabelling that sends digit k of
+    value v to the index contribution contribs[k][v]: an index is the sum
+    of its digits' contributions, so its image is too."""
+    table = [0]
+    for contrib in contribs:
+        table = [t + x for t in table for x in contrib]
+    return table
+
+
+def _endo_images(perm):
+    """Where relabelling by perm (x -> perm[x]) sends an index of
+    rel_fragment_endos on a carrier of len(perm) elements, as a function
+    of the index.  The endos are a bit product over the slots (premise,
+    output), premise p = 0 empty and p = 1 + x the singleton of element
+    x, first slot most significant; relabelling moves the slot (p, b) to
+    (p and 1 + perm[p - 1], perm[b]).  The image sums one table entry for
+    each half of the slots, so the tables hold 2 * 64 entries, not 4,096,
+    on three elements."""
+    n = len(perm)
+    last = (n + 1) * n - 1
+    moved = [(p and 1 + perm[p - 1]) * n + perm[b]
+             for p in range(n + 1) for b in range(n)]
+    contribs = [(0, 1 << (last - k)) for k in moved]
+    low = len(contribs) // 2
+    high_table = _product_images(contribs[:-low])
+    low_table = _product_images(contribs[-low:])
+    mask = (1 << low) - 1
+    return lambda i: high_table[i >> low] + low_table[i & mask]
+
+
+def _graph_images(src_perm, dst_perm):
+    """Where relabelling the source by src_perm and the target by dst_perm
+    sends each index of rel_partial_graphs: a mixed-radix product over the
+    outputs, first output most significant, of the digit 0 (no pair),
+    1 (the empty premise) or 2 + x (the singleton of source element x);
+    relabelling moves output y's digit to dst_perm[y] and maps its value
+    2 + x to 2 + src_perm[x]."""
+    radix = len(src_perm) + 2
+    values = [0, 1] + [2 + x for x in src_perm]
+    last = len(dst_perm) - 1
+    return _product_images([[v * radix ** (last - dst_perm[y]) for v in values]
+                            for y in range(len(dst_perm))])
+
+
+def _rel_endo_orbits(carriers):
+    """The orbits of the rel endo layer, rel_fragment_endos(a) for each a
+    in carriers in turn, under relabelling each carrier: the layer's
+    (reps, sizes), and the function that lists, for an endo's index,
+    (names, index of its image) for every relabelling but the identity,
+    names mapping each element to its new name."""
+    reps, sizes = [], []
+    blocks = []             # (offset, the carrier's relabellings but one)
+    offset = 0
+    for a in carriers:
+        # permutations() yields the identity first
+        group = [({x: a[i] for x, i in zip(a, perm)}, _endo_images(perm))
+                 for perm in itertools.permutations(range(len(a)))][1:]
+        count = 1 << (len(a) + 1) * len(a)
+        seen = bytearray(count)
+        for i in range(count):
+            if not seen[i]:
+                orbit = {i}.union(image(i) for _, image in group)
+                for j in orbit:
+                    seen[j] = 1
+                reps.append(offset + i)
+                sizes.append(len(orbit))
+        blocks.append((offset, group))
+        offset += count
+
+    def images(r):
+        start, group = next(b for b in reversed(blocks) if b[0] <= r)
+        return [(names, start + image(r - start)) for names, image in group]
+    return (reps, sizes), images
+
+
+def _rel_pair_orbits(carriers):
+    """The (reps, sizes) of the exhaustive rel dinat pairs, the product of
+    rel_partial_graphs(a, b) and (b, a) for each a, b in carriers in turn,
+    under relabelling a and b independently: (f, g) goes to
+    (t f s^-1, s g t^-1)."""
+    reps, sizes = [], []
+    offset = 0
+    for a in carriers:
+        for b in carriers:
+            group = [(_graph_images(s, t), _graph_images(t, s))
+                     for s in itertools.permutations(range(len(a)))
+                     for t in itertools.permutations(range(len(b)))]
+            width = len(group[0][1])
+            count = len(group[0][0]) * width
+            seen = bytearray(count)
+            for i in range(count):
+                if not seen[i]:
+                    f, g = divmod(i, width)
+                    orbit = {fs[f] * width + gs[g] for fs, gs in group}
+                    for j in orbit:
+                        seen[j] = 1
+                    reps.append(offset + i)
+                    sizes.append(len(orbit))
+            offset += count
+    return reps, sizes
+
+
 def rel_corpus(draws=1000, seed=0):
+    """The rel corpus, with the `Symmetry` of its exhaustive endos,
+    endo_cells and dinat pairs, computed on every build.  Every endo those
+    channels star is in the endo layer: an endo itself, or a composite fg
+    or gf of partial graphs, whose premises have size at most one."""
     counts = _draw_counts(draws)
     carriers = [rel_carrier(n) for n in (1, 2, 3)]
     c = Corpus()
@@ -394,6 +511,10 @@ def rel_corpus(draws=1000, seed=0):
     for a in carriers:
         for b in carriers:
             c.dinat_pairs.extend(itertools.product(graphs[a, b], graphs[b, a]))
+    endo_orbits, images = _rel_endo_orbits(carriers)
+    c.symmetry = Symmetry({"endos": endo_orbits, "endo_cells": endo_orbits,
+                           "dinat_pairs": _rel_pair_orbits(carriers)},
+                          images, rel.mrel_rename)
     c.dinat_triples = _stride_sample_products(
         [(graphs[a, a],) * 3 for a in carriers], TRIPLE_CAP)
     c.unif_squares = _square_search(carriers, lambda a: graphs[a, a],

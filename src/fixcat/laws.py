@@ -43,11 +43,20 @@ and each failing law once, to render it, are evaluated law by law.
 Two thin operators agree up to a unique invertible 2-cell exactly when
 their stars are equal, so `compare_operators` is that 1-cell equality
 test, on thin adapters only; it opens no adapter table.
+
+A lawful operator commutes with relabelling the elements of a carrier
+(uniformity at an invertible strict 1-cell), so every thin law gives one
+verdict on a whole relabelling orbit of instances.  Where a corpus maps
+its exhaustive prefixes into orbits (`Symmetry`), `run_laws` and
+`compare_operators` judge one representative per orbit, but only on an
+adapter whose 1-cell operations are marked `equivariant` and whose star
+passes `_equivariant_star`; otherwise every instance is judged.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
@@ -109,6 +118,21 @@ def memoized(method):
     return shared
 
 
+# The adapter methods marked `equivariant`.  As with `_MEMOIZED`, only the
+# marked functions count: a wrapper around one (a tracer's, say) does not.
+_EQUIVARIANT = set()
+
+
+def equivariant(method):
+    """Mark an adapter method as commuting with relabelling: renaming the
+    elements of each carrier by a permutation, in its arguments, renames
+    its result (or its error) the same way, and leaves a truth value as
+    it is.  A corpus's `Symmetry` judges one instance per orbit only on
+    an adapter whose `_RELABELLED` methods are all marked."""
+    _EQUIVARIANT.add(method)
+    return method
+
+
 class FixpointModel:
     """Adapter contract consumed by the law engine.
 
@@ -136,12 +160,15 @@ class FixpointModel:
     def compose(self, g, f):
         raise NotImplementedError
 
+    @equivariant
     def src(self, f):
         return f.source
 
+    @equivariant
     def dst(self, f):
         return f.target
 
+    @equivariant
     def eq1(self, f, g) -> bool:
         return f == g
 
@@ -323,7 +350,13 @@ class Corpus:
 
     Channels a model's corpus leaves empty make the corresponding laws
     report as vacuous rather than silently passing.
+    `symmetry`, None unless the builder sets it, is the `Symmetry` of
+    the corpus's exhaustive prefixes.  It is kept in a slot beside the
+    channels, so `dataclasses.fields` and `vars` list the channels alone,
+    and a corpus built from another's channels has none.
     """
+
+    __slots__ = ("__dict__", "__weakref__", "symmetry")
 
     endos: list = field(default_factory=list)
     endo_cells: list = field(default_factory=list)       # alpha : f => f', endos
@@ -335,6 +368,27 @@ class Corpus:
     unif_thetas: list = field(default_factory=list)      # (theta: s => r, f, g, gamma, rho)
     unif_transports: list = field(default_factory=list)  # (s, alpha: f=>h, beta: g=>k, gamma, rho)
     unif_dinat: list = field(default_factory=list)       # (s, r, f, g, h, k, gamma, rho)
+
+    def __post_init__(self):
+        self.symmetry = None
+
+
+class Symmetry(NamedTuple):
+    """The orbits of a corpus's exhaustive prefixes under relabelling, a
+    permutation of the elements of each carrier.
+
+    `orbits[channel]` is (reps, sizes): the channel's first sum(sizes)
+    instances fall into orbits, each listed by its first labelled member,
+    in ascending order, and its size.  `orbits["endos"]` covers the endo
+    layer that every mapped channel stars in.  `images(i)` lists, for
+    the endo at index i of that layer, (p, j) for every relabelling p of
+    its carrier but the identity, where endos[j] is endos[i] relabelled
+    by p, and `relabel(x, p)` relabels a 1-cell by p: together they let
+    `_equivariant_star` test a star on the layer."""
+
+    orbits: dict
+    images: Callable
+    relabel: Callable
 
 
 class Law(NamedTuple):
@@ -374,6 +428,14 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
     After the walks, each failing law's first counterexample is rendered
     from one more evaluation of it alone, under a fresh table, so it
     carries its instance's names.  Reports come back in `laws`' order.
+
+    A channel that the corpus's `Symmetry` maps is walked one instance
+    per orbit, when `_orbit_walk_sound` holds: each representative's
+    verdicts count once for every member of its orbit, and the instances
+    after the mapped prefix are walked one by one.  The failing instances
+    are then whole orbits, so the first failing representative is the
+    first failing instance, and the reports are those of the walk over
+    every instance.
     """
     by_channel = {}
     tallies = []
@@ -381,19 +443,29 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
         tally = [law, 0, None]        # law, passes, first failing index
         tallies.append(tally)
         by_channel.setdefault(law.channel, []).append(tally)
+    symmetry = corpus.symmetry
+    sound = None                      # _orbit_walk_sound, once it is asked
     try:
         for channel, group in by_channel.items():
             insts = getattr(corpus, channel)
             program = (_program(m, [t[0] for t in group], insts[0])
                        if insts else None)
             m._memo = {}
-            for i, inst in enumerate(insts):
+            orbits = None
+            if (symmetry and channel in symmetry.orbits
+                    and all(t[0] in _DECLARED for t in group)):
+                if sound is None:
+                    sound = _orbit_walk_sound(m, symmetry, corpus.endos)
+                if sound:
+                    orbits = symmetry.orbits[channel]
+            for i, weight in _walk(orbits, len(insts)):
+                inst = insts[i]
                 verdicts = program.verdicts(inst) if program else None
                 if verdicts is None:
                     verdicts = [_evaluate(m, t[0], inst)[0] for t in group]
                 for tally, ok in zip(group, verdicts):
                     if ok:
-                        tally[1] += 1
+                        tally[1] += weight
                     elif tally[2] is None:
                         tally[2] = i
         reports = []
@@ -410,6 +482,78 @@ def run_laws(m: FixpointModel, corpus: Corpus, laws):
     finally:
         m._memo = None
     return reports
+
+
+def _walk(orbits, count):
+    """(index, weight) of each instance a walk of `count` instances
+    judges: each orbit's representative, weighted by its size, and then
+    every instance after the mapped prefix; every instance, weight 1,
+    without `orbits`."""
+    if orbits is None:
+        return zip(range(count), itertools.repeat(1))
+    reps, sizes = orbits
+    return itertools.chain(zip(reps, sizes),
+                           zip(range(sum(sizes), count), itertools.repeat(1)))
+
+
+# The adapter methods a relabelling must commute with, besides star, for
+# one verdict to stand for an orbit.
+_RELABELLED = ("identity", "compose", "src", "dst", "eq1", "eq_obj",
+               "is_strict")
+
+
+def _orbit_walk_sound(m, symmetry, endos):
+    """Whether a declared law's verdict at an instance of a mapped channel
+    is its verdict at every instance of the instance's orbit.
+
+    Uniformity at an invertible strict 1-cell p says p.f* = (p f p^-1)*:
+    a lawful operator commutes with relabelling.  A law on a thin adapter
+    builds its 1-cells from the instance by identity, compose, src, dst
+    and star, and tests them by eq1, eq_obj and is_strict.  If each of
+    them commutes with relabelling, the law's sides at a relabelled
+    instance are its sides at the instance, relabelled, and the verdict
+    is the same.  So this holds when the adapter's 2-cell calculus is
+    ThinModel's own, its `_RELABELLED` methods are marked `equivariant`,
+    and its star passes `_equivariant_star` on the endo layer, where
+    every endo that a mapped channel stars lies (the corpus builder's
+    claim).  The check computes each layer endo's star in the open
+    table, where the walk finds it again."""
+    return (_own_calculus(m) and _marked(m)
+            and _equivariant_star(m, symmetry, endos, m.star))
+
+
+def _marked(m):
+    """Whether each of adapter m's `_RELABELLED` methods is marked
+    `equivariant`."""
+    return all(getattr(type(m), name) in _EQUIVARIANT for name in _RELABELLED)
+
+
+_RAISED = object()
+
+
+def _equivariant_star(m, symmetry, endos, star):
+    """Whether `star` commutes with every relabelling on the endo layer of
+    `symmetry`: star(p.r) equals p.star(r), by m.eq1, for each orbit
+    representative r and each relabelling p of its carrier, and star
+    raises at p.r exactly when it raises at r.  Each labelled endo is
+    some p.r, so this is star(p.f) = p.star(f) for every endo f of the
+    layer and every p, stabilizers of the representatives included."""
+    def attempt(f):
+        try:
+            return star(f)
+        except Exception:
+            return _RAISED
+
+    for r in symmetry.orbits["endos"][0]:
+        base = attempt(endos[r])
+        for p, j in symmetry.images(r):
+            got = attempt(endos[j])
+            if base is _RAISED or got is _RAISED:
+                if got is not base:
+                    return False
+            elif not m.eq1(got, symmetry.relabel(base, p)):
+                return False
+    return True
 
 
 def _evaluate(m, law, inst):
@@ -660,6 +804,13 @@ class _Program:
         return [failed.isdisjoint(own) for own in self.laws]
 
 
+def _own_calculus(m):
+    """Whether `m` is thin and its 2-cell calculus is ThinModel's own."""
+    return isinstance(m, ThinModel) and all(
+        getattr(type(m), name) is getattr(ThinModel, name)
+        for name in _CALCULUS)
+
+
 def _program(m, laws, first):
     """The program of `laws` on adapter `m`, recorded on an instance
     shaped like `first`; None when the laws must be evaluated one by one.
@@ -674,11 +825,7 @@ def _program(m, laws, first):
     and an adapter that is not thin or overrides the calculus, get no
     program.
     """
-    if not isinstance(m, ThinModel) or any(
-            getattr(type(m), name) is not getattr(ThinModel, name)
-            for name in _CALCULUS):
-        return None
-    if not all(law in _DECLARED for law in laws):
+    if not _own_calculus(m) or not all(law in _DECLARED for law in laws):
         return None
     leaves = []
     shape = _mirror(first, leaves)
@@ -1032,7 +1179,7 @@ class CompareReport:
 
 
 def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
-                      cells=(), pairs=()):
+                      cells=(), pairs=(), symmetry=None):
     """Check that two thin adapters' operators agree up to a unique
     invertible 2-cell.
 
@@ -1045,6 +1192,12 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     cell a: f => g the stars of f and g must be equal, and at a dinat pair
     (fg)* must equal f.(gf)*.  An adapter that is not a ThinModel raises
     TypeMismatch.
+    With the `Symmetry` of the corpus that `endos` and `pairs` come from,
+    only one pair per orbit of the mapped prefix is checked, when m1's
+    `_RELABELLED` methods are marked and its star, which every endo
+    passed has by now, passes `_equivariant_star`: then (f'g')* and
+    f'.(g'f')* at a relabelled pair are the two sides at (f, g),
+    relabelled, and the first failing pair is a representative.
     The stars are kept by endo value in a dict of the call's own, with
     one object held per star value, so value-equal stars come back as one
     object; no adapter table is opened.  Each `deltas` record keeps the
@@ -1079,6 +1232,10 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     for alpha in cells:
         if not m.eq1(star(alpha.source), star(alpha.target)):
             raise NotContractible(f"delta is not natural at {m.describe2(alpha)}")
+    orbits = symmetry.orbits.get("dinat_pairs") if symmetry else None
+    if orbits is not None and _marked(m) and _equivariant_star(
+            m, symmetry, endos, star):
+        pairs = [pairs[i] for i, _ in _walk(orbits, len(pairs))]
     for (f, g) in pairs:
         fg, gf = m.compose(f, g), m.compose(g, f)
         if not m.eq1(star(fg), m.compose(f, star(gf))):

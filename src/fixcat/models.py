@@ -14,7 +14,10 @@ category.
 The thin adapters' identity, compose and star, like the cat adapter's
 chain, are `memoized` (`laws.memoized`) on the one table `_memo`, which
 only a law run's channel walk opens; it belongs to one adapter and keeps
-one object per value.
+one object per value.  `RelModel`'s identity, compose, eq_obj and
+is_strict are marked `laws.equivariant`: they read no carrier name, so
+the rel corpus's orbit map may stand one instance for its orbit on it
+and on a subclass that keeps them, once its star passes the check.
 
 `REGISTRY` maps every suite spec to its adapter factory, its family's
 corpus builder, the document kind its 1-cells are read from (the `kind=`
@@ -31,8 +34,8 @@ from typing import Callable, NamedTuple, Optional
 from . import cat, corpora, poset, rel
 from .algebra import initial_algebra_mediator, lambek_chain
 from .errors import TypeMismatch, UniquenessViolation, ValidationError
-from .laws import (FixpointModel, ThinModel, _require_opposed, memoized,
-                   require_square)
+from .laws import (FixpointModel, ThinModel, _require_opposed, equivariant,
+                   memoized, require_square)
 
 
 class PosetModel(ThinModel):
@@ -112,17 +115,21 @@ class RelModel(ThinModel):
         self.star_impl = star_impl
         self.name = f"rel[{star_impl}]"
 
+    @equivariant
     @memoized
     def identity(self, obj):
         return rel.mrel_identity(obj)
 
+    @equivariant
     @memoized
     def compose(self, g, f):
         return rel.mrel_compose(g, f)
 
+    @equivariant
     def eq_obj(self, a, b):
         return rel._same_carrier(a, b)
 
+    @equivariant
     def is_strict(self, s):
         return all(rel.mset_size(m) == 1 for (m, _) in s.pairs)
 

@@ -134,6 +134,18 @@ def mrel_from_function(source, target, fn, name="J") -> MultisetRel:
                        name=name)
 
 
+def mrel_rename(f: MultisetRel, names) -> MultisetRel:
+    """f with every element x its pairs name renamed names[x].  With names
+    a permutation of each carrier, the carriers stay as they are: this is
+    f conjugated by that relabelling."""
+    return MultisetRel(
+        f.source, f.target,
+        {(tuple(sorted(((names[x], k) for (x, k) in m),
+                       key=lambda ec: _skey(ec[0]))), names[b])
+         for (m, b) in f.pairs},
+        name=f.name, _validate=False)
+
+
 # The most f-premises one composite may read off its expanded choices:
 # each g-premise with k occurrences of b picks a multiset of k among b's
 # f-premises, C(|cands|+k-1, k) ways, and each choice holds sum(k) of them.

@@ -47,3 +47,21 @@ class LastFixpointPosetModel(PosetModel):
 
     def _lfp(self, f):
         return max(poset.all_fixpoints(f), key=repr)
+
+
+class NamedRelModel(GreatestRelModel):
+    """Mutant: star reads carrier names.  It picks the greatest fixpoint of
+    an endo that derives the element named r0 from r0 alone, and the
+    least fixpoint of every other endo.  Each pick is a fixpoint, so
+    f.f* = f* holds everywhere; but relabelling r0 changes the pick, so
+    the star does not commute with relabelling, verdicts differ inside
+    a relabelling orbit, and dinaturality fails at some pairs only."""
+
+    def __init__(self):
+        super().__init__()
+        self.name = "rel[named]"
+
+    def _lfp(self, f):
+        if ((("r0", 1),), "r0") in f.pairs:
+            return super()._lfp(f)
+        return rel.mrel_star(f)

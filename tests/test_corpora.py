@@ -5,12 +5,13 @@ import hashlib
 import json
 import random
 import tracemalloc
-from itertools import chain as concat, product
+from collections import Counter
+from itertools import chain as concat, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcat import laws, models, poset
+from fixcat import laws, models, poset, rel
 from fixcat.corpora import (
     _square_search,
     _stride_sample,
@@ -299,3 +300,101 @@ def test_corpus_fingerprint_is_pinned(family):
 def test_negative_draws_rejected(build):
     with pytest.raises(ValidationError):
         build(draws=-1, seed=0)
+
+
+# --- relabelling orbits of the exhaustive rel layers -----------------------------
+
+def _relabelled(f, src_names, dst_names):
+    """f with its premise elements renamed by src_names and its outputs by
+    dst_names: a brute-force relabelling, apart from the corpus's own."""
+    return rel.MultisetRel(
+        f.source, f.target,
+        {(rel.mset_union(*(((src_names[x], k),) for (x, k) in m)), dst_names[b])
+         for (m, b) in f.pairs}, _validate=False)
+
+
+def _renamings(carrier):
+    return [dict(zip(carrier, (carrier[i] for i in perm)))
+            for perm in permutations(range(len(carrier)))]
+
+
+@pytest.fixture(scope="module")
+def rel0():
+    return rel_corpus(draws=0, seed=0)
+
+
+def test_rel_orbit_map_is_pinned(rel0):
+    # 792 orbits among the 4,164 endos (and their identity cells) and
+    # 1,189 among the 19,432 dinat pairs, each listed by its least index
+    orbits = rel0.symmetry.orbits
+    assert orbits["endo_cells"] == orbits["endos"]
+    for channel, count, size in (("endos", 792, 4164),
+                                 ("dinat_pairs", 1189, 19432)):
+        reps, sizes = orbits[channel]
+        assert len(reps) == len(sizes) == count
+        assert sum(sizes) == len(getattr(rel0, channel)) == size
+        assert reps == sorted(set(reps)) and reps[0] == 0
+
+
+def test_rel_endo_orbits_agree_with_brute_force(rel0):
+    # each endo's orbit is listed by the least index among its relabellings,
+    # and each image the check reads is that relabelling of its endo
+    endos = rel0.endos
+    index = {f: i for i, f in enumerate(endos)}
+    least = [min(index[_relabelled(f, names, names)]
+                 for names in _renamings(f.source)) for f in endos]
+    reps, sizes = rel0.symmetry.orbits["endos"]
+    assert reps == sorted(set(least))
+    counts = Counter(least)
+    assert sizes == [counts[r] for r in reps]
+    for i, f in enumerate(endos):
+        images = rel0.symmetry.images(i)
+        assert len(images) == len(_renamings(f.source)) - 1
+        for names, j in images:
+            assert endos[j] == _relabelled(f, names, names)
+            assert rel0.symmetry.relabel(f, names) == endos[j]
+
+
+def test_rel_pair_orbits_agree_with_brute_force(rel0):
+    # a pair (f, g) with f: A -> B relabels to (t f s^-1, s g t^-1) for
+    # every s of A and t of B
+    carriers = [rel_carrier(n) for n in (1, 2, 3)]
+    least, offset = [], 0
+    for a in carriers:
+        for b in carriers:
+            fs, gs = rel_partial_graphs(a, b), rel_partial_graphs(b, a)
+            at_f = {f: i for i, f in enumerate(fs)}
+            at_g = {g: i for i, g in enumerate(gs)}
+            images = [([at_f[_relabelled(f, s, t)] for f in fs],
+                       [at_g[_relabelled(g, t, s)] for g in gs])
+                      for s in _renamings(a) for t in _renamings(b)]
+            least.extend(offset + min(fi[i] * len(gs) + gi[j]
+                                      for fi, gi in images)
+                         for i in range(len(fs)) for j in range(len(gs)))
+            offset += len(fs) * len(gs)
+    assert offset == len(rel0.dinat_pairs)
+    reps, sizes = rel0.symmetry.orbits["dinat_pairs"]
+    assert reps == sorted(set(least))
+    counts = Counter(least)
+    assert sizes == [counts[r] for r in reps]
+
+
+def test_rel_pair_composites_lie_in_the_endo_layer(rel0):
+    # the claim the orbit walk rests on: every endo the mapped channels
+    # star, fg and gf of an exhaustive pair included, is in the endo layer,
+    # where the equivariance check tests the star
+    layer = set(rel0.endos)
+    assert len(layer) == len(rel0.endos)
+    for (f, g) in rel0.dinat_pairs:
+        assert rel.mrel_compose(f, g) in layer
+        assert rel.mrel_compose(g, f) in layer
+
+
+def test_corpora_without_a_map():
+    # only the rel builder maps its prefixes; a corpus built from another's
+    # channels carries no map, and neither does any other family's
+    assert laws.Corpus().symmetry is None
+    assert laws.Corpus(**vars(rel_corpus(draws=3))).symmetry is None
+    for build in (poset_corpus, scott_corpus):
+        assert build(draws=3).symmetry is None
+    assert cat_corpus().symmetry is None

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import gc
 import random
+from collections import Counter
 import tracemalloc
 import weakref
 
@@ -16,7 +17,8 @@ from fixcat.laws import (DINAT_LAWS, FIX_LAWS, UNIF_LAWS, Corpus, ThinCell,
                          run_laws, run_suite)
 from fixcat.models import (BrokenPosetModel, CatModel, PosetModel, RelModel,
                            ScottModel)
-from mutants import GreatestRelModel, LastFixpointPosetModel
+from mutants import (GreatestRelModel, LastFixpointPosetModel,
+                     NamedRelModel)
 
 
 @pytest.fixture(scope="module")
@@ -781,3 +783,161 @@ def test_rel_dinat_pairs_walk_peak_memory_is_bounded(rel12_walks):
     reports, peak = walk_peak(pairs)
     assert sum(r.passes for r in reports) == 2 * len(pairs.dinat_pairs)
     assert peak < 2_600_000
+
+
+# --- one instance per relabelling orbit ------------------------------------------
+
+@pytest.fixture(scope="module")
+def rel_tail():
+    # the exhaustive prefixes and a random tail after them
+    return corpora.rel_corpus(draws=9, seed=4)
+
+
+MAPPED_LAWS = [law for law in FIX_LAWS + DINAT_LAWS + UNIF_LAWS
+               if law.channel in ("endos", "endo_cells", "dinat_pairs")]
+
+
+@pytest.mark.parametrize("make", [lambda: RelModel("closure"),
+                                  lambda: RelModel("tree"),
+                                  GreatestRelModel, NamedRelModel],
+                         ids=["closure", "tree", "greatest", "named"])
+def test_orbit_walk_reports_equal_the_labelled_walk(rel_tail, make):
+    # a walk over representatives credits each verdict to its whole orbit;
+    # passes, instance counts and the counterexample dict, first failing
+    # instance and its text included, are those of the walk over every
+    # labelled instance of the same corpus with the map removed
+    labelled = Corpus(**vars(rel_tail))
+    assert labelled.symmetry is None and rel_tail.symmetry is not None
+    got = run_laws(make(), rel_tail, MAPPED_LAWS)
+    want = run_laws(make(), labelled, MAPPED_LAWS)
+    for g, w in zip(got, want):
+        assert (g.passes, g.instances, g.counterexample) == (
+            w.passes, w.instances, w.counterexample), g.law_id
+    assert got == want
+
+
+def judged(monkeypatch, m, corpus):
+    """The ids of the instances each channel walk of `corpus` judges."""
+    seen = []
+    verdicts = laws._Program.verdicts
+
+    def counting(self, inst):
+        seen.append(id(inst))
+        return verdicts(self, inst)
+
+    monkeypatch.setattr(laws._Program, "verdicts", counting)
+    run_laws(m, corpus, MAPPED_LAWS)
+    monkeypatch.undo()
+    return Counter(seen)
+
+
+def test_orbit_walk_judges_representatives_and_the_tail(monkeypatch,
+                                                        rel_tail):
+    sym = rel_tail.symmetry
+    want = Counter()
+    for channel in ("endos", "endo_cells", "dinat_pairs"):
+        insts = getattr(rel_tail, channel)
+        reps, sizes = sym.orbits[channel]
+        assert len(insts) > sum(sizes) or channel == "endo_cells"
+        want.update(id(insts[i]) for i in reps)
+        want.update(id(x) for x in insts[sum(sizes):])
+    assert judged(monkeypatch, RelModel(), rel_tail) == want
+
+
+def test_named_star_trips_the_equivariance_check(monkeypatch, rel_tail):
+    # a star that reads carrier names fails the check, so its walk judges
+    # every labelled instance; RelModel's own star passes it
+    sym, endos = rel_tail.symmetry, rel_tail.endos
+    assert laws._orbit_walk_sound(RelModel(), sym, endos)
+    assert not laws._equivariant_star(NamedRelModel(), sym, endos,
+                                      NamedRelModel().star)
+    assert not laws._orbit_walk_sound(NamedRelModel(), sym, endos)
+    every = Counter(id(x) for channel in ("endos", "endo_cells",
+                                          "dinat_pairs")
+                    for x in getattr(rel_tail, channel))
+    assert judged(monkeypatch, NamedRelModel(), rel_tail) == every
+
+
+class UnmarkedComposeRelModel(RelModel):
+    """RelModel with a compose of its own, unmarked: its star is RelModel's,
+    but the orbit walk cannot vouch for its compose."""
+
+    def compose(self, g, f):
+        return rel.mrel_compose(g, f)
+
+
+def test_orbit_walk_needs_every_relabelled_method_marked(rel_tail):
+    sym, endos = rel_tail.symmetry, rel_tail.endos
+    assert laws._equivariant_star(UnmarkedComposeRelModel(), sym, endos,
+                                  RelModel().star)
+    assert not laws._orbit_walk_sound(UnmarkedComposeRelModel(), sym, endos)
+
+
+class RaisingRelModel(RelModel):
+    """RelModel whose star raises at the endos `raises` picks."""
+
+    def __init__(self, raises):
+        super().__init__()
+        self.raises = raises
+
+    def _lfp(self, f):
+        if self.raises(f):
+            raise TypeMismatch("no star here")
+        return super()._lfp(f)
+
+
+@pytest.mark.parametrize("raises, sound", [
+    (lambda f: len(f.pairs) == 3, True),                  # whole orbits
+    (lambda f: ((("r0", 1),), "r0") in f.pairs, False),   # by a name
+], ids=["by-size", "by-name"])
+def test_equivariance_check_compares_where_star_raises(rel_tail, raises,
+                                                       sound):
+    # the check asks a star to raise on whole orbits or not at all
+    m = RaisingRelModel(raises)
+    assert laws._orbit_walk_sound(m, rel_tail.symmetry, rel_tail.endos) is sound
+
+
+class ReadList(list):
+    """A list that records the indices read from it one by one."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def test_compare_checks_one_pair_per_orbit(rel_tail):
+    # compare reads the same map: equal reports with and without it, and
+    # with it only representative pairs and the random tail are read
+    def run(symmetry):
+        pairs = ReadList(rel_tail.dinat_pairs)
+        report = compare_operators(RelModel("closure"), RelModel("tree"),
+                                   rel_tail.endos, cells=rel_tail.endo_cells,
+                                   pairs=pairs, symmetry=symmetry)
+        return report, pairs.read
+
+    plain, _ = run(None)
+    mapped, read = run(rel_tail.symmetry)
+    assert mapped == plain and mapped.identity
+    reps, sizes = rel_tail.symmetry.orbits["dinat_pairs"]
+    assert read == reps + list(range(sum(sizes), len(rel_tail.dinat_pairs)))
+
+
+def test_compare_falls_back_for_a_star_that_reads_names(rel_tail):
+    # both stars are one fixpoint, chosen by a carrier name: the check
+    # fails, the labelled pairs are walked, and the first failing pair is
+    # reported as it is without the map
+    messages = []
+    for symmetry in (None, rel_tail.symmetry):
+        pairs = ReadList(rel_tail.dinat_pairs)
+        with pytest.raises(NotContractible) as err:
+            compare_operators(NamedRelModel(), NamedRelModel(),
+                              rel_tail.endos, cells=rel_tail.endo_cells,
+                              pairs=pairs, symmetry=symmetry)
+        messages.append(str(err.value))
+        assert pairs.read == []         # walked in order, not by orbit
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("delta does not commute with dinat at")
