@@ -10,7 +10,8 @@ import argparse
 import os
 import sys
 
-from . import algebra, cat, laws, models, poly, poset, rel, serialize
+from . import (algebra, cat, corpora, laws, models, poly, poset, rel,
+               serialize)
 from .errors import (FixcatError, NoProducts, NotContractible, SchemaError,
                      sort_key)
 
@@ -53,6 +54,7 @@ def cmd_laws(args):
     if not cfg.models:
         raise SchemaError("suite-config: empty model list, nothing to check")
     seed = cfg.seed if args.seed is None else args.seed
+    corpora.check_draws(cfg.draws)
     base = os.path.dirname(os.path.abspath(args.config))
     tables = [serialize.load_document(os.path.join(base, ref),
                                       validate=False, kind="category")
@@ -188,7 +190,7 @@ def cmd_compare(args):
         raise SchemaError(f"no second operator shipped for model "
                           f"{args.model!r}")
     m1, m2 = entry.make(), entry.second()
-    corpus = entry.corpus(args.draws, args.seed)
+    corpus = entry.cells(args.draws, args.seed)
     print(f"seed: {args.seed}")
     report = laws.compare_operators(m1, m2, corpus.endos,
                                     cells=corpus.endo_cells,

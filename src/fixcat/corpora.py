@@ -10,15 +10,26 @@ endofunctor chains stabilize.
 
 Corpus builders take (draws, seed); draws is the exact number of random
 instances added on top of the exhaustive layer, split between the endo,
-dinat-pair, and uniformity-square channels, and may not be negative.  A
-thin builder lists only its exhaustive layers: endos, dinat pairs and
+dinat-pair, and uniformity-square channels.  It may not be negative, nor
+over MAX_DRAWS (SizeCap), checked before anything is built.  A thin
+builder lists only its exhaustive layers: endos, dinat pairs and
 triples, and the endos and strict 1-cells its squares range over.
 `_square_search` finds those uniformity squares, `derive_channels` builds
 the stacks, cells, thetas, transports and dinat squares from the exhaustive
 pairs and squares, and `_random_tail` appends the seeded random endos,
-pairs and squares.  Each takes the family's own functions (compose, and
-identity where it needs one), never an adapter: the adapters' registry
-imports this module, not the other way round.
+pairs and squares, in that order and from one `random.Random(seed)`, so
+the random squares are drawn last.  Each takes the family's own functions
+(compose, and identity where it needs one), never an adapter: the
+adapters' registry imports this module, not the other way round.
+
+`fixcat compare` reads only a corpus's endos, endo cells and dinat pairs
+(with rel's `Symmetry`).  `poset_cells` and `rel_cells` list exactly
+those channels of `poset_corpus` and `rel_corpus`: one helper per family
+(`_poset_exhaustive`, `_rel_exhaustive`) builds their exhaustive layers
+for both builders, and the compare builder's random tail asks for no
+squares, so it draws the same random endos and pairs.  They leave out
+the triples, the square search, `derive_channels` and the random
+squares, which compare never reads.
 
 A builder enumerates the exhaustive 1-cells between each pair of objects
 once, into one table, and lists its exhaustive dinat pairs, triples and
@@ -40,7 +51,7 @@ import math
 import random
 
 from . import cat, poset, rel
-from .errors import ValidationError
+from .errors import SizeCap, ValidationError
 from .laws import Corpus, Symmetry, ThinCell
 
 TRIPLE_CAP = 900        # dinat one-naturality triples per model
@@ -81,10 +92,25 @@ def _stride_sample_products(blocks, cap):
     return out
 
 
-def _draw_counts(draws):
-    """The random endos, dinat pairs and squares `draws` splits into."""
+# The most random draws a corpus builder takes, ten times the largest a
+# shipped command or test asks for.  Each draw builds an instance at size
+# 4 or 5, so a larger draws stops with SizeCap before any is built.
+MAX_DRAWS = 10_000
+
+
+def check_draws(draws):
+    """Raise ValidationError for a negative `draws`, SizeCap for one over
+    MAX_DRAWS."""
     if draws < 0:
         raise ValidationError(f"draws must be nonnegative, got {draws}")
+    if draws > MAX_DRAWS:
+        raise SizeCap(f"draws {draws} over the bound of {MAX_DRAWS} "
+                      f"(corpora.MAX_DRAWS)")
+
+
+def _draw_counts(draws):
+    """The random endos, dinat pairs and squares `draws` splits into."""
+    check_draws(draws)
     return (draws + 2) // 3, (draws + 1) // 3, draws // 3
 
 
@@ -292,8 +318,10 @@ def poset_closure_square(g):
     return (s, f, g, gamma)
 
 
-def poset_corpus(draws=1000, seed=0):
-    counts = _draw_counts(draws)
+def _poset_exhaustive():
+    """The exhaustive poset layers `fixcat compare` reads (endos, endo
+    cells, dinat pairs), with the posets and the table of monotone maps
+    they come from."""
     posets = pointed_posets(3)
     maps = {(a, b): monotone_maps(a, b) for a in posets for b in posets}
     c = Corpus()
@@ -305,6 +333,28 @@ def poset_corpus(draws=1000, seed=0):
             for f in maps[a, b]:
                 for g in maps[b, a]:
                     c.dinat_pairs.append((f, g))
+    return c, posets, maps
+
+
+def _poset_tail(c, seed, counts):
+    """`_random_tail` with the poset family's draws."""
+    _random_tail(c, seed, counts, random_pointed_poset, random_monotone_map,
+                 lambda rng, g, i: poset_conjugation_square(g, f"c{i}_"),
+                 poset_closure_square)
+
+
+def poset_cells(draws=1000, seed=0):
+    """The poset channels `fixcat compare` reads: `poset_corpus`'s endos,
+    endo cells and dinat pairs, its random ones included."""
+    n_endo, n_pair, _ = _draw_counts(draws)
+    c, _, _ = _poset_exhaustive()
+    _poset_tail(c, seed, (n_endo, n_pair, 0))
+    return c
+
+
+def poset_corpus(draws=1000, seed=0):
+    counts = _draw_counts(draws)
+    c, posets, maps = _poset_exhaustive()
     c.dinat_triples = _stride_sample_products(
         [(maps[a, b], maps[b, cc], maps[cc, a])
          for a, b, cc in itertools.product(posets, repeat=3)], TRIPLE_CAP)
@@ -313,9 +363,7 @@ def poset_corpus(draws=1000, seed=0):
         lambda a, b: [s for s in maps[a, b] if s.is_bottom_preserving()],
         poset.compose_maps)
     derive_channels(c, poset.identity_map, poset.compose_maps)
-    _random_tail(c, seed, counts, random_pointed_poset, random_monotone_map,
-                 lambda rng, g, i: poset_conjugation_square(g, f"c{i}_"),
-                 poset_closure_square)
+    _poset_tail(c, seed, counts)
     return c
 
 
@@ -495,12 +543,13 @@ def _rel_pair_orbits(carriers):
     return reps, sizes
 
 
-def rel_corpus(draws=1000, seed=0):
-    """The rel corpus, with the `Symmetry` of its exhaustive endos,
-    endo_cells and dinat pairs, computed on every build.  Every endo those
-    channels star is in the endo layer: an endo itself, or a composite fg
-    or gf of partial graphs, whose premises have size at most one."""
-    counts = _draw_counts(draws)
+def _rel_exhaustive():
+    """The exhaustive rel layers `fixcat compare` reads (endos, endo
+    cells, dinat pairs) and their `Symmetry`, computed on every build,
+    with the carriers and the table of partial graphs they come from.
+    Every endo those channels star is in the endo layer: an endo itself,
+    or a composite fg or gf of partial graphs, whose premises have size
+    at most one."""
     carriers = [rel_carrier(n) for n in (1, 2, 3)]
     c = Corpus()
     for a in carriers:
@@ -515,15 +564,38 @@ def rel_corpus(draws=1000, seed=0):
     c.symmetry = Symmetry({"endos": endo_orbits, "endo_cells": endo_orbits,
                            "dinat_pairs": _rel_pair_orbits(carriers)},
                           images, rel.mrel_rename)
+    return c, carriers, graphs
+
+
+def _rel_tail(c, seed, counts):
+    """`_random_tail` with the rel family's draws."""
+    big = {4: rel_carrier(4), 5: rel_carrier(5)}
+    _random_tail(c, seed, counts, lambda rng, n, name: big[n], random_mrel,
+                 lambda rng, g, i: rel_conjugation_square(rng, g, f"q{i}_"),
+                 rel_closure_square)
+
+
+def rel_cells(draws=1000, seed=0):
+    """The rel channels `fixcat compare` reads: `rel_corpus`'s endos,
+    endo cells and dinat pairs, its random ones included, and its
+    `Symmetry`."""
+    n_endo, n_pair, _ = _draw_counts(draws)
+    c, _, _ = _rel_exhaustive()
+    _rel_tail(c, seed, (n_endo, n_pair, 0))
+    return c
+
+
+def rel_corpus(draws=1000, seed=0):
+    """The rel corpus: `_rel_exhaustive`'s layers, then its triples,
+    squares and derived channels, then the random tail."""
+    counts = _draw_counts(draws)
+    c, carriers, graphs = _rel_exhaustive()
     c.dinat_triples = _stride_sample_products(
         [(graphs[a, a],) * 3 for a in carriers], TRIPLE_CAP)
     c.unif_squares = _square_search(carriers, lambda a: graphs[a, a],
                                     rel_function_rels, rel.mrel_compose)
     derive_channels(c, rel.mrel_identity, rel.mrel_compose)
-    big = {4: rel_carrier(4), 5: rel_carrier(5)}
-    _random_tail(c, seed, counts, lambda rng, n, name: big[n], random_mrel,
-                 lambda rng, g, i: rel_conjugation_square(rng, g, f"q{i}_"),
-                 rel_closure_square)
+    _rel_tail(c, seed, counts)
     return c
 
 

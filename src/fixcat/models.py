@@ -21,8 +21,9 @@ and on a subclass that keeps them, once its star passes the check.
 
 `REGISTRY` maps every suite spec to its adapter factory, its family's
 corpus builder, the document kind its 1-cells are read from (the `kind=`
-the command line hands `serialize.load_document`), and the adapter with
-its family's second star construction, where one ships.
+the command line hands `serialize.load_document`), and, where one ships,
+the adapter with its family's second star construction and the builder
+of the channels `fixcat compare` reads.
 Whether a family has products is its adapter's `has_products()`.
 """
 
@@ -329,12 +330,15 @@ class ModelSpec(NamedTuple):
     """One suite spec.  `make()` builds its adapter; `corpus(draws, seed)`
     builds its family's corpus; its 1-cells are read from documents of
     kind `kind`; `second()` builds the adapter with the family's other
-    star construction."""
+    star construction, and `cells(draws, seed)` the corpus channels
+    `fixcat compare` checks the two on: `corpus`'s endos, endo cells and
+    dinat pairs, with its symmetry, and no other channel."""
 
     make: Callable
     corpus: Callable
     kind: str
     second: Optional[Callable] = None
+    cells: Optional[Callable] = None
 
 
 # The builders are looked up in `corpora` per call, not bound here, so a
@@ -345,13 +349,16 @@ _REL = (lambda draws, seed: corpora.rel_corpus(draws, seed),
         "multiset-relation")
 
 REGISTRY = {
-    "poset": ModelSpec(partial(PosetModel, "kleene"), *_POSET,
-                       second=partial(PosetModel, "bifree")),
+    "poset": ModelSpec(
+        partial(PosetModel, "kleene"), *_POSET,
+        second=partial(PosetModel, "bifree"),
+        cells=lambda draws, seed: corpora.poset_cells(draws, seed)),
     "poset:kleene": ModelSpec(partial(PosetModel, "kleene"), *_POSET),
     "poset:bifree": ModelSpec(partial(PosetModel, "bifree"), *_POSET),
     "poset:broken": ModelSpec(BrokenPosetModel, *_POSET),
     "rel": ModelSpec(partial(RelModel, "closure"), *_REL,
-                     second=partial(RelModel, "tree")),
+                     second=partial(RelModel, "tree"),
+                     cells=lambda draws, seed: corpora.rel_cells(draws, seed)),
     "rel:closure": ModelSpec(partial(RelModel, "closure"), *_REL),
     "rel:tree": ModelSpec(partial(RelModel, "tree"), *_REL),
     "scott": ModelSpec(ScottModel,

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from fixcat import cli, models, poly, serialize
+from fixcat import cli, corpora, models, poly, serialize
 from fixcat.errors import SchemaError
 from mutants import F_STUCK
 
@@ -402,6 +402,44 @@ def test_compare_negative_draws_exits_two(capsys):
     code, _, err = run(capsys, "compare", "--model", "rel", "--draws", "-3")
     assert code == 2
     assert err == "error: draws must be nonnegative, got -3\n"
+
+
+def test_compare_builds_only_the_channels_it_reads(capsys, monkeypatch):
+    # neither the square search nor the derived channels feed compare
+    def unread(*args):
+        raise AssertionError("compare built a channel it never reads")
+
+    monkeypatch.setattr(corpora, "_square_search", unread)
+    monkeypatch.setattr(corpora, "derive_channels", unread)
+    for model in ("rel", "poset"):
+        code, out, _ = run(capsys, "compare", "--model", model,
+                           "--draws", "8", "--seed", "3")
+        assert code == 0
+        assert "identity: yes" in out
+
+
+@pytest.mark.parametrize("draws", [corpora.MAX_DRAWS + 1, 10 ** 20])
+def test_compare_draws_over_the_budget_exits_two_at_once(capsys, draws):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compare", "--model", "rel",
+                         "--draws", str(draws))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: draws {draws} over the bound of "
+                   f"{corpora.MAX_DRAWS} (corpora.MAX_DRAWS)\n")
+
+
+@pytest.mark.parametrize("draws", [corpora.MAX_DRAWS + 1, 10 ** 20])
+def test_laws_draws_over_the_budget_exits_two_before_any_output(
+        tmp_path, capsys, draws):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"kind": "suite-config",
+                               "models": ["poset", "rel"], "draws": draws}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "laws", str(cfg))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "(corpora.MAX_DRAWS)" in err
 
 
 def test_model_choices_come_from_the_registry():

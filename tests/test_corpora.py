@@ -11,7 +11,7 @@ from itertools import chain as concat, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcat import laws, models, poset, rel
+from fixcat import corpora, laws, models, poset, rel
 from fixcat.corpora import (
     _square_search,
     _stride_sample,
@@ -19,6 +19,7 @@ from fixcat.corpora import (
     cat_corpus,
     monotone_maps,
     pointed_posets,
+    poset_cells,
     poset_closure_square,
     poset_conjugation_square,
     poset_corpus,
@@ -31,6 +32,7 @@ from fixcat.corpora import (
     rel_closure_square,
     rel_conjugation_square,
     rel_carrier,
+    rel_cells,
     rel_corpus,
     rel_fragment_endos,
     rel_function_rels,
@@ -40,7 +42,7 @@ from fixcat.corpora import (
     scott_corpus,
     strict_orders_upto_iso,
 )
-from fixcat.errors import ValidationError
+from fixcat.errors import SizeCap, ValidationError
 from fixcat.serialize import to_document
 
 
@@ -296,10 +298,52 @@ def test_corpus_fingerprint_is_pinned(family):
     assert corpus_fingerprint(build()) == sha256
 
 
-@pytest.mark.parametrize("build", [poset_corpus, rel_corpus, scott_corpus])
+@pytest.mark.parametrize("build", [poset_corpus, rel_corpus, scott_corpus,
+                                   poset_cells, rel_cells])
 def test_negative_draws_rejected(build):
     with pytest.raises(ValidationError):
         build(draws=-1, seed=0)
+
+
+@pytest.mark.parametrize("build", [poset_corpus, rel_corpus, scott_corpus,
+                                   poset_cells, rel_cells])
+def test_draws_over_the_budget_rejected(build, monkeypatch):
+    # the bound is read at call time, and checked before anything is built
+    monkeypatch.setattr(corpora, "MAX_DRAWS", 2)
+    assert len(build(draws=2, seed=0).endos) > 0
+    with pytest.raises(SizeCap, match=r"corpora\.MAX_DRAWS"):
+        build(draws=3, seed=0)
+
+
+# --- the compare builders ---------------------------------------------------
+
+COMPARE_BUILDERS = {"poset": (poset_cells, poset_corpus),
+                    "rel": (rel_cells, rel_corpus)}
+COMPARE_CHANNELS = ("endos", "endo_cells", "dinat_pairs")
+
+
+@pytest.mark.parametrize("draws, seed", [(0, 0), (1, 3), (12, 0), (1000, 3)])
+@pytest.mark.parametrize("family", COMPARE_BUILDERS)
+def test_compare_builder_lists_the_suite_builders_channels(family, draws,
+                                                           seed):
+    """The compare builder's endos, endo cells and dinat pairs are the
+    suite builder's, by value, in order and under the same names, random
+    draws included; it lists no other channel, and rel's orbits are the
+    suite corpus's."""
+    cells_of, corpus_of = COMPARE_BUILDERS[family]
+    cells, full = cells_of(draws, seed), corpus_of(draws, seed)
+    for f in dataclasses.fields(cells):
+        got = getattr(cells, f.name)
+        if f.name in COMPARE_CHANNELS:
+            want = getattr(full, f.name)
+            assert got == want, f.name
+            assert list(map(repr, got)) == list(map(repr, want)), f.name
+        else:
+            assert got == [], f.name
+    if full.symmetry is None:
+        assert cells.symmetry is None
+    else:
+        assert cells.symmetry.orbits == full.symmetry.orbits
 
 
 # --- relabelling orbits of the exhaustive rel layers -----------------------------
