@@ -104,21 +104,23 @@ def cmd_lambek(args):
 
 
 def cmd_wtype(args):
+    """Print the chain's stage sizes from the counting pass, then the last
+    stage's trees.  Trees are built only to list them: with --list, or
+    when the last stage holds at most LIST_THRESHOLD of them."""
     p = serialize.load_document(args.input, kind="polynomial")
-    stages = poly.wtype_stages(p, args.depth)
-    print("counts: " + ", ".join(str(len(s)) for s in stages))
-    stable_at = poly.fixed_depth(stages)
+    counts = poly.wtype_counts(p, args.depth)
+    print("counts: " + ", ".join(map(str, counts)))
+    stable_at = poly.fixed_depth(counts)
     if stable_at is not None:
-        print(f"stabilized at depth {stable_at}; {len(stages[stable_at])} "
+        print(f"stabilized at depth {stable_at}; {counts[stable_at]} "
               f"elements")
     else:
         print(f"not stabilized at depth {args.depth}")
-    last = stages[-1]
-    if len(last) <= LIST_THRESHOLD or args.list:
-        for t in sorted(last, key=repr):
+    if counts[-1] <= LIST_THRESHOLD or args.list:
+        for t in sorted(poly.wtype_stages(p, args.depth)[-1], key=repr):
             print(f"  {t}")
     else:
-        print(f"  ({len(last)} elements; use --list to print them)")
+        print(f"  ({counts[-1]} elements; use --list to print them)")
     return 0
 
 

@@ -115,17 +115,17 @@ def _draw_counts(draws):
 
 
 def _transitive_closure(pairs):
-    """The least transitive relation containing `pairs`, as a set."""
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(closed):
-            for (y2, z) in list(closed):
-                if y2 == y and (x, z) not in closed:
-                    closed.add((x, z))
-                    changed = True
-    return closed
+    """The least transitive relation containing `pairs`, as a set, by
+    Warshall's pass over successor rows: once every node with a successor
+    has served as the middle node k, each row holds all its node reaches."""
+    succ = {}
+    for x, y in pairs:
+        succ.setdefault(x, set()).add(y)
+    for k, row_k in succ.items():
+        for row in succ.values():
+            if k in row:
+                row |= row_k
+    return {(x, y) for x, row in succ.items() for y in row}
 
 
 def _square_search(objs, endos, strict_maps, compose):

@@ -3,7 +3,8 @@
 A polynomial I <- E -> B -> J has constructors B, each with its fiber of
 slots in E.  For endo-polynomials over a single index this file builds
 initial algebras
-as stabilizing chains of finite tree sets (wtype_enumerate), presents
+as stabilizing chains of finite tree sets (wtype_enumerate), counts their
+stages without building them (wtype_counts), presents
 points of the final coalgebra as finite-state systems with bisimilarity
 decided exactly by partition refinement, and checks two transport laws:
 cartesian morphisms carry chain stages into chain stages and bisimilarity
@@ -178,6 +179,14 @@ def wtype_stages(P: Polynomial, depth: int) -> list:
     return _chain(P.name, (P,), depth)
 
 
+def wtype_counts(P: Polynomial, depth: int) -> list:
+    """The sizes of stages 0..depth of the chain from the empty set,
+    counted without building a tree: len() of each of wtype_stages(P,
+    depth), and the same SizeCap where wtype_stages refuses."""
+    _require_endo(P)
+    return _count_stages(P.name, (P,), depth)
+
+
 def _chain(name, per_stage, depth):
     """Stages 0..depth of the chain from the empty set that applies the
     polynomials `per_stage` in turn at each stage, counted first
@@ -197,32 +206,38 @@ def _chain(name, per_stage, depth):
     return stages
 
 
-def fixed_depth(stages):
-    """The first k where stage k+1 has the same size as stage k, or None.
-    Each stage of a chain contains the one before, so the same size means
-    the same set."""
-    return next((k for k in range(len(stages) - 1)
-                 if len(stages[k + 1]) == len(stages[k])), None)
+def fixed_depth(sizes):
+    """The first k where stage k+1 has the same size as stage k, or None,
+    from the list of a chain's stage sizes.  Each stage of a chain
+    contains the one before, so the same size means the same set."""
+    return next((k for k in range(len(sizes) - 1)
+                 if sizes[k + 1] == sizes[k]), None)
 
 
 def _count_stages(name, per_stage, depth):
-    """Raise SizeCap, before any tree is built, when the chain applying
-    `per_stage` in turn at each of `depth` stages would at some step hold
-    more than MAX_STAGE_TREES trees; ValidationError for a negative depth.
-    A round that leaves the size unchanged has reached the fixed stage, and
-    every later round repeats it."""
+    """The sizes of stages 0..depth of the chain applying `per_stage` in
+    turn at each stage, counted without building a tree.  Raises SizeCap
+    at the first step that would hold more than MAX_STAGE_TREES trees;
+    ValidationError for a negative depth.  A round that leaves the size
+    unchanged has reached the fixed stage, whose size every later stage
+    repeats.  The counts are exact, not bounds: `fixcat wtype` prints
+    them as the stage sizes."""
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    size = 0
-    for k in range(1, depth + 1):
-        before = size
+    sizes = [0]
+    while len(sizes) <= depth:
+        size = sizes[-1]
         for P in per_stage:
             size = _next_stage_size(P, size)
             if size > MAX_STAGE_TREES:
-                raise SizeCap(f"{name}: W-type stage {k} would hold {size} "
-                              f"trees, over the bound of {MAX_STAGE_TREES}")
-        if size == before:
-            return
+                raise SizeCap(f"{name}: W-type stage {len(sizes)} would hold "
+                              f"{size} trees, over the bound of "
+                              f"{MAX_STAGE_TREES}")
+        if size == sizes[-1]:
+            sizes.extend([size] * (depth + 1 - len(sizes)))
+            break
+        sizes.append(size)
+    return sizes
 
 
 def wtype_enumerate(P: Polynomial, depth: int):
@@ -482,7 +497,7 @@ def freyd_dinat_check(f: Polynomial, g: Polynomial, depth: int = 4) -> dict:
             report["sandwich_ok"] = False
             report["sandwich_counterexample"] = d
             break
-    stabilized_at = fixed_depth(t)
+    stabilized_at = fixed_depth(report["stage_counts"]["composite_gf"])
     report["stabilized_at"] = stabilized_at
     if stabilized_at is None:
         report["partial"] = True

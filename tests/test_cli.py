@@ -285,6 +285,25 @@ def test_wtype_list_flag(capsys):
                 if ln.startswith("  ")]) == 26
 
 
+def test_wtype_prints_counts_without_building_a_stage(capsys, stage_builds):
+    code, out, err = run(capsys, "wtype", sample("poly_bintree.json"),
+                         "--depth", "6")
+    assert (code, err) == (0, "")
+    assert out == ("counts: 0, 1, 2, 5, 26, 677, 458330\n"
+                   "not stabilized at depth 6\n"
+                   "  (458330 elements; use --list to print them)\n")
+    assert stage_builds == []
+
+
+def test_wtype_list_builds_the_stages_it_prints(capsys, stage_builds):
+    code, out, _ = run(capsys, "wtype", sample("poly_bintree.json"),
+                       "--depth", "4", "--list")
+    assert code == 0
+    assert stage_builds == [0, 1, 2, 5]
+    assert len([ln for ln in out.splitlines()
+                if ln.startswith("  WTree(")]) == 26
+
+
 def test_wtype_stage_over_budget_exits_two(capsys, tmp_path):
     # a 5-ary node: stage 4 would hold 39,135,394 trees
     doc = tmp_path / "wide.json"

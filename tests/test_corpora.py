@@ -161,6 +161,27 @@ def test_random_preorder_is_valid(seed):
     assert p.validate() == []
 
 
+def _closure_by_powers(pairs, nodes):
+    # R | R.R | ... | R^(n+1): every path on n nodes has at most n steps
+    reach = set(pairs)
+    for _ in nodes:
+        reach |= {(x, z) for (x, y) in reach for (y2, z) in pairs if y == y2}
+    return reach
+
+
+@pytest.mark.parametrize("reflexive", [True, False])
+def test_transitive_closure_matches_brute_force(reflexive):
+    rng = random.Random(7)
+    for _ in range(300):
+        nodes = [f"s{i}" for i in range(rng.randint(0, 6))]
+        pairs = [(x, y) for x in nodes for y in nodes
+                 if (x == y and reflexive)
+                 or (x != y and rng.random() < rng.choice((0.2, 0.4)))]
+        want = _closure_by_powers(pairs, nodes)
+        assert corpora._transitive_closure(iter(pairs)) == want
+        assert reflexive or all(x != y for (x, y) in pairs)
+
+
 def test_rel_corpus_channels_nonempty():
     c = rel_corpus(draws=6, seed=0)
     for channel in (c.endos, c.endo_cells, c.dinat_pairs, c.dinat_triples,

@@ -23,6 +23,7 @@ from fixcat.poly import (
     mtype_unfold,
     span_uniformity_check,
     stream_poly,
+    wtype_counts,
     wtype_enumerate,
     wtype_stages,
     _apply_trees,
@@ -106,53 +107,38 @@ def test_wtype_argument_errors():
         wtype_enumerate(not_endo, 1)
 
 
-def _count_builds(monkeypatch):
-    built = []
-    real = poly._apply_trees
-
-    def counting(P, trees):
-        built.append(len(trees))
-        return real(P, trees)
-
-    monkeypatch.setattr(poly, "_apply_trees", counting)
-    return built
-
-
-def test_wtype_stage_budget_trips_before_building_the_stage(monkeypatch):
+def test_wtype_stage_budget_trips_before_building_the_stage(stage_builds):
     # stages of a 5-ary tree grow 0, 1, 2, 33, then 1 + 33**5 = 39,135,394
-    built = _count_builds(monkeypatch)
     P = endo_poly({"leaf": 0, "node": 5})
     assert len(wtype_stages(P, 3)[-1]) == 33
-    assert built == [0, 1, 2]
-    built.clear()
+    assert stage_builds == [0, 1, 2]
+    stage_builds.clear()
     with pytest.raises(SizeCap) as exc:
         wtype_stages(P, 5)
     assert "stage 4 would hold 39135394 trees" in str(exc.value)
-    assert built == []
+    assert stage_builds == []
     with pytest.raises(SizeCap):
         wtype_enumerate(P, 4)
-    assert built == []
+    assert stage_builds == []
 
 
-def test_wtype_fixed_chain_is_not_rebuilt(monkeypatch):
+def test_wtype_fixed_chain_is_not_rebuilt(stage_builds):
     # a constant polynomial's chain is fixed from stage 1 on: stage 1 is
     # built, stage 2 is built and found equal, the rest repeat it
-    built = _count_builds(monkeypatch)
     stages = wtype_stages(constant_poly(["a", "b"]), 50)
-    assert len(built) <= 2
+    assert len(stage_builds) <= 2
     assert len(stages) == 51
     assert [len(s) for s in stages] == [0] + [2] * 50
     assert all(s == stages[1] for s in stages[1:])
 
 
-def test_wtype_over_budget_depth_is_refused_before_any_tree(monkeypatch):
+def test_wtype_over_budget_depth_is_refused_before_any_tree(stage_builds):
     # bintree stages grow 0, 1, 2, 5, 26, 677, 458,330, then 458,330**2 + 1
-    built = _count_builds(monkeypatch)
     with pytest.raises(SizeCap) as exc:
         wtype_stages(BIN, 7)
     assert str(exc.value) == ("bintree: W-type stage 7 would hold "
                               "210066388901 trees, over the bound of 1000000")
-    assert built == []
+    assert stage_builds == []
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -198,6 +184,56 @@ def test_wtype_counts_match_fiber_recurrence(fibers):
     for depth in range(5):
         trees, _ = wtype_enumerate(P, depth)
         assert len(trees) == want[depth]
+
+
+@pytest.mark.parametrize("P, depths", [
+    (BIN, 5),
+    (constant_poly(["a", "b"]), 5),
+    (AB_STREAM, 5),
+    (endo_poly({"leaf": 0, "node": 5}), 4),
+])
+def test_wtype_counts_are_the_built_stage_sizes(P, depths):
+    for d in range(depths):
+        assert wtype_counts(P, d) == [len(s) for s in wtype_stages(P, d)]
+
+
+# stages over this many trees are counted against the recurrence only:
+# building them would make each example take seconds
+BUILD_CAP = 5_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(["u", "v", "w"]),
+                       st.integers(0, 3), max_size=3))
+def test_wtype_counts_are_the_built_stage_sizes_property(fibers):
+    P = endo_poly(fibers)
+    for d in range(5):
+        want = expected_counts(fibers, d)
+        if max(want) > poly.MAX_STAGE_TREES:
+            with pytest.raises(SizeCap) as counted:
+                wtype_counts(P, d)
+            with pytest.raises(SizeCap) as staged:
+                wtype_stages(P, d)
+            assert str(counted.value) == str(staged.value)
+            continue
+        counts = wtype_counts(P, d)
+        assert counts == want
+        if counts[-1] <= BUILD_CAP:
+            assert counts == [len(s) for s in wtype_stages(P, d)]
+
+
+def test_wtype_counts_refuse_where_the_stages_do(stage_builds):
+    P = endo_poly({"leaf": 0, "node": 5})
+    with pytest.raises(SizeCap) as counted:
+        wtype_counts(P, 5)
+    with pytest.raises(SizeCap) as staged:
+        wtype_stages(P, 5)
+    assert str(counted.value) == str(staged.value) == (
+        "P: W-type stage 4 would hold 39135394 trees, over the bound of "
+        "1000000")
+    assert stage_builds == []
+    with pytest.raises(ValidationError):
+        wtype_counts(P, -1)
 
 
 def test_wtree_shape_helpers():
@@ -423,35 +459,32 @@ def test_rolling_binary_binary_partial_stages():
     assert report["stage_counts"]["composite_fg"] == (c[0], c[2])
 
 
-def test_rolling_over_budget_depth_is_refused_before_any_tree(monkeypatch):
+def test_rolling_over_budget_depth_is_refused_before_any_tree(stage_builds):
     # the g.f chain of bintree with itself passes 458,330 trees at stage 3;
     # stage 4 would apply bintree to them, 458,330**2 + 1 trees
-    built = _count_builds(monkeypatch)
     with pytest.raises(SizeCap) as exc:
         freyd_dinat_check(BIN, BIN, depth=4)
     assert str(exc.value) == ("bintree.bintree: W-type stage 4 would hold "
                               "210066388901 trees, over the bound of 1000000")
-    assert built == []
+    assert stage_builds == []
 
 
-def test_rolling_negative_depth_is_rejected(monkeypatch):
-    built = _count_builds(monkeypatch)
+def test_rolling_negative_depth_is_rejected(stage_builds):
     with pytest.raises(ValidationError):
         freyd_dinat_check(BIN, BIN, depth=-1)
-    assert built == []
+    assert stage_builds == []
 
 
-def test_rolling_fixed_chains_are_not_rebuilt(monkeypatch):
+def test_rolling_fixed_chains_are_not_rebuilt(stage_builds):
     # both composite chains are fixed after one round: each is built until
     # a round leaves its size unchanged, f(T_d) is built once per distinct
     # T_d, and the fixed-point check adds three builds; building every
     # stage to depth 2000 took 10,006
-    built = _count_builds(monkeypatch)
     report = freyd_dinat_check(constant_poly(["c"]),
                                endo_poly({"leaf": 0, "node": 1}), depth=2000)
     assert report["holds"] and report["stabilized_at"] == 1
     assert report["stage_counts"]["composite_gf"] == (0,) + (2,) * 2000
-    assert len(built) <= 13
+    assert len(stage_builds) <= 13
 
 
 def test_rolling_stream_wrap_around_binary():
