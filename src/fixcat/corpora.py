@@ -22,14 +22,15 @@ the random squares are drawn last.  Each takes the family's own functions
 (compose, and identity where it needs one), never an adapter: the
 adapters' registry imports this module, not the other way round.
 
-`fixcat compare` reads only a corpus's endos, endo cells and dinat pairs
-(with rel's `Symmetry`).  `poset_cells` and `rel_cells` list exactly
-those channels of `poset_corpus` and `rel_corpus`: one helper per family
+`fixcat compare` reads only a corpus's endos and dinat pairs (with rel's
+`Symmetry`).  `poset_cells` and `rel_cells` list exactly those channels
+of `poset_corpus` and `rel_corpus`: one helper per family
 (`_poset_exhaustive`, `_rel_exhaustive`) builds their exhaustive layers
 for both builders, and the compare builder's random tail asks for no
 squares, so it draws the same random endos and pairs.  They leave out
-the triples, the square search, `derive_channels` and the random
-squares, which compare never reads.
+the endo cells, the triples, the square search, `derive_channels` and
+the random squares, which compare never reads; the suite builders add
+the endo cells right after the exhaustive layers.
 
 A builder enumerates the exhaustive 1-cells between each pair of objects
 once, into one table, and lists its exhaustive dinat pairs, triples and
@@ -319,15 +320,14 @@ def poset_closure_square(g):
 
 
 def _poset_exhaustive():
-    """The exhaustive poset layers `fixcat compare` reads (endos, endo
-    cells, dinat pairs), with the posets and the table of monotone maps
-    they come from."""
+    """The exhaustive poset layers `fixcat compare` reads (endos, dinat
+    pairs), with the posets and the table of monotone maps they come
+    from."""
     posets = pointed_posets(3)
     maps = {(a, b): monotone_maps(a, b) for a in posets for b in posets}
     c = Corpus()
     for p in posets:
         c.endos.extend(maps[p, p])
-    c.endo_cells = [ThinCell(f, f) for f in c.endos]
     for a in posets:
         for b in posets:
             for f in maps[a, b]:
@@ -344,8 +344,8 @@ def _poset_tail(c, seed, counts):
 
 
 def poset_cells(draws=1000, seed=0):
-    """The poset channels `fixcat compare` reads: `poset_corpus`'s endos,
-    endo cells and dinat pairs, its random ones included."""
+    """The poset channels `fixcat compare` reads: `poset_corpus`'s endos
+    and dinat pairs, its random ones included."""
     n_endo, n_pair, _ = _draw_counts(draws)
     c, _, _ = _poset_exhaustive()
     _poset_tail(c, seed, (n_endo, n_pair, 0))
@@ -355,6 +355,7 @@ def poset_cells(draws=1000, seed=0):
 def poset_corpus(draws=1000, seed=0):
     counts = _draw_counts(draws)
     c, posets, maps = _poset_exhaustive()
+    c.endo_cells = [ThinCell(f, f) for f in c.endos]
     c.dinat_triples = _stride_sample_products(
         [(maps[a, b], maps[b, cc], maps[cc, a])
          for a, b, cc in itertools.product(posets, repeat=3)], TRIPLE_CAP)
@@ -544,8 +545,8 @@ def _rel_pair_orbits(carriers):
 
 
 def _rel_exhaustive():
-    """The exhaustive rel layers `fixcat compare` reads (endos, endo
-    cells, dinat pairs) and their `Symmetry`, computed on every build,
+    """The exhaustive rel layers `fixcat compare` reads (endos, dinat
+    pairs) and their `Symmetry`, computed on every build,
     with the carriers and the table of partial graphs they come from.
     Every endo those channels star is in the endo layer: an endo itself,
     or a composite fg or gf of partial graphs, whose premises have size
@@ -554,14 +555,13 @@ def _rel_exhaustive():
     c = Corpus()
     for a in carriers:
         c.endos.extend(rel_fragment_endos(a))
-    c.endo_cells = [ThinCell(f, f) for f in c.endos]
     graphs = {(a, b): rel_partial_graphs(a, b)
               for a in carriers for b in carriers}
     for a in carriers:
         for b in carriers:
             c.dinat_pairs.extend(itertools.product(graphs[a, b], graphs[b, a]))
     endo_orbits, images = _rel_endo_orbits(carriers)
-    c.symmetry = Symmetry({"endos": endo_orbits, "endo_cells": endo_orbits,
+    c.symmetry = Symmetry({"endos": endo_orbits,
                            "dinat_pairs": _rel_pair_orbits(carriers)},
                           images, rel.mrel_rename)
     return c, carriers, graphs
@@ -576,9 +576,8 @@ def _rel_tail(c, seed, counts):
 
 
 def rel_cells(draws=1000, seed=0):
-    """The rel channels `fixcat compare` reads: `rel_corpus`'s endos,
-    endo cells and dinat pairs, its random ones included, and its
-    `Symmetry`."""
+    """The rel channels `fixcat compare` reads: `rel_corpus`'s endos and
+    dinat pairs, its random ones included, and their orbits."""
     n_endo, n_pair, _ = _draw_counts(draws)
     c, _, _ = _rel_exhaustive()
     _rel_tail(c, seed, (n_endo, n_pair, 0))
@@ -586,10 +585,13 @@ def rel_cells(draws=1000, seed=0):
 
 
 def rel_corpus(draws=1000, seed=0):
-    """The rel corpus: `_rel_exhaustive`'s layers, then its triples,
+    """The rel corpus: `_rel_exhaustive`'s layers and the identity cells
+    of its endos, which fall into the endos' orbits, then its triples,
     squares and derived channels, then the random tail."""
     counts = _draw_counts(draws)
     c, carriers, graphs = _rel_exhaustive()
+    c.endo_cells = [ThinCell(f, f) for f in c.endos]
+    c.symmetry.orbits["endo_cells"] = c.symmetry.orbits["endos"]
     c.dinat_triples = _stride_sample_products(
         [(graphs[a, a],) * 3 for a in carriers], TRIPLE_CAP)
     c.unif_squares = _square_search(carriers, lambda a: graphs[a, a],

@@ -331,8 +331,8 @@ class ModelSpec(NamedTuple):
     builds its family's corpus; its 1-cells are read from documents of
     kind `kind`; `second()` builds the adapter with the family's other
     star construction, and `cells(draws, seed)` the corpus channels
-    `fixcat compare` checks the two on: `corpus`'s endos, endo cells and
-    dinat pairs, with its symmetry, and no other channel."""
+    `fixcat compare` checks the two on: `corpus`'s endos and dinat
+    pairs, with its symmetry, and no other channel."""
 
     make: Callable
     corpus: Callable

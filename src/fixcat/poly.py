@@ -190,18 +190,16 @@ def wtype_counts(P: Polynomial, depth: int) -> list:
 def _chain(name, per_stage, depth):
     """Stages 0..depth of the chain from the empty set that applies the
     polynomials `per_stage` in turn at each stage, counted first
-    (`_count_stages`).  Each stage contains the previous one, so once a
-    stage is fixed (the same size) every later stage is that same set and
-    is not built again."""
-    _count_stages(name, per_stage, depth)
+    (`_count_stages`).  Each stage contains the previous one, so a stage
+    counted at the previous one's size is that same set: it is not built,
+    and the previous stage's object stands for it."""
+    sizes = _count_stages(name, per_stage, depth)
     stages = [frozenset()]
-    while len(stages) <= depth:
+    for before, size in zip(sizes, sizes[1:]):
         nxt = stages[-1]
-        for P in per_stage:
-            nxt = _apply_trees(P, nxt)
-        if len(nxt) == len(stages[-1]):
-            stages.extend([stages[-1]] * (depth + 1 - len(stages)))
-            break
+        if size != before:
+            for P in per_stage:
+                nxt = _apply_trees(P, nxt)
         stages.append(nxt)
     return stages
 

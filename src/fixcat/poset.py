@@ -56,11 +56,14 @@ class PointedPoset:
                 problems.append(f"not reflexive at {x!r}")
             if (self.bottom, x) not in self.leq_pairs:
                 problems.append(f"bottom not below {x!r}")
+        succ = {}               # y -> the z of each (y, z) in leq, in order
+        for (y, z) in leq:
+            succ.setdefault(y, []).append(z)
         for (x, y) in leq:
             if x != y and (y, x) in self.leq_pairs:
                 problems.append(f"antisymmetry fails on {x!r},{y!r}")
-            for (y2, z) in leq:
-                if y2 == y and (x, z) not in self.leq_pairs:
+            for z in succ.get(y, ()):
+                if (x, z) not in self.leq_pairs:
                     problems.append(f"transitivity fails on {x!r},{y!r},{z!r}")
         return problems
 

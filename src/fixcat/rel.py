@@ -323,9 +323,12 @@ class Preorder:
         for x in elems:
             if (x, x) not in self.leq_pairs:
                 problems.append(f"not reflexive at {x!r}")
+        succ = {}               # y -> the z of each (y, z) in leq, in order
+        for (y, z) in leq:
+            succ.setdefault(y, []).append(z)
         for (x, y) in leq:
-            for (y2, z) in leq:
-                if y2 == y and (x, z) not in self.leq_pairs:
+            for z in succ.get(y, ()):
+                if (x, z) not in self.leq_pairs:
                     problems.append(f"transitivity fails on {x!r},{y!r},{z!r}")
         return problems
 

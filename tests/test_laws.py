@@ -196,19 +196,16 @@ def test_product_route_checks_boundaries():
 def test_compare_kleene_bifree_identity(poset_corpus):
     rep = compare_operators(PosetModel("kleene"), PosetModel("bifree"),
                             poset_corpus.endos,
-                            cells=poset_corpus.endo_cells,
                             pairs=poset_corpus.dinat_pairs)
-    assert rep.identity
-    assert rep.instances == len(poset_corpus.endos)
-    assert all(d["is_identity"] for d in rep.deltas)
-    assert "unique" in rep.certificate
+    # the report is the operators' names and the count of endos checked
+    assert vars(rep) == {"base": "poset[kleene]|poset[bifree]",
+                         "instances": len(poset_corpus.endos)}
 
 
 def test_compare_closure_tree_identity(rel_corpus):
     rep = compare_operators(RelModel("closure"), RelModel("tree"),
                             rel_corpus.endos[::7])
-    assert rep.identity
-    assert all(d["candidates"] == 1 for d in rep.deltas)
+    assert rep.instances == len(rel_corpus.endos[::7])
 
 
 def test_compare_refuses_a_non_thin_adapter(cat_corpus):
@@ -217,7 +214,6 @@ def test_compare_refuses_a_non_thin_adapter(cat_corpus):
     for m1, m2 in ((CatModel(), CatModel()), (PosetModel(), CatModel())):
         with pytest.raises(TypeMismatch, match="cat is not thin"):
             compare_operators(m1, m2, cat_corpus.endos,
-                              cells=cat_corpus.endo_cells,
                               pairs=cat_corpus.dinat_pairs)
 
 
@@ -225,7 +221,6 @@ def test_compare_searches_value_equal_endos_once(poset_corpus,
                                                  monkeypatch):
     f = next(e for e in poset_corpus.endos if len(e.source.elements) == 3)
     twin = poset.MonotoneMap(f.source, f.target, f.assignment, name="twin")
-    one = compare_operators(PosetModel("kleene"), PosetModel("bifree"), [f])
     calls = []
 
     def counting(kernel):
@@ -242,14 +237,6 @@ def test_compare_searches_value_equal_endos_once(poset_corpus,
                             [f, twin])
     assert calls == [("kleene_star", f), ("bifree_star", f)]
     assert rep.instances == 2
-    assert [d["endo"] for d in rep.deltas] == [f, twin]
-    for d in rep.deltas:
-        assert {k: d[k] for k in ("candidates", "delta", "is_identity")} \
-            == {k: one.deltas[0][k]
-                for k in ("candidates", "delta", "is_identity")}
-    searched = 2 * one.deltas[0]["candidates"]
-    assert rep.certificate == (f"each of 2 components unique among "
-                               f"{searched} invertible candidates searched")
 
 
 def test_compare_disagreeing_operators_not_contractible(poset_corpus):
@@ -258,41 +245,38 @@ def test_compare_disagreeing_operators_not_contractible(poset_corpus):
                           poset_corpus.endos)
 
 
-def unnatural_cell(corpus):
-    """A ThinCell f => g between the corpus's first two endos of one carrier
-    whose stars differ."""
-    m = PosetModel()
-    return next(ThinCell(f, g) for f in corpus.endos for g in corpus.endos
-                if f.source == g.source and m.star(f) != m.star(g))
+@pytest.fixture(scope="module")
+def poset0():
+    return corpora.poset_corpus(0)
+
+
+@pytest.fixture(scope="module")
+def rel0():
+    return corpora.rel_corpus(0)
 
 
 @pytest.mark.parametrize("m1, m2, items, message", [
     (lambda: PosetModel("kleene"), BrokenPosetModel,
-     lambda pc, rc: (pc.endos, (), ()),
+     lambda pc, rc: (pc.endos, ()),
      "poset[kleene] vs poset[broken] at P2_0->P2_0{'b'>'b', 'e0'>'b'}: "
      "0 fix-compatible candidates among 0"),
     (BrokenPosetModel, BrokenPosetModel,
-     lambda pc, rc: (pc.endos, (), ()),
+     lambda pc, rc: (pc.endos, ()),
      "poset[broken] vs poset[broken] at P2_0->P2_0{'b'>'b', 'e0'>'b'}: "
      "0 fix-compatible candidates among 1"),
     (lambda: RelModel("closure"), GreatestRelModel,
-     lambda pc, rc: (rc.endos, (), ()),
+     lambda pc, rc: (rc.endos, ()),
      "rel[closure] vs rel[greatest] at rel(1->1: (('r0', 1),)>'r0'): "
      "0 fix-compatible candidates among 0"),
-    (lambda: PosetModel("kleene"), lambda: PosetModel("bifree"),
-     lambda pc, rc: ((), [unnatural_cell(pc)], ()),
-     "delta is not natural at P2_0->P2_0{'b'>'b', 'e0'>'b'} => "
-     "P2_0->P2_0{'b'>'e0', 'e0'>'e0'}"),
     (LastFixpointPosetModel, LastFixpointPosetModel,
-     lambda pc, rc: ((), (), pc.dinat_pairs),
+     lambda pc, rc: ((), pc.dinat_pairs),
      "delta does not commute with dinat at (f=P2_0->P3_1{'b'>'e1', "
      "'e0'>'e0'}, g=P3_1->P2_0{'b'>'b', 'e0'>'e0', 'e1'>'b'})"),
-], ids=["stars-differ", "fix-fails", "rel-stars-differ", "unnatural",
-        "dinat"])
-def test_compare_failure_messages(m1, m2, items, message):
-    endos, cells, pairs = items(corpora.poset_corpus(0), corpora.rel_corpus(0))
+], ids=["stars-differ", "fix-fails", "rel-stars-differ", "dinat"])
+def test_compare_failure_messages(m1, m2, items, message, poset0, rel0):
+    endos, pairs = items(poset0, rel0)
     with pytest.raises(NotContractible) as info:
-        compare_operators(m1(), m2(), endos, cells=cells, pairs=pairs)
+        compare_operators(m1(), m2(), endos, pairs=pairs)
     assert str(info.value) == message
 
 
@@ -317,7 +301,6 @@ def test_compare_composes_once_for_both_operators(rel_corpus, monkeypatch):
     def composes(m1, m2):
         calls.clear()
         compare_operators(m1, m2, rel_corpus.endos[::10],
-                          cells=rel_corpus.endo_cells[::10],
                           pairs=rel_corpus.dinat_pairs[::50])
         return len(calls)
 
@@ -409,7 +392,7 @@ def test_memo_closed_after_run_suite_and_compare(poset_corpus, rel_corpus):
     run_suite([(pm, poset_corpus), (rm, rel_corpus)])
     assert pm._memo is None and rm._memo is None
     m1, m2 = RelModel("closure"), RelModel("tree")
-    compare_operators(m1, m2, rel_corpus.endos, cells=rel_corpus.endo_cells,
+    compare_operators(m1, m2, rel_corpus.endos,
                       pairs=rel_corpus.dinat_pairs[::50])
     assert m1._memo is None and m2._memo is None
     # compare keeps its stars itself and never opens an adapter's table
@@ -550,12 +533,9 @@ def test_compare_renders_no_describe_strings_when_passing(poset_corpus):
 
     rep = compare_operators(Counting("kleene"), Counting("bifree"),
                             poset_corpus.endos,
-                            cells=poset_corpus.endo_cells,
                             pairs=poset_corpus.dinat_pairs)
-    assert rep.identity
+    assert rep.instances == len(poset_corpus.endos)
     assert calls == []
-    # the records keep the endo and its delta as objects
-    assert [d["endo"] for d in rep.deltas] == list(poset_corpus.endos)
 
 
 # --- the table: each distinct star computed once per channel walk -----------
@@ -704,18 +684,6 @@ def test_star_part_composite_equal_to_a_star_is_that_star():
     assert reports[0].passes == 1
     star, = {id(s): s for s in m.stars}.values()
     assert any(c is star for c in m.composites)
-
-
-def test_compare_hands_back_one_object_per_star_value():
-    # ONLY_A and A_AND_LOOP differ and their stars are equal: the call holds
-    # one object for that value, which both operators' records carry
-    m1, m2 = RecordingRelModel(), RelModel("tree")
-    rep = compare_operators(m1, m2, [ONLY_A, A_AND_LOOP])
-    assert rep.identity and rep.instances == 2
-    assert m1.stars[0] is not m1.stars[1]
-    (first, second) = (d["delta"] for d in rep.deltas)
-    assert first.source is first.target is second.source is second.target
-    assert first.source is m1.stars[0]
 
 
 def test_cat_run_with_unhashable_chains_matches_table_free_evaluation(
@@ -915,13 +883,13 @@ def test_compare_checks_one_pair_per_orbit(rel_tail):
     def run(symmetry):
         pairs = ReadList(rel_tail.dinat_pairs)
         report = compare_operators(RelModel("closure"), RelModel("tree"),
-                                   rel_tail.endos, cells=rel_tail.endo_cells,
-                                   pairs=pairs, symmetry=symmetry)
+                                   rel_tail.endos, pairs=pairs,
+                                   symmetry=symmetry)
         return report, pairs.read
 
     plain, _ = run(None)
     mapped, read = run(rel_tail.symmetry)
-    assert mapped == plain and mapped.identity
+    assert mapped == plain and mapped.instances == len(rel_tail.endos)
     reps, sizes = rel_tail.symmetry.orbits["dinat_pairs"]
     assert read == reps + list(range(sum(sizes), len(rel_tail.dinat_pairs)))
 
@@ -935,8 +903,8 @@ def test_compare_falls_back_for_a_star_that_reads_names(rel_tail):
         pairs = ReadList(rel_tail.dinat_pairs)
         with pytest.raises(NotContractible) as err:
             compare_operators(NamedRelModel(), NamedRelModel(),
-                              rel_tail.endos, cells=rel_tail.endo_cells,
-                              pairs=pairs, symmetry=symmetry)
+                              rel_tail.endos, pairs=pairs,
+                              symmetry=symmetry)
         messages.append(str(err.value))
         assert pairs.read == []         # walked in order, not by orbit
     assert messages[0] == messages[1]

@@ -3,10 +3,16 @@
 Objects, 1-cells and W-type trees are set members and memo keys, hashed
 over and over.  Each class keeps its fields in slots, caches its hash, and
 compares by value: two separately built equal values are equal and hash
-alike, and a difference deep inside a value makes it unequal.
+alike, and a difference deep inside a value makes it unequal.  The two
+order classes validate their order in time near-linear in its pairs.
 """
 
+import random
+import time
+
 import pytest
+
+from fixcat.errors import in_fixed_order
 
 from fixcat.laws import ThinCell
 from fixcat.poly import WTree
@@ -99,3 +105,71 @@ def test_thin_cell_is_slotted_and_keeps_its_repr():
     assert repr(ThinCell(1, 2)) == "ThinCell(1 => 2)"
     with pytest.raises(AttributeError):
         cell.source = None
+
+
+# --- order validation --------------------------------------------------------
+
+def _reference_problems(order, elems, leq):
+    """The problems of a PointedPoset or Preorder, found by the plain
+    nested loop over every pair of pairs: the reference the classes'
+    successor index must agree with, problem for problem and in order."""
+    pointed = isinstance(order, PointedPoset)
+    problems = []
+    carrier = set(order.elements)
+    if len(order.elements) != len(carrier):
+        problems.append("duplicate elements")
+    if pointed and order.bottom not in carrier:
+        problems.append("bottom not an element")
+    for (x, y) in leq:
+        if x not in carrier or y not in carrier:
+            problems.append(f"{'relation ' if pointed else ''}pair "
+                            f"({x!r},{y!r}) outside carrier")
+    for x in elems:
+        if (x, x) not in order.leq_pairs:
+            problems.append(f"not reflexive at {x!r}")
+        if pointed and (order.bottom, x) not in order.leq_pairs:
+            problems.append(f"bottom not below {x!r}")
+    for (x, y) in leq:
+        if pointed and x != y and (y, x) in order.leq_pairs:
+            problems.append(f"antisymmetry fails on {x!r},{y!r}")
+        for (y2, z) in leq:
+            if y2 == y and (x, z) not in order.leq_pairs:
+                problems.append(f"transitivity fails on {x!r},{y!r},{z!r}")
+    return problems
+
+
+def _random_order(rng, cls):
+    """A random, mostly broken order: a carrier of 0..4 elements, pairs
+    over it and two foreign elements, some reflexive pairs dropped, and
+    (for a pointed poset) a bottom that may be foreign."""
+    elems = rng.sample(range(5), rng.randint(0, 4))
+    names = elems + ["x", "y"]
+    leq = {(a, b) for a in names for b in names if rng.random() < 0.3}
+    leq |= {(a, a) for a in elems if rng.random() < 0.8}
+    if cls is PointedPoset:
+        return PointedPoset(elems, leq, rng.choice(names), _validate=False)
+    return Preorder(elems, leq, _validate=False)
+
+
+@pytest.mark.parametrize("cls", [PointedPoset, Preorder])
+def test_order_validation_matches_the_nested_loop(cls):
+    rng = random.Random(0)
+    for _ in range(400):
+        order = _random_order(rng, cls)
+        elems, leq = set(order.elements), order.leq_pairs
+        assert order._problems(elems, leq) == _reference_problems(
+            order, elems, leq)
+        assert order.validate() == in_fixed_order(
+            lambda e, l: _reference_problems(order, e, l), elems, leq)
+
+
+@pytest.mark.parametrize("cls", [PointedPoset, Preorder])
+def test_a_160_element_chain_validates_quickly(cls):
+    # 12,880 order pairs: the nested loop took over 7 s per build
+    n = 160
+    leq = [(i, j) for i in range(n) for j in range(i, n)]
+    args = (range(n), leq, 0) if cls is PointedPoset else (range(n), leq)
+    start = time.perf_counter()
+    order = cls(*args)
+    assert time.perf_counter() - start < 2
+    assert order.validate() == []
