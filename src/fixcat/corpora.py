@@ -37,14 +37,14 @@ once, into one table, and lists its exhaustive dinat pairs, triples and
 squares from that table: a pair or triple holds the table's objects, not
 fresh copies of them.
 
-`rel_corpus` also sets the corpus's `laws.Symmetry`: the orbits of its
-exhaustive endos, endo cells and dinat pairs under relabelling each
-carrier, each orbit listed by its first labelled member.  It computes
-them on every build, by index arithmetic on the generators' own product
-order (a bit product over slots, a mixed-radix product over outputs),
-without relabelling a relation.  `laws.run_laws` and
+One builder, `_orbit_map`, computes every relabelling orbit from the
+indices of a product-ordered enumeration alone, each listed by its least
+index.  `_rel_exhaustive` maps the rel endos and dinat pairs, on every
+build, into the corpus's `laws.Symmetry`; `laws.run_laws` and
 `laws.compare_operators` judge one instance per orbit where the
-adapter's star passes an equivariance check.
+adapter's star passes an equivariance check.  `_preorders_on` keeps the
+transitive orbits of the subsets of the off-diagonal pairs: preorders,
+strict orders and pointed posets come one per isomorphism class.
 """
 
 import itertools
@@ -204,27 +204,87 @@ def derive_channels(c, identity, compose):
              ThinCell(compose(ida, g), compose(g, idb))))
 
 
+def _product_images(contribs):
+    """The image of every index of a product of digits, in product order
+    (first digit slowest), under a relabelling that sends digit k of
+    value v to the index contribution contribs[k][v]: an index is the sum
+    of its digits' contributions, so its image is too."""
+    table = [0]
+    for contrib in contribs:
+        table = [t + x for t in table for x in contrib]
+    return table
+
+
+def _orbit_map(blocks):
+    """The relabelling orbits of the concatenation of `blocks`, each
+    (radices, group): a product of digits, first digit slowest, and the
+    group's relabellings but the identity, each (label, moves), sending
+    digit k of value v to digit moves[k][0] with value moves[k][1][v].
+    Returns (reps, sizes), each orbit listed by its least index, and the
+    function listing (label, index of the image) under each relabelling
+    of an index's block.  An image sums one `_product_images` entry per
+    half of the digits: 2 * 64 entries on 12 bits, not 4,096."""
+    reps, sizes, spans = [], [], []
+    offset = 0
+    for radices, group in blocks:
+        cut = len(radices) - len(radices) // 2
+        low = math.prod(radices[cut:])
+        weight = [math.prod(radices[d + 1:]) for d in range(len(radices))]
+        tables = []
+        for label, moves in group:
+            contribs = [[v * weight[d] for v in values] for d, values in moves]
+            tables.append((label, _product_images(contribs[:cut]),
+                           _product_images(contribs[cut:])))
+        count = math.prod(radices)
+        seen = bytearray(count)
+        for i in range(count):
+            if not seen[i]:
+                high, rest = divmod(i, low)
+                orbit = {hi[high] + lo[rest] for _, hi, lo in tables}
+                orbit.add(i)
+                for j in orbit:
+                    seen[j] = 1
+                reps.append(offset + i)
+                sizes.append(len(orbit))
+        spans.append((offset, low, tables))
+        offset += count
+
+    def images(i):
+        start, low, tables = next(s for s in reversed(spans) if s[0] <= i)
+        high, rest = divmod(i - start, low)
+        return [(label, start + hi[high] + lo[rest])
+                for label, hi, lo in tables]
+    return (reps, sizes), images
+
+
+def _relabellings(n):
+    """The permutations of range(n) but the identity, yielded first."""
+    return list(itertools.permutations(range(n)))[1:]
+
+
 # ---------------------------------------------------------------------------
 # Pointed posets.
 
 def _preorders_on(k):
     """One representative per isomorphism class of preorders on range(k),
     each as its set of off-diagonal pairs: the first member of its class
-    in a fixed enumeration of the subsets of those pairs."""
-    idx = list(range(k))
-    offdiag = [(i, j) for i in idx for j in idx if i != j]
-    seen, reps = set(), []
-    for bits in itertools.product((0, 1), repeat=len(offdiag)):
-        sel = frozenset(p for p, keep in zip(offdiag, bits) if keep)
-        if any(i != l and (i, l) not in sel
-               for (i, j) in sel for (j2, l) in sel if j2 == j):
-            continue
-        canon = min(tuple(sorted((p[i], p[j]) for (i, j) in sel))
-                    for p in itertools.permutations(idx))
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(sel)
-    return reps
+    in product order over the subsets of those pairs, first pair slowest.
+    Relabelling keeps transitivity, so these are the least indices of the
+    `_orbit_map` orbits whose subsets are transitive."""
+    offdiag = [(i, j) for i in range(k) for j in range(k) if i != j]
+    at = {pair: d for d, pair in enumerate(offdiag)}
+    (reps, _), _ = _orbit_map([
+        ([2] * len(offdiag),
+         [(None, [(at[perm[i], perm[j]], (0, 1)) for (i, j) in offdiag])
+          for perm in _relabellings(k)])])
+    last = len(offdiag) - 1
+    out = []
+    for r in reps:
+        sel = frozenset(p for d, p in enumerate(offdiag) if r >> (last - d) & 1)
+        if not any(i != l and (i, l) not in sel
+                   for (i, j) in sel for (j2, l) in sel if j2 == j):
+            out.append(sel)
+    return out
 
 
 def strict_orders_upto_iso(k):
@@ -440,108 +500,32 @@ def rel_closure_square(g):
     return (s, f, g, gamma)
 
 
-def _product_images(contribs):
-    """The image of every index of a product of digits, in product order
-    (first digit slowest), under a relabelling that sends digit k of
-    value v to the index contribution contribs[k][v]: an index is the sum
-    of its digits' contributions, so its image is too."""
-    table = [0]
-    for contrib in contribs:
-        table = [t + x for t in table for x in contrib]
-    return table
+def _rel_endo_block(a):
+    """The `_orbit_map` block of rel_fragment_endos(a): a bit per slot
+    (premise p, output b), p = 0 empty and p = 1 + x the singleton x.
+    Relabelling by perm moves the slot (p, b) to (p and 1 + perm[p - 1],
+    perm[b]); its label maps each element to its new name."""
+    n = len(a)
+    return ([2] * ((n + 1) * n),
+            [({x: a[i] for x, i in zip(a, perm)},
+              [((p and 1 + perm[p - 1]) * n + perm[b], (0, 1))
+               for p in range(n + 1) for b in range(n)])
+             for perm in _relabellings(n)])
 
 
-def _endo_images(perm):
-    """Where relabelling by perm (x -> perm[x]) sends an index of
-    rel_fragment_endos on a carrier of len(perm) elements, as a function
-    of the index.  The endos are a bit product over the slots (premise,
-    output), premise p = 0 empty and p = 1 + x the singleton of element
-    x, first slot most significant; relabelling moves the slot (p, b) to
-    (p and 1 + perm[p - 1], perm[b]).  The image sums one table entry for
-    each half of the slots, so the tables hold 2 * 64 entries, not 4,096,
-    on three elements."""
-    n = len(perm)
-    last = (n + 1) * n - 1
-    moved = [(p and 1 + perm[p - 1]) * n + perm[b]
-             for p in range(n + 1) for b in range(n)]
-    contribs = [(0, 1 << (last - k)) for k in moved]
-    low = len(contribs) // 2
-    high_table = _product_images(contribs[:-low])
-    low_table = _product_images(contribs[-low:])
-    mask = (1 << low) - 1
-    return lambda i: high_table[i >> low] + low_table[i & mask]
-
-
-def _graph_images(src_perm, dst_perm):
-    """Where relabelling the source by src_perm and the target by dst_perm
-    sends each index of rel_partial_graphs: a mixed-radix product over the
-    outputs, first output most significant, of the digit 0 (no pair),
-    1 (the empty premise) or 2 + x (the singleton of source element x);
-    relabelling moves output y's digit to dst_perm[y] and maps its value
-    2 + x to 2 + src_perm[x]."""
-    radix = len(src_perm) + 2
-    values = [0, 1] + [2 + x for x in src_perm]
-    last = len(dst_perm) - 1
-    return _product_images([[v * radix ** (last - dst_perm[y]) for v in values]
-                            for y in range(len(dst_perm))])
-
-
-def _rel_endo_orbits(carriers):
-    """The orbits of the rel endo layer, rel_fragment_endos(a) for each a
-    in carriers in turn, under relabelling each carrier: the layer's
-    (reps, sizes), and the function that lists, for an endo's index,
-    (names, index of its image) for every relabelling but the identity,
-    names mapping each element to its new name."""
-    reps, sizes = [], []
-    blocks = []             # (offset, the carrier's relabellings but one)
-    offset = 0
-    for a in carriers:
-        # permutations() yields the identity first
-        group = [({x: a[i] for x, i in zip(a, perm)}, _endo_images(perm))
-                 for perm in itertools.permutations(range(len(a)))][1:]
-        count = 1 << (len(a) + 1) * len(a)
-        seen = bytearray(count)
-        for i in range(count):
-            if not seen[i]:
-                orbit = {i}.union(image(i) for _, image in group)
-                for j in orbit:
-                    seen[j] = 1
-                reps.append(offset + i)
-                sizes.append(len(orbit))
-        blocks.append((offset, group))
-        offset += count
-
-    def images(r):
-        start, group = next(b for b in reversed(blocks) if b[0] <= r)
-        return [(names, start + image(r - start)) for names, image in group]
-    return (reps, sizes), images
-
-
-def _rel_pair_orbits(carriers):
-    """The (reps, sizes) of the exhaustive rel dinat pairs, the product of
-    rel_partial_graphs(a, b) and (b, a) for each a, b in carriers in turn,
-    under relabelling a and b independently: (f, g) goes to
-    (t f s^-1, s g t^-1)."""
-    reps, sizes = [], []
-    offset = 0
-    for a in carriers:
-        for b in carriers:
-            group = [(_graph_images(s, t), _graph_images(t, s))
-                     for s in itertools.permutations(range(len(a)))
-                     for t in itertools.permutations(range(len(b)))]
-            width = len(group[0][1])
-            count = len(group[0][0]) * width
-            seen = bytearray(count)
-            for i in range(count):
-                if not seen[i]:
-                    f, g = divmod(i, width)
-                    orbit = {fs[f] * width + gs[g] for fs, gs in group}
-                    for j in orbit:
-                        seen[j] = 1
-                    reps.append(offset + i)
-                    sizes.append(len(orbit))
-            offset += count
-    return reps, sizes
+def _rel_pair_block(a, b):
+    """The `_orbit_map` block of the pairs (f, g) of rel_partial_graphs(a,
+    b) and (b, a): a digit per output of f, then of g, 0 (no pair), 1 (the
+    empty premise) or 2 + x (the singleton x).  Relabelling a by s and b
+    by t sends (f, g) to (t f s^-1, s g t^-1): output y of f goes to t[y]
+    and its premise 2 + x to 2 + s[x], and the same for g, s and t
+    swapped."""
+    m, n = len(a), len(b)
+    return ([m + 2] * n + [n + 2] * m,
+            [(None, [(t[y], (0, 1, *(2 + x for x in s))) for y in range(n)]
+              + [(n + s[x], (0, 1, *(2 + y for y in t))) for x in range(m)])
+             for s in itertools.permutations(range(m))
+             for t in itertools.permutations(range(n))][1:])
 
 
 def _rel_exhaustive():
@@ -560,9 +544,10 @@ def _rel_exhaustive():
     for a in carriers:
         for b in carriers:
             c.dinat_pairs.extend(itertools.product(graphs[a, b], graphs[b, a]))
-    endo_orbits, images = _rel_endo_orbits(carriers)
-    c.symmetry = Symmetry({"endos": endo_orbits,
-                           "dinat_pairs": _rel_pair_orbits(carriers)},
+    endo_orbits, images = _orbit_map([_rel_endo_block(a) for a in carriers])
+    pair_orbits, _ = _orbit_map([_rel_pair_block(a, b)
+                                 for a in carriers for b in carriers])
+    c.symmetry = Symmetry({"endos": endo_orbits, "dinat_pairs": pair_orbits},
                           images, rel.mrel_rename)
     return c, carriers, graphs
 

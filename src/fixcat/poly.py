@@ -230,7 +230,7 @@ def _count_stages(name, per_stage, depth):
             if size > MAX_STAGE_TREES:
                 raise SizeCap(f"{name}: W-type stage {len(sizes)} would hold "
                               f"{size} trees, over the bound of "
-                              f"{MAX_STAGE_TREES}")
+                              f"{MAX_STAGE_TREES} (poly.MAX_STAGE_TREES)")
         if size == sizes[-1]:
             sizes.extend([size] * (depth + 1 - len(sizes)))
             break
@@ -291,32 +291,45 @@ class CoalgebraSystem:
         return f"CoalgebraSystem({self.name}: {len(self.states)} states)"
 
 
-def bisimilar(c1: CoalgebraSystem, c2: CoalgebraSystem, x1, x2) -> bool:
-    """Exact bisimilarity across two systems, by partition refinement on the
-    disjoint union of their state sets."""
+def bisimulation_classes(c1: CoalgebraSystem, c2: CoalgebraSystem):
+    """The bisimilarity classes of two systems' states, by one partition
+    refinement on the disjoint union of their state sets: a dict per
+    system from each state to its class number, equal exactly for
+    bisimilar states.  Round k separates the states whose unfoldings to
+    depth k differ; the first round that splits no class has reached
+    bisimilarity, and the refinement stops there."""
     if c1.poly != c2.poly:
         raise TypeMismatch("systems live over different polynomials")
+    systems = (c1, c2)
+    tagged = [(tag, x) for tag, c in enumerate(systems) for x in c.states]
+    at = {st: i for i, st in enumerate(tagged)}
+    heads, succs = [], []
+    for tag, x in tagged:
+        b, nxt = systems[tag].step[x]   # b fixes the slots, so their order
+        heads.append(b)
+        succs.append([at[tag, nxt[e]] for e in sorted(nxt, key=_skey)])
+    fresh = {}
+    block = [fresh.setdefault(b, len(fresh)) for b in heads]
+    while True:
+        count, fresh = len(fresh), {}
+        block = [fresh.setdefault((b, tuple(block[j] for j in succ)),
+                                  len(fresh))
+                 for b, succ in zip(heads, succs)]
+        if len(fresh) == count:
+            break
+    split = len(c1.states)
+    return (dict(zip(c1.states, block[:split])),
+            dict(zip(c2.states, block[split:])))
+
+
+def bisimilar(c1: CoalgebraSystem, c2: CoalgebraSystem, x1, x2) -> bool:
+    """Exact bisimilarity across two systems: x1 and x2 in the same class
+    of bisimulation_classes(c1, c2), which refuses systems over different
+    polynomials before a state is looked at."""
+    classes1, classes2 = bisimulation_classes(c1, c2)
     if x1 not in c1.states or x2 not in c2.states:
         raise ValidationError("state not in its system")
-    tagged = [(0, x) for x in c1.states] + [(1, x) for x in c2.states]
-    systems = (c1, c2)
-
-    def observe(st):
-        tag, x = st
-        b, nxt = systems[tag].step[x]
-        return b, {e: (tag, v) for e, v in nxt.items()}
-
-    block = {st: observe(st)[0] for st in tagged}
-    for _ in range(len(tagged)):
-        fresh = {}
-        nxt_block = {}
-        for st in tagged:
-            b, succ = observe(st)
-            sig = (b, tuple((e, block[succ[e]])
-                            for e in sorted(succ, key=_skey)))
-            nxt_block[st] = fresh.setdefault(sig, len(fresh))
-        block = nxt_block
-    return block[(0, x1)] == block[(1, x2)]
+    return classes1[x1] == classes2[x2]
 
 
 # The most nodes one unfolding may hold.  A branching system's unfolding
@@ -346,7 +359,8 @@ def mtype_unfold(c: CoalgebraSystem, x, depth: int):
         nodes += 1
         if nodes > MAX_UNFOLD_NODES:
             raise SizeCap(f"{c.name}: unfolding of {x} to depth {depth} "
-                          f"holds over {MAX_UNFOLD_NODES} nodes")
+                          f"holds over {MAX_UNFOLD_NODES} nodes "
+                          f"(poly.MAX_UNFOLD_NODES)")
         if k == 0:
             built.append(b)
             continue

@@ -313,7 +313,7 @@ def test_wtype_stage_over_budget_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == ("error: wide: W-type stage 4 would hold 39135394 trees, "
-                   "over the bound of 1000000\n")
+                   "over the bound of 1000000 (poly.MAX_STAGE_TREES)\n")
 
 
 def test_wtype_constant_stabilizes(capsys):
@@ -347,7 +347,7 @@ def test_mtype_unfolding_over_budget_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "mtype", str(doc), "--depth", "17")
     assert (code, out) == (2, "")
     assert err == ("error: branch: unfolding of s to depth 17 holds over "
-                   "100000 nodes\n")
+                   "100000 nodes (poly.MAX_UNFOLD_NODES)\n")
 
 
 def test_dinat_product_composite_over_budget_exits_two(capsys, tmp_path):

@@ -80,6 +80,34 @@ def test_monotone_maps_are_monotone():
                 assert f.validate() == []
 
 
+def preorders_by_permutation_minimum(k):
+    # the reference: walk the subsets of the off-diagonal pairs in product
+    # order and keep each transitive one whose class, the least sorted
+    # pair list over every relabelling, has not been seen
+    idx = list(range(k))
+    offdiag = [(i, j) for i in idx for j in idx if i != j]
+    seen, reps = set(), []
+    for bits in product((0, 1), repeat=len(offdiag)):
+        sel = frozenset(p for p, keep in zip(offdiag, bits) if keep)
+        if any(i != l and (i, l) not in sel
+               for (i, j) in sel for (j2, l) in sel if j2 == j):
+            continue
+        canon = min(tuple(sorted((p[i], p[j]) for (i, j) in sel))
+                    for p in permutations(idx))
+        if canon not in seen:
+            seen.add(canon)
+            reps.append(sel)
+    return reps
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_preorder_classes_match_the_permutation_minimum(k):
+    # same sets, same order: 1, 1, 3, 9 and 33 classes on 0..4 points
+    got = corpora._preorders_on(k)
+    assert got == preorders_by_permutation_minimum(k)
+    assert len(got) == [1, 1, 3, 9, 33][k]
+
+
 def test_preorder_class_counts():
     pres = preorders_upto_iso(3)
     assert len(pres) == 13

@@ -12,7 +12,8 @@ printing its `seed:` line before an input error.  The
 `wtype`, `mtype` and `bisim` runs were captured while W-type trees were
 still frozen dataclasses hashed anew on every set insert, and while an
 over-budget `wtype --depth` still built the stages below the budget
-before it stopped.
+before it stopped; that run's stderr was captured again when the message
+began to name its budget, `poly.MAX_STAGE_TREES`.
 """
 
 import pathlib

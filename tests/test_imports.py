@@ -5,11 +5,13 @@ No module of the package or its tests imports a name it never reads.  The
 package's modules import each other without a cycle.  Every module-level
 function or class that neither the package nor perfbench reads is one of
 a decided few.  Only the law engine's `run_laws` opens the one table that
-memoized methods read, and no file writes a second table name."""
+memoized methods read, and no file writes a second table name.  Every
+`SizeCap` the package raises names its budget."""
 
 import ast
 import graphlib
 import pathlib
+import re
 import sys
 
 import pytest
@@ -218,3 +220,46 @@ def test_tables_are_opened_in_one_place():
     everywhere = files + sorted(TESTS.glob("*.py"))
     assert [(path.name, owner) for path in everywhere
             for owner in table_writes(path, STALE)] == []
+
+
+BUDGET = re.compile(r"\((\w+)\.([A-Z][A-Z0-9_]*)\)")
+
+
+def module_constants(path):
+    """The names `path` assigns at module level."""
+    return {target.id
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def size_cap_messages(path):
+    """(line, literal text) of every `raise SizeCap(...)` in `path`: the
+    constant parts of its first argument, an f-string's included."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "SizeCap"):
+            arg = node.exc.args[0] if node.exc.args else None
+            parts = (arg.values if isinstance(arg, ast.JoinedStr)
+                     else [arg])
+            yield node.lineno, "".join(
+                part.value for part in parts
+                if isinstance(part, ast.Constant)
+                and isinstance(part.value, str))
+
+
+def test_every_size_cap_names_its_budget():
+    # a tripped budget names itself: the message holds (module.NAME) for
+    # a module-level constant of that module
+    files = {path.stem: path for path in sorted(SRC.glob("*.py"))}
+    constants = {stem: module_constants(path) for stem, path in files.items()}
+    unnamed, raised = [], 0
+    for path in files.values():
+        for line, text in size_cap_messages(path):
+            raised += 1
+            if not any(name in constants.get(module, ())
+                       for module, name in BUDGET.findall(text)):
+                unnamed.append((path.name, line, text))
+    assert raised >= 6
+    assert unnamed == []

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from fixcat.poly import (
     WTree,
     binary_tree_poly,
     bisimilar,
+    bisimulation_classes,
     constant_poly,
     endo_poly,
     freyd_dinat_check,
@@ -138,7 +141,8 @@ def test_wtype_over_budget_depth_is_refused_before_any_tree(stage_builds):
     with pytest.raises(SizeCap) as exc:
         wtype_stages(BIN, 7)
     assert str(exc.value) == ("bintree: W-type stage 7 would hold "
-                              "210066388901 trees, over the bound of 1000000")
+                              "210066388901 trees, over the bound of 1000000 "
+                              "(poly.MAX_STAGE_TREES)")
     assert stage_builds == []
 
 
@@ -231,7 +235,7 @@ def test_wtype_counts_refuse_where_the_stages_do(stage_builds):
         wtype_stages(P, 5)
     assert str(counted.value) == str(staged.value) == (
         "P: W-type stage 4 would hold 39135394 trees, over the bound of "
-        "1000000")
+        "1000000 (poly.MAX_STAGE_TREES)")
     assert stage_builds == []
     with pytest.raises(ValidationError):
         wtype_counts(P, -1)
@@ -334,6 +338,60 @@ def test_unfold_agreement_decides_bisimilarity():
                 for x2 in c2.states:
                     agree = mtype_unfold(c1, x1, depth) == mtype_unfold(c2, x2, depth)
                     assert bisimilar(c1, c2, x1, x2) == agree
+
+
+MIX = endo_poly({"a": 1, "b": 2, "c": 0}, name="mix")
+
+
+def random_system(rng, n, name):
+    states = [f"x{i}" for i in range(n)]
+    step = {}
+    for x in states:
+        b = rng.choice(MIX.B)
+        step[x] = (b, {e: rng.choice(states) for e in MIX.fiber(b)})
+    return CoalgebraSystem(MIX, states, step, name=name)
+
+
+def refined_per_pair(c1, c2, x1, x2):
+    # the reference: a fresh refinement for one state pair, len(states)
+    # rounds of (constructor, successor blocks by slot) on the disjoint union
+    tagged = [(0, x) for x in c1.states] + [(1, x) for x in c2.states]
+    systems = (c1, c2)
+    block = {st: systems[st[0]].step[st[1]][0] for st in tagged}
+    for _ in range(len(tagged)):
+        fresh, nxt_block = {}, {}
+        for tag, x in tagged:
+            b, succ = systems[tag].step[x]
+            sig = (b, tuple((e, block[tag, succ[e]]) for e in sorted(succ)))
+            nxt_block[tag, x] = fresh.setdefault(sig, len(fresh))
+        block = nxt_block
+    return block[0, x1] == block[1, x2]
+
+
+def test_bisimulation_classes_agree_with_a_refinement_per_pair():
+    rng = random.Random(7)
+    for trial in range(30):
+        c1 = random_system(rng, rng.randint(1, 6), f"p{trial}")
+        c2 = random_system(rng, rng.randint(1, 6), f"q{trial}")
+        classes1, classes2 = bisimulation_classes(c1, c2)
+        assert set(classes1) == set(c1.states)
+        assert set(classes2) == set(c2.states)
+        for x1 in c1.states:
+            for x2 in c2.states:
+                want = refined_per_pair(c1, c2, x1, x2)
+                assert (classes1[x1] == classes2[x2]) == want
+                assert bisimilar(c1, c2, x1, x2) == want
+
+
+def test_bisimulation_classes_of_60_state_systems_are_quick():
+    # a refinement per state pair took seconds at 20 states and did not
+    # finish at 80; one refinement for all pairs takes milliseconds
+    rng = random.Random(60)
+    c1, c2 = random_system(rng, 60, "p"), random_system(rng, 60, "q")
+    start = time.perf_counter()
+    classes1, classes2 = bisimulation_classes(c1, c2)
+    assert time.perf_counter() - start < 2.0
+    assert len(classes1) == len(classes2) == 60
 
 
 # --- cartesian morphisms --------------------------------------------------------------
@@ -466,7 +524,8 @@ def test_rolling_over_budget_depth_is_refused_before_any_tree(stage_builds):
     with pytest.raises(SizeCap) as exc:
         freyd_dinat_check(BIN, BIN, depth=4)
     assert str(exc.value) == ("bintree.bintree: W-type stage 4 would hold "
-                              "210066388901 trees, over the bound of 1000000")
+                              "210066388901 trees, over the bound of 1000000 "
+                              "(poly.MAX_STAGE_TREES)")
     assert stage_builds == []
 
 
