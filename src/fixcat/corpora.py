@@ -45,6 +45,11 @@ build, into the corpus's `laws.Symmetry`; `laws.run_laws` and
 adapter's star passes an equivariance check.  `_preorders_on` keeps the
 transitive orbits of the subsets of the off-diagonal pairs: preorders,
 strict orders and pointed posets come one per isomorphism class.
+
+The random samplers draw their choices through `_draws`, which takes from
+the rng exactly the numbers `rng.choice` would, so a seed's instances are
+those one `choice` per element would give.  Each sampler's docstring says
+what it draws, in order: the contract the pinned fingerprints hold.
 """
 
 import itertools
@@ -257,6 +262,28 @@ def _orbit_map(blocks):
     return (reps, sizes), images
 
 
+def _draws(rng, seq, count):
+    """`[rng.choice(seq) for _ in range(count)]`, drawing the same numbers
+    from `random.Random` rng: like `choice`, each draw takes the first
+    getrandbits(k) below n = len(seq), k = n.bit_length(), but inline,
+    with no Python-level call per draw."""
+    n = len(seq)
+    if count and not n:
+        raise IndexError("Cannot choose from an empty sequence")
+    k = n.bit_length()
+    out = []
+    while len(out) < count:
+        r = rng.getrandbits(k)
+        if r < n:
+            out.append(seq[r])
+    return out
+
+
+# The random relations draw, per output, how many pairs it gets and then,
+# per pair, its premise size, each uniformly from this tuple.
+_SPREAD = (0, 1, 1, 2)
+
+
 def _relabellings(n):
     """The permutations of range(n) but the identity, yielded first."""
     return list(itertools.permutations(range(n)))[1:]
@@ -325,6 +352,9 @@ def monotone_maps(p, q):
 
 
 def random_pointed_poset(rng, size, name):
+    """A pointed poset on a fresh bottom "b" under e0..e{size-2}: one
+    rng.random() per pair i < j, i slowest, puts ei below ej when it is
+    under 0.4, and the order is the transitive closure of those pairs."""
     k = size - 1
     up = _transitive_closure((i, j) for i in range(k) for j in range(i + 1, k)
                              if rng.random() < 0.4)
@@ -335,11 +365,21 @@ def random_pointed_poset(rng, size, name):
 
 
 def random_monotone_map(rng, p, q, tries=300):
-    pairs = [(x, y) for (x, y) in p.leq_pairs if x != y]
+    """A monotone map p -> q by rejection: each try draws the images of
+    p.elements, in order, one `rng.choice(q.elements)` each, and the first
+    monotone try is the map.  After `tries` failures it is the constant
+    map to q's bottom, which draws nothing more."""
+    at = {x: i for i, x in enumerate(p.elements)}
+    pairs = [(at[x], at[y]) for (x, y) in p.leq_pairs if x != y]
+    leq = q.leq_pairs
     for _ in range(tries):
-        assignment = {x: rng.choice(q.elements) for x in p.elements}
-        if all(q.leq(assignment[x], assignment[y]) for (x, y) in pairs):
-            return poset.MonotoneMap(p, q, assignment, _validate=False)
+        images = _draws(rng, q.elements, len(at))
+        for i, j in pairs:
+            if (images[i], images[j]) not in leq:
+                break
+        else:
+            return poset.MonotoneMap(p, q, zip(p.elements, images),
+                                     _validate=False)
     return poset.MonotoneMap(p, q, {x: q.bottom for x in p.elements},
                              _validate=False)
 
@@ -360,8 +400,9 @@ def relabeled_poset_iso(p, tag):
 def poset_conjugation_square(f, tag):
     """s f s^-1 on a renamed copy; the renaming iso is strict."""
     _, s, s_inv = relabeled_poset_iso(f.source, tag)
-    g = poset.compose_maps(poset.compose_maps(s, f), s_inv)
-    gamma = ThinCell(poset.compose_maps(s, f), poset.compose_maps(g, s))
+    sf = poset.compose_maps(s, f)
+    g = poset.compose_maps(sf, s_inv)
+    gamma = ThinCell(sf, poset.compose_maps(g, s))
     return (s, f, g, gamma)
 
 
@@ -465,11 +506,15 @@ def rel_function_rels(a, b):
 
 
 def random_mrel(rng, a, b):
+    """A multiset relation a -> b: for each output y of b, in order, a
+    pair count from `_SPREAD`, then per pair a premise size from
+    `_SPREAD` and that many premise elements, one `rng.choice(a)` each."""
     pairs = set()
     for y in b:
-        for _ in range(rng.choice((0, 1, 1, 2))):
-            size = rng.choice((0, 1, 1, 2))
-            pairs.add((rel.mset(rng.choice(a) for _ in range(size)), y))
+        count, = _draws(rng, _SPREAD, 1)
+        for _ in range(count):
+            size, = _draws(rng, _SPREAD, 1)
+            pairs.add((rel.mset(_draws(rng, a, size)), y))
     return rel.MultisetRel(a, b, pairs, _validate=False)
 
 
@@ -482,8 +527,9 @@ def rel_conjugation_square(rng, f, prefix):
     s = rel.mrel_from_function(a, b, lambda x: table[x])
     back = {v: k for k, v in table.items()}
     s_inv = rel.mrel_from_function(b, a, lambda y: back[y])
-    g = rel.mrel_compose(rel.mrel_compose(s, f), s_inv)
-    gamma = ThinCell(rel.mrel_compose(s, f), rel.mrel_compose(g, s))
+    sf = rel.mrel_compose(s, f)
+    g = rel.mrel_compose(sf, s_inv)
+    gamma = ThinCell(sf, rel.mrel_compose(g, s))
     return (s, f, g, gamma)
 
 
@@ -647,6 +693,9 @@ def scott_partial_graphs(a, b):
 
 
 def random_preorder(rng, size, name):
+    """A preorder on s0..s{size-1}: one rng.random() per ordered pair
+    x != y, x slowest, puts x below y when it is under 0.3, and the order
+    is the reflexive transitive closure of those pairs."""
     elems = [f"s{i}" for i in range(size)]
     leq = _transitive_closure(
         [(x, x) for x in elems]
@@ -655,11 +704,16 @@ def random_preorder(rng, size, name):
 
 
 def random_ideal_rel(rng, a, b):
+    """An ideal relation a -> b, drawn as `random_mrel` draws one over
+    the elements of a and b: per output a pair count from `_SPREAD`, then
+    per pair a premise size and that many `rng.choice(a.elements)`, the
+    premise a set."""
     pairs = set()
     for y in b.elements:
-        for _ in range(rng.choice((0, 1, 1, 2))):
-            size = rng.choice((0, 1, 1, 2))
-            pairs.add((rel.uset(rng.choice(a.elements) for _ in range(size)), y))
+        count, = _draws(rng, _SPREAD, 1)
+        for _ in range(count):
+            size, = _draws(rng, _SPREAD, 1)
+            pairs.add((rel.uset(_draws(rng, a.elements, size)), y))
     return rel.IdealRel(a, b, pairs, _validate=False)
 
 
@@ -676,8 +730,9 @@ def scott_relabel_iso(pre, tag):
 
 def scott_conjugation_square(f, tag):
     _, s, s_inv = scott_relabel_iso(f.source, tag)
-    g = rel.scott_compose(rel.scott_compose(s, f), s_inv)
-    gamma = ThinCell(rel.scott_compose(s, f), rel.scott_compose(g, s))
+    sf = rel.scott_compose(s, f)
+    g = rel.scott_compose(sf, s_inv)
+    gamma = ThinCell(sf, rel.scott_compose(g, s))
     return (s, f, g, gamma)
 
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import pathlib
 import random
 import tracemalloc
 from collections import Counter
@@ -345,6 +347,95 @@ PINNED_CORPORA = {
 def test_corpus_fingerprint_is_pinned(family):
     build, sha256 = PINNED_CORPORA[family]
     assert corpus_fingerprint(build()) == sha256
+
+
+# --- the seeded random stream -------------------------------------------------
+
+# A fixed seed must give the same random draws, in the same order, whatever
+# the samplers' code.  These long tails were captured before the samplers
+# drew through `_draws` and before the conjugation squares composed s.f once.
+PINNED_STREAMS = {
+    "poset_cells-1000": (
+        lambda: poset_cells(1000, seed=5),
+        "ef51bd612b4609f4874604af5fd4bc0e27c1c5ba5e2596b6b49c10d8695b86e4"),
+    "rel_cells-1000": (
+        lambda: rel_cells(1000, seed=5),
+        "c9b3207eed7607b1259a30cd41cc95250bf379667c2728b57acb4f4be703a22f"),
+    "poset_corpus-300": (
+        lambda: poset_corpus(draws=300, seed=5),
+        "84b30fe339e43cf9547b0c86b0d28b08deeae90dbec80c70f4f66222857f6fcb"),
+    "rel_corpus-300": (
+        lambda: rel_corpus(draws=300, seed=5),
+        "88a305be7c8082c01565a781fa0efdb76c42e3c38003d1328a5d4ec996b5cbd3"),
+    "scott_corpus-300": (
+        lambda: scott_corpus(draws=300, seed=5),
+        "062e20f429003047781a0bc13edd48957e207ffe91406ee7ce647bf86f5fc89c"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_STREAMS)
+def test_seeded_random_tail_is_pinned(name):
+    build, sha256 = PINNED_STREAMS[name]
+    assert corpus_fingerprint(build()) == sha256
+
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+# perfbench's suite-random corpora at seed 5, drawn in this order from one rng
+PINNED_SUITE_RANDOM = {
+    "poset": "28484d22e1f653abdf73dd37d7163448319319dc1ef3aa8886e91f7b49a61f48",
+    "rel": "08a08a7669b60bdccf7954e8c0d4445c4617bd370c5a833caa914f99158e6fb3",
+    "scott": "6e592abf4655f69ef06ce2ea876210e87f9fda43e59c9094416c5f870ee41e43",
+}
+
+
+def test_suite_random_corpora_are_pinned(monkeypatch, tmp_path):
+    # workloads.py imports its sibling `known`, so its folder goes on the path
+    monkeypatch.syspath_prepend(str(WORKLOADS.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    suite = workloads.SuiteRandom(5, str(tmp_path))
+    kits = suite._kits()
+    rng = random.Random(5)
+    got = {model: corpus_fingerprint(
+               suite.build_corpus(kits[model], rng, workloads.RANDOM_DRAWS))
+           for model in workloads.RANDOM_MODELS}
+    assert got == PINNED_SUITE_RANDOM
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_draws_match_random_choice(size):
+    # the same elements and the same state after, draw for draw, sizes that
+    # are powers of two included; a change to `choice` fails here
+    seq = tuple(f"x{i}" for i in range(size))
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 2, 5, 13):
+            assert corpora._draws(ours, seq, count) == \
+                   [theirs.choice(seq) for _ in range(count)]
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_draws_from_an_empty_sequence():
+    # none drawn is no error, as with `choice`; one drawn is its IndexError
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert corpora._draws(rng, (), 0) == []
+    with pytest.raises(IndexError):
+        corpora._draws(rng, (), 1)
+    assert rng.getstate() == state
+
+
+def test_random_monotone_map_falls_back_to_bottom_without_drawing():
+    rng = random.Random(3)
+    p = random_pointed_poset(rng, 5, "p")
+    state = rng.getstate()
+    f = random_monotone_map(rng, p, p, tries=0)
+    assert rng.getstate() == state
+    assert f.assignment == {x: p.bottom for x in p.elements}
+    assert f.validate() == []
 
 
 @pytest.mark.parametrize("build", [poset_corpus, rel_corpus, scott_corpus,
