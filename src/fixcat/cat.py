@@ -89,6 +89,8 @@ class FinCategory:
         return sorted(self.arrows)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FinCategory):
             return NotImplemented
         return (set(self.objects) == set(other.objects)
@@ -222,6 +224,8 @@ class FunctorData:
         return (tuple(sorted(self.omap.items())), tuple(sorted(self.amap.items())))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FunctorData):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
@@ -302,6 +306,8 @@ class NatTransfData:
         return self.components[x]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, NatTransfData):
             return NotImplemented
         return (self.source == other.source and self.target == other.target

@@ -39,12 +39,15 @@ fresh copies of them.
 
 One builder, `_orbit_map`, computes every relabelling orbit from the
 indices of a product-ordered enumeration alone, each listed by its least
-index.  `_rel_exhaustive` maps the rel endos and dinat pairs, on every
-build, into the corpus's `laws.Symmetry`; `laws.run_laws` and
-`laws.compare_operators` judge one instance per orbit where the
-adapter's star passes an equivariance check.  `_preorders_on` keeps the
-transitive orbits of the subsets of the off-diagonal pairs: preorders,
-strict orders and pointed posets come one per isomorphism class.
+index; an enumeration that lists only some indices of its product has
+the orbits among them.  `_rel_exhaustive` maps the rel endos and dinat
+pairs, on every build, into the corpus's `laws.Symmetry`, and
+`rel_corpus` adds its squares, whose indices `_square_search` reports;
+`laws.run_laws` and `laws.compare_operators` judge one instance per
+orbit where the adapter's star passes an equivariance check.
+`_preorders_on` keeps the transitive orbits of the subsets of the
+off-diagonal pairs: preorders, strict orders and pointed posets come one
+per isomorphism class.
 
 The random samplers draw their choices through `_draws`, which takes from
 the rng exactly the numbers `rng.choice` would, so a seed's instances are
@@ -54,6 +57,7 @@ what it draws, in order: the contract the pinned fingerprints hold.
 
 import itertools
 import math
+import operator
 import random
 
 from . import cat, poset, rel
@@ -136,25 +140,30 @@ def _transitive_closure(pairs):
 
 def _square_search(objs, endos, strict_maps, compose):
     """Every uniformity square (s, f, g, s.f => g.s) with s in
-    strict_maps(a, b) and f, g in endos(a), endos(b), over objs.  Each s
-    buckets the endos g, with g.s, by g.s; each s.f then finds its g's by
-    value, and a square's 2-cell reuses the bucketed g.s.  So compose runs
-    once per (s, g) and once per (s, f), never once per square."""
-    squares = []
+    strict_maps(a, b) and f, g in endos(a), endos(b), over objs, and for
+    each (a, b) in turn the indices of its squares in the product order of
+    (s, f, g), ascending.  Each s buckets the endos g, with g.s, by g.s;
+    each s.f then finds its g's by value, and a square's 2-cell reuses the
+    bucketed g.s.  So compose runs once per (s, g) and once per (s, f),
+    never once per square."""
+    squares, members = [], []
     for a in objs:
         endos_a = endos(a)
         for b in objs:
             endos_b = endos(b)
-            for s in strict_maps(a, b):
+            block = []
+            for i, s in enumerate(strict_maps(a, b)):
                 left = {}
-                for g in endos_b:
+                for k, g in enumerate(endos_b):
                     gs = compose(g, s)
-                    left.setdefault(gs, []).append((g, gs))
-                for f in endos_a:
+                    left.setdefault(gs, []).append((k, gs))
+                for j, f in enumerate(endos_a):
                     sf = compose(s, f)
-                    for g, gs in left.get(sf, ()):
-                        squares.append((s, f, g, ThinCell(sf, gs)))
-    return squares
+                    for k, gs in left.get(sf, ()):
+                        squares.append((s, f, endos_b[k], ThinCell(sf, gs)))
+                        block.append((i * len(endos_a) + j) * len(endos_b) + k)
+            members.append(block)
+    return squares, members
 
 
 def _random_tail(c, seed, counts, obj, mp, conj, closure):
@@ -220,45 +229,89 @@ def _product_images(contribs):
     return table
 
 
+# The most values a run of digits spans, and so the longest table of
+# `_product_images` that `_orbit_map` keeps per relabelling and run.
+_RUN_SPAN = 128
+
+
+def _runs(radices):
+    """The digits of `radices` cut into runs (start, stop) of consecutive
+    digits, each spanning at most _RUN_SPAN values (a digit of a larger
+    radix alone), greedily from the first digit."""
+    runs, start, span = [], 0, 1
+    for d, radix in enumerate(radices):
+        if d > start and span * radix > _RUN_SPAN:
+            runs.append((start, d))
+            start, span = d, 1
+        span *= radix
+    runs.append((start, len(radices)))
+    return runs
+
+
 def _orbit_map(blocks):
-    """The relabelling orbits of the concatenation of `blocks`, each
-    (radices, group): a product of digits, first digit slowest, and the
-    group's relabellings but the identity, each (label, moves), sending
-    digit k of value v to digit moves[k][0] with value moves[k][1][v].
-    Returns (reps, sizes), each orbit listed by its least index, and the
-    function listing (label, index of the image) under each relabelling
-    of an index's block.  An image sums one `_product_images` entry per
-    half of the digits: 2 * 64 entries on 12 bits, not 4,096."""
+    """The relabelling orbits of the listing that concatenates `blocks`,
+    each (radices, group, members): a product of digits, first digit
+    slowest; the group's relabellings but the identity, each (label,
+    moves), sending digit k of value v to digit moves[k][0] with value
+    moves[k][1][v]; and the product indices the block lists, ascending,
+    or None for every index.  A block that lists only some indices keeps
+    the orbits among them: each product orbit cut down to its listed
+    members, the empty ones dropped.
+    Returns (reps, sizes), each orbit listed by its least index in the
+    listing, and the function listing (label, index of the image) under
+    each relabelling of an index's block, but images the block does not
+    list.  An image sums one `_product_images` entry per run of digits
+    (`_runs`): a relabelling keeps 27 + 125 + 125 entries on rel's
+    largest square block, where two halves of its digits would keep
+    675 + 625 and one table 421,875."""
     reps, sizes, spans = [], [], []
     offset = 0
-    for radices, group in blocks:
-        cut = len(radices) - len(radices) // 2
-        low = math.prod(radices[cut:])
+    for radices, group, members in blocks:
         weight = [math.prod(radices[d + 1:]) for d in range(len(radices))]
-        tables = []
-        for label, moves in group:
-            contribs = [[v * weight[d] for v in values] for d, values in moves]
-            tables.append((label, _product_images(contribs[:cut]),
-                           _product_images(contribs[cut:])))
-        count = math.prod(radices)
-        seen = bytearray(count)
-        for i in range(count):
-            if not seen[i]:
-                high, rest = divmod(i, low)
-                orbit = {hi[high] + lo[rest] for _, hi, lo in tables}
-                orbit.add(i)
-                for j in orbit:
-                    seen[j] = 1
-                reps.append(offset + i)
+        contribs = [[[v * weight[d] for v in values] for d, values in moves]
+                    for _, moves in group]
+        parts = []              # (place, span, each value's images) per run
+        for start, stop in _runs(radices):
+            span = math.prod(radices[start:stop])
+            tables = [_product_images(c[start:stop]) for c in contribs]
+            parts.append((math.prod(radices[stop:]), span,
+                          list(zip(*tables)) if tables else [()] * span))
+
+        def image_indices(i, parts=parts):
+            """The product index of i's image under each relabelling."""
+            place, span, column = parts[0]
+            found = column[i // place % span]
+            for place, span, column in parts[1:]:
+                found = map(operator.add, found, column[i // place % span])
+            return found
+
+        if members is None:     # each product index at its own position
+            members = at = range(math.prod(radices))
+        else:
+            at = {i: p for p, i in enumerate(members)}
+        seen = bytearray(len(members))
+        for p in range(len(members)):
+            if not seen[p]:
+                found = image_indices(members[p])
+                orbit = set(found if at is members else map(at.get, found))
+                orbit.discard(None)
+                orbit.add(p)
+                for q in orbit:
+                    seen[q] = 1
+                reps.append(offset + p)
                 sizes.append(len(orbit))
-        spans.append((offset, low, tables))
-        offset += count
+        spans.append((offset, members, at, [label for label, _ in group],
+                      image_indices))
+        offset += len(members)
 
     def images(i):
-        start, low, tables = next(s for s in reversed(spans) if s[0] <= i)
-        high, rest = divmod(i - start, low)
-        return [(label, start + hi[high] + lo[rest])
-                for label, hi, lo in tables]
+        start, members, at, labels, image_indices = next(
+            s for s in reversed(spans) if s[0] <= i)
+        found = image_indices(members[i - start])
+        if at is members:
+            return [(label, start + j) for label, j in zip(labels, found)]
+        return [(label, start + at[j]) for label, j in zip(labels, found)
+                if j in at]
     return (reps, sizes), images
 
 
@@ -303,7 +356,7 @@ def _preorders_on(k):
     (reps, _), _ = _orbit_map([
         ([2] * len(offdiag),
          [(None, [(at[perm[i], perm[j]], (0, 1)) for (i, j) in offdiag])
-          for perm in _relabellings(k)])])
+          for perm in _relabellings(k)], None)])
     last = len(offdiag) - 1
     out = []
     for r in reps:
@@ -460,7 +513,7 @@ def poset_corpus(draws=1000, seed=0):
     c.dinat_triples = _stride_sample_products(
         [(maps[a, b], maps[b, cc], maps[cc, a])
          for a, b, cc in itertools.product(posets, repeat=3)], TRIPLE_CAP)
-    c.unif_squares = _square_search(
+    c.unif_squares, _ = _square_search(
         posets, lambda p: maps[p, p],
         lambda a, b: [s for s in maps[a, b] if s.is_bottom_preserving()],
         poset.compose_maps)
@@ -556,7 +609,8 @@ def _rel_endo_block(a):
             [({x: a[i] for x, i in zip(a, perm)},
               [((p and 1 + perm[p - 1]) * n + perm[b], (0, 1))
                for p in range(n + 1) for b in range(n)])
-             for perm in _relabellings(n)])
+             for perm in _relabellings(n)],
+            None)
 
 
 def _rel_pair_block(a, b):
@@ -571,7 +625,29 @@ def _rel_pair_block(a, b):
             [(None, [(t[y], (0, 1, *(2 + x for x in s))) for y in range(n)]
               + [(n + s[x], (0, 1, *(2 + y for y in t))) for x in range(m)])
              for s in itertools.permutations(range(m))
-             for t in itertools.permutations(range(n))][1:])
+             for t in itertools.permutations(range(n))][1:],
+            None)
+
+
+def _rel_square_block(a, b, members):
+    """The `_orbit_map` block of the squares (s, f, g) that
+    `_square_search` finds among rel_function_rels(a, b) and
+    rel_partial_graphs(a, a) and (b, b), at the product indices
+    `members`: a digit per element x of a, the index of s(x) in b; then a
+    digit per output of f, then of g, as in `_rel_pair_block`.
+    Relabelling a by p and b by q sends (s, f, g) to (q s p^-1, p f p^-1,
+    q g q^-1): digit x of s goes to p[x] and its value to q's, output y of
+    f to p[y] and its premise 2 + x to 2 + p[x], and the same for g and q.
+    p and q are independent even when a = b, as in `_rel_pair_block`."""
+    m, n = len(a), len(b)
+    return ([n] * m + [m + 2] * m + [n + 2] * n,
+            [(None, [(p[x], q) for x in range(m)]
+              + [(m + p[y], (0, 1, *(2 + x for x in p))) for y in range(m)]
+              + [(2 * m + q[y], (0, 1, *(2 + x for x in q)))
+                 for y in range(n)])
+             for p in itertools.permutations(range(m))
+             for q in itertools.permutations(range(n))][1:],
+            members)
 
 
 def _rel_exhaustive():
@@ -618,15 +694,20 @@ def rel_cells(draws=1000, seed=0):
 def rel_corpus(draws=1000, seed=0):
     """The rel corpus: `_rel_exhaustive`'s layers and the identity cells
     of its endos, which fall into the endos' orbits, then its triples,
-    squares and derived channels, then the random tail."""
+    squares and derived channels, then the random tail.  The squares are
+    mapped into their orbits too; the square laws star only a square's f
+    and g, partial graphs, so in the endo layer."""
     counts = _draw_counts(draws)
     c, carriers, graphs = _rel_exhaustive()
     c.endo_cells = [ThinCell(f, f) for f in c.endos]
     c.symmetry.orbits["endo_cells"] = c.symmetry.orbits["endos"]
     c.dinat_triples = _stride_sample_products(
         [(graphs[a, a],) * 3 for a in carriers], TRIPLE_CAP)
-    c.unif_squares = _square_search(carriers, lambda a: graphs[a, a],
-                                    rel_function_rels, rel.mrel_compose)
+    c.unif_squares, members = _square_search(
+        carriers, lambda a: graphs[a, a], rel_function_rels, rel.mrel_compose)
+    c.symmetry.orbits["unif_squares"], _ = _orbit_map(
+        [_rel_square_block(a, b, block) for (a, b), block
+         in zip(itertools.product(carriers, repeat=2), members)])
     derive_channels(c, rel.mrel_identity, rel.mrel_compose)
     _rel_tail(c, seed, counts)
     return c
@@ -786,7 +867,7 @@ def scott_corpus(draws=1000, seed=0):
     c.dinat_triples = _stride_sample_products(
         [(graphs[p, p],) * 3 for p in small], TRIPLE_CAP)
 
-    squares = _square_search(
+    squares, _ = _square_search(
         small, frags.__getitem__,
         lambda a, b: [s for s in graphs[a, b]
                       if all(len(u) == 1 for (u, _) in s.pairs)],

@@ -379,8 +379,11 @@ class Symmetry(NamedTuple):
 
     `orbits[channel]` is (reps, sizes): the channel's first sum(sizes)
     instances fall into orbits, each listed by its first labelled member,
-    in ascending order, and its size.  `orbits["endos"]` covers the endo
-    layer that every mapped channel stars in.  `images(i)` lists, for
+    in ascending order, and its size.  An instance over two carriers,
+    such as a dinat pair or a uniformity square, relabels each of them
+    by its own permutation, even when they are one carrier.
+    `orbits["endos"]` covers the endo layer that every mapped channel
+    stars in, a square's f and g included.  `images(i)` lists, for
     the endo at index i of that layer, (p, j) for every relabelling p of
     its carrier but the identity, where endos[j] is endos[i] relabelled
     by p, and `relabel(x, p)` relabels a 1-cell by p: together they let

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import pathlib
 import random
 import tracemalloc
@@ -289,8 +290,8 @@ def test_square_search_composes_once_per_endo_not_per_square():
         calls.append(None)
         return poset.compose_maps(g, f)
 
-    squares = _square_search(posets, lambda p: maps[p, p],
-                             lambda a, b: maps[a, b], counting_compose)
+    squares, members = _square_search(posets, lambda p: maps[p, p],
+                                      lambda a, b: maps[a, b], counting_compose)
     assert len(squares) > len(calls) > 0
     assert len(calls) == sum(
         len(maps[a, b]) * (len(maps[a, a]) + len(maps[b, b]))
@@ -298,6 +299,14 @@ def test_square_search_composes_once_per_endo_not_per_square():
     for (s, f, g, gamma) in squares:
         assert gamma.source == poset.compose_maps(s, f)
         assert gamma.target == poset.compose_maps(g, s)
+    # each (a, b) lists its squares' (s, f, g) product indices, ascending
+    decoded = [(ss[i // (len(fs) * len(gs))], fs[i // len(gs) % len(fs)],
+                gs[i % len(gs)])
+               for (a, b), block in zip(product(posets, repeat=2), members)
+               for ss, fs, gs in [(maps[a, b], maps[a, a], maps[b, b])]
+               for i in block]
+    assert all(block == sorted(set(block)) for block in members)
+    assert decoded == [sq[:3] for sq in squares]
 
 
 # --- value fingerprints of the relational corpora ----------------------------
@@ -574,6 +583,70 @@ def test_rel_pair_composites_lie_in_the_endo_layer(rel0):
     for (f, g) in rel0.dinat_pairs:
         assert rel.mrel_compose(f, g) in layer
         assert rel.mrel_compose(g, f) in layer
+
+
+def test_rel_square_endos_lie_in_the_endo_layer(rel0):
+    # the square laws star only a square's f and g, both partial graphs,
+    # so in the endo layer, where the equivariance check tests the star
+    layer = set(rel0.endos)
+    for (_, f, g, _) in rel0.unif_squares:
+        assert f in layer and g in layer
+
+
+def test_rel_square_orbits_agree_with_brute_force(rel0):
+    # a square (s, f, g) with s: A -> B relabels to (t s p^-1, p f p^-1,
+    # t g t^-1) for every p of A and t of B, independent when A = B; 323
+    # orbits among the 3,594 squares, each listed by its least index
+    squares = rel0.unif_squares
+    at = {sq[:3]: i for i, sq in enumerate(squares)}
+    assert len(at) == len(squares) == 3594
+    reps, sizes, seen = [], [], set()
+    for i, (s, f, g, _) in enumerate(squares):
+        if i not in seen:
+            orbit = {at[_relabelled(s, p, t), _relabelled(f, p, p),
+                        _relabelled(g, t, t)]
+                     for p in _renamings(s.source)
+                     for t in _renamings(s.target)}
+            assert min(orbit) == i and not orbit & seen
+            seen |= orbit
+            reps.append(i)
+            sizes.append(len(orbit))
+    assert rel0.symmetry.orbits["unif_squares"] == (reps, sizes)
+    assert len(reps) == 323 and sum(sizes) == 3594
+
+
+@pytest.mark.parametrize("pick", ["squares", "sample"])
+def test_member_block_orbits_are_the_full_blocks_cut_down(pick):
+    # _orbit_map on a block that lists some product indices is the full
+    # block's map restricted to them: each orbit cut down to its listed
+    # members and listed by the least, images outside them dropped, and
+    # the block's positions shifted by the blocks before it
+    a = rel_carrier(2)
+    if pick == "squares":       # a union of orbits
+        _, (members,) = _square_search([a], lambda c: rel_partial_graphs(c, c),
+                                       rel_function_rels, rel.mrel_compose)
+    else:                       # not one
+        members = sorted(random.Random(7).sample(range(1024), 300))
+    radices, group, _ = corpora._rel_square_block(a, a, None)
+    assert math.prod(radices) == 1024
+    (full_reps, full_sizes), full_images = corpora._orbit_map(
+        [(radices, group, None)])
+    at = {i: p for p, i in enumerate(members)}
+    cut = []
+    for r in full_reps:
+        orbit = {r} | {j for _, j in full_images(r)}
+        kept = sorted(at[j] for j in orbit if j in at)
+        if kept:
+            cut.append(kept)
+    cut.sort()
+    (reps, sizes), images = corpora._orbit_map(
+        [(radices, group, None), (radices, group, members)])
+    assert reps == full_reps + [1024 + orbit[0] for orbit in cut]
+    assert sizes == full_sizes + [len(orbit) for orbit in cut]
+    assert sum(sizes) == 1024 + len(members)
+    for p, i in enumerate(members):
+        assert images(1024 + p) == [(label, 1024 + at[j])
+                                    for label, j in full_images(i) if j in at]
 
 
 def test_corpora_without_a_map():

@@ -761,8 +761,9 @@ def rel_tail():
     return corpora.rel_corpus(draws=9, seed=4)
 
 
+MAPPED_CHANNELS = ("endos", "endo_cells", "dinat_pairs", "unif_squares")
 MAPPED_LAWS = [law for law in FIX_LAWS + DINAT_LAWS + UNIF_LAWS
-               if law.channel in ("endos", "endo_cells", "dinat_pairs")]
+               if law.channel in MAPPED_CHANNELS]
 
 
 @pytest.mark.parametrize("make", [lambda: RelModel("closure"),
@@ -784,6 +785,19 @@ def test_orbit_walk_reports_equal_the_labelled_walk(rel_tail, make):
     assert got == want
 
 
+def test_greatest_fails_the_square_laws_on_whole_orbits(rel_tail):
+    # the mutant fails each of the three square laws on 1,445 of the
+    # 3,597 squares, 3,594 of them walked by their 323 representatives
+    reps, sizes = rel_tail.symmetry.orbits["unif_squares"]
+    assert (len(reps), sum(sizes), len(rel_tail.unif_squares)) == (
+        323, 3594, 3597)
+    square_laws = [law for law in MAPPED_LAWS
+                   if law.channel == "unif_squares"]
+    reports = run_laws(GreatestRelModel(), rel_tail, square_laws)
+    assert [(r.instances - r.passes, r.instances) for r in reports] == [
+        (1445, 3597)] * 3
+
+
 def judged(monkeypatch, m, corpus):
     """The ids of the instances each channel walk of `corpus` judges."""
     seen = []
@@ -803,7 +817,7 @@ def test_orbit_walk_judges_representatives_and_the_tail(monkeypatch,
                                                         rel_tail):
     sym = rel_tail.symmetry
     want = Counter()
-    for channel in ("endos", "endo_cells", "dinat_pairs"):
+    for channel in MAPPED_CHANNELS:
         insts = getattr(rel_tail, channel)
         reps, sizes = sym.orbits[channel]
         assert len(insts) > sum(sizes) or channel == "endo_cells"
@@ -820,8 +834,7 @@ def test_named_star_trips_the_equivariance_check(monkeypatch, rel_tail):
     assert not laws._equivariant_star(NamedRelModel(), sym, endos,
                                       NamedRelModel().star)
     assert not laws._orbit_walk_sound(NamedRelModel(), sym, endos)
-    every = Counter(id(x) for channel in ("endos", "endo_cells",
-                                          "dinat_pairs")
+    every = Counter(id(x) for channel in MAPPED_CHANNELS
                     for x in getattr(rel_tail, channel))
     assert judged(monkeypatch, NamedRelModel(), rel_tail) == every
 
