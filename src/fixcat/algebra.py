@@ -17,9 +17,7 @@ invertible structure square) and algebra 2-cells (transformations commuting
 with the squares); the universal property states that between any two
 1-cells into the same algebra there is exactly one invertible 2-cell.
 `pseudo_initial_mediator` and `unique_algebra_2cell` verify both halves by
-exhaustive search, and `adjoint_equivalence_from_initial` packages the
-structure isomorphism as an adjoint equivalence and checks its triangle
-identities.
+exhaustive search.
 """
 
 from __future__ import annotations
@@ -35,9 +33,7 @@ from .cat import (
     compose_functors,
     enumerate_nat_transfs,
     enumerate_functors,
-    identity_transf,
     is_invertible_transf,
-    point_functor,
     vcomp,
     whisker_left,
     whisker_right,
@@ -315,44 +311,3 @@ def unique_algebra_2cell(chain: ChainResult, first: AlgebraOneCell,
     if len(survivors) != 1:
         raise UniquenessViolation(len(survivors))
     return survivors[0]
-
-
-# --- the structure isomorphism as an adjoint equivalence -------------------------
-
-@dataclass
-class AdjointEquivalence:
-    right: NatTransfData
-    left: NatTransfData
-    unit: NatTransfData
-    counit: NatTransfData
-
-
-def adjoint_equivalence_from_initial(chain: ChainResult) -> AdjointEquivalence:
-    """Package the structure iso a: F(carrier) -> carrier as an equivalence.
-
-    Realized between the point functors at F(carrier) and carrier: the
-    invertible arrow gives both adjoints, the unit and counit are the
-    identity 2-cells they compose to, and both triangle identities are
-    evaluated explicitly.
-    """
-    if not chain.stabilized:
-        raise ValidationError("chain did not stabilize")
-    c = chain.category
-    a, a_inv = chain.structure, chain.structure_inverse
-    if c.inverse(a) != a_inv or c.inverse(a_inv) != a:
-        raise NotInvertible("stabilization certificate is corrupt")
-    p_carrier = point_functor(c, chain.carrier)
-    p_image = point_functor(c, c.src(a))
-    right = NatTransfData(p_image, p_carrier, {"*": a}, name="structure")
-    left = NatTransfData(p_carrier, p_image, {"*": a_inv}, name="structure_inv")
-    unit = identity_transf(p_carrier)
-    counit = identity_transf(p_image)
-    if vcomp(right, left) != unit:
-        raise NotInvertible("unit is not the identity composite")
-    if vcomp(left, right) != counit:
-        raise NotInvertible("counit is not the identity composite")
-    if vcomp(right, vcomp(left, right)) != right:
-        raise NotInvertible("first triangle identity fails")
-    if vcomp(vcomp(left, right), left) != left:
-        raise NotInvertible("second triangle identity fails")
-    return AdjointEquivalence(right, left, unit, counit)

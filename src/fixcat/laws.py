@@ -330,11 +330,6 @@ class LawReport:
     def failed(self) -> bool:
         return self.counterexample is not None
 
-    @property
-    def ok(self) -> bool:
-        # a vacuous run is reported, never counted as green
-        return not self.failed and not self.vacuous
-
     def line(self) -> str:
         status = "FAIL" if self.failed else ("VACUOUS" if self.vacuous else "pass")
         out = f"[{status}] {self.law_id}: {self.passes}/{self.instances}"
@@ -1187,9 +1182,9 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     and is unique, exactly when the two stars are equal, and it commutes
     with both fix cells exactly when f.f* = f* as well (Simpson & Plotkin's
     1-categorical uniqueness).  So each distinct endo value's stars are
-    computed once and compared, and NotContractible is raised where they
-    differ or f.f* differs from f*; at each dinat pair (fg)* must equal
-    f.(gf)*.  No cell is checked: a thin 2-cell f => g is the claim
+    computed once and compared, and NotContractible, naming the equation
+    that failed, is raised where they differ or f.f* differs from f*; at
+    each dinat pair (fg)* must equal f.(gf)*.  No cell is checked: a thin 2-cell f => g is the claim
     f = g, so both ends of a well-formed cell have one star, and a
     malformed one is `fix.naturality`'s counterexample in `fixcat laws`.
     An adapter that is not a ThinModel raises TypeMismatch.
@@ -1212,15 +1207,17 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     stars = {}          # endo, by value -> its star, checked
     held = {}           # star, by value -> the one object kept for it
 
+    def fail(at, equation):
+        raise NotContractible(f"{m1.name} vs {m2.name} at {at}: {equation}")
+
     def star(f):
         fs = stars.get(f)
         if fs is None:
             s1, s2 = m1.star(f), m2.star(f)
-            same = m.eq1(s1, s2)
-            if not (same and m.eq1(m.compose(f, s1), s1)):
-                raise NotContractible(
-                    f"{m1.name} vs {m2.name} at {m.describe1(f)}: "
-                    f"0 fix-compatible candidates among {int(same)}")
+            if not m.eq1(s1, s2):
+                fail(m.describe1(f), "the stars differ")
+            if not m.eq1(m.compose(f, s1), s1):
+                fail(m.describe1(f), "f.f* != f*")
             fs = stars[f] = held.setdefault(s1, s1)
         return fs
 
@@ -1233,8 +1230,8 @@ def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
     for (f, g) in pairs:
         fg, gf = m.compose(f, g), m.compose(g, f)
         if not m.eq1(star(fg), m.compose(f, star(gf))):
-            raise NotContractible(
-                f"delta does not commute with dinat at (f={m.describe1(f)}, g={m.describe1(g)})")
+            fail(f"(f={m.describe1(f)}, g={m.describe1(g)})",
+                 "(fg)* != f.(gf)*")
     return CompareReport(m1.name + "|" + m2.name, len(endos))
 
 

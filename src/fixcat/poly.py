@@ -135,12 +135,6 @@ class WTree:
     def __repr__(self):
         return f"WTree(root={self.root!r}, children={self.children!r})"
 
-    def height(self):
-        return 1 + max((t.height() for _, t in self.children), default=-1)
-
-    def size(self):
-        return 1 + sum(t.size() for _, t in self.children)
-
 
 def _require_endo(P: Polynomial):
     if not P.is_endo():

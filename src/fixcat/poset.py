@@ -270,10 +270,6 @@ def bifree_star(f: MonotoneMap):
     return mediating_map(f).at_top
 
 
-def all_fixpoints(f: MonotoneMap):
-    return [x for x in f.source.elements if f.assignment[x] == x]
-
-
 # ---------------------------------------------------------------------------
 # Binary products.
 

@@ -352,11 +352,6 @@ class Preorder:
         return f"Preorder({self.name}: {len(self.elements)} elements)"
 
 
-def discrete_preorder(elements, name="disc") -> Preorder:
-    return Preorder(elements, {(x, x) for x in elements}, name=name,
-                    _validate=False)
-
-
 EMPTY_PREORDER = Preorder((), set(), name="0", _validate=False)
 
 
@@ -413,35 +408,10 @@ def _need(down, u) -> int:
     return out
 
 
-def _have(down, v) -> int:
-    """The down-closure of v as a mask; a foreign element adds nothing."""
-    out = 0
-    for y in v:
-        out |= down.get(y, 0)
-    return out
-
-
-def hoare_leq(pre: Preorder, u, v) -> bool:
-    """u below v when every element of u is dominated by one of v."""
-    down = _index(pre).down
-    need = _need(down, u)
-    return need & _have(down, v) == need
-
-
-def _subsumes(src: Preorder, tgt: Preorder, p, q) -> bool:
-    """p subsumes q: p needs less input and promises more output."""
-    (u0, b0), (u, b) = p, q
-    return hoare_leq(src, u0, u) and tgt.leq(b, b0)
-
-
-def _class_rep(pre: Preorder, x):
-    """Least-keyed member of x's equivalence class, or x itself if foreign."""
-    return _index(pre).rep.get(x, x)
-
-
 def _canon(idx: _Index, u):
-    """u's canonical form, with the need and have masks of u (`_need`,
-    `_have`), which are those of its canonical form too."""
+    """u's canonical form, with u's need mask (`_need`) and its have mask,
+    the union of the down-sets of its elements inside the preorder; both
+    are those of its canonical form too."""
     have = 0
     foreign = []
     down = idx.down
@@ -466,17 +436,6 @@ def _canon(idx: _Index, u):
     return tuple(out), have, have
 
 
-def canon_uset(pre: Preorder, u) -> Tuple:
-    """Canonical representative of u's Hoare-equivalence class.
-
-    Dominated elements add nothing to the requirement, so only the maximal
-    ones survive, each replaced by its class representative.  Two input
-    sets are Hoare-equivalent exactly when they canonicalize identically.
-    u may be unsorted and hold duplicates; a foreign element is kept.
-    """
-    return _canon(_index(pre), u)[0]
-
-
 def _undominated(rows) -> frozenset:
     """The pairs no other pair subsumes; mutually subsuming pairs keep only
     their least member under the canonical sort key.
@@ -494,16 +453,6 @@ def _undominated(rows) -> frozenset:
         else:
             keep.append(p)
     return frozenset(keep)
-
-
-def normalize_pairs(src: Preorder, tgt: Preorder, pairs) -> frozenset:
-    """Drop subsumed pairs; mutually subsuming classes keep their least
-    representative under the canonical sort key.  Each pair is read into
-    masks once."""
-    sdown, tdown = _index(src).down, _index(tgt).down
-    rows = {p: (_need(sdown, p[0]), _have(sdown, p[0]),
-                tdown.get(p[1], -1), tdown.get(p[1], 0)) for p in pairs}
-    return _undominated(rows.items())
 
 
 class IdealRel:
@@ -547,12 +496,6 @@ class IdealRel:
             if not set(u) <= src:
                 problems.append(f"input set {u!r} outside source")
         return problems
-
-    def holds(self, u, b) -> bool:
-        """Membership in the denoted (downward closed) relation."""
-        u = uset(u)
-        return any(_subsumes(self.source, self.target, p, (u, b))
-                   for p in self.pairs)
 
     def __eq__(self, other):
         if self is other:

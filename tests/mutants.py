@@ -1,6 +1,7 @@
-"""Mutant adapters and inputs with no fixpoint, shared by the tests."""
+"""Mutant adapters, inputs with no fixpoint, and the fixpoint reference the
+mutants and the tests pick from."""
 
-from fixcat import poset, rel
+from fixcat import rel
 from fixcat.cat import FunctorData
 from fixcat.corpora import IDEM
 from fixcat.models import PosetModel, RelModel
@@ -10,6 +11,11 @@ from fixcat.models import PosetModel, RelModel
 F_STUCK = FunctorData(IDEM, IDEM, {"0": "w", "w": "w"},
                       {"id_0": "id_w", "u": "p", "p": "p", "id_w": "id_w"},
                       name="stuck")
+
+
+def all_fixpoints(f):
+    """Every fixpoint of the monotone endomap f, in carrier order."""
+    return [x for x in f.source.elements if f.assignment[x] == x]
 
 
 class GreatestRelModel(RelModel):
@@ -46,7 +52,7 @@ class LastFixpointPosetModel(PosetModel):
         self.name = "poset[last]"
 
     def _lfp(self, f):
-        return max(poset.all_fixpoints(f), key=repr)
+        return max(all_fixpoints(f), key=repr)
 
 
 class NamedRelModel(GreatestRelModel):

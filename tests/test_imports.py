@@ -2,9 +2,10 @@
 is the standard library's or its own, and none of them starts a thread or
 another process.  No module of the package reads the process environment.
 No module of the package or its tests imports a name it never reads.  The
-package's modules import each other without a cycle.  Every module-level
-function or class that neither the package nor perfbench reads is one of
-a decided few.  Only the law engine's `run_laws` opens the one table that
+package's modules import each other without a cycle.  Every definition
+that no command and no perfbench workload reaches, through any chain of
+calls, waits for an open ROADMAP.md item that will give it a caller; a
+definition only the tests call is not reached.  Only the law engine's `run_laws` opens the one table that
 memoized methods read, and no file writes a second table name.  Every
 `SizeCap` the package raises names its budget."""
 
@@ -13,6 +14,7 @@ import graphlib
 import pathlib
 import re
 import sys
+import textwrap
 
 import pytest
 
@@ -109,59 +111,251 @@ def test_package_has_no_import_cycle():
         pytest.fail(f"import cycle {' -> '.join(err.args[1])}")
 
 
-# The module-level names no module of the package or of perfbench reads,
-# and why each stays although nothing in them calls it.
-UNREAD_BY_DESIGN = {
-    # the paper's checks of acceptance criteria 5 and 7, which the tests run
-    "algebra.adjoint_equivalence_from_initial",
-    "algebra.cocone_mediator",
-    "algebra.pseudo_initial_mediator",
-    "algebra.unique_algebra_2cell",
-    "poly.freyd_dinat_check",
-    "poly.span_uniformity_check",
-    # reference implementations the tests compare the fast paths against
-    "poset.all_fixpoints",
-    "rel._class_rep",
-    "rel.canon_uset",
-    "rel.discrete_preorder",
-    "rel.normalize_pairs",
-    # fixtures: the standard polynomials and the span predicate
-    "poly.binary_tree_poly",
-    "poly.constant_poly",
-    "poly.identity_poly",
-    "poly.identity_poly_morphism",
-    "poly.is_span",
-    # the canonical printer the round-trip tests compare against
-    "serialize.print_document",
+# The definitions no command reaches, each mapped to the open ROADMAP.md
+# item that will give it a caller.  An entry leaves when its item lands.
+UNREACHED_BY_DESIGN = {
+    # criterion 5: the chain realization, the pseudo-initiality search and
+    # the unique 2-cell, with the enumerators and helpers only they use
+    **dict.fromkeys([
+        "algebra.AlgebraOneCell", "algebra.ChainRealization",
+        "algebra._copied", "algebra._stage", "algebra.chain_realization",
+        "algebra.cocone_mediator", "algebra.pseudo_initial_mediator",
+        "algebra.unique_algebra_2cell", "cat.FinCategory.id_of",
+        "cat.FinCategory.is_identity_arrow",
+        "cat.FinCategory.sorted_arrow_ids", "cat._check_bound",
+        "cat.enumerate_functors", "cat.enumerate_nat_transfs",
+        "errors.NoMediator"], 24),
+    # criterion 7: the transport and rolling checks, cartesian morphisms,
+    # and the fixture polynomials they run on
+    **dict.fromkeys([
+        "poly.PolyMorphism", "poly.PolyMorphism.on_system",
+        "poly.PolyMorphism.on_tree", "poly._small_systems",
+        "poly.binary_tree_poly", "poly.bisimilar", "poly.constant_poly",
+        "poly.endo_poly", "poly.freyd_dinat_check", "poly.identity_poly",
+        "poly.identity_poly_morphism", "poly.is_span",
+        "poly.span_uniformity_check", "poly.stream_poly"], 22),
+    # the canonical document writer the JSON report will write with
+    **dict.fromkeys(["serialize._sorted_pairs", "serialize.print_document",
+                     "serialize.to_document"], 5),
 }
+ENTRY = "cli.main"
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def unread_definitions(modules, readers):
-    """`module.name` for every module-level def or class in `modules`
-    whose name no `Name`, `Attribute` or import alias in `readers`
-    reads."""
-    defined = {f"{path.stem}.{node.name}"
-               for path in modules
-               for node in ast.parse(path.read_text(), str(path)).body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef))}
-    read = set()
-    for path in readers:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
-    return {name for name in defined if name.partition(".")[2] not in read}
+def loads(node):
+    """Every name `node` and the nodes below it load as a `Name` or an
+    `Attribute`, annotations aside: naming a type is not calling it."""
+    if isinstance(getattr(node, "ctx", None), ast.Load):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+    for field, value in ast.iter_fields(node):
+        if field not in ("annotation", "returns"):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield from loads(child)
 
 
-def test_every_unread_definition_is_decided():
-    modules = sorted(SRC.glob("*.py"))
-    readers = modules + sorted(PERFBENCH.glob("*.py"))
-    assert len(modules) > 1 and len(readers) > len(modules)
-    assert unread_definitions(modules, readers) == UNREAD_BY_DESIGN
+def header(node):
+    """The parts of a def or class that run where it is defined, not
+    where it is called: decorators, default arguments, bases."""
+    if isinstance(node, ast.ClassDef):
+        return node.decorator_list + node.bases + node.keywords
+    return (node.decorator_list + node.args.defaults
+            + [d for d in node.args.kw_defaults if d is not None])
+
+
+def reachability(root):
+    """(defined, reached): qualified names of the definitions in
+    `root`/src/fixcat, and those a command or perfbench reaches.
+
+    A definition is a module-level function or class (`module.name`) or
+    a method of such a class (`module.Class.method`); a dunder method
+    belongs to its class and is not listed.  The roots are the names
+    read where a module runs (any statement outside a def body:
+    registries, constants, decorators, default arguments, class bodies),
+    the entry point `cli.main`, and every name `root`/perfbench reads.
+    A reached def reaches every definition its body reads the name of,
+    as a `Name` or an `Attribute`, in any module: a name read in
+    `from m import a as b` form counts as a.  A reached class reaches its
+    dunder methods, which are never matched by name.  Tests are not
+    read: a definition only a test calls is not reached."""
+    body = {}                 # definition -> names its body reads
+    dunders = {}              # class -> its dunder methods
+    meaning = {}              # name -> the definitions it can name
+    roots = set()             # names read where a module runs
+    readers = sorted((root / "perfbench").glob("*.py"))
+    for path in sorted((root / "src" / "fixcat").glob("*.py")) + readers:
+        tree = ast.parse(path.read_text(), str(path))
+        alias = {a.asname: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+
+        def read(*nodes):
+            names = {name for node in nodes for name in loads(node)}
+            return names | {alias[name] for name in names if name in alias}
+
+        if path in readers:
+            roots |= read(tree)
+            continue
+        for node in tree.body:
+            if not isinstance(node, DEFINITION):
+                roots |= read(node)
+                continue
+            qual = f"{path.stem}.{node.name}"
+            meaning.setdefault(node.name, []).append(qual)
+            roots |= read(*header(node))
+            if not isinstance(node, ast.ClassDef):
+                body[qual] = read(*node.body)
+                continue
+            body[qual], dunders[qual] = set(), []
+            for item in node.body:
+                if not isinstance(item, DEFINITION):
+                    roots |= read(item)
+                    continue
+                method = f"{qual}.{item.name}"
+                roots |= read(*header(item))
+                body[method] = read(*item.body)
+                if item.name.startswith("__") and item.name.endswith("__"):
+                    dunders[qual].append(method)
+                else:
+                    meaning.setdefault(item.name, []).append(method)
+    reached = set()
+    todo = [ENTRY] + [q for name in roots for q in meaning.get(name, ())]
+    while todo:
+        qual = todo.pop()
+        if qual in reached or qual not in body:
+            continue
+        reached.add(qual)
+        todo.extend(q for name in body[qual] for q in meaning.get(name, ()))
+        todo.extend(dunders.get(qual, ()))
+    owned = {m for methods in dunders.values() for m in methods}
+    return set(body) - owned, reached
+
+
+def undecided(root, allowed):
+    """What keeps `root`'s unreached definitions from being exactly
+    `allowed`: one line per unreached definition not in it, and per
+    stale entry, reached or no longer defined."""
+    defined, reached = reachability(root)
+    return ([f"unreached: {q}" for q in sorted(defined - reached - allowed)]
+            + [f"stale, reached: {q}" for q in sorted(allowed & reached)]
+            + [f"stale, not defined: {q}" for q in sorted(allowed - defined)])
+
+
+def open_items():
+    """The numbers of the items ROADMAP.md still lists."""
+    text = (TESTS.parent / "ROADMAP.md").read_text()
+    return {int(n) for n in re.findall(r"^### (\d+)\. ", text, re.M)}
+
+
+def test_every_unreached_definition_is_decided():
+    assert len(list(SRC.glob("*.py"))) > 1
+    assert len(list(PERFBENCH.glob("*.py"))) > 1
+    assert undecided(TESTS.parent, set(UNREACHED_BY_DESIGN)) == []
+    assert set(UNREACHED_BY_DESIGN.values()) <= open_items()
+
+
+def write_tree(root, files):
+    """Write `files`, a dict of relative path -> source, under `root`."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    return root
+
+
+CLI = {"src/fixcat/cli.py": """
+    from .m import run
+
+    def main():
+        return run()
+    """}
+
+
+def test_walk_reports_a_def_only_an_unreached_def_calls(tmp_path):
+    root = write_tree(tmp_path, {**CLI, "src/fixcat/m.py": """
+        def run():
+            return 1
+
+        def dead():
+            return helper()
+
+        def helper():
+            return 2
+        """})
+    defined, reached = reachability(root)
+    assert defined == {"cli.main", "m.run", "m.dead", "m.helper"}
+    assert defined - reached == {"m.dead", "m.helper"}
+
+
+def test_walk_gives_a_dunder_to_its_class_not_its_name(tmp_path):
+    # reading `__eq__` by name reaches no class's __eq__; constructing
+    # Kept reaches its own
+    root = write_tree(tmp_path, {**CLI, "src/fixcat/m.py": """
+        def run():
+            return Kept().__eq__(None)
+
+        class Kept:
+            def __eq__(self, other):
+                return kept_helper()
+
+        class Lost:
+            def __eq__(self, other):
+                return lost_helper()
+
+        def kept_helper():
+            return 1
+
+        def lost_helper():
+            return 2
+        """})
+    defined, reached = reachability(root)
+    assert "m.Kept.__eq__" not in defined
+    assert defined - reached == {"m.Lost", "m.lost_helper"}
+
+
+def test_walk_counts_what_perfbench_reads_and_not_what_a_test_reads(tmp_path):
+    root = write_tree(tmp_path, {
+        **CLI,
+        "src/fixcat/m.py": """
+            def run():
+                return 1
+
+            def probe():
+                return _probe_helper()
+
+            def _probe_helper():
+                return 2
+
+            def tested():
+                return 3
+            """,
+        "perfbench/workloads.py": """
+            from fixcat import m
+            m.probe()
+            """,
+        "tests/test_m.py": """
+            from fixcat.m import tested
+            tested()
+            """})
+    defined, reached = reachability(root)
+    assert defined - reached == {"m.tested"}
+
+
+def test_walk_reports_stale_allow_list_entries(tmp_path):
+    root = write_tree(tmp_path, {**CLI, "src/fixcat/m.py": """
+        def run():
+            return 1
+
+        def dead():
+            return 2
+        """})
+    assert undecided(root, {"m.dead"}) == []
+    assert undecided(root, set()) == ["unreached: m.dead"]
+    assert undecided(root, {"m.dead", "m.run", "m.gone"}) == [
+        "stale, reached: m.run", "stale, not defined: m.gone"]
 
 
 TABLES = {"_memo"}

@@ -280,7 +280,7 @@ def test_fast_path_builds_no_2cell_on_a_passing_channel(witness_calls):
     m = PosetModel()
     corpus = corpora.poset_corpus(draws=4, seed=1)
     reports = laws.run_laws(m, corpus, laws.DINAT_LAWS)
-    assert all(r.ok for r in reports)
+    assert not any(r.failed or r.vacuous for r in reports)
     assert witness_calls == []
 
 

@@ -10,7 +10,6 @@ from fixcat.poset import (
     ONE_POINT,
     MonotoneMap,
     PointedPoset,
-    all_fixpoints,
     bifree_star,
     compose_maps,
     fin,
@@ -24,6 +23,7 @@ from fixcat.poset import (
     product,
     TOP,
 )
+from mutants import all_fixpoints
 
 
 def chain(n, name=None):

@@ -15,10 +15,7 @@ from fixcat.rel import (
     IdealRel,
     MultisetRel,
     Preorder,
-    canon_uset,
-    discrete_preorder,
     disjoint_union,
-    hoare_leq,
     mrel_compose,
     mrel_from_function,
     mrel_identity,
@@ -29,7 +26,6 @@ from fixcat.rel import (
     mset,
     mset_support,
     mset_union,
-    normalize_pairs,
     preorder_disjoint_union,
     scott_compose,
     scott_from_function,
@@ -44,7 +40,63 @@ from fixcat.rel import (
     tree_star,
     uset,
 )
-from fixcat.rel import _class_rep, _skey
+from fixcat.rel import _skey
+
+
+# --- test references ----------------------------------------------------------
+# Outside the tests, only IdealRel and scott_star_set read rel's preorder
+# mask kernels (`_index`, `_need`, `_canon`, `_undominated`).  These entry
+# points into them are what the brute-force definitions further down are
+# compared against.
+
+def discrete_preorder(elements, name="disc"):
+    return Preorder(elements, {(x, x) for x in elements}, name=name,
+                    _validate=False)
+
+
+def have_mask(down, v):
+    """The down-closure of v as a mask; a foreign element adds nothing."""
+    out = 0
+    for y in v:
+        out |= down.get(y, 0)
+    return out
+
+
+def hoare_leq(pre, u, v):
+    """u below v when every element of u is dominated by one of v."""
+    down = rel._index(pre).down
+    need = rel._need(down, u)
+    return need & have_mask(down, v) == need
+
+
+def class_rep(pre, x):
+    """Least-keyed member of x's equivalence class, or x itself if foreign."""
+    return rel._index(pre).rep.get(x, x)
+
+
+def canon_uset(pre, u):
+    """Canonical representative of u's Hoare-equivalence class: the
+    maximal elements, each replaced by its class representative.  u may
+    be unsorted and hold duplicates; a foreign element is kept."""
+    return rel._canon(rel._index(pre), u)[0]
+
+
+def normalize_pairs(src, tgt, pairs):
+    """Drop subsumed pairs by IdealRel's own scan; mutually subsuming
+    classes keep their least representative under the canonical sort
+    key."""
+    sdown, tdown = rel._index(src).down, rel._index(tgt).down
+    rows = {p: (rel._need(sdown, p[0]), have_mask(sdown, p[0]),
+                tdown.get(p[1], -1), tdown.get(p[1], 0)) for p in pairs}
+    return rel._undominated(rows.items())
+
+
+def holds(r, u, b):
+    """Membership of (u, b) in the downward closed relation r denotes:
+    some stored pair needs no more than u and promises at least b."""
+    u = uset(u)
+    return any(hoare_leq(r.source, u0, u) and r.target.leq(b, b0)
+               for (u0, b0) in r.pairs)
 
 
 # --- multisets ----------------------------------------------------------------
@@ -290,13 +342,13 @@ def test_idealrel_normalization_drops_subsumed():
     # needing q and promising only x is strictly worse than needing p for y
     r = IdealRel(P_CHAIN, T_CHAIN, {(("q",), "x"), (("p",), "y")})
     assert r.pairs == {(("p",), "y")}
-    assert r.holds(("q",), "x")  # still denoted, just not stored
+    assert holds(r, ("q",), "x")  # still denoted, just not stored
 
 
 def test_idealrel_mutual_subsumption_keeps_one():
     r = IdealRel(P_EQUIV, T_CHAIN, {(("p",), "x"), (("q",), "x")})
     assert r.pairs == {(("p",), "x")}
-    assert r.holds(("q",), "x")
+    assert holds(r, ("q",), "x")
 
 
 def test_idealrel_incomparable_pairs_survive():
@@ -322,7 +374,7 @@ def expand(r: IdealRel) -> set:
     """The full downward closed denotation over subsets of the source."""
     subsets = [uset(c) for k in range(len(r.source.elements) + 1)
                for c in itertools.combinations(r.source.elements, k)]
-    return {(u, b) for u in subsets for b in r.target.elements if r.holds(u, b)}
+    return {(u, b) for u in subsets for b in r.target.elements if holds(r, u, b)}
 
 
 def literal_compose(g_pairs, f_pairs, src, mid, tgt):
@@ -561,8 +613,8 @@ def test_class_rep_matches_brute_force(elements, data):
     pre = Preorder(elements, leq)
     for x in elements:
         cls = [y for y in elements if (x, y) in leq and (y, x) in leq]
-        assert _class_rep(pre, x) == min(cls, key=_skey)
-    assert _class_rep(pre, "foreign") == "foreign"
+        assert class_rep(pre, x) == min(cls, key=_skey)
+    assert class_rep(pre, "foreign") == "foreign"
 
 
 # --- bit-mask kernels against their brute-force definitions -----------------
