@@ -1175,18 +1175,19 @@ class CompareReport:
 
 def compare_operators(m1: FixpointModel, m2: FixpointModel, endos,
                       pairs=(), symmetry=None):
-    """Check that two thin adapters' operators agree up to a unique
-    invertible 2-cell.
+    """Check that two thin adapters' stars are equal 1-cells.
 
-    In a locally discrete model such a cell star1(f) => star2(f) exists,
-    and is unique, exactly when the two stars are equal, and it commutes
-    with both fix cells exactly when f.f* = f* as well (Simpson & Plotkin's
-    1-categorical uniqueness).  So each distinct endo value's stars are
-    computed once and compared, and NotContractible, naming the equation
-    that failed, is raised where they differ or f.f* differs from f*; at
-    each dinat pair (fg)* must equal f.(gf)*.  No cell is checked: a thin 2-cell f => g is the claim
-    f = g, so both ends of a well-formed cell have one star, and a
-    malformed one is `fix.naturality`'s counterexample in `fixcat laws`.
+    In a locally discrete model a 2-cell star1(f) => star2(f) exists, and
+    is unique, exactly when the two stars are equal, and it commutes with
+    both fix cells exactly when f.f* = f* as well (Simpson & Plotkin's
+    1-categorical uniqueness), so no 2-cell is built or searched.  Each
+    distinct endo value's stars are computed once and compared, and
+    NotContractible, naming the equation that failed, is raised where they
+    differ or f.f* differs from f*; at each dinat pair (fg)* must equal
+    f.(gf)*.  No cell of the corpus is checked either: a thin 2-cell
+    f => g is the claim f = g, so both ends of a well-formed cell have one
+    star, and a malformed one is `fix.naturality`'s counterexample in
+    `fixcat laws`.
     An adapter that is not a ThinModel raises TypeMismatch.
     With the `Symmetry` of the corpus that `endos` and `pairs` come from,
     only one pair per orbit of the mapped prefix is checked, when m1's

@@ -40,7 +40,8 @@ from .laws import (FixpointModel, ThinModel, _require_opposed, equivariant,
 
 
 class PosetModel(ThinModel):
-    """Pointed posets and monotone maps; star by iteration or the chain route."""
+    """Pointed posets and monotone maps; star by iteration or as the least
+    prefixpoint."""
 
     def __init__(self, star_impl="kleene"):
         if star_impl not in ("kleene", "bifree"):

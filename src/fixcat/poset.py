@@ -1,11 +1,10 @@
 """Finite pointed posets, monotone maps, and least-fixpoint machinery.
 
-Endomaps get their least fixpoint two ways: direct iteration from bottom
-(`kleene_star`) and evaluation of the canonical map out of the successor
-chain-with-top at its top point (`bifree_star` via `mediating_map`).  The
-chain-with-top itself stays symbolic: elements are ("fin", n) and ("top",),
-and only the mediating map ever consumes them.  Binary products and
-their pairing serve the product route to dinaturality, which builds the
+Endomaps get their least fixpoint two independent ways: iteration from
+bottom (`kleene_star`), and the least prefixpoint read off the order
+(`bifree_star`), which is the value at the top point of the canonical
+map out of the successor chain-with-top.  Binary products and their
+pairing serve the product route to dinaturality, which builds the
 symmetry as the pairing of swapped projections.
 """
 
@@ -194,80 +193,21 @@ def iterates(f: MonotoneMap):
     raise ValidationError("iteration failed to stabilize; map is not monotone?")
 
 
-# Symbolic carrier: the successor chain with a top point.
-def fin(n: int):
-    return ("fin", n)
+def bifree_star(f: MonotoneMap):
+    """Least fixpoint as the least prefixpoint, the least x with f(x) <= x.
 
-
-TOP = ("top",)
-
-
-def omega_bar_leq(u, v) -> bool:
-    if u == v:
-        return True
-    if v == TOP:
-        return True
-    if u == TOP:
-        return False
-    return u[1] <= v[1]
-
-
-def omega_bar_successor(u):
-    """The structure map on the symbolic chain: shift by one, fix top."""
-    if u == TOP:
-        return TOP
-    return fin(u[1] + 1)
-
-
-@dataclass
-class MediatingMap:
-    """The canonical map from the successor chain-with-top into an endomap's carrier.
-
-    at_fin(n) is the n-th iterate of the endomap from bottom; at_top is the
-    stabilized iterate.  Stored as the orbit, so every probe is exact.
-    """
-
-    endo: MonotoneMap
-    orbit: list
-
-    def at_fin(self, n: int):
-        return self.orbit[min(n, len(self.orbit) - 1)]
-
-    @property
-    def at_top(self):
-        return self.orbit[-1]
-
-    def at(self, u):
-        return self.at_top if u == TOP else self.at_fin(u[1])
-
-
-def mediating_map(f: MonotoneMap) -> MediatingMap:
-    """Build the mediating map and verify its defining square on probes.
-
-    Probes cover ("fin", 0..|carrier|+1) and ("top",): monotonicity along the
-    chain order and the square u(successor(x)) = f(u(x)); the fresh-bottom
-    case of the structure map lands on the 0-th iterate, which is bottom.
+    It is the value at the top of the map out of the chain-with-top: a
+    fixpoint, since the successor fixes top, and below every prefixpoint x,
+    since each f^n(bottom) <= x.
     """
     if f.source != f.target:
-        raise TypeMismatch("mediating_map needs an endomap")
-    u = MediatingMap(f, iterates(f))
-    p = f.source
-    probes = [fin(n) for n in range(len(p.elements) + 2)] + [TOP]
-    for a in probes:
-        for b in probes:
-            if omega_bar_leq(a, b) and not p.leq(u.at(a), u.at(b)):
-                raise ValidationError(f"mediating map not monotone on {a} <= {b}")
-    for a in probes:
-        if u.at(omega_bar_successor(a)) != f.assignment[u.at(a)]:
-            raise ValidationError(f"mediating square fails at probe {a}")
-    if u.at(fin(0)) != p.bottom:
-        raise ValidationError("mediating map must send the first stage to bottom")
-    return u
-
-
-def bifree_star(f: MonotoneMap):
-    """Least fixpoint via the mediating map evaluated at the top point."""
-    return mediating_map(f).at_top
+        raise TypeMismatch("bifree_star needs an endomap")
+    p, image = f.source, f.assignment
+    pre = [x for x in p.elements if p.leq(image[x], x)]
+    for x in pre:
+        if all(p.leq(x, y) for y in pre):
+            return x
+    raise ValidationError("no least prefixpoint; map is not monotone?")
 
 
 # ---------------------------------------------------------------------------

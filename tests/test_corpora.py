@@ -324,12 +324,17 @@ def _fingerprint_value(x, documents):
     return doc
 
 
-def corpus_fingerprint(corpus):
-    """sha256 over every channel, in channel and instance order."""
+def corpus_fingerprint(corpus, tails=None):
+    """sha256 over every channel, in channel and instance order.  With
+    `tails`, each channel contributes only its last tails.get(name, 0)
+    instances."""
     digest = hashlib.sha256()
     documents = {}
     for f in dataclasses.fields(corpus):
         items = getattr(corpus, f.name)
+        if tails is not None:
+            k = tails.get(f.name, 0)
+            items = items[-k:] if k else []
         doc = [f.name, [_fingerprint_value(x, documents) for x in items]]
         digest.update(json.dumps(doc, sort_keys=True).encode())
     return digest.hexdigest()
@@ -361,31 +366,58 @@ def test_corpus_fingerprint_is_pinned(family):
 # --- the seeded random stream -------------------------------------------------
 
 # A fixed seed must give the same random draws, in the same order, whatever
-# the samplers' code.  These long tails were captured before the samplers
-# drew through `_draws` and before the conjugation squares composed s.f once.
+# the samplers' code.  Only the random tail is hashed: the instances a
+# channel gets past its exhaustive prefix, which does not depend on draws or
+# seed and which PINNED_CORPORA pins.  They are the tails that whole-corpus
+# pins fixed before the samplers drew through `_draws` and before the
+# conjugation squares composed s.f once.
 PINNED_STREAMS = {
     "poset_cells-1000": (
-        lambda: poset_cells(1000, seed=5),
-        "ef51bd612b4609f4874604af5fd4bc0e27c1c5ba5e2596b6b49c10d8695b86e4"),
+        lambda: poset_cells(1000, seed=5), 1000,
+        "078e3a1348b1c4773079f3064469cfa4906a3d1a5ce2d8ea2a44128317132381"),
     "rel_cells-1000": (
-        lambda: rel_cells(1000, seed=5),
-        "c9b3207eed7607b1259a30cd41cc95250bf379667c2728b57acb4f4be703a22f"),
+        lambda: rel_cells(1000, seed=5), 1000,
+        "4331aa889a615b1c7cc3ad3119c9468caa2411a15ccb5c3a0007e4ef865ce507"),
     "poset_corpus-300": (
-        lambda: poset_corpus(draws=300, seed=5),
-        "84b30fe339e43cf9547b0c86b0d28b08deeae90dbec80c70f4f66222857f6fcb"),
+        lambda: poset_corpus(draws=300, seed=5), 300,
+        "5d2dfdba2b9507fa0b77d76ba570da4fe60effe9ade7d298ee06ae72c01b6259"),
     "rel_corpus-300": (
-        lambda: rel_corpus(draws=300, seed=5),
-        "88a305be7c8082c01565a781fa0efdb76c42e3c38003d1328a5d4ec996b5cbd3"),
+        lambda: rel_corpus(draws=300, seed=5), 300,
+        "bb90d34ec7e252561902e1c3e83d4c5446e0f84e0c9266218f04977f2977122e"),
     "scott_corpus-300": (
-        lambda: scott_corpus(draws=300, seed=5),
-        "062e20f429003047781a0bc13edd48957e207ffe91406ee7ce647bf86f5fc89c"),
+        lambda: scott_corpus(draws=300, seed=5), 300,
+        "daf3828c6ef4bdbbf0fc7a4276c4955ede48dd1ff9e2a1d5cd12d984817ca9ce"),
 }
+
+
+def random_tails(draws):
+    """The channels a random tail of `draws` extends, and by how many."""
+    return dict(zip(("endos", "dinat_pairs", "unif_squares"),
+                    corpora._draw_counts(draws)))
 
 
 @pytest.mark.parametrize("name", PINNED_STREAMS)
 def test_seeded_random_tail_is_pinned(name):
-    build, sha256 = PINNED_STREAMS[name]
-    assert corpus_fingerprint(build()) == sha256
+    build, draws, sha256 = PINNED_STREAMS[name]
+    assert corpus_fingerprint(build(), random_tails(draws)) == sha256
+
+
+def test_one_changed_draw_fails_its_tail_pin(monkeypatch):
+    # the stream is 12,574 draws; its last, swapped for another element,
+    # moves the hash (a redrawn rejection may then take more draws)
+    build, draws, sha256 = PINNED_STREAMS["poset_cells-1000"]
+    real, calls = corpora._draws, []
+
+    def changed(rng, seq, count):
+        out = real(rng, seq, count)
+        calls.append(None)
+        if len(calls) == 12574:
+            out[0] = next(x for x in seq if x != out[0])
+        return out
+
+    monkeypatch.setattr(corpora, "_draws", changed)
+    assert corpus_fingerprint(build(), random_tails(draws)) != sha256
+    assert len(calls) >= 12574
 
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

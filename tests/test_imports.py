@@ -143,13 +143,14 @@ DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def loads(node):
-    """Every name `node` and the nodes below it load as a `Name` or an
-    `Attribute`, annotations aside: naming a type is not calling it."""
+    """Every name `node` and the nodes below it load, annotations aside
+    (naming a type is not calling it): a `Name` as itself, an `Attribute`
+    as its attribute with a leading dot."""
     if isinstance(getattr(node, "ctx", None), ast.Load):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield "." + node.attr
     for field, value in ast.iter_fields(node):
         if field not in ("annotation", "returns"):
             for child in value if isinstance(value, list) else [value]:
@@ -177,13 +178,15 @@ def reachability(root):
     registries, constants, decorators, default arguments, class bodies),
     the entry point `cli.main`, and every name `root`/perfbench reads.
     A reached def reaches every definition its body reads the name of,
-    as a `Name` or an `Attribute`, in any module: a name read in
-    `from m import a as b` form counts as a.  A reached class reaches its
+    in any module: a bare `Name` names module-level functions and classes
+    only, and an `Attribute` names those and methods too, so a local
+    variable does not reach a method it shares a name with.  A name read
+    in `from m import a as b` form counts as a.  A reached class reaches its
     dunder methods, which are never matched by name.  Tests are not
     read: a definition only a test calls is not reached."""
     body = {}                 # definition -> names its body reads
     dunders = {}              # class -> its dunder methods
-    meaning = {}              # name -> the definitions it can name
+    meaning = {}              # name or .attr -> the definitions it can name
     roots = set()             # names read where a module runs
     readers = sorted((root / "perfbench").glob("*.py"))
     for path in sorted((root / "src" / "fixcat").glob("*.py")) + readers:
@@ -204,7 +207,8 @@ def reachability(root):
                 roots |= read(node)
                 continue
             qual = f"{path.stem}.{node.name}"
-            meaning.setdefault(node.name, []).append(qual)
+            for name in (node.name, "." + node.name):
+                meaning.setdefault(name, []).append(qual)
             roots |= read(*header(node))
             if not isinstance(node, ast.ClassDef):
                 body[qual] = read(*node.body)
@@ -220,7 +224,7 @@ def reachability(root):
                 if item.name.startswith("__") and item.name.endswith("__"):
                     dunders[qual].append(method)
                 else:
-                    meaning.setdefault(item.name, []).append(method)
+                    meaning.setdefault("." + item.name, []).append(method)
     reached = set()
     todo = [ENTRY] + [q for name in roots for q in meaning.get(name, ())]
     while todo:
@@ -314,6 +318,29 @@ def test_walk_gives_a_dunder_to_its_class_not_its_name(tmp_path):
     defined, reached = reachability(root)
     assert "m.Kept.__eq__" not in defined
     assert defined - reached == {"m.Lost", "m.lost_helper"}
+
+
+def test_walk_matches_a_bare_name_to_no_method(tmp_path):
+    # the local `size` does not reach Tree.size; `.depth` reaches
+    # Tree.depth, and a bare `depth_of` its module-level function
+    root = write_tree(tmp_path, {**CLI, "src/fixcat/m.py": """
+        def run():
+            size = 3
+            return Tree().depth() + size + depth_of(size)
+
+        def depth_of(n):
+            return n
+
+        class Tree:
+            def size(self):
+                return 1
+
+            def depth(self):
+                return 2
+        """})
+    defined, reached = reachability(root)
+    assert {"m.Tree.size", "m.Tree.depth", "m.depth_of"} <= defined
+    assert defined - reached == {"m.Tree.size"}
 
 
 def test_walk_counts_what_perfbench_reads_and_not_what_a_test_reads(tmp_path):

@@ -12,17 +12,13 @@ from fixcat.poset import (
     PointedPoset,
     bifree_star,
     compose_maps,
-    fin,
     identity_map,
     iterates,
     kleene_star,
-    mediating_map,
-    omega_bar_leq,
-    omega_bar_successor,
     point_map,
     product,
-    TOP,
 )
+from fixcat import poset
 from mutants import all_fixpoints
 
 
@@ -153,7 +149,19 @@ def test_star_requires_endomap():
     with pytest.raises(TypeMismatch):
         kleene_star(f)
     with pytest.raises(TypeMismatch):
-        mediating_map(f)
+        bifree_star(f)
+
+
+def test_both_routes_refuse_a_map_that_is_not_monotone():
+    # bot -> l -> r -> l over bot < l, bot < r: iteration never settles,
+    # and no point x has f(x) <= x
+    f = MonotoneMap(FORK, FORK, {"bot": "l", "l": "r", "r": "l"},
+                    _validate=False)
+    assert f.validate()
+    with pytest.raises(ValidationError):
+        kleene_star(f)
+    with pytest.raises(ValidationError):
+        bifree_star(f)
 
 
 # --- fixpoints: both routes against the oracle, exhaustively ----------------
@@ -166,27 +174,26 @@ def test_both_star_routes_match_oracle(p):
         assert bifree_star(f) == expected
 
 
-def test_mediating_map_probes():
-    f = MonotoneMap(C3, C3, {0: 1, 1: 2, 2: 2})
-    u = mediating_map(f)
-    assert u.at(fin(0)) == 0
-    assert u.at(fin(1)) == 1
-    assert u.at(fin(5)) == 2  # beyond stabilization the value is pinned
-    assert u.at(TOP) == 2
-    # the defining square, spot-checked from outside
-    for n in range(6):
-        assert u.at(omega_bar_successor(fin(n))) == f.assignment[u.at(fin(n))]
-    assert u.at(omega_bar_successor(TOP)) == f.assignment[u.at(TOP)]
+@pytest.mark.parametrize("p", FIXTURES, ids=lambda p: p.name)
+def test_iterates_climb_from_bottom_to_a_fixpoint(p):
+    for f in endomaps(p):
+        orbit = iterates(f)
+        assert orbit[0] == p.bottom
+        assert all(f(x) == y for x, y in zip(orbit, orbit[1:]))
+        assert all(p.leq(x, y) for x, y in zip(orbit, orbit[1:]))
+        assert f(orbit[-1]) == orbit[-1]
 
 
-def test_omega_bar_order_shape():
-    assert omega_bar_leq(fin(0), fin(3))
-    assert not omega_bar_leq(fin(3), fin(0))
-    assert omega_bar_leq(fin(7), TOP)
-    assert not omega_bar_leq(TOP, fin(7))
-    assert omega_bar_leq(TOP, TOP)
-    assert omega_bar_successor(fin(4)) == fin(5)
-    assert omega_bar_successor(TOP) == TOP
+def test_bifree_star_does_not_iterate(monkeypatch):
+    # the least prefixpoint is read off the order: no orbit is walked
+    expected = {f: kleene_star(f) for p in FIXTURES for f in endomaps(p)}
+
+    def refuse(f):
+        raise AssertionError("bifree_star walked the orbit")
+
+    monkeypatch.setattr(poset, "iterates", refuse)
+    monkeypatch.setattr(poset, "kleene_star", refuse)
+    assert {f: bifree_star(f) for f in expected} == expected
 
 
 # --- products ----------------------------------------------------------------
